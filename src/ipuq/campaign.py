@@ -41,7 +41,6 @@ from .elicit.loop import (
 )
 from .elicit.prompts import PromptKind
 from .mmi import (
-    DEFAULT_EXACT_ENUM_CAP,
     exact_mmi_credal,
     interval_width_mmi,
     mmi_upper_bound,
@@ -185,9 +184,7 @@ class CampaignConfig:
     output_dir: str = "runs"
     credal_members: int = 5
     score_mode: str = MODE_AUTO
-    exact_enum_cap: int = DEFAULT_EXACT_ENUM_CAP
     salvage_renormalize: bool = False
-    generator_endpoint: int = 0
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -195,16 +192,16 @@ class CampaignConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-        if not self.endpoints:
-            raise ConfigError("at least one endpoint is required")
+        if len(self.endpoints) != 1:
+            # records carry no endpoint in their cell key, so a second
+            # endpoint would be silently ignored
+            raise ConfigError(f"exactly one endpoint is required, got {len(self.endpoints)}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.score_mode not in (MODE_AUTO, MODE_SET, MODE_ANSWER):
             raise ConfigError(f"unknown score mode {self.score_mode!r}")
         if self.retry_budget < 1 or self.concurrency < 1 or self.credal_members < 1:
             raise ConfigError("retry_budget, concurrency and credal_members must be >= 1")
-        if not (0 <= self.generator_endpoint < len(self.endpoints)):
-            raise ConfigError("generator_endpoint index out of range")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -217,9 +214,7 @@ class CampaignConfig:
             "output_dir": self.output_dir,
             "credal_members": self.credal_members,
             "score_mode": self.score_mode,
-            "exact_enum_cap": self.exact_enum_cap,
             "salvage_renormalize": self.salvage_renormalize,
-            "generator_endpoint": self.generator_endpoint,
         }
 
     @classmethod
@@ -234,9 +229,7 @@ class CampaignConfig:
             output_dir=data.get("output_dir", "runs"),
             credal_members=int(data.get("credal_members", 5)),
             score_mode=data.get("score_mode", MODE_AUTO),
-            exact_enum_cap=int(data.get("exact_enum_cap", DEFAULT_EXACT_ENUM_CAP)),
             salvage_renormalize=bool(data.get("salvage_renormalize", False)),
-            generator_endpoint=int(data.get("generator_endpoint", 0)),
         )
 
     @classmethod
@@ -363,7 +356,6 @@ def score_payload(
     *,
     mode: str = MODE_AUTO,
     prediction_index: int | None = None,
-    exact_enum_cap: int = DEFAULT_EXACT_ENUM_CAP,
 ) -> tuple[float | None, float | None, str]:
     """Compute (first_order, second_order, used_mode) for one payload.
 
@@ -406,10 +398,7 @@ def score_payload(
             ).value
         else:
             first = entropy(aggregate)
-            if len(candidates) <= exact_enum_cap:
-                second = exact_mmi_credal(credal, cap=exact_enum_cap).value
-            else:
-                second = mmi_upper_bound(interval_from_credal(credal).lowers).value
+            second = exact_mmi_credal(credal).value
     elif method == PromptKind.POSSIBILITY.value:
         assignment: PossibilityAssignment = payload
         if answer_level:
@@ -593,7 +582,6 @@ def _build_record(
         "first_order": None,
         "second_order": None,
         "combined": None,
-        "exact_enum_cap": config.exact_enum_cap,
     }
     payload_dict: dict[str, Any] | None = None
 
@@ -619,7 +607,6 @@ def _build_record(
             qrecord.candidates,
             mode=config.score_mode,
             prediction_index=pred_idx,
-            exact_enum_cap=config.exact_enum_cap,
         )
         combined = (
             combined_score(first, second) if first is not None and second is not None else None
@@ -757,12 +744,7 @@ def recompute_scores(record: dict[str, Any]) -> dict[str, float | None]:
     prediction = record.get("prediction")
     pred_idx = candidates.index_of(prediction) if prediction is not None else None
     first, second, _ = score_payload(
-        method,
-        payload,
-        candidates,
-        mode=mode,
-        prediction_index=pred_idx,
-        exact_enum_cap=int(record["scores"].get("exact_enum_cap", DEFAULT_EXACT_ENUM_CAP)),
+        method, payload, candidates, mode=mode, prediction_index=pred_idx
     )
     combined = (
         combined_score(first, second) if first is not None and second is not None else None

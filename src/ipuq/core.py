@@ -14,7 +14,7 @@ All of them hash/compare by value and are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 #: Absolute tolerance for probability sum checks across the whole package.
@@ -245,8 +245,6 @@ class QARecord:
     prediction: str | None = None
     pstar: tuple[float, ...] | None = None
     question_id: str | None = None
-    reports: dict[str, object] = field(default_factory=dict)
-    scores: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.truth_set = tuple(_clean_answer(t) for t in self.truth_set)

@@ -15,8 +15,9 @@ ignorance.  Each report type admits its own route to this number:
 * a full interval set: ``1 - sum(lowers)`` upper-bounds the MMI and is the
   score used when only lower bounds are trusted;
 * a credal set: event bounds are minima/maxima over the member PMFs (event
-  probability is linear, so extrema sit at the members), and the exact MMI
-  comes from enumerating all ``2^n`` events;
+  probability is linear, so extrema sit at the members), hence the exact MMI
+  is the largest total-variation distance between two members, found in
+  ``O(m^2 * n)`` for ``m`` members and ``n`` candidates;
 * a possibility assignment: after scaling the peak to 1, the second-largest
   score is exactly the widest gap.
 """
@@ -24,26 +25,17 @@ ignorance.  Each report type admits its own route to this number:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
-
-import numpy as np
 
 from .core import PROB_TOL, CredalSet, IpuqError, PossibilityAssignment
 from .coherence import AllZeroError
 
-#: Largest candidate count for which the exact event enumeration runs by
-#: default (2^16 = 65,536 events; beyond that callers must opt in).
-DEFAULT_EXACT_ENUM_CAP = 16
-
 MODE_INTERVAL_WIDTH = "interval_width"
 MODE_UPPER_BOUND = "upper_bound"
-MODE_EXACT_EVENT_ENUM = "exact_event_enum"
+MODE_EXACT_CREDAL = "exact_credal"
 MODE_POSSIBILITY_RATIO = "possibility_ratio"
 MODE_POSSIBILITY_BINARY = "possibility_binary"
-
-
-class CandidateSetTooLargeError(IpuqError, ValueError):
-    pass
 
 
 class LowerSumExceedsOneError(IpuqError, ValueError):
@@ -58,8 +50,9 @@ class InvalidIntervalError(IpuqError, ValueError):
 class MmiScore:
     """An MMI value plus how it was obtained.
 
-    ``event_count`` is the number of events actually enumerated; it is
-    ``2^n`` for the exact mode and ``None`` for closed-form modes.
+    ``event_count`` is the number of events actually evaluated; it is
+    ``m * (m - 1)`` for the exact credal mode (one event per ordered member
+    pair) and ``None`` for the other closed-form modes.
     """
 
     value: float
@@ -103,37 +96,30 @@ def mmi_upper_bound(lowers: Sequence[float], *, tol: float = PROB_TOL) -> MmiSco
     return MmiScore(value=min(1.0, max(0.0, 1.0 - total)), mode=MODE_UPPER_BOUND)
 
 
-def _event_sums(probs: Sequence[float]) -> np.ndarray:
-    # Index m holds the probability of the event whose bitmask is m (bit k set
-    # means candidate k is in the event).  Built by doubling so that each sum
-    # accumulates addends in increasing candidate order -- this keeps the
-    # result bit-identical to a naive loop that adds probabilities in index
-    # order, which is what independent checkers are expected to do.
-    sums = np.zeros(1, dtype=np.float64)
-    for p in probs:
-        sums = np.concatenate([sums, sums + p])
-    return sums
+def exact_mmi_credal(credal: CredalSet) -> MmiScore:
+    """Exact MMI of a credal set: the largest gap between two members.
 
-
-def exact_mmi_credal(credal: CredalSet, *, cap: int = DEFAULT_EXACT_ENUM_CAP) -> MmiScore:
-    """Exact MMI of a credal set by full event enumeration.
-
-    For each of the ``2^n`` events, the lower (upper) event probability is
-    the min (max) of the event's mass over the member PMFs; the score is the
-    largest max-min gap found.  Cost is ``O(2^n * members)``, hence the cap.
+    For the ordered member pair ``(j, k)`` the event with the widest gap
+    ``P_j(A) - P_k(A)`` is ``A* = {i : p_j[i] > p_k[i]}``, so the MMI is the
+    largest such gap over all ordered pairs.  Both event masses accumulate
+    in increasing candidate order, the order a naive ``2^n`` enumerator
+    adds them in.  The two orders of a pair give the same gap in exact
+    arithmetic but round differently; an enumerator sees both events, so
+    both orders are evaluated.
     """
-    n = len(credal.candidates)
-    if n > cap:
-        raise CandidateSetTooLargeError(
-            f"{n} candidates exceed the exact enumeration cap of {cap}"
-        )
-    per_member = np.stack([_event_sums(m.probs) for m in credal.members])
-    widths = per_member.max(axis=0) - per_member.min(axis=0)
-    return MmiScore(
-        value=float(widths.max()),
-        mode=MODE_EXACT_EVENT_ENUM,
-        event_count=2**n,
-    )
+    best = 0.0
+    pairs = 0
+    for pj, pk in permutations([m.probs for m in credal.members], 2):
+        pairs += 1
+        upper = lower = 0.0
+        for a, b in zip(pj, pk):
+            if a > b:
+                upper += a
+                lower += b
+        gap = upper - lower
+        if gap > best:
+            best = gap
+    return MmiScore(value=best, mode=MODE_EXACT_CREDAL, event_count=pairs)
 
 
 def possibility_mmi(assignment: PossibilityAssignment) -> MmiScore:
@@ -175,13 +161,11 @@ def possibility_binary_mmi(score_for: float, score_against: float) -> MmiScore:
 
 
 __all__ = [
-    "DEFAULT_EXACT_ENUM_CAP",
     "MODE_INTERVAL_WIDTH",
     "MODE_UPPER_BOUND",
-    "MODE_EXACT_EVENT_ENUM",
+    "MODE_EXACT_CREDAL",
     "MODE_POSSIBILITY_RATIO",
     "MODE_POSSIBILITY_BINARY",
-    "CandidateSetTooLargeError",
     "LowerSumExceedsOneError",
     "InvalidIntervalError",
     "MmiScore",

@@ -327,17 +327,25 @@ class _MockHandler(BaseHTTPRequestHandler):
         logger.debug("mock server: " + format, *args)
 
 
+#: How often the background server checks for ``shutdown()``; the
+#: ``serve_forever`` default of 0.5 s makes every shutdown wait that long.
+_SHUTDOWN_POLL_S = 0.01
+
+
 def start_mock_server(
     script: MockScript, host: str = "127.0.0.1", port: int = 0
 ) -> tuple[ThreadingHTTPServer, str]:
     """Start a mock endpoint in a daemon thread; returns (server, base_url).
 
-    ``port=0`` picks a free port.  Call ``server.shutdown()`` when done.
+    ``port=0`` picks a free port.  Call ``server.shutdown()`` and
+    ``server.server_close()`` when done.
     """
     responder = MockResponder(script)
     handler = type("BoundMockHandler", (_MockHandler,), {"responder": responder})
     server = ThreadingHTTPServer((host, port), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": _SHUTDOWN_POLL_S}, daemon=True
+    )
     thread.start()
     base_url = f"http://{host}:{server.server_address[1]}/v1/chat/completions"
     return server, base_url

@@ -43,7 +43,7 @@ from ipuq.mmi import (
     mmi_upper_bound,
     possibility_mmi,
 )
-from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry, start_mock_server
+from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
 from ipuq.scores import ce_kl_decomposition
 from ipuq.study import run_synthetic_study
 from ipuq.synth import TransformSpec, apply_cyclic_shift, apply_rotation, ground_truth_variants
@@ -414,15 +414,12 @@ def run_recorded_campaign(tmp_path, subdir, base_url):
     return load_run_records(records_path(config.output_dir))
 
 
-def test_c11_campaign_determinism_and_rescoring(tmp_path):
+def test_c11_campaign_determinism_and_rescoring(tmp_path, serve):
     with criterion(11, "identical campaigns agree byte-for-byte (timing aside)"):
         script = MockScript(agent=AgentConfig(noise_p=0.25, width_c=1.0))
-        server, base_url = start_mock_server(script, port=GATE_PORT)
-        try:
+        with serve(script, port=GATE_PORT) as base_url:
             first = run_recorded_campaign(tmp_path, "run-a", base_url)
             second = run_recorded_campaign(tmp_path, "run-b", base_url)
-        finally:
-            server.shutdown()
 
         assert len(first) == 3 * 5 * 2
         def stripped(records):

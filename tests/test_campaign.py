@@ -36,9 +36,11 @@ from ipuq.core import (
     PossibilityAssignment,
     PrecisePMF,
     ProbabilityIntervalSet,
+    interval_from_credal,
 )
 from ipuq.elicit.client import ChatClient, ModelEndpoint
 from ipuq.metrics import cost_report
+from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
 from ipuq.mock import AgentConfig, MockScript, MockTransport
 from ipuq.scores import bernoulli_entropy, entropy
 from ipuq.synth import TransformSpec
@@ -93,13 +95,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_config(tmp_path, seeds=())
 
+    def test_second_endpoint_rejected(self, tmp_path):
+        endpoints = (
+            ModelEndpoint(base_url="inproc://agent", model_id="mock-agent"),
+            ModelEndpoint(base_url="inproc://agent", model_id="other-agent"),
+        )
+        with pytest.raises(ConfigError, match="exactly one endpoint"):
+            make_config(tmp_path, endpoints=endpoints)
+
     def test_bounds(self, tmp_path):
         with pytest.raises(ConfigError):
             make_config(tmp_path, retry_budget=0)
         with pytest.raises(ConfigError):
             make_config(tmp_path, score_mode="psychic")
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, generator_endpoint=5)
 
     def test_json_round_trip(self, tmp_path):
         config = make_config(
@@ -113,6 +121,11 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
         assert CampaignConfig.load(str(path)) == config
+
+    def test_config_with_removed_keys_still_loads(self, tmp_path):
+        config = make_config(tmp_path)
+        data = dict(config.to_dict(), generator_endpoint=0, exact_enum_cap=16)
+        assert CampaignConfig.from_dict(data) == config
 
     def test_qa_file_source_round_trip(self):
         source = DatasetSource(kind=DATASET_QA_FILE, path="d.jsonl", format="mc_like")
@@ -207,7 +220,7 @@ class TestScorePayload:
                                      prediction_index=1)
         assert second == pytest.approx(0.5)
 
-    def test_credal_exact_within_cap_envelope_beyond(self):
+    def test_credal_set_level_is_exact(self):
         credal = CredalSet(
             candidates=THREE,
             members=(
@@ -215,13 +228,24 @@ class TestScorePayload:
                 PrecisePMF(candidates=THREE, probs=(0.5, 0.3, 0.2)),
             ),
         )
-        _, exact, _ = score_payload("credal", credal, THREE, mode=MODE_SET,
-                                    exact_enum_cap=16)
+        _, exact, _ = score_payload("credal", credal, THREE, mode=MODE_SET)
         assert exact == pytest.approx(0.3)  # best event {A} or {C}
-        _, loose, _ = score_payload("credal", credal, THREE, mode=MODE_SET,
-                                    exact_enum_cap=2)
-        assert loose == 1.0 - (0.2 + 0.3 + 0.2)
-        assert loose >= exact
+
+    def test_credal_set_level_is_exact_for_twenty_candidates(self):
+        # Each member splits its mass over two of the first three answers, so
+        # every answer has lower probability 0 and the 1 - sum(lowers) bound
+        # is 1, while any two members differ by exactly 0.5.
+        twenty = CandidateSet(answers=tuple(f"a{i}" for i in range(20)))
+        rows = ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5))
+        credal = CredalSet(
+            candidates=twenty,
+            members=tuple(
+                PrecisePMF(candidates=twenty, probs=row + (0.0,) * 17) for row in rows
+            ),
+        )
+        _, second, _ = score_payload("credal", credal, twenty, mode=MODE_SET)
+        assert second == exact_mmi_credal(credal).value == 0.5
+        assert second < mmi_upper_bound(interval_from_credal(credal).lowers).value == 1.0
 
     def test_possibility_modes(self):
         poss = PossibilityAssignment(
@@ -349,6 +373,21 @@ class TestRunCampaign:
         config = make_config(tmp_path, methods=ALL_METHODS)
         client, _ = agent_client(noise_p=0.3)
         for record in run_campaign(config, client=client):
+            redone = recompute_scores(record)
+            for field in ("first_order", "second_order", "combined"):
+                assert redone[field] == record["scores"][field], field
+
+    def test_legacy_record_with_exact_enum_cap_recomputes(self, tmp_path):
+        config = make_config(tmp_path, methods=("credal",), score_mode=MODE_SET)
+        client, _ = agent_client(credal_spread=0.05)
+        legacy = run_campaign(config, client=client)
+        for record in legacy:
+            record["scores"]["exact_enum_cap"] = 16  # written by older versions
+        path = records_path(str(tmp_path / "legacy"))
+        append_records(path, legacy)
+        loaded = load_run_records(path)
+        assert loaded == legacy
+        for record in loaded:
             redone = recompute_scores(record)
             for field in ("first_order", "second_order", "combined"):
                 assert redone[field] == record["scores"][field], field

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, file outputs, and the mock endpoint."""
 
-import contextlib
 import csv
 import json
 
@@ -17,17 +16,8 @@ from ipuq.campaign import (
 )
 from ipuq.cli import EXIT_DATASET, EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from ipuq.elicit.client import ModelEndpoint
-from ipuq.mock import AgentConfig, MockScript, ScriptEntry, start_mock_server
+from ipuq.mock import AgentConfig, MockScript, ScriptEntry
 from ipuq.synth import TransformSpec
-
-
-@contextlib.contextmanager
-def serve(script):
-    server, base_url = start_mock_server(script)
-    try:
-        yield base_url
-    finally:
-        server.shutdown()
 
 
 def block(rows):
@@ -83,7 +73,7 @@ class TestElicit:
     def endpoint_args(self, base_url):
         return ["--base-url", base_url, "--model", "mock-agent"]
 
-    def test_success_prints_payload(self, capsys):
+    def test_success_prints_payload(self, capsys, serve):
         script = MockScript(
             entries=(
                 ScriptEntry(
@@ -105,7 +95,7 @@ class TestElicit:
         assert report["payload"]["probs"] == [0.7, 0.3]
         assert report["score_kind"] == "entropy_nats"
 
-    def test_exhausted_budget_exits_nonzero_with_verdicts(self, capsys):
+    def test_exhausted_budget_exits_nonzero_with_verdicts(self, capsys, serve):
         bad = block(["1|price=0.8", "2|price=0.8"])
         script = MockScript(
             entries=(
@@ -157,7 +147,7 @@ def write_campaign_config(tmp_path, base_url, **overrides):
 
 
 class TestCampaignCommands:
-    def test_run_then_rerun_then_resume(self, tmp_path, capsys):
+    def test_run_then_rerun_then_resume(self, tmp_path, capsys, serve):
         script = MockScript(agent=AgentConfig(noise_p=0.25))
         with serve(script) as base_url:
             config, config_path = write_campaign_config(tmp_path, base_url)
@@ -180,7 +170,7 @@ class TestCampaignCommands:
         assert main(["campaign", "resume", "--config", config_path]) == EXIT_DATASET
         assert "nothing to resume" in capsys.readouterr().err
 
-    def test_failed_cells_exit_partial(self, tmp_path, capsys):
+    def test_failed_cells_exit_partial(self, tmp_path, capsys, serve):
         (question,) = [q.question for q in build_synth_records(
             DatasetSource(
                 kind=DATASET_SYNTH,

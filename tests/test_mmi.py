@@ -1,17 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipuq
 from ipuq.coherence import AllZeroError
 from ipuq.core import CandidateSet, CredalSet, PossibilityAssignment, PrecisePMF, build_pmf
 from ipuq.mmi import (
-    MODE_EXACT_EVENT_ENUM,
+    MODE_EXACT_CREDAL,
     MODE_INTERVAL_WIDTH,
     MODE_POSSIBILITY_RATIO,
     MODE_UPPER_BOUND,
-    CandidateSetTooLargeError,
     InvalidIntervalError,
     LowerSumExceedsOneError,
     exact_mmi_credal,
@@ -111,7 +114,7 @@ def test_precise_distribution_has_zero_upper_bound():
 
 
 # ---------------------------------------------------------------------------
-# Exact credal enumeration
+# Exact credal MMI
 # ---------------------------------------------------------------------------
 
 
@@ -120,20 +123,13 @@ def test_exact_mmi_frozen_two_member_example():
     score = exact_mmi_credal(credal)
     # widest gap sits on the singleton events: 0.5 - 0.2 vs 0.8 - 0.5
     assert score.value == 0.30000000000000004
-    assert score.mode == MODE_EXACT_EVENT_ENUM
-    assert score.event_count == 4
+    assert score.mode == MODE_EXACT_CREDAL
+    assert score.event_count == 2  # one event per ordered member pair
 
 
 def test_exact_mmi_single_member_is_zero():
     credal = make_credal([[0.1, 0.2, 0.7]])
     assert exact_mmi_credal(credal).value == 0.0
-
-
-def test_exact_mmi_respects_cap():
-    probs = [1.0 / 6] * 6
-    credal = make_credal([probs])
-    with pytest.raises(CandidateSetTooLargeError):
-        exact_mmi_credal(credal, cap=5)
 
 
 def test_exact_mmi_matches_brute_force_bit_for_bit():
@@ -144,7 +140,27 @@ def test_exact_mmi_matches_brute_force_bit_for_bit():
         member_probs = random_member_probs(rng, n, m)
         ours = exact_mmi_credal(make_credal(member_probs))
         assert ours.value == brute_force_mmi(member_probs)
-        assert ours.event_count == 2**n
+        assert ours.event_count == m * (m - 1)
+
+
+def test_exact_mmi_on_two_decimal_pmfs_never_exceeds_enumerator():
+    # Chat replies carry two-decimal probabilities.  The enumerator keeps the
+    # largest rounding error over all 2^n events, so the closed form may sit
+    # a few ulps below it, never above and never beyond the 1e-12 tolerance
+    # that stored scores are recomputed to.
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        m = rng.randint(2, 5)
+        member_probs = []
+        for _ in range(m):
+            cuts = sorted(rng.randint(0, 100) for _ in range(n - 1))
+            edges = [0, *cuts, 100]
+            member_probs.append([(edges[i + 1] - edges[i]) / 100 for i in range(n)])
+        ours = exact_mmi_credal(make_credal(member_probs)).value
+        want = brute_force_mmi(member_probs)
+        assert ours <= want
+        assert want - ours <= 1e-12
 
 
 def test_exact_mmi_dominated_by_lower_bound_score():
@@ -198,6 +214,16 @@ def test_exact_mmi_at_least_envelope_singleton_width(credal):
     for i in range(n):
         col = [m.probs[i] for m in credal.members]
         assert exact >= max(col) - min(col) - 1e-15
+
+
+def test_package_imports_without_numpy():
+    code = (
+        "import sys, ipuq, ipuq.campaign, ipuq.cli; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    src = os.path.dirname(os.path.dirname(ipuq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Mock endpoint: scripted replies, the analytic agent, and the HTTP face."""
 
-import contextlib
 import json
 
 import pytest
@@ -17,7 +16,6 @@ from ipuq.mock import (
     ScriptEntry,
     ScriptExhaustedError,
     SimulatedAgent,
-    start_mock_server,
 )
 
 QUESTION = "Which mountain is the tallest on Earth measured from sea level?"
@@ -26,15 +24,6 @@ TWO = CandidateSet(answers=("Mount Everest", "Mauna Kea"))
 
 def block(rows):
     return "```\n" + "\n".join(rows) + "\n```"
-
-
-@contextlib.contextmanager
-def serve(script):
-    server, base_url = start_mock_server(script)
-    try:
-        yield base_url
-    finally:
-        server.shutdown()
 
 
 def test_script_needs_entries_or_agent():
@@ -211,7 +200,7 @@ class TestSimulatedAgent:
 
 
 class TestHttpFace:
-    def test_round_trip_over_sockets(self):
+    def test_round_trip_over_sockets(self, serve):
         script = MockScript(agent=AgentConfig(noise_p=0.25))
         with serve(script) as base_url:
             client = ChatClient(HttpTransport(timeout_s=10.0))
@@ -229,7 +218,7 @@ class TestHttpFace:
         assert result.payload.probs[0] == pytest.approx(w_upper / (w_upper + w_lower))
         assert result.input_tokens > 0
 
-    def test_http_and_in_process_replies_are_identical(self):
+    def test_http_and_in_process_replies_are_identical(self, serve):
         config = AgentConfig(noise_p=0.3, width_c=2.0)
         user = render_prompt(
             PromptKind.PROBINT,
@@ -247,7 +236,7 @@ class TestHttpFace:
         assert over_http.input_tokens == in_proc.input_tokens
         assert over_http.output_tokens == in_proc.output_tokens
 
-    def test_exhausted_script_returns_http_500(self):
+    def test_exhausted_script_returns_http_500(self, serve):
         script = MockScript(
             entries=(
                 ScriptEntry(
