@@ -58,7 +58,6 @@ from .synth import (
     generate_icl_task,
     ground_truth_variants,
     inject_case_noise,
-    permissive_match,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +103,6 @@ __all__ = [
     "generate_icl_task",
     "format_icl_prompt",
     "ground_truth_variants",
-    "permissive_match",
     "ScoredExample",
     "auroc",
     "concordance_index",

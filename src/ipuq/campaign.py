@@ -15,7 +15,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .core import (
@@ -26,7 +26,6 @@ from .core import (
     PrecisePMF,
     ProbabilityIntervalSet,
     QARecord,
-    build_pmf,
     fold_equal,
     interval_from_credal,
 )
@@ -39,7 +38,7 @@ from .elicit.loop import (
     elicit_credal_ensemble,
     elicit_with_retry,
 )
-from .elicit.prompts import PromptKind
+from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
 from .mmi import (
     exact_mmi_credal,
     interval_width_mmi,
@@ -49,6 +48,7 @@ from .mmi import (
 )
 from .scores import bernoulli_entropy, combined_score, entropy
 from .synth import (
+    IclTask,
     NoiseSpec,
     TransformSpec,
     format_icl_prompt,
@@ -274,6 +274,22 @@ def load_run_records(path: str) -> list[dict]:
     return [json.loads(ln) for ln in lines[1:]]
 
 
+def _drop_torn_tail(path: str) -> None:
+    """Truncate a final line without a newline, the remains of an interrupted
+    append, so that a resume re-runs that cell instead of failing to decode it."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return
+    with open(path, "rb+") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        fh.truncate(keep)
+    logger.warning("dropped %d bytes of a torn trailing record in %s", len(data) - keep, path)
+
+
 def existing_keys(path: str) -> set[tuple[str, str, int]]:
     if not os.path.exists(path):
         return set()
@@ -433,17 +449,25 @@ def decide(method: str, payload: object) -> DecisionOutcome | None:
 # =========================================================================
 
 
-def build_synth_records(source: DatasetSource) -> list[QARecord]:
-    """Generate the QA records for a synthetic dataset source."""
-    records = []
-    for i in range(source.count):
-        task = generate_icl_task(
+def synth_tasks(source: DatasetSource) -> list[IclTask]:
+    """The source's tasks in question-id order: task ``i`` draws its words from
+    seed ``base_seed + i`` and its demonstration noise from ``base_seed + 10_000 + i``."""
+    return [
+        generate_icl_task(
             source.transform,
             NoiseSpec(p=source.noise_p, rng_seed=source.base_seed + 10_000 + i),
             m=source.m,
             word_length=source.word_length,
             rng_seed=source.base_seed + i,
         )
+        for i in range(source.count)
+    ]
+
+
+def build_synth_records(source: DatasetSource) -> list[QARecord]:
+    """Generate the QA records for a synthetic dataset source."""
+    records = []
+    for i, task in enumerate(synth_tasks(source)):
         variants = ground_truth_variants(task.clean_query_output, source.noise_p)
         records.append(
             QARecord(
@@ -551,8 +575,7 @@ def _run_elicitation(
             endpoint,
             kind,
             qrecord.question,
-            qrecord.candidates if kind in (PromptKind.DEFINETTI, PromptKind.PROBINT,
-                                           PromptKind.CREDAL, PromptKind.POSSIBILITY) else None,
+            qrecord.candidates if kind in KINDS_WITH_CANDIDATES else None,
             max_attempts=config.retry_budget,
             salvage_renormalize=config.salvage_renormalize,
         )
@@ -685,6 +708,7 @@ def run_campaign(
     client = client if client is not None else ChatClient()
     qrecords = load_dataset(config.dataset)
     path = records_path(config.output_dir)
+    _drop_torn_tail(path)
     done = existing_keys(path)
     jobs = [
         (q, method, seed)
@@ -800,6 +824,7 @@ __all__ = [
     "candidates_from_dict",
     "score_payload",
     "decide",
+    "synth_tasks",
     "build_synth_records",
     "load_dataset",
     "run_campaign",

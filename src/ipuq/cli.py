@@ -6,17 +6,21 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import Sequence
 
 from .campaign import (
+    DATASET_SYNTH,
     CampaignConfig,
     ConfigError,
+    DatasetSource,
     RecordsSchemaError,
     load_run_records,
     payload_to_dict,
     records_path,
     run_campaign,
+    synth_tasks,
 )
 from .core import CandidateSet, IpuqError
 from .datasets import SchemaViolationError
@@ -41,7 +45,7 @@ from .study import (
     simulated_agent_client_factory,
     write_study_csv,
 )
-from .synth import NoiseSpec, TransformSpec, generate_icl_task
+from .synth import TransformSpec
 
 logger = logging.getLogger(__name__)
 
@@ -152,8 +156,6 @@ def _cmd_elicit(args: argparse.Namespace) -> int:
 def _run_campaign_config(args: argparse.Namespace, *, must_exist: bool) -> int:
     config = CampaignConfig.load(args.config)
     path = records_path(config.output_dir)
-    import os
-
     has_records = os.path.exists(path) and os.path.getsize(path) > 0
     if must_exist and not has_records:
         print(f"error: nothing to resume at {path}", file=sys.stderr)
@@ -179,17 +181,13 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_gen(args: argparse.Namespace) -> int:
-    transform = _transform_from_args(args)
-    lines = []
-    for i in range(args.count):
-        task = generate_icl_task(
-            transform,
-            NoiseSpec(p=args.p, rng_seed=args.base_seed + 10_000 + i),
-            m=args.m,
-            word_length=args.word_length,
-            rng_seed=args.base_seed + i,
-        )
-        lines.append(json.dumps(task.to_dict(), sort_keys=True, ensure_ascii=False))
+    source = DatasetSource(kind=DATASET_SYNTH, transform=_transform_from_args(args),
+                           noise_p=args.p, m=args.m, word_length=args.word_length,
+                           count=args.count, base_seed=args.base_seed)
+    lines = [
+        json.dumps(task.to_dict(), sort_keys=True, ensure_ascii=False)
+        for task in synth_tasks(source)
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -227,15 +225,11 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
     else:
         for cell in cells:
             print(json.dumps(cell.as_row(), sort_keys=True))
-    return EXIT_OK
-
-
-def _load_records(path: str) -> list[dict]:
-    return load_run_records(path)
+    return EXIT_PARTIAL if any(cell.n < args.repeats for cell in cells) else EXIT_OK
 
 
 def _cmd_eval_auroc(args: argparse.Namespace) -> int:
-    records = _load_records(args.records)
+    records = load_run_records(args.records)
     rows = metric_rows(
         records,
         "auroc",
@@ -247,7 +241,7 @@ def _cmd_eval_auroc(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_concordance(args: argparse.Namespace) -> int:
-    records = _load_records(args.records)
+    records = load_run_records(args.records)
     rows = metric_rows(
         records,
         "concordance",
@@ -269,7 +263,7 @@ def _emit_metric_rows(rows: list[dict], out: str | None) -> int:
 
 
 def _cmd_eval_cost(args: argparse.Namespace) -> int:
-    records = _load_records(args.records)
+    records = load_run_records(args.records)
     config = CampaignConfig.load(args.config)
     rows = cost_rows(records, config.endpoints)
     if args.out:

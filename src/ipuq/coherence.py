@@ -10,7 +10,7 @@ echo the full diagnosis back to the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import PROB_TOL, IpuqError, PossibilityAssignment, ProbabilityIntervalSet

@@ -15,7 +15,7 @@ All of them hash/compare by value and are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 #: Absolute tolerance for probability sum checks across the whole package.
 #: Verbalized numbers arrive as short decimal strings, so binary float noise

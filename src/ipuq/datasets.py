@@ -21,7 +21,6 @@ Input is line-delimited JSON.  Three row schemas are understood:
 from __future__ import annotations
 
 import json
-from typing import Iterator
 
 from .core import CandidateSet, IpuqError, QARecord
 

@@ -20,7 +20,7 @@ What each kind returns on success:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core import (

@@ -37,10 +37,6 @@ class ValueOutOfRangeError(ParseError):
     pass
 
 
-class EmptyListError(ParseError):
-    pass
-
-
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _NUMBERED_LINE_RE = re.compile(r"^\s*\d+[.)]\s+(.*\S)\s*$")
 
@@ -207,6 +203,5 @@ __all__ = [
     "CandidateCountMismatchError",
     "NumberParseError",
     "ValueOutOfRangeError",
-    "EmptyListError",
     "parse_structured_report",
 ]

@@ -9,7 +9,7 @@ which keeps scores comparable across methods with different granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import IpuqError
 

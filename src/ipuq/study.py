@@ -1,33 +1,25 @@
 """Synthetic disentanglement study over a (noise p, demonstrations m) grid.
 
-For every cell we generate in-context-learning tasks with analytically known
-answer distributions, elicit the configured uncertainty reports, and tabulate
-first-order / second-order scores plus permissive-match error.  Sweeping p at
-fixed m should move only first-order scores; sweeping m at fixed p should
-move only the imprecision scores.
+Every grid cell is one campaign over generated in-context-learning tasks
+with analytically known answer distributions; the study tabulates the
+first-order / second-order scores and the error rate of its records.
+Sweeping p at fixed m should move only first-order scores; sweeping m at
+fixed p should move only the imprecision scores.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
+import tempfile
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from .campaign import MODE_SET, decide, score_payload
-from .core import CandidateSet
+from .campaign import DATASET_SYNTH, MODE_SET, CampaignConfig, DatasetSource, run_campaign
 from .elicit.client import ChatClient, ModelEndpoint
-from .elicit.loop import elicit_with_retry
-from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
+from .elicit.prompts import PromptKind
 from .mock import AgentConfig, MockScript, MockTransport
-from .synth import (
-    NoiseSpec,
-    TransformSpec,
-    format_icl_prompt,
-    generate_icl_task,
-    ground_truth_variants,
-    permissive_match,
-)
+from .synth import TransformSpec
 
 DEFAULT_STUDY_METHODS = (PromptKind.DEFINETTI.value, PromptKind.PROBINT.value)
 
@@ -82,13 +74,23 @@ def simulated_agent_client_factory(
     return factory
 
 
-def _aggregate(values: Sequence[float]) -> tuple[float | None, float | None]:
+def _aggregate(values: Sequence[float | None]) -> tuple[float | None, float | None]:
     present = [v for v in values if v is not None]
     if not present:
         return None, None
     mean = statistics.fmean(present)
     std = statistics.stdev(present) if len(present) > 1 else 0.0
     return mean, std
+
+
+def _study_cell(method: str, p: float, m: int, records: Sequence[dict[str, Any]]) -> StudyCell:
+    mine = [r for r in records if r["key"]["method"] == method]
+    first = _aggregate([r["scores"]["first_order"] for r in mine])
+    second = _aggregate([r["scores"]["second_order"] for r in mine])
+    errors = [1.0 - r["labels"]["correct"] for r in mine if r["labels"]["correct"] is not None]
+    error_rate = statistics.fmean(errors) if errors else None
+    n = sum(1 for r in mine if r["elicitation"]["succeeded"])
+    return StudyCell(method, float(p), int(m), n, *first, *second, error_rate)
 
 
 def run_synthetic_study(
@@ -104,7 +106,10 @@ def run_synthetic_study(
     base_seed: int = 0,
     max_attempts: int = 5,
 ) -> list[StudyCell]:
-    """Elicit every (method, p, m, repeat) cell and return per-cell rows.
+    """Run one campaign per (p, m) cell and return one row per method.
+
+    Each campaign set-level scores ``repeats`` synthetic questions as record
+    seed ``endpoint.seed or 0``; a row's ``n`` counts its succeeded cells.
 
     ``client_factory`` maps p to the client to use for that noise level; it
     defaults to the in-process simulated agent (no network).  A fixed client
@@ -124,67 +129,16 @@ def run_synthetic_study(
     for p in noise_grid:
         client = client_factory(p)
         for m in m_grid:
-            per_method: dict[str, dict[str, list]] = {
-                meth: {"first": [], "second": [], "errors": []} for meth in methods
-            }
-            for rep in range(repeats):
-                task = generate_icl_task(
-                    transform,
-                    NoiseSpec(p=p, rng_seed=base_seed + 7919 + rep),
-                    m=m,
-                    word_length=word_length,
-                    rng_seed=base_seed + rep,
+            source = DatasetSource(kind=DATASET_SYNTH, transform=transform, noise_p=p, m=m,
+                                   word_length=word_length, count=repeats, base_seed=base_seed)
+            with tempfile.TemporaryDirectory() as output_dir:
+                config = CampaignConfig(
+                    dataset=source, methods=tuple(methods), endpoints=(endpoint,),
+                    seeds=(endpoint.seed or 0,), retry_budget=max_attempts,
+                    output_dir=output_dir, score_mode=MODE_SET,
                 )
-                variants = ground_truth_variants(task.clean_query_output, p)
-                candidates = CandidateSet(
-                    answers=tuple(v.text for v in variants),
-                    open_ended=False,
-                    case_sensitive=True,
-                )
-                question = format_icl_prompt(task)
-                for meth in methods:
-                    kind = PromptKind(meth)
-                    result = elicit_with_retry(
-                        client,
-                        endpoint,
-                        kind,
-                        question,
-                        candidates if kind in KINDS_WITH_CANDIDATES else None,
-                        max_attempts=max_attempts,
-                    )
-                    first, second, _ = score_payload(
-                        meth, result.payload, candidates, mode=MODE_SET
-                    )
-                    bucket = per_method[meth]
-                    bucket["first"].append(first)
-                    bucket["second"].append(second)
-                    outcome = decide(meth, result.payload)
-                    if outcome is not None:
-                        bucket["errors"].append(
-                            0.0
-                            if permissive_match(
-                                outcome.chosen_answer, task.clean_query_output
-                            )
-                            else 1.0
-                        )
-            for meth in methods:
-                bucket = per_method[meth]
-                f_mean, f_std = _aggregate(bucket["first"])
-                s_mean, s_std = _aggregate(bucket["second"])
-                err = statistics.fmean(bucket["errors"]) if bucket["errors"] else None
-                cells.append(
-                    StudyCell(
-                        method=meth,
-                        p=float(p),
-                        m=int(m),
-                        n=repeats,
-                        first_order_mean=f_mean,
-                        first_order_std=f_std,
-                        second_order_mean=s_mean,
-                        second_order_std=s_std,
-                        error_rate=err,
-                    )
-                )
+                records = run_campaign(config, client=client)
+            cells.extend(_study_cell(method, p, m, records) for method in methods)
     return cells
 
 

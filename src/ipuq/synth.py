@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 from .core import IpuqError
 
@@ -305,11 +305,6 @@ def ground_truth_variants(
     return tuple(variants)
 
 
-def permissive_match(prediction: str, clean_truth: str) -> bool:
-    """Correctness that forgives casing and surrounding whitespace."""
-    return prediction.strip().upper() == clean_truth
-
-
 __all__ = [
     "TRANSFORM_ROTATION",
     "TRANSFORM_CYCLIC_SHIFT",
@@ -330,5 +325,4 @@ __all__ = [
     "generate_icl_task",
     "format_icl_prompt",
     "ground_truth_variants",
-    "permissive_match",
 ]

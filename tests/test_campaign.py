@@ -1,7 +1,9 @@
 """Campaign engine: config, record persistence, scoring modes, resume, determinism."""
 
 import json
+import logging
 import math
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +352,33 @@ class TestRunCampaign:
                 for r in stored} == {
             (q, m, 0) for q in ("synth-0000", "synth-0001") for m in ("definetti", "probint")
         }
+
+    def test_resume_after_a_torn_last_record(self, tmp_path, caplog):
+        def records_without_timing(config):
+            records = load_run_records(records_path(config.output_dir))
+            for record in records:
+                record.pop("timing")
+            return records
+
+        whole = make_config(tmp_path, methods=("definetti", "probint"),
+                            output_dir=str(tmp_path / "whole"))
+        run_campaign(whole, client=agent_client()[0])
+        torn = make_config(tmp_path, methods=("definetti", "probint"),
+                           output_dir=str(tmp_path / "torn"))
+        run_campaign(torn, client=agent_client()[0])
+        path = Path(records_path(torn.output_dir))
+        data = path.read_bytes()
+        last_start = data.rstrip(b"\n").rfind(b"\n") + 1
+        cut = last_start + (len(data) - last_start) // 2
+        path.write_bytes(data[:cut])
+
+        client, transport = agent_client()
+        with caplog.at_level(logging.WARNING, logger="ipuq.campaign"):
+            resumed = run_campaign(torn, client=client)
+        assert f"dropped {cut - last_start} bytes" in caplog.text
+        assert transport.calls == 1
+        assert [r["key"] for r in resumed] == [json.loads(data[last_start:])["key"]]
+        assert records_without_timing(torn) == records_without_timing(whole)
 
     def test_records_identical_across_runs_except_timing(self, tmp_path):
         def one_run(subdir, concurrency):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -17,7 +18,7 @@ from ipuq.campaign import (
 from ipuq.cli import EXIT_DATASET, EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from ipuq.elicit.client import ModelEndpoint
 from ipuq.mock import AgentConfig, MockScript, ScriptEntry
-from ipuq.synth import TransformSpec
+from ipuq.synth import IclTask, TransformSpec, format_icl_prompt
 
 
 def block(rows):
@@ -39,6 +40,22 @@ class TestSynthGen:
         main(["synth", "gen", "--count", "2", "--base-seed", "9", "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_tasks_match_the_campaign_questions(self, capsys):
+        assert main([
+            "synth", "gen", "--transform", "cyclic_shift", "--steps", "2",
+            "--p", "0.3", "--m", "3", "--word-length", "4", "--count", "3",
+            "--base-seed", "5",
+        ]) == EXIT_OK
+        tasks = [IclTask.from_dict(json.loads(line))
+                 for line in capsys.readouterr().out.splitlines()]
+        records = build_synth_records(DatasetSource(
+            kind=DATASET_SYNTH, transform=TransformSpec(steps=(("cyclic_shift", 2),)),
+            noise_p=0.3, m=3, word_length=4, count=3, base_seed=5,
+        ))
+        assert [(format_icl_prompt(t), t.clean_query_output) for t in tasks] == [
+            (r.question, r.reference_answer) for r in records
+        ]
 
 
 class TestSynthRun:
@@ -65,6 +82,35 @@ class TestSynthRun:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["first_order_mean"]) == 0.0
+
+    def test_failed_cells_exit_partial(self, capsys, serve):
+        (question,) = [q.question for q in build_synth_records(DatasetSource(
+            kind=DATASET_SYNTH, transform=TransformSpec(steps=(("rotation", 1),)),
+            noise_p=0.25, m=2, word_length=3, count=1, base_seed=0,
+        ))]
+        bad = block(["1|price=0.0", "2|price=0.0"])
+        script = MockScript(
+            entries=(ScriptEntry(question=question, kind="definetti", replies=(bad,)),)
+        )
+        with serve(script) as base_url:
+            code = main([
+                "synth", "run", "--p-grid", "0.25", "--m-grid", "2", "--repeats", "1",
+                "--word-length", "3", "--methods", "definetti", "--max-attempts", "1",
+                "--base-url", base_url, "--model", "mock-agent",
+            ])
+        assert code == EXIT_PARTIAL
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert row["n"] == 0 and row["first_order_mean"] is None
+
+    def test_credal_method(self, capsys):
+        code = main([
+            "synth", "run", "--p-grid", "0.25", "--m-grid", "2",
+            "--repeats", "1", "--word-length", "3", "--methods", "credal",
+        ])
+        assert code == EXIT_OK
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert row["method"] == "credal" and row["n"] == 1
+        assert math.isfinite(row["second_order_mean"])
 
 
 class TestElicit:

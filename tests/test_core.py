@@ -223,6 +223,9 @@ def test_build_pmf_renormalize_is_idempotent(weights):
 def test_fold_equal():
     assert fold_equal(" Paris", "paris ")
     assert not fold_equal("Paris", "London")
+    # the synthetic study's rule: a casing of the clean A-Z answer is correct
+    assert fold_equal(" bqqmf ", "BQQMF")
+    assert not fold_equal("BQQMX", "BQQMF")
 
 
 def test_qarecord_labels_and_membership():

@@ -19,7 +19,7 @@ from ipuq.reporting import (
     write_cost_csv,
     write_metric_csv,
 )
-from ipuq.elicit.client import ModelEndpoint
+from ipuq.elicit.client import ChatClient, ChatReply, ModelEndpoint
 from ipuq.study import (
     STUDY_CSV_COLUMNS,
     run_synthetic_study,
@@ -29,6 +29,29 @@ from ipuq.study import (
 from ipuq.synth import TransformSpec
 
 ROT1 = TransformSpec(steps=(("rotation", 1),))
+
+# write_study_csv output for the four single-report agent methods, as the
+# study wrote it before it ran on the campaign engine.
+PINNED_STUDY_CSV = "".join(line + "\r\n" for line in (
+    "method,p,m,n,first_order_mean,first_order_std,second_order_mean,second_order_std,"
+    "error_rate",
+    "definetti,0.0,1,2,0.0,0.0,,,0.0",
+    "probint,0.0,1,2,,,1.0,0.0,0.0",
+    "possibility,0.0,1,2,,,0.0,0.0,",
+    "vanilla,0.0,1,2,0.0,0.0,,,",
+    "definetti,0.0,5,2,0.0,0.0,,,0.0",
+    "probint,0.0,5,2,,,0.19999999999999996,0.0,0.0",
+    "possibility,0.0,5,2,,,0.0,0.0,",
+    "vanilla,0.0,5,2,0.0,0.0,,,",
+    "definetti,0.25,1,2,1.687005433856425,0.0,,,0.0",
+    "probint,0.25,1,2,,,1.0,0.0,0.0",
+    "possibility,0.25,1,2,,,0.3333333333333333,0.0,",
+    "vanilla,0.25,1,2,0.0,0.0,,,",
+    "definetti,0.25,5,2,1.687005433856425,0.0,,,0.0",
+    "probint,0.25,5,2,,,0.20000000000000007,0.0,0.0",
+    "possibility,0.25,5,2,,,0.3333333333333333,0.0,",
+    "vanilla,0.25,5,2,0.0,0.0,,,",
+))
 
 
 class TestSyntheticStudy:
@@ -101,6 +124,40 @@ class TestSyntheticStudy:
         )
         assert wide[0].second_order_mean == pytest.approx(0.5, abs=1e-9)
         assert narrow[0].second_order_mean == pytest.approx(0.1, abs=1e-9)
+
+    def test_four_method_csv_bytes_are_pinned(self, tmp_path):
+        cells = run_synthetic_study(
+            ROT1, noise_grid=(0.0, 0.25), m_grid=(1, 5), repeats=2, word_length=3,
+            methods=("definetti", "probint", "possibility", "vanilla"),
+        )
+        path = tmp_path / "study.csv"
+        write_study_csv(cells, str(path))
+        assert path.read_bytes() == PINNED_STUDY_CSV.encode("utf-8")
+
+    def test_credal_runs_in_the_study(self):
+        cells = run_synthetic_study(ROT1, noise_grid=(0.25,), m_grid=(1, 5), repeats=2,
+                                    word_length=3, methods=("credal",))
+        assert [(c.method, c.m, c.n) for c in cells] == [("credal", 1, 2), ("credal", 5, 2)]
+        for cell in cells:
+            assert math.isfinite(cell.first_order_mean)
+            assert math.isfinite(cell.second_order_mean)
+            assert cell.second_order_mean > 0.0  # the ensemble members disagree
+            assert cell.error_rate == 0.0
+
+    def test_failed_cells_leave_the_row_empty(self):
+        class GarbledTransport:
+            def send(self, endpoint, system_text, user_text):
+                return ChatReply(text="no report here", input_tokens=1, output_tokens=1,
+                                 raw_request="", raw_response="")
+
+        cells = run_synthetic_study(
+            ROT1, noise_grid=(0.25,), m_grid=(2,), repeats=2, word_length=3,
+            client_factory=lambda p: ChatClient(GarbledTransport()), max_attempts=1,
+        )
+        assert [c.n for c in cells] == [0, 0]
+        for cell in cells:
+            assert cell.first_order_mean is None and cell.second_order_mean is None
+            assert cell.error_rate is None
 
     def test_csv_has_pinned_columns(self, tmp_path):
         cells = run_synthetic_study(ROT1, noise_grid=(0.25,), m_grid=(1,), repeats=1,

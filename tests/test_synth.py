@@ -21,7 +21,6 @@ from ipuq.synth import (
     generate_icl_task,
     ground_truth_variants,
     inject_case_noise,
-    permissive_match,
 )
 
 # ---------------------------------------------------------------------------
@@ -286,9 +285,3 @@ def test_format_icl_prompt_shape():
     assert lines[-1] == f"Input: {task.query_input} → Output: ?"
     # demonstration count is recoverable from the text itself
     assert text.count("→ Output:") - 1 == task.m
-
-
-def test_permissive_match():
-    assert permissive_match(" bqqmf ", "BQQMF")
-    assert permissive_match("BQQMF", "BQQMF")
-    assert not permissive_match("BQQMX", "BQQMF")
