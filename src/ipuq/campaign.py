@@ -16,7 +16,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
     CandidateSet,
@@ -32,13 +32,14 @@ from .core import (
 from .decision import DecisionOutcome, maximin, precise_argmax, utilitarian_aggregate
 from .elicit.client import ChatClient, ModelEndpoint, TransportError
 from .elicit.loop import (
+    ACCEPTANCE,
     ElicitationResult,
     MemberQuorumNotMetError,
     RetriesExhaustedError,
     elicit_credal_ensemble,
     elicit_with_retry,
 )
-from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
+from .elicit.prompts import PromptKind
 from .mmi import (
     exact_mmi_credal,
     interval_width_mmi,
@@ -59,17 +60,6 @@ from .synth import (
 logger = logging.getLogger(__name__)
 
 RECORD_SCHEMA = "ipuq.runrecord.v1"
-
-METHODS = tuple(
-    k.value
-    for k in (
-        PromptKind.DEFINETTI,
-        PromptKind.PROBINT,
-        PromptKind.CREDAL,
-        PromptKind.POSSIBILITY,
-        PromptKind.VANILLA,
-    )
-)
 
 MODE_AUTO = "auto"
 MODE_SET = "set"
@@ -305,50 +295,6 @@ def existing_keys(path: str) -> set[tuple[str, str, int]]:
 # =========================================================================
 
 
-def payload_to_dict(method: str, payload: object) -> dict[str, Any]:
-    if method in (PromptKind.DEFINETTI.value,):
-        return {"probs": list(payload.probs)}
-    if method == PromptKind.PROBINT.value:
-        return {"lowers": list(payload.lowers), "uppers": list(payload.uppers)}
-    if method == PromptKind.CREDAL.value:
-        return {
-            "members": [list(m.probs) for m in payload.members],
-            "tags": list(payload.member_tags),
-        }
-    if method == PromptKind.POSSIBILITY.value:
-        return {"scores": list(payload.scores), "none_of_above": payload.none_of_above}
-    if method == PromptKind.VANILLA.value:
-        return {"confidence": payload}
-    raise ValueError(f"cannot serialize payload for method {method!r}")
-
-
-def payload_from_dict(method: str, data: dict[str, Any], candidates: CandidateSet):
-    if method == PromptKind.DEFINETTI.value:
-        return PrecisePMF(candidates=candidates, probs=tuple(data["probs"]))
-    if method == PromptKind.PROBINT.value:
-        return ProbabilityIntervalSet(
-            candidates=candidates,
-            lowers=tuple(data["lowers"]),
-            uppers=tuple(data["uppers"]),
-        )
-    if method == PromptKind.CREDAL.value:
-        members = tuple(
-            PrecisePMF(candidates=candidates, probs=tuple(row)) for row in data["members"]
-        )
-        return CredalSet(
-            candidates=candidates, members=members, member_tags=tuple(data.get("tags", ()))
-        )
-    if method == PromptKind.POSSIBILITY.value:
-        return PossibilityAssignment(
-            candidates=candidates,
-            scores=tuple(data["scores"]),
-            none_of_above=float(data["none_of_above"]),
-        )
-    if method == PromptKind.VANILLA.value:
-        return float(data["confidence"])
-    raise ValueError(f"cannot deserialize payload for method {method!r}")
-
-
 def candidates_to_dict(c: CandidateSet) -> dict[str, Any]:
     return {
         "answers": list(c.answers),
@@ -363,6 +309,126 @@ def candidates_from_dict(data: dict[str, Any]) -> CandidateSet:
         open_ended=bool(data.get("open_ended", False)),
         case_sensitive=bool(data.get("case_sensitive", False)),
     )
+
+
+@dataclass(frozen=True)
+class RecordSpec:
+    """How one method's cell payload is stored, scored and acted on.
+
+    ``score(payload, index)`` gives (first_order, second_order): answer-level
+    when ``index`` is the committed prediction, set-level when it is None.
+    ``decide`` is the method's commitment rule and ``belief`` its precise
+    PMF over the candidates, for the methods that have them.  ``ensemble``
+    methods elicit one report per member endpoint.
+    """
+
+    encode: Callable[[Any], dict[str, Any]]
+    decode: Callable[[dict[str, Any], CandidateSet], Any]
+    score: Callable[[Any, int | None], tuple[float | None, float | None]]
+    decide: Callable[[Any], DecisionOutcome | None] = lambda payload: None
+    belief: Callable[[Any], PrecisePMF] | None = None
+    ensemble: bool = False
+
+
+def _with_belief(belief, second_order, **spec) -> RecordSpec:
+    """A method whose payload holds a precise belief: its first-order score
+    is that belief's entropy, or the entropy of "the committed answer is
+    correct", and it commits to the belief's argmax."""
+
+    def score(payload, index):
+        pmf = belief(payload)
+        first = entropy(pmf) if index is None else bernoulli_entropy(pmf.probs[index])
+        return first, second_order(payload, index)
+
+    return RecordSpec(
+        score=score,
+        decide=lambda payload: precise_argmax(belief(payload)),
+        belief=belief,
+        **spec,
+    )
+
+
+def _interval_second_order(ivs: ProbabilityIntervalSet, index: int | None) -> float:
+    if index is None:
+        return mmi_upper_bound(ivs.lowers).value
+    return interval_width_mmi(ivs.lowers[index], ivs.uppers[index]).value
+
+
+def _credal_second_order(credal: CredalSet, index: int | None) -> float:
+    if index is None:
+        return exact_mmi_credal(credal).value
+    envelope = interval_from_credal(credal)
+    return interval_width_mmi(envelope.lowers[index], envelope.uppers[index]).value
+
+
+def _possibility_second_order(assignment: PossibilityAssignment, index: int | None) -> float:
+    if index is None:
+        return possibility_mmi(assignment).value
+    # plausibility conflict between the committed answer and everything else
+    rest = [s for i, s in enumerate(assignment.scores) if i != index]
+    rest.append(assignment.none_of_above)
+    return possibility_binary_mmi(min(assignment.scores[index], 1.0), min(max(rest), 1.0)).value
+
+
+def _decode_credal(data: dict[str, Any], candidates: CandidateSet) -> CredalSet:
+    members = tuple(PrecisePMF(candidates=candidates, probs=tuple(row)) for row in data["members"])
+    return CredalSet(
+        candidates=candidates, members=members, member_tags=tuple(data.get("tags", ()))
+    )
+
+
+#: The record table: one entry per campaign method.  A method whose payload
+#: is one verified reply stores that reply's JSON form from the loop's table.
+RECORDS: dict[str, RecordSpec] = {
+    PromptKind.DEFINETTI.value: _with_belief(
+        lambda pmf: pmf,
+        lambda pmf, index: None,
+        encode=ACCEPTANCE[PromptKind.DEFINETTI].to_json,
+        decode=lambda data, c: PrecisePMF(candidates=c, probs=tuple(data["probs"])),
+    ),
+    PromptKind.PROBINT.value: RecordSpec(
+        encode=ACCEPTANCE[PromptKind.PROBINT].to_json,
+        decode=lambda data, c: ProbabilityIntervalSet(
+            candidates=c, lowers=tuple(data["lowers"]), uppers=tuple(data["uppers"])
+        ),
+        score=lambda ivs, index: (None, _interval_second_order(ivs, index)),
+        decide=maximin,
+    ),
+    PromptKind.CREDAL.value: _with_belief(
+        utilitarian_aggregate,
+        _credal_second_order,
+        encode=lambda credal: {
+            "members": [list(m.probs) for m in credal.members],
+            "tags": list(credal.member_tags),
+        },
+        decode=_decode_credal,
+        ensemble=True,
+    ),
+    PromptKind.POSSIBILITY.value: RecordSpec(
+        encode=ACCEPTANCE[PromptKind.POSSIBILITY].to_json,
+        decode=lambda data, c: PossibilityAssignment(
+            candidates=c,
+            scores=tuple(data["scores"]),
+            none_of_above=float(data["none_of_above"]),
+        ),
+        score=lambda assignment, index: (None, _possibility_second_order(assignment, index)),
+    ),
+    PromptKind.VANILLA.value: RecordSpec(
+        encode=ACCEPTANCE[PromptKind.VANILLA].to_json,
+        decode=lambda data, c: float(data["confidence"]),
+        score=lambda conf, index: (1.0 - float(conf), None),
+    ),
+}
+
+METHODS = tuple(RECORDS)
+
+
+def payload_to_dict(method: str, payload: object) -> dict[str, Any]:
+    return RECORDS[method].encode(payload)
+
+
+def payload_from_dict(method: str, data: dict[str, Any], candidates: CandidateSet):
+    return RECORDS[method].decode(data, candidates)
 
 
 def score_payload(
@@ -384,64 +450,15 @@ def score_payload(
     if mode not in (MODE_AUTO, MODE_SET, MODE_ANSWER):
         raise ValueError(f"unknown scoring mode {mode!r}")
     answer_level = mode != MODE_SET and prediction_index is not None
-    used = MODE_ANSWER if answer_level else MODE_SET
-    first: float | None = None
-    second: float | None = None
-
-    if method == PromptKind.DEFINETTI.value:
-        pmf: PrecisePMF = payload
-        first = (
-            bernoulli_entropy(pmf.probs[prediction_index]) if answer_level else entropy(pmf)
-        )
-    elif method == PromptKind.VANILLA.value:
-        first = 1.0 - float(payload)
-    elif method == PromptKind.PROBINT.value:
-        ivs: ProbabilityIntervalSet = payload
-        if answer_level:
-            second = interval_width_mmi(
-                ivs.lowers[prediction_index], ivs.uppers[prediction_index]
-            ).value
-        else:
-            second = mmi_upper_bound(ivs.lowers).value
-    elif method == PromptKind.CREDAL.value:
-        credal: CredalSet = payload
-        aggregate = utilitarian_aggregate(credal)
-        if answer_level:
-            first = bernoulli_entropy(aggregate.probs[prediction_index])
-            envelope = interval_from_credal(credal)
-            second = interval_width_mmi(
-                envelope.lowers[prediction_index], envelope.uppers[prediction_index]
-            ).value
-        else:
-            first = entropy(aggregate)
-            second = exact_mmi_credal(credal).value
-    elif method == PromptKind.POSSIBILITY.value:
-        assignment: PossibilityAssignment = payload
-        if answer_level:
-            chosen = assignment.scores[prediction_index]
-            rest = [
-                s for i, s in enumerate(assignment.scores) if i != prediction_index
-            ] + [assignment.none_of_above]
-            second = possibility_binary_mmi(
-                min(chosen, 1.0), min(max(rest), 1.0)
-            ).value
-        else:
-            second = possibility_mmi(assignment).value
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return first, second, used
+    first, second = RECORDS[method].score(
+        payload, prediction_index if answer_level else None
+    )
+    return first, second, MODE_ANSWER if answer_level else MODE_SET
 
 
 def decide(method: str, payload: object) -> DecisionOutcome | None:
     """The campaign's per-method commitment rule, if the method has one."""
-    if method == PromptKind.DEFINETTI.value:
-        return precise_argmax(payload)
-    if method == PromptKind.PROBINT.value:
-        return maximin(payload)
-    if method == PromptKind.CREDAL.value:
-        return precise_argmax(utilitarian_aggregate(payload))
-    return None
+    return RECORDS[method].decide(payload)
 
 
 # =========================================================================
@@ -530,6 +547,23 @@ def _transcripts_to_dicts(results: Sequence[ElicitationResult]) -> list[dict[str
     return out
 
 
+_SCORE_KEYS = ("first_order", "second_order", "combined")
+
+
+def _score_block(
+    method: str, payload: object, candidates: CandidateSet, mode: str, prediction: str | None
+) -> dict[str, Any]:
+    """A record's ``scores`` block: the payload scored against the prediction."""
+    index = candidates.index_of(prediction) if prediction is not None else None
+    first, second, used = score_payload(
+        method, payload, candidates, mode=mode, prediction_index=index
+    )
+    combined = (
+        combined_score(first, second) if first is not None and second is not None else None
+    )
+    return {"mode": used, "first_order": first, "second_order": second, "combined": combined}
+
+
 def _member_endpoints(base: ModelEndpoint, seed: int, count: int) -> list[ModelEndpoint]:
     # Distinct member seeds give the ensemble its distinct beliefs; derived
     # deterministically from the record seed so resumes stay reproducible.
@@ -552,9 +586,8 @@ def _run_elicitation(
     seed: int,
 ) -> _JobOutcome:
     endpoint = dataclasses.replace(config.endpoints[0], seed=seed)
-    kind = PromptKind(method)
     try:
-        if method == PromptKind.CREDAL.value:
+        if RECORDS[method].ensemble:
             member_results: list[ElicitationResult] = []
             credal = elicit_credal_ensemble(
                 client,
@@ -573,9 +606,9 @@ def _run_elicitation(
         result = elicit_with_retry(
             client,
             endpoint,
-            kind,
+            PromptKind(method),
             qrecord.question,
-            qrecord.candidates if kind in KINDS_WITH_CANDIDATES else None,
+            qrecord.candidates,
             max_attempts=config.retry_budget,
             salvage_renormalize=config.salvage_renormalize,
         )
@@ -585,7 +618,7 @@ def _run_elicitation(
     except MemberQuorumNotMetError as exc:
         return _JobOutcome(payload=None, results=exc.results, error=str(exc))
     except TransportError as exc:
-        return _JobOutcome(payload=None, results=[], error=f"transport: {exc}")
+        return _JobOutcome(payload=None, results=list(exc.results), error=f"transport: {exc}")
 
 
 def _build_record(
@@ -598,16 +631,10 @@ def _build_record(
     elapsed: float,
 ) -> dict[str, Any]:
     endpoint = config.endpoints[0]
-    prediction: str | None = None
+    prediction = qrecord.prediction
     decision_dict: dict[str, Any] | None = None
-    scores_dict: dict[str, Any] = {
-        "mode": None,
-        "first_order": None,
-        "second_order": None,
-        "combined": None,
-    }
     payload_dict: dict[str, Any] | None = None
-
+    scores_dict: dict[str, Any] = dict.fromkeys(("mode", *_SCORE_KEYS))
     if outcome.payload is not None:
         payload_dict = payload_to_dict(method, outcome.payload)
         outcome_decision = decide(method, outcome.payload)
@@ -619,27 +646,9 @@ def _build_record(
                 "chosen_answer": outcome_decision.chosen_answer,
                 "tie_broken": outcome_decision.tie_broken,
             }
-        if prediction is None:
-            prediction = qrecord.prediction
-        pred_idx = (
-            qrecord.candidates.index_of(prediction) if prediction is not None else None
+        scores_dict = _score_block(
+            method, outcome.payload, qrecord.candidates, config.score_mode, prediction
         )
-        first, second, used_mode = score_payload(
-            method,
-            outcome.payload,
-            qrecord.candidates,
-            mode=config.score_mode,
-            prediction_index=pred_idx,
-        )
-        combined = (
-            combined_score(first, second) if first is not None and second is not None else None
-        )
-        scores_dict.update(
-            {"mode": used_mode, "first_order": first, "second_order": second,
-             "combined": combined}
-        )
-    else:
-        prediction = qrecord.prediction
 
     correct: int | None = None
     if prediction is not None and qrecord.reference_answer is not None:
@@ -760,20 +769,15 @@ def recompute_scores(record: dict[str, Any]) -> dict[str, float | None]:
     """
     payload_dict = record["elicitation"]["payload"]
     if payload_dict is None:
-        return {"first_order": None, "second_order": None, "combined": None}
+        return dict.fromkeys(_SCORE_KEYS)
     candidates = candidates_from_dict(record["candidates"])
     method = record["key"]["method"]
     payload = payload_from_dict(method, payload_dict, candidates)
-    mode = record["scores"]["mode"]
-    prediction = record.get("prediction")
-    pred_idx = candidates.index_of(prediction) if prediction is not None else None
-    first, second, _ = score_payload(
-        method, payload, candidates, mode=mode, prediction_index=pred_idx
+    scores = _score_block(
+        method, payload, candidates, record["scores"]["mode"], record.get("prediction")
     )
-    combined = (
-        combined_score(first, second) if first is not None and second is not None else None
-    )
-    return {"first_order": first, "second_order": second, "combined": combined}
+    del scores["mode"]
+    return scores
 
 
 @dataclass(frozen=True)
@@ -818,6 +822,8 @@ __all__ = [
     "append_records",
     "load_run_records",
     "existing_keys",
+    "RecordSpec",
+    "RECORDS",
     "payload_to_dict",
     "payload_from_dict",
     "candidates_to_dict",

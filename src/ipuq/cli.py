@@ -17,7 +17,6 @@ from .campaign import (
     DatasetSource,
     RecordsSchemaError,
     load_run_records,
-    payload_to_dict,
     records_path,
     run_campaign,
     synth_tasks,
@@ -25,7 +24,7 @@ from .campaign import (
 from .core import CandidateSet, IpuqError
 from .datasets import SchemaViolationError
 from .elicit.client import ChatClient, ModelEndpoint
-from .elicit.loop import RetriesExhaustedError, elicit_with_retry
+from .elicit.loop import ACCEPTANCE, RetriesExhaustedError, elicit_with_retry
 from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
 from .mock import MockScript, serve_forever
 from .reporting import (
@@ -132,18 +131,13 @@ def _cmd_elicit(args: argparse.Namespace) -> int:
         }
         print(json.dumps(report, indent=2))
         return EXIT_FAILURE
-    payload = (
-        list(result.payload.answers)
-        if kind == PromptKind.CANDIDATES
-        else payload_to_dict(kind.value, result.payload)
-    )
     print(
         json.dumps(
             {
                 "succeeded": True,
                 "attempts": result.attempts,
                 "salvaged": result.salvaged,
-                "payload": payload,
+                "payload": ACCEPTANCE[kind].to_json(result.payload),
                 "score": result.score,
                 "score_kind": result.score_kind,
             },

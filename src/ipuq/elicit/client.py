@@ -28,7 +28,15 @@ DEFAULT_BACKOFF_BASE_S = 0.5
 
 
 class TransportError(IpuqError, RuntimeError):
-    """Network/HTTP-level failure.  ``retryable`` marks transient ones."""
+    """Network/HTTP-level failure.  ``retryable`` marks transient ones.
+
+    Raised out of an elicitation loop, ``results`` holds the partial
+    :class:`~ipuq.elicit.loop.ElicitationResult` of every loop the failure
+    cut short or came after (one per ensemble member reached), so the
+    attempts already billed are not lost.
+    """
+
+    results: tuple = ()
 
     def __init__(self, message: str, *, retryable: bool = False):
         super().__init__(message)

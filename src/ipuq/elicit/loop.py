@@ -6,22 +6,18 @@ to the model with the full diagnosis appended to the prompt, up to a fixed
 attempt budget.  Transport-level failures are not attempts -- the client
 retries those itself with backoff and raises if the endpoint stays down.
 
-What each kind returns on success:
-
-* ``definetti``  -- a PMF built from the prices, scored by its entropy;
-* ``probint``    -- per-answer intervals, scored by the MMI upper bound;
-* ``credal``     -- a PMF (one ensemble member), unscored;
-* ``possibility``-- the raw possibility assignment (normalization happens
-  inside the MMI computation), unscored;
-* ``vanilla``    -- a bare confidence, scored by one minus itself;
-* ``candidates`` -- a deduplicated open-ended candidate set.
+What a kind's verified reply becomes -- its coherence check, typed payload,
+loop score and whether it may be salvaged -- is that kind's entry in
+:data:`ACCEPTANCE`; its prompt and reply rows are its entry in
+:data:`~ipuq.elicit.prompts.WIRE`.  A transport failure that ends a loop
+carries the attempts already billed in ``TransportError.results``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..core import (
     CandidateSet,
@@ -44,9 +40,9 @@ from ..coherence import (
 )
 from ..mmi import mmi_upper_bound
 from ..scores import entropy
-from .client import ChatClient, ChatReply, ModelEndpoint
+from .client import ChatClient, ChatReply, ModelEndpoint, TransportError
 from .parsing import ParseError, parse_structured_report
-from .prompts import KINDS_WITH_CANDIDATES, SYSTEM_TEXT, PromptKind, render_prompt
+from .prompts import SYSTEM_TEXT, PromptKind, render_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -120,67 +116,104 @@ class ElicitationResult:
         return tuple(a.verdict for a in self.attempt_log if a.verdict is not None)
 
 
-def _verify_and_build(
-    kind: PromptKind,
-    parsed,
-    candidates: CandidateSet | None,
-) -> tuple[VerdictReport, object | None, float | None, str | None]:
-    """Run the kind's coherence check; build the typed payload if it passes."""
-    if kind == PromptKind.DEFINETTI:
-        verdict = verify_axioms(parsed)
-        if not verdict.passed:
-            return verdict, None, None, None
-        pmf = build_pmf(candidates, parsed)
-        return verdict, pmf, entropy(pmf), SCORE_ENTROPY
+_PASSED = VerdictReport(passed=True)
 
-    if kind == PromptKind.CREDAL:
-        # A credal member must itself be a proper PMF, so the same two
-        # betting axioms apply.
-        verdict = verify_axioms(parsed)
-        if not verdict.passed:
-            return verdict, None, None, None
-        return verdict, build_pmf(candidates, parsed), None, None
 
-    if kind == PromptKind.PROBINT:
-        lowers, uppers = parsed
-        try:
-            intervals = ProbabilityIntervalSet(
-                candidates=candidates, lowers=tuple(lowers), uppers=tuple(uppers)
-            )
-        except InvertedIntervalError:
-            bad = next(i for i, (lo, hi) in enumerate(zip(lowers, uppers)) if lo > hi)
-            verdict = VerdictReport.from_violations(
-                [Violation(INVERTED, bad, observed=lowers[bad], bound=uppers[bad])]
-            )
-            return verdict, None, None, None
-        verdict = verify_interval_coherence(intervals)
-        if not verdict.passed:
-            return verdict, None, None, None
-        return verdict, intervals, mmi_upper_bound(lowers).value, SCORE_MMI_UPPER_BOUND
+def _check_prices(prices: list[float], candidates: CandidateSet) -> tuple[VerdictReport, Any]:
+    verdict = verify_axioms(prices)
+    return verdict, build_pmf(candidates, prices) if verdict.passed else None
 
-    if kind == PromptKind.POSSIBILITY:
-        scores, nota = parsed
-        assignment = PossibilityAssignment(
-            candidates=candidates, scores=tuple(scores), none_of_above=nota
+
+def _check_intervals(bounds, candidates: CandidateSet) -> tuple[VerdictReport, Any]:
+    lowers, uppers = bounds
+    try:
+        intervals = ProbabilityIntervalSet(
+            candidates=candidates, lowers=tuple(lowers), uppers=tuple(uppers)
         )
-        try:
-            normalize_possibility(assignment)
-        except AllZeroError:
-            verdict = VerdictReport.from_violations(
-                [Violation(ALL_ZERO, -1, observed=0.0, bound=0.0)]
-            )
-            return verdict, None, None, None
-        return VerdictReport(passed=True), assignment, None, None
+    except InvertedIntervalError:
+        bad = next(i for i, (lo, hi) in enumerate(zip(lowers, uppers)) if lo > hi)
+        violation = Violation(INVERTED, bad, observed=lowers[bad], bound=uppers[bad])
+        return VerdictReport.from_violations([violation]), None
+    verdict = verify_interval_coherence(intervals)
+    return verdict, intervals if verdict.passed else None
 
-    if kind == PromptKind.VANILLA:
-        conf = float(parsed)
-        return VerdictReport(passed=True), conf, 1.0 - conf, SCORE_ONE_MINUS_CONF
 
-    if kind == PromptKind.CANDIDATES:
-        candidate_set = CandidateSet(answers=tuple(parsed), open_ended=True)
-        return VerdictReport(passed=True), candidate_set, None, None
+def _check_possibility(reply, candidates: CandidateSet) -> tuple[VerdictReport, Any]:
+    scores, nota = reply
+    assignment = PossibilityAssignment(
+        candidates=candidates, scores=tuple(scores), none_of_above=nota
+    )
+    try:
+        # the payload stays raw; the MMI computation normalizes it again
+        normalize_possibility(assignment)
+    except AllZeroError:
+        violation = Violation(ALL_ZERO, -1, observed=0.0, bound=0.0)
+        return VerdictReport.from_violations([violation]), None
+    return _PASSED, assignment
 
-    raise ValueError(f"unhandled kind {kind!r}")
+
+def _pmf_json(pmf: PrecisePMF) -> dict[str, Any]:
+    return {"probs": list(pmf.probs)}
+
+
+@dataclass(frozen=True)
+class Acceptance:
+    """What the loop does with one kind's parsed reply.
+
+    ``check`` runs the kind's coherence check and returns its verdict with
+    the typed payload (None unless it passed).  ``score`` is the loop's own
+    score of a payload, recorded as ``score_kind``.  ``salvage`` marks price
+    vectors that may be renormalized once the attempts are spent.
+    ``to_json`` gives a payload's JSON form.
+    """
+
+    check: Callable[[Any, CandidateSet | None], tuple[VerdictReport, Any]]
+    to_json: Callable[[Any], Any]
+    score: Callable[[Any], float] | None = None
+    score_kind: str | None = None
+    salvage: bool = False
+
+
+#: The loop's table: one entry per protocol.  A credal member must itself
+#: be a proper PMF, so the betting axioms apply to it as to prices.
+ACCEPTANCE: dict[PromptKind, Acceptance] = {
+    PromptKind.DEFINETTI: Acceptance(
+        _check_prices, _pmf_json, score=entropy, score_kind=SCORE_ENTROPY, salvage=True
+    ),
+    PromptKind.PROBINT: Acceptance(
+        _check_intervals,
+        lambda ivs: {"lowers": list(ivs.lowers), "uppers": list(ivs.uppers)},
+        score=lambda ivs: mmi_upper_bound(ivs.lowers).value,
+        score_kind=SCORE_MMI_UPPER_BOUND,
+    ),
+    PromptKind.CREDAL: Acceptance(_check_prices, _pmf_json, salvage=True),
+    PromptKind.POSSIBILITY: Acceptance(
+        _check_possibility,
+        lambda a: {"scores": list(a.scores), "none_of_above": a.none_of_above},
+    ),
+    PromptKind.VANILLA: Acceptance(
+        lambda conf, _: (_PASSED, float(conf)),
+        lambda conf: {"confidence": conf},
+        score=lambda conf: 1.0 - conf,
+        score_kind=SCORE_ONE_MINUS_CONF,
+    ),
+    PromptKind.CANDIDATES: Acceptance(
+        lambda answers, _: (_PASSED, CandidateSet(answers=tuple(answers), open_ended=True)),
+        lambda c: list(c.answers),
+    ),
+}
+
+
+def _attempt_record(attempt: int, reply: ChatReply, **outcome) -> AttemptRecord:
+    return AttemptRecord(
+        attempt=attempt,
+        request_body=reply.raw_request,
+        response_body=reply.raw_response,
+        reply_text=reply.text,
+        input_tokens=reply.input_tokens,
+        output_tokens=reply.output_tokens,
+        **outcome,
+    )
 
 
 def _parse_feedback(error: ParseError) -> str:
@@ -196,20 +229,6 @@ def _verdict_feedback(verdict: VerdictReport) -> str:
         f"The numbers you gave are not coherent:\n{lines}\n"
         "Reply again in the required format with corrected numbers."
     )
-
-
-def _try_salvage(
-    kind: PromptKind, parsed, candidates: CandidateSet | None
-) -> tuple[object, float | None, str | None] | None:
-    """Renormalize a sum-violating price vector on the last attempt."""
-    if kind not in (PromptKind.DEFINETTI, PromptKind.CREDAL):
-        return None
-    if any(v < 0.0 for v in parsed) or sum(parsed) <= 0.0:
-        return None
-    pmf = build_pmf(candidates, parsed, renormalize=True)
-    if kind == PromptKind.DEFINETTI:
-        return pmf, entropy(pmf), SCORE_ENTROPY
-    return pmf, None, None
 
 
 def elicit_with_retry(
@@ -229,95 +248,68 @@ def elicit_with_retry(
     ``salvage_renormalize`` (off by default) may rescue a price vector whose
     only sin is its sum by renormalizing it; the result is then flagged
     ``salvaged``.  Otherwise :class:`RetriesExhaustedError` carries the
-    failed result, including one verdict or parse error per attempt.
+    failed result, including one verdict or parse error per attempt.  A
+    :class:`TransportError` leaves with the partial result in ``results``.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    needs_candidates = kind in KINDS_WITH_CANDIDATES
+    acceptance = ACCEPTANCE[kind]
     attempt_log: list[AttemptRecord] = []
     feedback: str | None = None
     last_parsed = None
+
+    def result(succeeded: bool, payload=None, salvaged: bool = False) -> ElicitationResult:
+        scored = succeeded and acceptance.score is not None
+        return ElicitationResult(
+            kind=kind.value,
+            question=question,
+            endpoint_key=endpoint.key,
+            succeeded=succeeded,
+            attempts=len(attempt_log),
+            attempt_log=tuple(attempt_log),
+            payload=payload,
+            score=acceptance.score(payload) if scored else None,
+            score_kind=acceptance.score_kind if scored else None,
+            salvaged=salvaged,
+        )
+
     for attempt in range(1, max_attempts + 1):
         user_text = render_prompt(kind, question, candidates, feedback=feedback)
-        reply: ChatReply = client.complete(endpoint, SYSTEM_TEXT, user_text)
         try:
-            parsed = parse_structured_report(
-                kind, reply.text, candidates if needs_candidates else None
-            )
+            reply = client.complete(endpoint, SYSTEM_TEXT, user_text)
+        except TransportError as exc:
+            exc.results = (result(False),)
+            raise
+
+        try:
+            parsed = parse_structured_report(kind, reply.text, candidates)
         except ParseError as exc:
-            attempt_log.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    request_body=reply.raw_request,
-                    response_body=reply.raw_response,
-                    reply_text=reply.text,
-                    parse_error=str(exc),
-                    input_tokens=reply.input_tokens,
-                    output_tokens=reply.output_tokens,
-                )
-            )
+            attempt_log.append(_attempt_record(attempt, reply, parse_error=str(exc)))
             feedback = _parse_feedback(exc)
             logger.debug("attempt %d/%d parse failure: %s", attempt, max_attempts, exc)
             continue
         last_parsed = parsed
-        verdict, payload, score, score_kind = _verify_and_build(kind, parsed, candidates)
-        attempt_log.append(
-            AttemptRecord(
-                attempt=attempt,
-                request_body=reply.raw_request,
-                response_body=reply.raw_response,
-                reply_text=reply.text,
-                verdict=verdict,
-                input_tokens=reply.input_tokens,
-                output_tokens=reply.output_tokens,
-            )
-        )
+        verdict, payload = acceptance.check(parsed, candidates)
+        attempt_log.append(_attempt_record(attempt, reply, verdict=verdict))
         if verdict.passed:
-            return ElicitationResult(
-                kind=kind.value,
-                question=question,
-                endpoint_key=endpoint.key,
-                succeeded=True,
-                attempts=attempt,
-                attempt_log=tuple(attempt_log),
-                payload=payload,
-                score=score,
-                score_kind=score_kind,
-            )
+            return result(True, payload)
         feedback = _verdict_feedback(verdict)
         logger.debug(
             "attempt %d/%d failed verification: %s", attempt, max_attempts, verdict.describe()
         )
 
-    if salvage_renormalize and last_parsed is not None:
-        salvaged = _try_salvage(kind, last_parsed, candidates)
-        if salvaged is not None:
-            payload, score, score_kind = salvaged
-            logger.info("salvaged %s report by renormalization after %d attempts",
-                        kind.value, max_attempts)
-            return ElicitationResult(
-                kind=kind.value,
-                question=question,
-                endpoint_key=endpoint.key,
-                succeeded=True,
-                attempts=max_attempts,
-                attempt_log=tuple(attempt_log),
-                payload=payload,
-                score=score,
-                score_kind=score_kind,
-                salvaged=True,
-            )
+    if (
+        salvage_renormalize
+        and acceptance.salvage
+        and last_parsed is not None
+        and min(last_parsed) >= 0.0
+        and sum(last_parsed) > 0.0
+    ):
+        logger.info("salvaged %s report by renormalization after %d attempts",
+                    kind.value, max_attempts)
+        return result(True, build_pmf(candidates, last_parsed, renormalize=True), salvaged=True)
 
-    raise RetriesExhaustedError(
-        ElicitationResult(
-            kind=kind.value,
-            question=question,
-            endpoint_key=endpoint.key,
-            succeeded=False,
-            attempts=max_attempts,
-            attempt_log=tuple(attempt_log),
-        )
-    )
+    raise RetriesExhaustedError(result(False))
 
 
 def elicit_credal_ensemble(
@@ -363,6 +355,9 @@ def elicit_credal_ensemble(
             logger.warning("credal member %s failed: %s", ep.key, exc)
             collected.append(exc.result)
             continue
+        except TransportError as exc:
+            exc.results = (*collected, *exc.results)
+            raise
         collected.append(result)
         pmfs.append(result.payload)
         tags.append(f"{ep.key}#seed={ep.seed}")
@@ -394,6 +389,8 @@ def generate_candidates(
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "INVERTED",
+    "Acceptance",
+    "ACCEPTANCE",
     "SCORE_ENTROPY",
     "SCORE_MMI_UPPER_BOUND",
     "SCORE_ONE_MINUS_CONF",

@@ -14,7 +14,7 @@ import math
 import re
 
 from ..core import CandidateSet, IpuqError
-from .prompts import CONF_LABEL, NOTA_LABEL, PromptKind, UnknownKindError
+from .prompts import CONF_LABEL, NOTA_LABEL, WIRE, PromptKind
 
 
 class ParseError(IpuqError, ValueError):
@@ -39,13 +39,6 @@ class ValueOutOfRangeError(ParseError):
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _NUMBERED_LINE_RE = re.compile(r"^\s*\d+[.)]\s+(.*\S)\s*$")
-
-_FIELDS: dict[PromptKind, tuple[str, ...]] = {
-    PromptKind.DEFINETTI: ("price",),
-    PromptKind.PROBINT: ("lower", "upper"),
-    PromptKind.CREDAL: ("prob",),
-    PromptKind.POSSIBILITY: ("pos",),
-}
 
 
 def _last_fenced_block(text: str) -> str:
@@ -84,7 +77,6 @@ def _parse_row(line: str) -> tuple[str, dict[str, str]]:
 
 def _rows_by_index(
     block: str,
-    kind: PromptKind,
     n: int,
 ) -> tuple[dict[int, dict[str, str]], dict[str, dict[str, str]]]:
     indexed: dict[int, dict[str, str]] = {}
@@ -128,7 +120,9 @@ def parse_structured_report(
 ):
     """Extract the raw numbers (or answer list) from one reply.
 
-    Return shape depends on ``kind``:
+    A kind with a reply block (see :data:`~ipuq.elicit.prompts.WIRE`) gives
+    one float list per row field, one float per candidate, followed by its
+    labelled row's value; a lone item comes back bare.  So:
 
     * ``definetti``/``credal`` -- list of floats, one per candidate;
     * ``probint`` -- ``(lowers, uppers)`` float lists;
@@ -138,7 +132,8 @@ def parse_structured_report(
 
     No coherence checking happens here; that is the verifier's job.
     """
-    if kind == PromptKind.CANDIDATES:
+    wire = WIRE[kind]
+    if not wire.has_block:
         answers: list[str] = []
         for line in text.split("\n"):
             match = _NUMBERED_LINE_RE.match(line)
@@ -149,52 +144,29 @@ def parse_structured_report(
         return answers
 
     block = _last_fenced_block(text)
+    n = 0
+    if wire.fields:
+        if candidates is None:
+            raise CandidateCountMismatchError(f"kind {kind.value} needs the candidate list")
+        n = len(candidates)
+    indexed, special = _rows_by_index(block, n)
+    if wire.extra is None:
+        if special:
+            raise CandidateCountMismatchError(f"unexpected rows: {sorted(special)}")
+    elif set(special) != {wire.extra[0]}:
+        raise CandidateCountMismatchError(f"expected exactly one {wire.extra[0]} row")
 
-    if kind == PromptKind.VANILLA:
-        indexed, special = _rows_by_index(block, kind, 0)
-        if indexed or set(special) != {CONF_LABEL}:
-            raise CandidateCountMismatchError("expected exactly one CONF row")
-        raw = _field(special[CONF_LABEL], "conf", where="CONF row")
-        return _parse_decimal(raw, where="confidence")
-
-    if kind not in _FIELDS:
-        raise UnknownKindError(str(kind))
-    if candidates is None:
-        raise CandidateCountMismatchError(f"kind {kind.value} needs the candidate list")
-    n = len(candidates)
-    indexed, special = _rows_by_index(block, kind, n)
-
-    if kind == PromptKind.POSSIBILITY:
-        if set(special) != {NOTA_LABEL}:
-            raise CandidateCountMismatchError("expected exactly one NOTA row")
-        scores = [
-            _parse_decimal(_field(indexed[i], "pos", where=f"answer {i}"), where=f"answer {i}")
-            for i in range(1, n + 1)
-        ]
-        nota = _parse_decimal(
-            _field(special[NOTA_LABEL], "pos", where="NOTA row"), where="NOTA"
+    values: list = [[] for _ in wire.fields]
+    for i in range(1, n + 1):
+        where = f"answer {i}"
+        for column, name in zip(values, wire.fields):
+            column.append(_parse_decimal(_field(indexed[i], name, where=where), where=where))
+    if wire.extra:
+        label, name, what = wire.extra
+        values.append(
+            _parse_decimal(_field(special[label], name, where=f"{label} row"), where=what)
         )
-        return scores, nota
-
-    if special:
-        raise CandidateCountMismatchError(f"unexpected rows: {sorted(special)}")
-
-    if kind == PromptKind.PROBINT:
-        lowers = []
-        uppers = []
-        for i in range(1, n + 1):
-            where = f"answer {i}"
-            lowers.append(_parse_decimal(_field(indexed[i], "lower", where=where), where=where))
-            uppers.append(_parse_decimal(_field(indexed[i], "upper", where=where), where=where))
-        return lowers, uppers
-
-    field_name = _FIELDS[kind][0]
-    return [
-        _parse_decimal(
-            _field(indexed[i], field_name, where=f"answer {i}"), where=f"answer {i}"
-        )
-        for i in range(1, n + 1)
-    ]
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 __all__ = [

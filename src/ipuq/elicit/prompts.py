@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import re
+from dataclasses import dataclass
 
 from ..core import CandidateSet, IpuqError
 
@@ -118,23 +119,6 @@ VANILLA_TEMPLATE = (
     "1.0) that your answer is correct."
 )
 
-TEMPLATES: dict[PromptKind, str] = {
-    PromptKind.DEFINETTI: DEFINETTI_TEMPLATE,
-    PromptKind.PROBINT: PROBINT_TEMPLATE,
-    PromptKind.CREDAL: CREDAL_TEMPLATE,
-    PromptKind.POSSIBILITY: POSSIBILITY_TEMPLATE,
-    PromptKind.CANDIDATES: CANDIDATES_TEMPLATE,
-    PromptKind.VANILLA: VANILLA_TEMPLATE,
-}
-
-#: Kinds whose prompt enumerates a candidate list and expects per-candidate rows.
-KINDS_WITH_CANDIDATES = (
-    PromptKind.DEFINETTI,
-    PromptKind.PROBINT,
-    PromptKind.CREDAL,
-    PromptKind.POSSIBILITY,
-)
-
 QUESTION_HEADER = "Question:"
 ANSWERS_HEADER = "Answers:"
 FORMAT_HEADER = "Output format:"
@@ -150,35 +134,59 @@ SYSTEM_TEXT = (
 )
 
 
-def _row_pattern(kind: PromptKind, index: int) -> str:
-    if kind == PromptKind.DEFINETTI:
-        return f"{index}|price=<decimal>"
-    if kind == PromptKind.PROBINT:
-        return f"{index}|lower=<decimal>|upper=<decimal>"
-    if kind == PromptKind.CREDAL:
-        return f"{index}|prob=<decimal>"
-    if kind == PromptKind.POSSIBILITY:
-        return f"{index}|pos=<decimal>"
-    raise UnknownKindError(str(kind))
+@dataclass(frozen=True)
+class WireFormat:
+    """One protocol's prompt and the rows its reply block must carry.
+
+    ``fields`` name the values of each per-answer row
+    (``index|field=value|...``); a kind without them takes no candidate
+    list.  ``extra`` is the one labelled row after them, as (label, field,
+    the value's name in parse errors).  A kind with neither asks for a
+    free-text numbered list instead of a fenced block.
+    """
+
+    template: str
+    fields: tuple[str, ...] = ()
+    extra: tuple[str, str, str] | None = None
+
+    @property
+    def has_block(self) -> bool:
+        return bool(self.fields or self.extra)
 
 
-def _format_suffix(kind: PromptKind, n_candidates: int) -> str:
-    if kind == PromptKind.VANILLA:
-        rows = [f"{CONF_LABEL}|conf=<decimal>"]
-        intro = (
-            "After any reasoning, end your reply with a fenced code block "
-            "(```) containing exactly one line, with <decimal> replaced by a "
-            "plain decimal number between 0 and 1:"
-        )
-    else:
-        rows = [_row_pattern(kind, i + 1) for i in range(n_candidates)]
-        if kind == PromptKind.POSSIBILITY:
-            rows.append(f"{NOTA_LABEL}|pos=<decimal>")
-        intro = (
-            "After any reasoning, end your reply with a fenced code block "
-            "(```) containing exactly the following lines in order, with each "
-            "<decimal> replaced by a plain decimal number between 0 and 1:"
-        )
+#: The wire table: one entry per protocol.
+WIRE: dict[PromptKind, WireFormat] = {
+    PromptKind.DEFINETTI: WireFormat(DEFINETTI_TEMPLATE, ("price",)),
+    PromptKind.PROBINT: WireFormat(PROBINT_TEMPLATE, ("lower", "upper")),
+    PromptKind.CREDAL: WireFormat(CREDAL_TEMPLATE, ("prob",)),
+    PromptKind.POSSIBILITY: WireFormat(
+        POSSIBILITY_TEMPLATE, ("pos",), (NOTA_LABEL, "pos", "NOTA")
+    ),
+    PromptKind.CANDIDATES: WireFormat(CANDIDATES_TEMPLATE),
+    PromptKind.VANILLA: WireFormat(VANILLA_TEMPLATE, extra=(CONF_LABEL, "conf", "confidence")),
+}
+
+TEMPLATES: dict[PromptKind, str] = {kind: wire.template for kind, wire in WIRE.items()}
+
+#: Kinds whose prompt enumerates a candidate list and expects per-candidate rows.
+KINDS_WITH_CANDIDATES = tuple(kind for kind, wire in WIRE.items() if wire.fields)
+
+
+def _format_suffix(wire: WireFormat, n_candidates: int) -> str:
+    values = "".join(f"|{name}=<decimal>" for name in wire.fields)
+    rows = [f"{i}{values}" for i in range(1, n_candidates + 1)]
+    if wire.extra:
+        label, name, _ = wire.extra
+        rows.append(f"{label}|{name}=<decimal>")
+    lines = (
+        "the following lines in order, with each <decimal>"
+        if wire.fields
+        else "one line, with <decimal>"
+    )
+    intro = (
+        "After any reasoning, end your reply with a fenced code block (```) "
+        f"containing exactly {lines} replaced by a plain decimal number between 0 and 1:"
+    )
     body = "\n".join(rows)
     return f"{FORMAT_HEADER}\n{intro}\n```\n{body}\n```"
 
@@ -195,17 +203,17 @@ def render_prompt(
     attempt; it is appended after everything else so the original prompt
     stays byte-identical across retries.
     """
-    needs_candidates = kind in KINDS_WITH_CANDIDATES
-    if needs_candidates and candidates is None:
-        raise MissingCandidatesError(f"kind {kind.value} requires a candidate list")
-    parts = [TEMPLATES[kind], f"{QUESTION_HEADER}\n{question}"]
-    if needs_candidates and candidates is not None:
+    wire = WIRE[kind]
+    parts = [wire.template, f"{QUESTION_HEADER}\n{question}"]
+    n_candidates = 0
+    if wire.fields:
+        if candidates is None:
+            raise MissingCandidatesError(f"kind {kind.value} requires a candidate list")
+        n_candidates = len(candidates)
         numbered = "\n".join(f"{i + 1}. {a}" for i, a in enumerate(candidates.answers))
         parts.append(f"{ANSWERS_HEADER}\n{numbered}")
-        parts.append(_format_suffix(kind, len(candidates)))
-    elif kind == PromptKind.VANILLA:
-        parts.append(_format_suffix(kind, 0))
-    # CANDIDATES carries its list instructions inside the template itself.
+    if wire.has_block:
+        parts.append(_format_suffix(wire, n_candidates))
     if feedback:
         parts.append(f"{FEEDBACK_HEADER}\n{feedback}")
     return "\n\n".join(parts)
@@ -260,6 +268,8 @@ __all__ = [
     "MissingCandidatesError",
     "UnknownKindError",
     "PromptKind",
+    "WireFormat",
+    "WIRE",
     "TEMPLATES",
     "KINDS_WITH_CANDIDATES",
     "QUESTION_HEADER",

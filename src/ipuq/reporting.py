@@ -9,11 +9,9 @@ import statistics
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from .campaign import candidates_from_dict, payload_from_dict, usage_entries
+from .campaign import RECORDS, candidates_from_dict, payload_from_dict, usage_entries
 from .core import PrecisePMF, build_pmf
-from .decision import utilitarian_aggregate
 from .elicit.client import ModelEndpoint
-from .elicit.prompts import PromptKind
 from .metrics import (
     AllRefsTiedError,
     DegenerateLabelsError,
@@ -57,17 +55,14 @@ def _record_label(record: dict[str, Any], label_kind: str) -> int | None:
 
 
 def _predicted_pmf(record: dict[str, Any]) -> PrecisePMF | None:
-    """The record's precise belief over its candidates, when the kind has one."""
+    """The record's precise belief over its candidates, when the method has one."""
     payload_dict = record["elicitation"]["payload"]
-    if payload_dict is None:
-        return None
     method = record["key"]["method"]
+    belief = RECORDS[method].belief
+    if payload_dict is None or belief is None:
+        return None
     candidates = candidates_from_dict(record["candidates"])
-    if method == PromptKind.DEFINETTI.value:
-        return payload_from_dict(method, payload_dict, candidates)
-    if method == PromptKind.CREDAL.value:
-        return utilitarian_aggregate(payload_from_dict(method, payload_dict, candidates))
-    return None
+    return belief(payload_from_dict(method, payload_dict, candidates))
 
 
 def _pstar_reference(record: dict[str, Any], ref_kind: str) -> float | None:

@@ -1,8 +1,11 @@
 """Campaign engine: config, record persistence, scoring modes, resume, determinism."""
 
+import dataclasses
 import json
 import logging
 import math
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -40,7 +43,7 @@ from ipuq.core import (
     ProbabilityIntervalSet,
     interval_from_credal,
 )
-from ipuq.elicit.client import ChatClient, ModelEndpoint
+from ipuq.elicit.client import ChatClient, ModelEndpoint, TransportError
 from ipuq.metrics import cost_report
 from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
 from ipuq.mock import AgentConfig, MockScript, MockTransport
@@ -139,7 +142,7 @@ class TestRecordsFile:
         path = records_path(str(tmp_path / "out"))
         append_records(path, [{"key": {"question_id": "q", "method": "m", "seed": 0}}])
         append_records(path, [{"key": {"question_id": "q2", "method": "m", "seed": 0}}])
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0]) == {"schema": RECORD_SCHEMA}
         assert len(lines) == 3
         assert len(load_run_records(path)) == 2
@@ -337,9 +340,9 @@ class TestRunCampaign:
         client, _ = agent_client()
         run_campaign(config, client=client)
         path = records_path(config.output_dir)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         dropped = json.loads(lines[2])  # second record of four
-        open(path, "w", encoding="utf-8").write("\n".join(lines[:2] + lines[3:]) + "\n")
+        Path(path).write_text("\n".join(lines[:2] + lines[3:]) + "\n", encoding="utf-8")
 
         client2, transport2 = agent_client()
         resumed = run_campaign(config, client=client2)
@@ -444,7 +447,6 @@ class TestRunCampaign:
                 )
 
             def send(self, endpoint, system_text, user_text):
-                from ipuq.elicit.client import TransportError
                 raise TransportError("endpoint is down", retryable=False)
 
         config = make_config(tmp_path, methods=("definetti",))
@@ -480,3 +482,79 @@ class TestRunCampaign:
             e.input_tokens * price_in + e.output_tokens * price_out for e in entries
         )
         assert ledger.total().currency == pytest.approx(expected, abs=1e-12)
+
+
+def _no_block(text):
+    return "no block today"
+
+
+def _halve_prices(text):
+    return re.sub(r"=([0-9.e-]+)", lambda m: f"={float(m.group(1)) / 2!r}", text)
+
+
+class OutageAfter:
+    """Serves ``billed`` replies from the simulated agent, then fails without
+    retry.  Each reply is broken with probability ``bad_share`` by a fault
+    drawn from ``faults`` (both seeded); counts the requests and tokens it
+    served."""
+
+    def __init__(self, billed, seed, bad_share=0.5, faults=(_no_block, _halve_prices)):
+        self.inner = MockTransport(MockScript(agent=AgentConfig()))
+        self.billed = billed
+        self.bad_share = bad_share
+        self.faults = faults
+        self.rng = random.Random(seed)
+        self.requests = self.input_tokens = self.output_tokens = 0
+
+    def send(self, endpoint, system_text, user_text):
+        if self.requests == self.billed:
+            raise TransportError("endpoint went down", retryable=False)
+        reply = self.inner.send(endpoint, system_text, user_text)
+        if self.rng.random() < self.bad_share:
+            text = self.rng.choice(self.faults)(reply.text)
+            reply = dataclasses.replace(reply, text=text, output_tokens=len(text.split()))
+        self.requests += 1
+        self.input_tokens += reply.input_tokens
+        self.output_tokens += reply.output_tokens
+        return reply
+
+
+class TestTransportFailureKeepsBilledAttempts:
+    def run_cell(self, tmp_path, transport, **overrides):
+        config = make_config(tmp_path, dataset=synth_source(count=1), **overrides)
+        (record,) = run_campaign(config, client=ChatClient(transport))
+        elicitation = record["elicitation"]
+        assert not elicitation["succeeded"]
+        assert elicitation["error"] == "transport: endpoint went down"
+        assert elicitation["attempts"] == transport.requests
+        assert elicitation["usage"] == {
+            "input_tokens": transport.input_tokens,
+            "output_tokens": transport.output_tokens,
+        }
+        return elicitation
+
+    def test_parse_failure_then_outage(self, tmp_path):
+        transport = OutageAfter(billed=1, seed=0, bad_share=1.0, faults=(_no_block,))
+        elicitation = self.run_cell(tmp_path, transport)
+        assert elicitation["attempts"] == 1
+        assert "parse_error" in elicitation["verdicts"][0]["attempts"][0]
+        assert len(elicitation["transcripts"][0]["attempts"]) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_kind(self, tmp_path, seed):
+        billed = random.Random(seed).randint(0, 3)
+        transport = OutageAfter(billed, seed, bad_share=1.0)
+        elicitation = self.run_cell(tmp_path, transport, retry_budget=4)
+        assert len(elicitation["verdicts"]) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_credal(self, tmp_path, seed):
+        # five members need at least five requests, so the outage always bites
+        billed = random.Random(seed).randint(1, 4)
+        transport = OutageAfter(billed, seed)
+        elicitation = self.run_cell(
+            tmp_path, transport, methods=("credal",), retry_budget=2, credal_members=5
+        )
+        # every member reached is on the record, finished or cut short
+        assert 1 <= len(elicitation["verdicts"]) <= billed + 1
+        assert sum(len(m["attempts"]) for m in elicitation["verdicts"]) == transport.requests

@@ -141,6 +141,46 @@ class TestElicit:
         assert report["payload"]["probs"] == [0.7, 0.3]
         assert report["score_kind"] == "entropy_nats"
 
+    def test_credal_prints_the_member_pmf(self, capsys, serve):
+        script = MockScript(
+            entries=(
+                ScriptEntry(
+                    question=self.QUESTION,
+                    kind="credal",
+                    replies=(block(["1|prob=0.6", "2|prob=0.4"]),),
+                ),
+            )
+        )
+        with serve(script) as base_url:
+            code = main([
+                "elicit", "--kind", "credal", "--question", self.QUESTION,
+                "--candidate", "Unicorn", "--candidate", "Lion",
+                *self.endpoint_args(base_url),
+            ])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["succeeded"] is True
+        assert report["payload"] == {"probs": [0.6, 0.4]}
+        assert report["score"] is None
+
+    def test_candidates_prints_the_answer_list(self, capsys, serve):
+        script = MockScript(
+            entries=(
+                ScriptEntry(
+                    question=self.QUESTION,
+                    kind="candidates",
+                    replies=("1. Unicorn\n2. Lion\n3. unicorn",),
+                ),
+            )
+        )
+        with serve(script) as base_url:
+            code = main([
+                "elicit", "--kind", "candidates", "--question", self.QUESTION,
+                *self.endpoint_args(base_url),
+            ])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["payload"] == ["Unicorn", "Lion"]
+
     def test_exhausted_budget_exits_nonzero_with_verdicts(self, capsys, serve):
         bad = block(["1|price=0.8", "2|price=0.8"])
         script = MockScript(

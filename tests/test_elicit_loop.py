@@ -52,6 +52,20 @@ def entry(kind, replies, question=QUESTION, seed=None):
 ENDPOINT = ModelEndpoint(base_url="inproc://test", model_id="scripted")
 
 
+class DownAfter:
+    """Serves ``replies`` scripted replies, then fails without retry."""
+
+    def __init__(self, replies, *entries):
+        self.inner = MockTransport(MockScript(entries=entries))
+        self.left = replies
+
+    def send(self, endpoint, system_text, user_text):
+        if not self.left:
+            raise TransportError("endpoint went down", retryable=False)
+        self.left -= 1
+        return self.inner.send(endpoint, system_text, user_text)
+
+
 class TestRetryLoop:
     def test_success_on_second_attempt(self):
         client, transport = scripted_client(
@@ -164,8 +178,18 @@ class TestRetryLoop:
                 raise TransportError("boom", retryable=False)
 
         client = ChatClient(Failing())
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError) as info:
             elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
+        (partial,) = info.value.results
+        assert not partial.succeeded and partial.attempts == 0
+
+    def test_transport_error_carries_the_billed_attempts(self):
+        client = ChatClient(DownAfter(1, entry("definetti", ["no block"])))
+        with pytest.raises(TransportError) as info:
+            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
+        (partial,) = info.value.results
+        assert partial.attempts == 1 and partial.attempt_log[0].parse_error
+        assert partial.input_tokens > 0 and partial.output_tokens == 2
 
 
 class TestSalvage:
@@ -326,6 +350,17 @@ class TestCredalEnsemble:
         assert list(info.value.results) == sink
         assert len(sink) == 2
         assert sink[0].succeeded and not sink[1].succeeded
+
+    def test_transport_error_carries_every_member_reached(self):
+        good = block(["1|prob=0.3", "2|prob=0.7"])
+        client = ChatClient(DownAfter(2, entry("credal", [good, "no block"])))
+        with pytest.raises(TransportError) as info:
+            elicit_credal_ensemble(
+                client, [self.member(s) for s in range(3)], QUESTION, TWO
+            )
+        finished, cut_short = info.value.results
+        assert finished.succeeded and finished.attempts == 1
+        assert not cut_short.succeeded and cut_short.attempts == 1
 
     def test_numeric_quorum_tolerates_failures(self):
         bad = block(["1|prob=0.9", "2|prob=0.9"])
