@@ -570,55 +570,53 @@ def _member_endpoints(base: ModelEndpoint, seed: int, count: int) -> list[ModelE
     return [dataclasses.replace(base, seed=seed * 100 + j) for j in range(count)]
 
 
-@dataclass
-class _JobOutcome:
-    payload: object | None
-    results: list[ElicitationResult]
-    error: str | None = None
-    salvaged: bool = False
-
-
-def _run_elicitation(
+def _run_cell(
     config: CampaignConfig,
     client: ChatClient,
     qrecord: QARecord,
     method: str,
     seed: int,
-) -> _JobOutcome:
+) -> dict[str, Any]:
+    """Elicit, score and record one cell.  Whatever the cell raises becomes a
+    failed record that keeps the results of every loop it reached."""
+    started = time.time()
     endpoint = dataclasses.replace(config.endpoints[0], seed=seed)
+    results: list[ElicitationResult] = []
     try:
         if RECORDS[method].ensemble:
-            member_results: list[ElicitationResult] = []
-            credal = elicit_credal_ensemble(
+            payload = elicit_credal_ensemble(
                 client,
                 _member_endpoints(endpoint, seed, config.credal_members),
                 qrecord.question,
                 qrecord.candidates,
                 max_attempts=config.retry_budget,
                 salvage_renormalize=config.salvage_renormalize,
-                member_results=member_results,
+                member_results=results,
             )
-            return _JobOutcome(
-                payload=credal,
-                results=member_results,
-                salvaged=any(r.salvaged for r in member_results),
+        else:
+            result = elicit_with_retry(
+                client,
+                endpoint,
+                PromptKind(method),
+                qrecord.question,
+                qrecord.candidates,
+                max_attempts=config.retry_budget,
+                salvage_renormalize=config.salvage_renormalize,
             )
-        result = elicit_with_retry(
-            client,
-            endpoint,
-            PromptKind(method),
-            qrecord.question,
-            qrecord.candidates,
-            max_attempts=config.retry_budget,
-            salvage_renormalize=config.salvage_renormalize,
-        )
-        return _JobOutcome(payload=result.payload, results=[result], salvaged=result.salvaged)
-    except RetriesExhaustedError as exc:
-        return _JobOutcome(payload=None, results=[exc.result], error=str(exc))
-    except MemberQuorumNotMetError as exc:
-        return _JobOutcome(payload=None, results=exc.results, error=str(exc))
-    except TransportError as exc:
-        return _JobOutcome(payload=None, results=list(exc.results), error=f"transport: {exc}")
+            results.append(result)
+            payload = result.payload
+        return _build_record(config, qrecord, method, seed, payload, results, None, started)
+    except Exception as exc:
+        if isinstance(exc, TransportError):
+            error = f"transport: {exc}"
+        elif isinstance(exc, (RetriesExhaustedError, MemberQuorumNotMetError)):
+            error = str(exc)
+        else:
+            error = f"{type(exc).__name__}: {exc}"
+            logger.warning("cell %s/%s/%d failed: %s", qrecord.question_id, method, seed,
+                           error, exc_info=True)
+        results = list(getattr(exc, "results", results))
+        return _build_record(config, qrecord, method, seed, None, results, error, started)
 
 
 def _build_record(
@@ -626,18 +624,20 @@ def _build_record(
     qrecord: QARecord,
     method: str,
     seed: int,
-    outcome: _JobOutcome,
+    payload: object | None,
+    results: list[ElicitationResult],
+    error: str | None,
     started: float,
-    elapsed: float,
 ) -> dict[str, Any]:
+    elapsed = time.time() - started
     endpoint = config.endpoints[0]
     prediction = qrecord.prediction
     decision_dict: dict[str, Any] | None = None
     payload_dict: dict[str, Any] | None = None
     scores_dict: dict[str, Any] = dict.fromkeys(("mode", *_SCORE_KEYS))
-    if outcome.payload is not None:
-        payload_dict = payload_to_dict(method, outcome.payload)
-        outcome_decision = decide(method, outcome.payload)
+    if payload is not None:
+        payload_dict = payload_to_dict(method, payload)
+        outcome_decision = decide(method, payload)
         if outcome_decision is not None:
             prediction = outcome_decision.chosen_answer
             decision_dict = {
@@ -647,17 +647,17 @@ def _build_record(
                 "tie_broken": outcome_decision.tie_broken,
             }
         scores_dict = _score_block(
-            method, outcome.payload, qrecord.candidates, config.score_mode, prediction
+            method, payload, qrecord.candidates, config.score_mode, prediction
         )
 
     correct: int | None = None
     if prediction is not None and qrecord.reference_answer is not None:
         correct = int(fold_equal(prediction, qrecord.reference_answer))
 
-    total_in = sum(r.input_tokens for r in outcome.results)
-    total_out = sum(r.output_tokens for r in outcome.results)
-    attempts = sum(r.attempts for r in outcome.results)
-    loop_scores = [r for r in outcome.results if r.score is not None]
+    total_in = sum(r.input_tokens for r in results)
+    total_out = sum(r.output_tokens for r in results)
+    attempts = sum(r.attempts for r in results)
+    loop_scores = [r for r in results if r.score is not None]
 
     return {
         "key": {"question_id": qrecord.question_id, "method": method, "seed": seed},
@@ -680,9 +680,9 @@ def _build_record(
         },
         "elicitation": {
             "kind": method,
-            "succeeded": outcome.error is None,
-            "salvaged": outcome.salvaged,
-            "error": outcome.error,
+            "succeeded": error is None,
+            "salvaged": any(r.salvaged for r in results),
+            "error": error,
             "attempts": attempts,
             "payload": payload_dict,
             "loop_score": loop_scores[0].score if loop_scores else None,
@@ -690,9 +690,9 @@ def _build_record(
             "usage": {"input_tokens": total_in, "output_tokens": total_out},
             "verdicts": [
                 {"member": i, "attempts": _verdicts_to_dicts(r)}
-                for i, r in enumerate(outcome.results)
+                for i, r in enumerate(results)
             ],
-            "transcripts": _transcripts_to_dicts(outcome.results),
+            "transcripts": _transcripts_to_dicts(results),
         },
         "scores": scores_dict,
         "decision": decision_dict,
@@ -711,8 +711,10 @@ def run_campaign(
     records file is written by this thread alone, in deterministic job order
     (question x method x seed, in config order).  Cells already present in
     the records file are skipped, which is what makes interrupted campaigns
-    resumable.  Failed cells are recorded with their error and count as
-    completed; the caller decides whether a partial campaign is acceptable.
+    resumable.  A cell that raises is recorded as failed, with its error and
+    its billed attempts, and counts as completed; the caller decides whether
+    a partial campaign is acceptable.  If the writer stops (a failed write,
+    Ctrl-C), no further cells are started.
     """
     client = client if client is not None else ChatClient()
     qrecords = load_dataset(config.dataset)
@@ -730,26 +732,13 @@ def run_campaign(
         logger.info("nothing to do: all %d cells already recorded", len(done))
         return []
 
-    def execute(job: tuple[QARecord, str, int]) -> dict[str, Any]:
-        q, method, seed = job
-        started = time.time()
-        outcome = _run_elicitation(config, client, q, method, seed)
-        elapsed = time.time() - started
-        return _build_record(config, q, method, seed, outcome, started, elapsed)
-
     written: list[dict[str, Any]] = []
-    if config.concurrency == 1:
-        for job in jobs:
-            record = execute(job)
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        # Leaving this loop on an exception closes the map, which cancels the
+        # cells that have not started.
+        for record in pool.map(lambda job: _run_cell(config, client, *job), jobs):
             append_records(path, [record])
             written.append(record)
-    else:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            futures = [pool.submit(execute, job) for job in jobs]
-            for future in futures:
-                record = future.result()
-                append_records(path, [record])
-                written.append(record)
     failed = sum(1 for r in written if not r["elicitation"]["succeeded"])
     if failed:
         logger.warning("campaign finished with %d/%d failed cells", failed, len(written))

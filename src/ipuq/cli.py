@@ -194,6 +194,8 @@ def _cmd_synth_gen(args: argparse.Namespace) -> int:
 
 def _cmd_synth_run(args: argparse.Namespace) -> int:
     transform = _transform_from_args(args)
+    if args.base_url and args.model is None:
+        args.usage_error("--base-url needs --model")
     if args.base_url:
         endpoint = _endpoint_from_args(args)
         client = ChatClient()
@@ -270,9 +272,7 @@ def _cmd_eval_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_mock_serve(args: argparse.Namespace) -> int:
-    script = MockScript.load(args.script)
-    print(f"serving mock endpoint on http://{args.host}:{args.port} (ctrl-c to stop)")
-    serve_forever(script, args.host, args.port)
+    serve_forever(MockScript.load(args.script), args.host, args.port)
     return EXIT_OK
 
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--temperature", type=float, default=0.0)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=_cmd_synth_run)
+    p_run.set_defaults(func=_cmd_synth_run, usage_error=p_run.error)
 
     p_eval = sub.add_parser("eval", help="metrics over a records file")
     eval_sub = p_eval.add_subparsers(dest="subcommand", required=True)

@@ -9,8 +9,9 @@ retries those itself with backoff and raises if the endpoint stays down.
 What a kind's verified reply becomes -- its coherence check, typed payload,
 loop score and whether it may be salvaged -- is that kind's entry in
 :data:`ACCEPTANCE`; its prompt and reply rows are its entry in
-:data:`~ipuq.elicit.prompts.WIRE`.  A transport failure that ends a loop
-carries the attempts already billed in ``TransportError.results``.
+:data:`~ipuq.elicit.prompts.WIRE`.  Every exception that ends a loop, of
+whatever type, carries the partial result of each loop it reached in
+``results``, so the attempts already billed are not lost.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..coherence import (
 )
 from ..mmi import mmi_upper_bound
 from ..scores import entropy
-from .client import ChatClient, ChatReply, ModelEndpoint, TransportError
+from .client import ChatClient, ChatReply, ModelEndpoint
 from .parsing import ParseError, parse_structured_report
 from .prompts import SYSTEM_TEXT, PromptKind, render_prompt
 
@@ -64,10 +65,11 @@ class RetriesExhaustedError(IpuqError, RuntimeError):
             f"{result.kind} elicitation failed after {result.attempts} attempts"
         )
         self.result = result
+        self.results = (result,)
 
 
 class MemberQuorumNotMetError(IpuqError, RuntimeError):
-    """Too few ensemble members produced a usable report."""
+    """Not every ensemble member produced a usable report."""
 
     def __init__(self, succeeded: int, required: int, results: list["ElicitationResult"]):
         super().__init__(f"only {succeeded} of required {required} members succeeded")
@@ -248,8 +250,9 @@ def elicit_with_retry(
     ``salvage_renormalize`` (off by default) may rescue a price vector whose
     only sin is its sum by renormalizing it; the result is then flagged
     ``salvaged``.  Otherwise :class:`RetriesExhaustedError` carries the
-    failed result, including one verdict or parse error per attempt.  A
-    :class:`TransportError` leaves with the partial result in ``results``.
+    failed result, including one verdict or parse error per attempt.  Any
+    other exception, a :class:`TransportError` or whatever the transport
+    raised, leaves with the partial result in ``results``.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -273,41 +276,41 @@ def elicit_with_retry(
             salvaged=salvaged,
         )
 
-    for attempt in range(1, max_attempts + 1):
-        user_text = render_prompt(kind, question, candidates, feedback=feedback)
-        try:
+    try:
+        for attempt in range(1, max_attempts + 1):
+            user_text = render_prompt(kind, question, candidates, feedback=feedback)
             reply = client.complete(endpoint, SYSTEM_TEXT, user_text)
-        except TransportError as exc:
-            exc.results = (result(False),)
-            raise
+            try:
+                parsed = parse_structured_report(kind, reply.text, candidates)
+            except ParseError as exc:
+                attempt_log.append(_attempt_record(attempt, reply, parse_error=str(exc)))
+                feedback = _parse_feedback(exc)
+                logger.debug("attempt %d/%d parse failure: %s", attempt, max_attempts, exc)
+                continue
+            last_parsed = parsed
+            verdict, payload = acceptance.check(parsed, candidates)
+            attempt_log.append(_attempt_record(attempt, reply, verdict=verdict))
+            if verdict.passed:
+                return result(True, payload)
+            feedback = _verdict_feedback(verdict)
+            logger.debug(
+                "attempt %d/%d failed verification: %s", attempt, max_attempts, verdict.describe()
+            )
 
-        try:
-            parsed = parse_structured_report(kind, reply.text, candidates)
-        except ParseError as exc:
-            attempt_log.append(_attempt_record(attempt, reply, parse_error=str(exc)))
-            feedback = _parse_feedback(exc)
-            logger.debug("attempt %d/%d parse failure: %s", attempt, max_attempts, exc)
-            continue
-        last_parsed = parsed
-        verdict, payload = acceptance.check(parsed, candidates)
-        attempt_log.append(_attempt_record(attempt, reply, verdict=verdict))
-        if verdict.passed:
-            return result(True, payload)
-        feedback = _verdict_feedback(verdict)
-        logger.debug(
-            "attempt %d/%d failed verification: %s", attempt, max_attempts, verdict.describe()
-        )
-
-    if (
-        salvage_renormalize
-        and acceptance.salvage
-        and last_parsed is not None
-        and min(last_parsed) >= 0.0
-        and sum(last_parsed) > 0.0
-    ):
-        logger.info("salvaged %s report by renormalization after %d attempts",
-                    kind.value, max_attempts)
-        return result(True, build_pmf(candidates, last_parsed, renormalize=True), salvaged=True)
+        if (
+            salvage_renormalize
+            and acceptance.salvage
+            and last_parsed is not None
+            and min(last_parsed) >= 0.0
+            and sum(last_parsed) > 0.0
+        ):
+            logger.info("salvaged %s report by renormalization after %d attempts",
+                        kind.value, max_attempts)
+            pmf = build_pmf(candidates, last_parsed, renormalize=True)
+            return result(True, pmf, salvaged=True)
+    except Exception as exc:
+        exc.results = (result(False),)
+        raise
 
     raise RetriesExhaustedError(result(False))
 
@@ -319,7 +322,6 @@ def elicit_credal_ensemble(
     candidates: CandidateSet,
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    quorum: int | str = "all",
     salvage_renormalize: bool = False,
     member_results: list[ElicitationResult] | None = None,
 ) -> CredalSet:
@@ -327,16 +329,15 @@ def elicit_credal_ensemble(
 
     ``members`` are typically the same model under different seeds, or
     different models; each member's distinct belief becomes one extreme
-    point.  ``quorum`` is how many members must succeed ("all" by default);
-    falling short raises :class:`MemberQuorumNotMetError`.  Pass a list as
-    ``member_results`` to collect every member's full result (including
-    failed ones) for accounting.
+    point.  Every member must succeed: each one is still asked, and if any
+    ran out of attempts, :class:`MemberQuorumNotMetError` carries all their
+    results.  Any other exception stops the ensemble and carries, in
+    ``results``, the results of the members before it and of the one it cut
+    short.  Pass a list as ``member_results`` to collect every member's
+    result, failed ones included, for accounting.
     """
     if not members:
         raise ValueError("need at least one ensemble member")
-    required = len(members) if quorum == "all" else int(quorum)
-    if not (1 <= required <= len(members)):
-        raise ValueError(f"quorum {quorum!r} incompatible with {len(members)} members")
     pmfs: list[PrecisePMF] = []
     tags: list[str] = []
     collected: list[ElicitationResult] = []
@@ -355,16 +356,16 @@ def elicit_credal_ensemble(
             logger.warning("credal member %s failed: %s", ep.key, exc)
             collected.append(exc.result)
             continue
-        except TransportError as exc:
-            exc.results = (*collected, *exc.results)
+        except Exception as exc:
+            exc.results = (*collected, *getattr(exc, "results", ()))
             raise
         collected.append(result)
         pmfs.append(result.payload)
         tags.append(f"{ep.key}#seed={ep.seed}")
     if member_results is not None:
         member_results.extend(collected)
-    if len(pmfs) < required:
-        raise MemberQuorumNotMetError(len(pmfs), required, collected)
+    if len(pmfs) < len(members):
+        raise MemberQuorumNotMetError(len(pmfs), len(members), collected)
     return CredalSet(candidates=candidates, members=tuple(pmfs), member_tags=tuple(tags))
 
 

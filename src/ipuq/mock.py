@@ -21,6 +21,7 @@ in whitespace-separated words.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import threading
@@ -332,6 +333,11 @@ class _MockHandler(BaseHTTPRequestHandler):
 _SHUTDOWN_POLL_S = 0.01
 
 
+def _make_server(script: MockScript, host: str, port: int) -> ThreadingHTTPServer:
+    handler = type("BoundMockHandler", (_MockHandler,), {"responder": MockResponder(script)})
+    return ThreadingHTTPServer((host, port), handler)
+
+
 def start_mock_server(
     script: MockScript, host: str = "127.0.0.1", port: int = 0
 ) -> tuple[ThreadingHTTPServer, str]:
@@ -340,9 +346,7 @@ def start_mock_server(
     ``port=0`` picks a free port.  Call ``server.shutdown()`` and
     ``server.server_close()`` when done.
     """
-    responder = MockResponder(script)
-    handler = type("BoundMockHandler", (_MockHandler,), {"responder": responder})
-    server = ThreadingHTTPServer((host, port), handler)
+    server = _make_server(script, host, port)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": _SHUTDOWN_POLL_S}, daemon=True
     )
@@ -352,15 +356,16 @@ def start_mock_server(
 
 
 def serve_forever(script: MockScript, host: str, port: int) -> None:
-    """Blocking variant used by the CLI."""
-    responder = MockResponder(script)
-    handler = type("BoundMockHandler", (_MockHandler,), {"responder": responder})
-    server = ThreadingHTTPServer((host, port), handler)
-    print(f"mock endpoint listening on http://{host}:{server.server_address[1]}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
+    """Blocking variant used by the CLI: announces the bound port, serves
+    until Ctrl-C and then closes the listening socket."""
+    with _make_server(script, host, port) as server:
+        print(
+            f"serving mock endpoint on http://{host}:{server.server_address[1]} "
+            "(ctrl-c to stop)",
+            flush=True,
+        )
+        with contextlib.suppress(KeyboardInterrupt):
+            server.serve_forever()
 
 
 __all__ = [

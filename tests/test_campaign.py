@@ -1,15 +1,19 @@
 """Campaign engine: config, record persistence, scoring modes, resume, determinism."""
 
+import collections
 import dataclasses
 import json
 import logging
 import math
 import random
 import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import ipuq.campaign
 from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
@@ -43,10 +47,12 @@ from ipuq.core import (
     ProbabilityIntervalSet,
     interval_from_credal,
 )
+from ipuq.cli import EXIT_PARTIAL, main
 from ipuq.elicit.client import ChatClient, ModelEndpoint, TransportError
+from ipuq.elicit.prompts import extract_question
 from ipuq.metrics import cost_report
 from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
-from ipuq.mock import AgentConfig, MockScript, MockTransport
+from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
 from ipuq.scores import bernoulli_entropy, entropy
 from ipuq.synth import TransformSpec
 
@@ -435,17 +441,7 @@ class TestRunCampaign:
         assert len({tuple(m) for m in members}) > 1  # seeds produced distinct beliefs
 
     def test_failed_cells_are_recorded_not_raised(self, tmp_path):
-        # An entry-only script knows nothing about these questions, so every
-        # attempt dies and the cell must land as a recorded failure.
-        from ipuq.mock import NoScriptEntryError, ScriptEntry
-
         class RefusingTransport:
-            def __init__(self):
-                self.inner = MockTransport(
-                    MockScript(entries=(ScriptEntry(question="?", kind="vanilla",
-                                                    replies=("x",)),))
-                )
-
             def send(self, endpoint, system_text, user_text):
                 raise TransportError("endpoint is down", retryable=False)
 
@@ -558,3 +554,133 @@ class TestTransportFailureKeepsBilledAttempts:
         # every member reached is on the record, finished or cut short
         assert 1 <= len(elicitation["verdicts"]) <= billed + 1
         assert sum(len(m["attempts"]) for m in elicitation["verdicts"]) == transport.requests
+
+
+class Served:
+    """Passes requests to ``inner`` and counts, per question, the requests
+    and tokens it served.  Raises ``error()`` in place of request number
+    ``fail_at`` (counting from 1), once; later requests are served again."""
+
+    def __init__(self, inner, fail_at=None, error=None):
+        self.inner = inner
+        self.fail_at = fail_at
+        self.error = error
+        self.sent = 0
+        self.served = collections.defaultdict(collections.Counter)
+        self.lock = threading.Lock()
+
+    def send(self, endpoint, system_text, user_text):
+        with self.lock:
+            self.sent += 1
+            fail = self.sent == self.fail_at
+        if fail:
+            raise self.error()
+        reply = self.inner.send(endpoint, system_text, user_text)
+        with self.lock:
+            tally = self.served[extract_question(user_text)]
+            tally.update(requests=1, input_tokens=reply.input_tokens,
+                         output_tokens=reply.output_tokens)
+        return reply
+
+
+def _served_by_record(record):
+    elicitation = record["elicitation"]
+    return collections.Counter(requests=elicitation["attempts"], **elicitation["usage"])
+
+
+class TestUnexpectedExceptionsBecomeFailedRecords:
+    QUESTIONS = 4
+
+    def config(self, tmp_path, method, concurrency):
+        return make_config(
+            tmp_path,
+            dataset=synth_source(count=self.QUESTIONS),
+            methods=(method,),
+            concurrency=concurrency,
+            retry_budget=3,
+        )
+
+    def key_error_transport(self, config, seed):
+        # one request per single-kind cell and per credal member
+        requests = self.QUESTIONS * (config.credal_members if config.methods == ("credal",)
+                                     else 1)
+        fail_at = random.Random(seed).randint(1, requests - 1)
+        inner = MockTransport(MockScript(agent=AgentConfig()))
+        return Served(inner, fail_at=fail_at, error=lambda: KeyError("choices"))
+
+    def exhausted_transport(self, config, seed):
+        # The script's one reply for the question of cell ``seed`` does not
+        # parse; the next request for that question exhausts the script.
+        question = build_synth_records(config.dataset)[seed % self.QUESTIONS].question
+        (method,) = config.methods
+        entry = ScriptEntry(question=question, kind=method, replies=("no block",))
+        return Served(MockTransport(MockScript(agent=AgentConfig(), entries=(entry,))))
+
+    @pytest.mark.parametrize("concurrency", (1, 2))
+    @pytest.mark.parametrize("method", ("definetti", "credal"))
+    @pytest.mark.parametrize(
+        "make, error_type",
+        (("key_error_transport", "KeyError"), ("exhausted_transport", "ScriptExhaustedError")),
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_failed_record_with_exact_accounting(
+        self, tmp_path, caplog, make, error_type, method, concurrency, seed
+    ):
+        config = self.config(tmp_path, method, concurrency)
+        transport = getattr(self, make)(config, seed)
+        with caplog.at_level(logging.WARNING, logger="ipuq.campaign"):
+            written = run_campaign(config, client=ChatClient(transport))
+
+        questions = [q.question_id for q in build_synth_records(config.dataset)]
+        assert [r["key"]["question_id"] for r in written] == questions
+        stored = load_run_records(records_path(config.output_dir))
+        assert [r["key"] for r in stored] == [r["key"] for r in written]
+        (failed,) = [r for r in written if not r["elicitation"]["succeeded"]]
+        error = failed["elicitation"]["error"]
+        assert error.startswith(f"{error_type}: ")
+        assert [r.getMessage() for r in caplog.records].count(
+            f"cell {failed['key']['question_id']}/{method}/0 failed: {error}") == 1
+        for record in written:
+            # every billed request is on the record of the cell it served
+            assert _served_by_record(record) == transport.served[record["question"]]
+        assert sum(map(_served_by_record, written), collections.Counter()) == sum(
+            transport.served.values(), collections.Counter()
+        )
+        # the cells after the failing one ran and succeeded
+        assert all(r["elicitation"]["succeeded"] for r in written if r is not failed)
+
+    def test_campaign_run_exits_partial(self, tmp_path, monkeypatch, capsys):
+        config = self.config(tmp_path, "credal", 2)
+        transport = self.key_error_transport(config, seed=0)
+        monkeypatch.setattr(ipuq.campaign, "ChatClient", lambda: ChatClient(transport))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        assert main(["campaign", "run", "--config", str(path)]) == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert f"wrote {self.QUESTIONS} records" in out and "(1 failed)" in out
+
+
+class TestFailedWriteStopsTheCampaign:
+    def test_no_cells_start_after_the_writer_fails(self, tmp_path, monkeypatch):
+        class SlowAgent(MockTransport):
+            def send(self, endpoint, system_text, user_text):
+                time.sleep(0.005)  # a network round trip: the workers wait, the writer runs
+                return super().send(endpoint, system_text, user_text)
+
+        cells, fail_at = 40, 5
+        writes = []
+
+        def failing_append(path, records):
+            writes.append(records)
+            if len(writes) == fail_at:
+                raise OSError("disk full")
+            append_records(path, records)
+
+        monkeypatch.setattr(ipuq.campaign, "append_records", failing_append)
+        config = make_config(tmp_path, dataset=synth_source(count=cells), concurrency=2)
+        transport = SlowAgent(MockScript(agent=AgentConfig()))
+        with pytest.raises(OSError, match="disk full"):
+            run_campaign(config, client=ChatClient(transport))
+        assert len(load_run_records(records_path(config.output_dir))) == fail_at - 1
+        # the cells in flight when the write failed finish; no others start
+        assert transport.calls < cells // 2

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -101,6 +102,12 @@ class TestSynthRun:
         assert code == EXIT_PARTIAL
         (row,) = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert row["n"] == 0 and row["first_order_mean"] is None
+
+    def test_base_url_needs_a_model(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "run", "--base-url", "http://localhost:1/v1/chat/completions"])
+        assert info.value.code == 2
+        assert "--base-url needs --model" in capsys.readouterr().err
 
     def test_credal_method(self, capsys):
         code = main([
@@ -361,3 +368,25 @@ def test_mock_serve_requires_a_readable_script(tmp_path, capsys):
     code = main(["mock", "serve", "--script", str(tmp_path / "missing.json")])
     assert code == EXIT_DATASET
     assert "error" in capsys.readouterr().err
+
+
+def test_mock_serve_announces_the_bound_port_and_closes_on_ctrl_c(
+    tmp_path, capsys, monkeypatch
+):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(MockScript(agent=AgentConfig()).to_dict()), encoding="utf-8")
+    servers = []
+
+    def interrupted(self, poll_interval=0.5):
+        servers.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
+    assert main(["mock", "serve", "--script", str(script), "--port", "0"]) == EXIT_OK
+    (server,) = servers
+    port = server.server_address[1]
+    assert port != 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"serving mock endpoint on http://127.0.0.1:{port} (ctrl-c to stop)"
+    ]
+    assert server.socket.fileno() == -1  # the listening socket is closed

@@ -1,8 +1,8 @@
 """Retry-loop behavior over scripted transports.
 
 Every test drives the real loop through a MockTransport with canned
-replies, so attempt counting, feedback echoing, salvage, and ensemble
-quorum are exercised end to end without sockets.
+replies, so attempt counting, feedback echoing, salvage, and the
+all-members ensemble are exercised end to end without sockets.
 """
 
 import math
@@ -362,27 +362,7 @@ class TestCredalEnsemble:
         assert finished.succeeded and finished.attempts == 1
         assert not cut_short.succeeded and cut_short.attempts == 1
 
-    def test_numeric_quorum_tolerates_failures(self):
-        bad = block(["1|prob=0.9", "2|prob=0.9"])
-        entries = [
-            entry("credal", [block(["1|prob=0.3", "2|prob=0.7"])], seed=0),
-            entry("credal", [bad] * 2, seed=1),
-        ]
-        client, _ = scripted_client(*entries)
-        credal = elicit_credal_ensemble(
-            client,
-            [self.member(0), self.member(1)],
-            QUESTION,
-            TWO,
-            max_attempts=2,
-            quorum=1,
-        )
-        assert len(credal.members) == 1
-        assert credal.members[0].probs == (0.3, 0.7)
-
     def test_quorum_validation(self):
         client, _ = scripted_client(entry("credal", ["unused"], seed=0))
         with pytest.raises(ValueError):
             elicit_credal_ensemble(client, [], QUESTION, TWO)
-        with pytest.raises(ValueError):
-            elicit_credal_ensemble(client, [self.member(0)], QUESTION, TWO, quorum=2)
