@@ -22,7 +22,6 @@ from .core import (
     interval_from_credal,
 )
 from .decision import (
-    bayes_expected_utility,
     maximax,
     maximin,
     precise_argmax,
@@ -57,7 +56,6 @@ from .synth import (
     format_icl_prompt,
     generate_icl_task,
     ground_truth_variants,
-    inject_case_noise,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "precise_argmax",
     "maximin",
     "maximax",
-    "bayes_expected_utility",
     "utilitarian_aggregate",
     "TransformSpec",
     "NoiseSpec",
@@ -99,7 +96,6 @@ __all__ = [
     "apply_rotation",
     "apply_cyclic_shift",
     "apply_transform",
-    "inject_case_noise",
     "generate_icl_task",
     "format_icl_prompt",
     "ground_truth_variants",

@@ -71,7 +71,7 @@ def _endpoint_from_args(args: argparse.Namespace) -> ModelEndpoint:
         base_url=args.base_url,
         model_id=args.model,
         auth_token_env=args.auth_env,
-        temperature=args.temperature,
+        temperature=args.temperature or 0.0,  # ``synth run`` leaves it None when unset
         seed=args.seed,
     )
 
@@ -196,6 +196,12 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
     transform = _transform_from_args(args)
     if args.base_url and args.model is None:
         args.usage_error("--base-url needs --model")
+    endpoint_flags = {"--model": args.model, "--auth-env": args.auth_env,
+                      "--temperature": args.temperature, "--seed": args.seed}
+    ignored = [flag for flag, value in endpoint_flags.items() if value is not None]
+    if ignored and not args.base_url:
+        args.usage_error(f"{', '.join(ignored)} need --base-url; "
+                         "the in-process simulated agent would ignore them")
     if args.base_url:
         endpoint = _endpoint_from_args(args)
         client = ChatClient()
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--base-url", default=None, help="use a real endpoint instead")
     p_run.add_argument("--model", default=None)
     p_run.add_argument("--auth-env", default=None)
-    p_run.add_argument("--temperature", type=float, default=0.0)
+    p_run.add_argument("--temperature", type=float, default=None, help="default 0.0")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_synth_run, usage_error=p_run.error)

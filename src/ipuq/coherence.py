@@ -70,11 +70,11 @@ class VerdictReport:
         return "; ".join(v.describe() for v in self.violations)
 
 
-def verify_axioms(prices: Sequence[float], *, tol: float = PROB_TOL) -> VerdictReport:
+def verify_axioms(prices: Sequence[float]) -> VerdictReport:
     """Check a price/probability vector for the two betting axioms.
 
     Every entry must lie in [0, 1] (a price above 1 or below 0 is a sure
-    loss on a single bet) and the entries must sum to 1 within ``tol``
+    loss on a single bet) and the entries must sum to 1 within ``PROB_TOL``
     (otherwise a book can be made against the whole slate).  For a mutually
     exclusive, exhaustive candidate list these two checks already imply
     additivity over disjoint unions, so nothing else needs verifying.
@@ -84,10 +84,10 @@ def verify_axioms(prices: Sequence[float], *, tol: float = PROB_TOL) -> VerdictR
     for i, p in enumerate(prices):
         if p < 0.0:
             violations.append(Violation(NEGATIVE, i, observed=p, bound=0.0))
-        elif p > 1.0 + tol:
+        elif p > 1.0 + PROB_TOL:
             violations.append(Violation(VALUE_RANGE, i, observed=p, bound=1.0))
     total = sum(prices)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_TOL:
         violations.append(Violation(SUM, GLOBAL_INDEX, observed=total, bound=1.0))
     return VerdictReport.from_violations(violations)
 
@@ -96,7 +96,6 @@ def verify_interval_coherence(
     intervals: ProbabilityIntervalSet,
     *,
     enforce_upper: bool = False,
-    tol: float = PROB_TOL,
 ) -> VerdictReport:
     """Check that per-answer probability intervals admit any distribution at all.
 
@@ -110,11 +109,11 @@ def verify_interval_coherence(
     """
     violations: list[Violation] = []
     lower_total = sum(intervals.lowers)
-    if lower_total > 1.0 + tol:
+    if lower_total > 1.0 + PROB_TOL:
         violations.append(Violation(LOWER_SUM, GLOBAL_INDEX, observed=lower_total, bound=1.0))
     if enforce_upper:
         upper_total = sum(intervals.uppers)
-        if upper_total < 1.0 - tol:
+        if upper_total < 1.0 - PROB_TOL:
             violations.append(Violation(UPPER_SUM, GLOBAL_INDEX, observed=upper_total, bound=1.0))
     return VerdictReport.from_violations(violations)
 

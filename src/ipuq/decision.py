@@ -8,7 +8,6 @@ from typing import Sequence
 
 from .core import (
     CredalSet,
-    IpuqError,
     LengthMismatchError,
     PrecisePMF,
     ProbabilityIntervalSet,
@@ -24,11 +23,6 @@ TIE_TOL = 1e-9
 RULE_PRECISE_ARGMAX = "precise_argmax"
 RULE_MAXIMIN = "maximin"
 RULE_MAXIMAX = "maximax"
-RULE_BAYES_EU = "bayes_eu"
-
-
-class WeightSumViolationError(IpuqError, ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,34 +79,6 @@ def maximax(intervals: ProbabilityIntervalSet) -> DecisionOutcome:
     )
 
 
-def bayes_expected_utility(credal: CredalSet, weights: Sequence[float]) -> DecisionOutcome:
-    """Pick the argmax of a weighted mixture of the credal members.
-
-    ``weights`` expresses how much trust each member (interpretation,
-    seed, or model) deserves; they must be non-negative and sum to 1.
-    Degenerate weights on one member reduce this to that member's argmax.
-    """
-    weights = [float(w) for w in weights]
-    if len(weights) != len(credal.members):
-        raise LengthMismatchError("one weight per credal member")
-    if any(w < 0.0 for w in weights):
-        raise WeightSumViolationError("weights must be non-negative")
-    total = sum(weights)
-    if abs(total - 1.0) > 1e-6:
-        raise WeightSumViolationError(f"weights sum to {total!r}, expected 1")
-    n = len(credal.candidates)
-    mixture = [
-        sum(w * m.probs[i] for w, m in zip(weights, credal.members)) for i in range(n)
-    ]
-    idx, tied = _argmax(mixture)
-    return DecisionOutcome(
-        rule=RULE_BAYES_EU,
-        chosen_index=idx,
-        chosen_answer=credal.candidates.answers[idx],
-        tie_broken=tied,
-    )
-
-
 def utilitarian_aggregate(credal: CredalSet) -> PrecisePMF:
     """Equal-weight arithmetic mean of the credal members.
 
@@ -125,23 +91,6 @@ def utilitarian_aggregate(credal: CredalSet) -> PrecisePMF:
     m = len(credal.members)
     mean = [sum(member.probs[i] for member in credal.members) / m for i in range(n)]
     return build_pmf(credal.candidates, mean, renormalize=True)
-
-
-def utilitarian_mean_rows(rows: Sequence[Sequence[float]]) -> list[float]:
-    """Componentwise mean of raw per-answer score rows, left unnormalized.
-
-    For rows that are correctness scores rather than distributions (they
-    need not sum to anything), the unnormalized mean is the right object
-    for ranking answers; turning it into a PMF would pretend to a precision
-    the rows never had.
-    """
-    if not rows:
-        raise LengthMismatchError("need at least one row")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise LengthMismatchError("rows must have equal length")
-    m = len(rows)
-    return [sum(float(r[i]) for r in rows) / m for i in range(width)]
 
 
 def alignment_rate(
@@ -173,14 +122,10 @@ __all__ = [
     "RULE_PRECISE_ARGMAX",
     "RULE_MAXIMIN",
     "RULE_MAXIMAX",
-    "RULE_BAYES_EU",
-    "WeightSumViolationError",
     "DecisionOutcome",
     "precise_argmax",
     "maximin",
     "maximax",
-    "bayes_expected_utility",
     "utilitarian_aggregate",
-    "utilitarian_mean_rows",
     "alignment_rate",
 ]

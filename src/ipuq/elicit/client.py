@@ -9,14 +9,15 @@ never logged and never stored in recorded request bodies.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol
-
-import requests
 
 from ..core import IpuqError
 
@@ -87,30 +88,60 @@ def build_request_body(endpoint: ModelEndpoint, system_text: str, user_text: str
     return body
 
 
-def parse_response_body(raw: str) -> tuple[str, int, int]:
-    """Pull the assistant text and token usage out of a chat response body."""
+def encode_request(endpoint: ModelEndpoint, system_text: str, user_text: str) -> tuple[dict, str]:
+    """The request body and the serialization of it that is sent and recorded."""
+    body = build_request_body(endpoint, system_text, user_text)
+    return body, json.dumps(body, sort_keys=True, ensure_ascii=False)
+
+
+def parse_response_body(raw_request: str, raw_response: str) -> ChatReply:
+    """Decode a chat response body into a reply that keeps both bodies verbatim."""
     try:
-        data = json.loads(raw)
+        data = json.loads(raw_response)
         text = data["choices"][0]["message"]["content"]
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed chat response body: {exc}") from exc
     usage = data.get("usage") or {}
-    input_tokens = int(usage.get("prompt_tokens", 0))
-    output_tokens = int(usage.get("completion_tokens", 0))
     if not usage:
         logger.debug("response carried no usage block; recording zero tokens")
-    return text, input_tokens, output_tokens
+    return ChatReply(
+        text=text,
+        input_tokens=int(usage.get("prompt_tokens", 0)),
+        output_tokens=int(usage.get("completion_tokens", 0)),
+        raw_request=raw_request,
+        raw_response=raw_response,
+    )
+
+
+def _post(request: urllib.request.Request, timeout_s: float) -> tuple[int, str]:
+    """Status and decoded body of one POST; a non-2xx reply is returned, not raised."""
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout_s)
+    except urllib.error.HTTPError as exc:
+        response = exc  # an HTTP error status still carries a body worth reporting
+    with response:
+        raw = response.read()
+        charset = response.headers.get_content_charset("utf-8")
+    try:
+        return response.status, raw.decode(charset, errors="replace")
+    except LookupError:  # a charset label Python does not know
+        return response.status, raw.decode("utf-8", errors="replace")
 
 
 class HttpTransport:
-    """POSTs chat requests with ``requests``; raises TransportError on failure."""
+    """POSTs chat requests with ``urllib.request``; raises TransportError on failure.
+
+    Each request opens its own connection.  Proxies come from the
+    ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` environment and TLS is
+    verified against the system CA store (``SSL_CERT_FILE`` overrides it).
+    Redirects that would re-send the body (307, 308) are not followed.
+    """
 
     def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
         self.timeout_s = timeout_s
 
     def send(self, endpoint: ModelEndpoint, system_text: str, user_text: str) -> ChatReply:
-        body = build_request_body(endpoint, system_text, user_text)
-        raw_request = json.dumps(body, sort_keys=True, ensure_ascii=False)
+        _, raw_request = encode_request(endpoint, system_text, user_text)
         headers = {"Content-Type": "application/json"}
         if endpoint.auth_token_env:
             token = os.environ.get(endpoint.auth_token_env)
@@ -122,29 +153,19 @@ class HttpTransport:
                     endpoint.auth_token_env,
                 )
         try:
-            response = requests.post(
-                endpoint.base_url,
-                data=raw_request.encode("utf-8"),
-                headers=headers,
-                timeout=self.timeout_s,
+            request = urllib.request.Request(
+                endpoint.base_url, data=raw_request.encode("utf-8"), headers=headers, method="POST"
             )
-        except requests.RequestException as exc:
+            status, raw_response = _post(request, self.timeout_s)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"request to {endpoint.base_url} failed: {exc}",
                                  retryable=True) from exc
-        if response.status_code != 200:
-            retryable = response.status_code == 429 or response.status_code >= 500
+        if status != 200:
             raise TransportError(
-                f"endpoint returned HTTP {response.status_code}: {response.text[:200]}",
-                retryable=retryable,
+                f"endpoint returned HTTP {status}: {raw_response[:200]}",
+                retryable=status == 429 or status >= 500,
             )
-        text, tin, tout = parse_response_body(response.text)
-        return ChatReply(
-            text=text,
-            input_tokens=tin,
-            output_tokens=tout,
-            raw_request=raw_request,
-            raw_response=response.text,
-        )
+        return parse_response_body(raw_request, raw_response)
 
 
 class ChatClient:
@@ -193,5 +214,6 @@ __all__ = [
     "Transport",
     "ChatClient",
     "build_request_body",
+    "encode_request",
     "parse_response_body",
 ]

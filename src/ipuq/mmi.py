@@ -78,7 +78,7 @@ def interval_width_mmi(lower: float, upper: float) -> MmiScore:
     return MmiScore(value=upper - lower, mode=MODE_INTERVAL_WIDTH, event_count=4)
 
 
-def mmi_upper_bound(lowers: Sequence[float], *, tol: float = PROB_TOL) -> MmiScore:
+def mmi_upper_bound(lowers: Sequence[float]) -> MmiScore:
     """Upper bound on the MMI from lower probabilities alone.
 
     Whatever the event, its upper probability is at most 1 and its lower
@@ -91,7 +91,7 @@ def mmi_upper_bound(lowers: Sequence[float], *, tol: float = PROB_TOL) -> MmiSco
         if lo < 0.0:
             raise InvalidIntervalError(f"negative lower bound at index {i}: {lo!r}")
     total = sum(lowers)
-    if total > 1.0 + tol:
+    if total > 1.0 + PROB_TOL:
         raise LowerSumExceedsOneError(f"lower bounds sum to {total!r} > 1")
     return MmiScore(value=min(1.0, max(0.0, 1.0 - total)), mode=MODE_UPPER_BOUND)
 

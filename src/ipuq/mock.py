@@ -30,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from .core import IpuqError
-from .elicit.client import ChatReply, ModelEndpoint, build_request_body
+from .elicit.client import ChatReply, ModelEndpoint, encode_request, parse_response_body
 from .elicit.prompts import (
     NOTA_LABEL,
     PromptKind,
@@ -255,15 +255,15 @@ class MockResponder:
             )
         return self.agent.reply(kind, question, extract_candidates(user_text), seed)
 
-    def respond(self, request_body: dict[str, Any]) -> dict[str, Any]:
-        """Chat-completion request dict in, chat-completion response dict out."""
+    def respond(self, request_body: dict[str, Any]) -> str:
+        """Chat-completion request dict in, serialized chat-completion response out."""
         messages = request_body.get("messages", [])
         user_text = next(
             (m.get("content", "") for m in messages if m.get("role") == "user"), ""
         )
         text = self.reply_text(user_text, request_body.get("seed"))
         prompt_tokens = sum(len(m.get("content", "").split()) for m in messages)
-        return {
+        response = {
             "object": "chat.completion",
             "model": request_body.get("model", "mock"),
             "choices": [
@@ -278,6 +278,7 @@ class MockResponder:
                 "completion_tokens": len(text.split()),
             },
         }
+        return json.dumps(response, sort_keys=True, ensure_ascii=False)
 
 
 class MockTransport:
@@ -289,18 +290,8 @@ class MockTransport:
 
     def send(self, endpoint: ModelEndpoint, system_text: str, user_text: str) -> ChatReply:
         self.calls += 1
-        body = build_request_body(endpoint, system_text, user_text)
-        raw_request = json.dumps(body, sort_keys=True, ensure_ascii=False)
-        response = self.responder.respond(body)
-        raw_response = json.dumps(response, sort_keys=True, ensure_ascii=False)
-        usage = response["usage"]
-        return ChatReply(
-            text=response["choices"][0]["message"]["content"],
-            input_tokens=usage["prompt_tokens"],
-            output_tokens=usage["completion_tokens"],
-            raw_request=raw_request,
-            raw_response=raw_response,
-        )
+        body, raw_request = encode_request(endpoint, system_text, user_text)
+        return parse_response_body(raw_request, self.responder.respond(body))
 
 
 class _MockHandler(BaseHTTPRequestHandler):
@@ -310,9 +301,7 @@ class _MockHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
         try:
-            body = json.loads(raw)
-            response = self.responder.respond(body)
-            payload = json.dumps(response, sort_keys=True, ensure_ascii=False)
+            payload = self.responder.respond(json.loads(raw))
             status = 200
         except (ScriptExhaustedError, NoScriptEntryError, ValueError, KeyError) as exc:
             payload = json.dumps({"error": f"{type(exc).__name__}: {exc}"})

@@ -22,10 +22,6 @@ KL_SMOOTHING_EPS = 1e-9
 DECOMPOSITION_TOL = 1e-9
 
 
-class SupportMismatchError(IpuqError, ValueError):
-    pass
-
-
 class NegativeScoreError(IpuqError, ValueError):
     pass
 
@@ -70,21 +66,14 @@ def bernoulli_entropy(p: float) -> float:
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
 
 
-def ce_kl_decomposition(
-    reference: PrecisePMF,
-    predicted: PrecisePMF,
-    *,
-    smooth: bool = True,
-) -> Decomposition:
+def ce_kl_decomposition(reference: PrecisePMF, predicted: PrecisePMF) -> Decomposition:
     """Split ``CE(reference, predicted)`` into entropy plus divergence.
 
     Both PMFs must live on the same candidate set.  When the prediction
     assigns zero to an answer the reference supports, the cross-entropy is
-    infinite; with ``smooth=True`` (the default) the prediction is floored
-    at ``KL_SMOOTHING_EPS`` and renormalized first, and the result is marked
-    ``smoothed``.  With ``smooth=False`` such a mismatch raises
-    :class:`SupportMismatchError` instead.  Tiny negative divergences from
-    float rounding are clamped to 0.
+    infinite, so the prediction is floored at ``KL_SMOOTHING_EPS`` and
+    renormalized first, and the result is marked ``smoothed``.  Tiny negative
+    divergences from float rounding are clamped to 0.
     """
     if reference.candidates != predicted.candidates:
         raise CandidateSetMismatchError("decomposition needs PMFs on one candidate set")
@@ -92,10 +81,6 @@ def ce_kl_decomposition(
     pred = list(predicted.probs)
     mismatch = any(r > 0.0 and q == 0.0 for r, q in zip(ref, pred))
     if mismatch:
-        if not smooth:
-            raise SupportMismatchError(
-                "prediction assigns zero probability inside the reference support"
-            )
         logger.debug("flooring predicted PMF at %g before KL", KL_SMOOTHING_EPS)
         pred = [max(q, KL_SMOOTHING_EPS) for q in pred]
         total = sum(pred)
@@ -128,7 +113,6 @@ def combined_score(first_order: float, second_order: float) -> float:
 __all__ = [
     "KL_SMOOTHING_EPS",
     "DECOMPOSITION_TOL",
-    "SupportMismatchError",
     "NegativeScoreError",
     "Decomposition",
     "entropy",

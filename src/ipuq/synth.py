@@ -30,6 +30,9 @@ SHIFT_RIGHT = "right"
 
 _ALPHABET = string.ascii_uppercase
 
+#: Most casings ``ground_truth_variants`` enumerates: words of up to 20 letters.
+_MAX_CASINGS = 2**20
+
 
 class NonAlphabetInputError(IpuqError, ValueError):
     pass
@@ -148,15 +151,6 @@ def _lowercase_with(rng: random.Random, text: str, p: float) -> str:
     return "".join(c.lower() if c in _ALPHABET and rng.random() < p else c for c in text)
 
 
-def inject_case_noise(text: str, noise: NoiseSpec) -> str:
-    """Lowercase each letter independently with probability ``noise.p``.
-
-    Deterministic given ``noise.rng_seed``; ``p=0`` returns the input
-    unchanged and ``p=1`` lowercases every letter.
-    """
-    return _lowercase_with(random.Random(noise.rng_seed), text, noise.p)
-
-
 @dataclass(frozen=True)
 class IclTask:
     """One generated task: noisy demonstrations plus a held-out query."""
@@ -268,12 +262,7 @@ class CaseVariant:
     prob: float
 
 
-def ground_truth_variants(
-    clean: str,
-    p: float,
-    *,
-    max_enum: int = 2**20,
-) -> tuple[CaseVariant, ...]:
+def ground_truth_variants(clean: str, p: float) -> tuple[CaseVariant, ...]:
     """All casings of ``clean`` with their exact probabilities.
 
     Under per-letter lowercase noise the variant with ``k`` lowered letters
@@ -288,9 +277,9 @@ def ground_truth_variants(
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"noise probability must lie in [0, 1], got {p!r}")
     length = len(clean)
-    if 2**length > max_enum:
+    if 2**length > _MAX_CASINGS:
         raise EnumerationTooLargeError(
-            f"2^{length} casings exceed the enumeration cap of {max_enum}"
+            f"2^{length} casings exceed the enumeration cap of {_MAX_CASINGS}"
         )
     variants: list[CaseVariant] = []
     for mask in range(2**length):
@@ -321,7 +310,6 @@ __all__ = [
     "apply_rotation",
     "apply_cyclic_shift",
     "apply_transform",
-    "inject_case_noise",
     "generate_icl_task",
     "format_icl_prompt",
     "ground_truth_variants",

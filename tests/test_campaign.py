@@ -48,7 +48,7 @@ from ipuq.core import (
     interval_from_credal,
 )
 from ipuq.cli import EXIT_PARTIAL, main
-from ipuq.elicit.client import ChatClient, ModelEndpoint, TransportError
+from ipuq.elicit.client import ChatClient, HttpTransport, ModelEndpoint, TransportError
 from ipuq.elicit.prompts import extract_question
 from ipuq.metrics import cost_report
 from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
@@ -406,6 +406,29 @@ class TestRunCampaign:
             return [canonical_json(r) for r in records]
 
         assert one_run("a", 1) == one_run("b", 1) == one_run("c", 4)
+
+    def test_http_and_in_process_campaigns_write_the_same_records(self, tmp_path, serve):
+        def records_without_timing(subdir, base_url, transport):
+            config = make_config(
+                tmp_path,
+                methods=ALL_METHODS,
+                seeds=(0, 3),
+                output_dir=str(tmp_path / subdir),
+                concurrency=2,
+                endpoints=(ModelEndpoint(base_url=base_url, model_id="mock-agent"),),
+            )
+            run_campaign(config, client=ChatClient(transport))
+            records = load_run_records(records_path(config.output_dir))
+            for record in records:
+                record.pop("timing")
+            return [canonical_json(r) for r in records]
+
+        script = MockScript(agent=AgentConfig(noise_p=0.3))
+        with serve(script) as base_url:
+            # credal member tags carry the endpoint URL, so both runs name the server
+            over_http = records_without_timing("http", base_url, HttpTransport(timeout_s=10.0))
+        in_process = records_without_timing("inproc", base_url, MockTransport(script))
+        assert over_http == in_process
 
     def test_stored_scores_recompute_exactly(self, tmp_path):
         config = make_config(tmp_path, methods=ALL_METHODS)

@@ -109,6 +109,14 @@ class TestSynthRun:
         assert info.value.code == 2
         assert "--base-url needs --model" in capsys.readouterr().err
 
+    def test_endpoint_flags_without_base_url_are_refused(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "run", "--model", "gpt-x", "--seed", "4", "--auth-env", "FOO",
+                  "--temperature", "0"])
+        assert info.value.code == 2
+        assert ("--model, --auth-env, --temperature, --seed need --base-url"
+                in capsys.readouterr().err)
+
     def test_credal_method(self, capsys):
         code = main([
             "synth", "run", "--p-grid", "0.25", "--m-grid", "2",

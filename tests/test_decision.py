@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ipuq.core import (
     CandidateSet,
@@ -13,18 +11,14 @@ from ipuq.core import (
     build_pmf,
 )
 from ipuq.decision import (
-    RULE_BAYES_EU,
     RULE_MAXIMAX,
     RULE_MAXIMIN,
     RULE_PRECISE_ARGMAX,
-    WeightSumViolationError,
     alignment_rate,
-    bayes_expected_utility,
     maximax,
     maximin,
     precise_argmax,
     utilitarian_aggregate,
-    utilitarian_mean_rows,
 )
 
 
@@ -86,30 +80,6 @@ def _credal(member_probs):
     )
 
 
-def test_bayes_expected_utility_frozen_mixture():
-    credal = _credal([[0.7, 0.3], [0.3, 0.7]])
-    # 0.4 * (0.7, 0.3) + 0.6 * (0.3, 0.7) = (0.46, 0.54)
-    out = bayes_expected_utility(credal, [0.4, 0.6])
-    assert out.rule == RULE_BAYES_EU
-    assert out.chosen_index == 1
-
-
-def test_bayes_expected_utility_degenerate_weight_matches_member_argmax():
-    credal = _credal([[0.7, 0.3], [0.3, 0.7]])
-    assert bayes_expected_utility(credal, [1.0, 0.0]).chosen_index == 0
-    assert bayes_expected_utility(credal, [0.0, 1.0]).chosen_index == 1
-
-
-def test_bayes_expected_utility_validates_weights():
-    credal = _credal([[0.7, 0.3], [0.3, 0.7]])
-    with pytest.raises(LengthMismatchError):
-        bayes_expected_utility(credal, [1.0])
-    with pytest.raises(WeightSumViolationError):
-        bayes_expected_utility(credal, [0.8, 0.8])
-    with pytest.raises(WeightSumViolationError):
-        bayes_expected_utility(credal, [-0.5, 1.5])
-
-
 def test_utilitarian_aggregate_is_member_mean():
     credal = _credal([[0.9, 0.1], [0.2, 0.8], [0.1, 0.9]])
     agg = utilitarian_aggregate(credal)
@@ -123,33 +93,6 @@ def test_utilitarian_aggregate_can_beat_majority_vote():
     votes = [precise_argmax(m).chosen_index for m in credal.members]
     assert votes.count(1) > votes.count(0)
     assert precise_argmax(utilitarian_aggregate(credal)).chosen_index == 0
-
-
-def test_utilitarian_mean_rows_stays_unnormalized():
-    mean = utilitarian_mean_rows([[1.0, 0.0, 3.0], [0.0, 1.0, 1.0]])
-    assert mean == [0.5, 0.5, 2.0]
-    with pytest.raises(LengthMismatchError):
-        utilitarian_mean_rows([])
-    with pytest.raises(LengthMismatchError):
-        utilitarian_mean_rows([[1.0], [1.0, 2.0]])
-
-
-@given(
-    st.lists(
-        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=3),
-        min_size=1,
-        max_size=6,
-    )
-)
-@settings(max_examples=60)
-def test_equal_weight_bayes_matches_utilitarian_argmax(rows):
-    c = cands(3)
-    members = tuple(build_pmf(c, row, renormalize=True) for row in rows)
-    credal = CredalSet(candidates=c, members=members)
-    m = len(members)
-    via_bayes = bayes_expected_utility(credal, [1.0 / m] * m)
-    via_mean = precise_argmax(utilitarian_aggregate(credal))
-    assert via_bayes.chosen_index == via_mean.chosen_index
 
 
 def test_alignment_rate_folds_case():

@@ -216,10 +216,11 @@ def test_exact_mmi_at_least_envelope_singleton_width(credal):
         assert exact >= max(col) - min(col) - 1e-15
 
 
-def test_package_imports_without_numpy():
+def test_package_imports_without_numpy_or_requests():
     code = (
-        "import sys, ipuq, ipuq.campaign, ipuq.cli; "
-        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        "import sys, ipuq, ipuq.campaign, ipuq.cli, ipuq.mock; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'; "
+        "assert 'requests' not in sys.modules, 'requests was imported'"
     )
     src = os.path.dirname(os.path.dirname(ipuq.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,11 +1,25 @@
 """Mock endpoint: scripted replies, the analytic agent, and the HTTP face."""
 
 import json
+import logging
+import os
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import ipuq
 from ipuq.core import CandidateSet
-from ipuq.elicit.client import ChatClient, HttpTransport, ModelEndpoint, TransportError
+from ipuq.elicit.client import (
+    ChatClient,
+    HttpTransport,
+    ModelEndpoint,
+    TransportError,
+    encode_request,
+)
 from ipuq.elicit.loop import elicit_with_retry
 from ipuq.elicit.prompts import SYSTEM_TEXT, PromptKind, render_prompt
 from ipuq.mock import (
@@ -235,6 +249,8 @@ class TestHttpFace:
         assert over_http.text == in_proc.text
         assert over_http.input_tokens == in_proc.input_tokens
         assert over_http.output_tokens == in_proc.output_tokens
+        assert over_http.raw_request == in_proc.raw_request
+        assert over_http.raw_response == in_proc.raw_response
 
     def test_exhausted_script_returns_http_500(self, serve):
         script = MockScript(
@@ -255,3 +271,148 @@ class TestHttpFace:
                 transport.send(endpoint, SYSTEM_TEXT, user)
         assert "500" in str(info.value)
         assert info.value.retryable
+
+
+CHAT_BODY = json.dumps({
+    "choices": [{"message": {"role": "assistant", "content": "café ok"}}],
+    "usage": {"prompt_tokens": 3, "completion_tokens": 2},
+}, ensure_ascii=False)
+
+
+class _FixedReplyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``reply`` (status, content type,
+    body bytes) and keeps each request's path, headers and body in ``seen``."""
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers, body))
+        status, content_type, payload = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+@pytest.fixture
+def fixed_reply():
+    """A loopback server whose ``reply`` a test sets; yields (server, url)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixedReplyHandler)
+    server.seen = []
+    server.reply = (200, "application/json", CHAT_BODY.encode("utf-8"))
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _send(base_url, timeout_s=10.0, **endpoint):
+    return HttpTransport(timeout_s=timeout_s).send(
+        ModelEndpoint(base_url=base_url, model_id="m", **endpoint), "sys", "user"
+    )
+
+
+class TestHttpTransport:
+    def test_ok_reply_keeps_both_bodies_verbatim(self, fixed_reply):
+        server, url = fixed_reply
+        reply = _send(url)
+        _, raw_request = encode_request(ModelEndpoint(base_url=url, model_id="m"), "sys", "user")
+        assert (reply.text, reply.input_tokens, reply.output_tokens) == ("café ok", 3, 2)
+        assert reply.raw_request == raw_request
+        assert reply.raw_response == CHAT_BODY
+        ((path, headers, body),) = server.seen
+        assert body == raw_request.encode("utf-8")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"  # one connection per request
+
+    @pytest.mark.parametrize("status, retryable", ((201, False), (404, False),
+                                                   (429, True), (503, True)))
+    def test_non_200_status_raises(self, fixed_reply, status, retryable):
+        server, url = fixed_reply
+        server.reply = (status, "text/plain", b"x" * 150 + "é".encode("utf-8") + b"y" * 100)
+        with pytest.raises(TransportError) as info:
+            _send(url)
+        assert str(info.value) == f"endpoint returned HTTP {status}: " + "x" * 150 + "é" + "y" * 49
+        assert info.value.retryable is retryable
+
+    @pytest.mark.parametrize("content_type, payload, expected", (
+        ("application/json; charset=latin-1", CHAT_BODY.encode("latin-1"), CHAT_BODY),
+        ("application/json", CHAT_BODY.encode("utf-8"), CHAT_BODY),
+        ("application/json; charset=no-such-codec", CHAT_BODY.encode("utf-8"), CHAT_BODY),
+        ("application/json", CHAT_BODY.encode("latin-1"), CHAT_BODY.replace("é", "\ufffd")),
+    ), ids=("declared-charset", "utf-8-default", "unknown-charset", "undecodable-bytes"))
+    def test_body_decoding(self, fixed_reply, content_type, payload, expected):
+        server, url = fixed_reply
+        server.reply = (200, content_type, payload)
+        reply = _send(url)
+        assert reply.raw_response == expected
+        assert reply.text == json.loads(expected)["choices"][0]["message"]["content"]
+
+    def test_connection_refused_is_retryable(self):
+        with socket.create_server(("127.0.0.1", 0)) as sock:
+            port = sock.getsockname()[1]
+        with pytest.raises(TransportError, match="failed") as info:
+            _send(f"http://127.0.0.1:{port}/v1")
+        assert info.value.retryable
+
+    def test_timeout_is_retryable(self):
+        # The kernel accepts the connection into the backlog; nobody answers.
+        with socket.create_server(("127.0.0.1", 0)) as sock:
+            with pytest.raises(TransportError, match="timed out") as info:
+                _send(f"http://127.0.0.1:{sock.getsockname()[1]}/v1", timeout_s=0.2)
+        assert info.value.retryable
+
+    @pytest.mark.parametrize("base_url", ("127.0.0.1/v1", "nope://127.0.0.1/v1"))
+    def test_unusable_url_is_retryable(self, base_url):
+        with pytest.raises(TransportError, match="unknown url type") as info:
+            _send(base_url)
+        assert info.value.retryable
+
+    def test_bearer_token_is_sent_but_not_recorded(self, fixed_reply, monkeypatch):
+        server, url = fixed_reply
+        monkeypatch.setenv("IPUQ_TEST_TOKEN", "s3cret-token")
+        reply = _send(url, auth_token_env="IPUQ_TEST_TOKEN")
+        ((_, headers, _),) = server.seen
+        assert headers["Authorization"] == "Bearer s3cret-token"
+        assert "s3cret-token" not in reply.raw_request
+
+    def test_token_is_read_at_request_time(self, fixed_reply, monkeypatch, caplog):
+        server, url = fixed_reply
+        monkeypatch.delenv("IPUQ_TEST_TOKEN", raising=False)
+        transport = HttpTransport(timeout_s=10.0)
+        endpoint = ModelEndpoint(base_url=url, model_id="m", auth_token_env="IPUQ_TEST_TOKEN")
+        with caplog.at_level(logging.WARNING, logger="ipuq.elicit.client"):
+            transport.send(endpoint, "sys", "user")
+        assert "auth variable IPUQ_TEST_TOKEN is not set" in caplog.text
+        monkeypatch.setenv("IPUQ_TEST_TOKEN", "later")
+        transport.send(endpoint, "sys", "user")
+        assert [h["Authorization"] for _, h, _ in server.seen] == [None, "Bearer later"]
+
+    def test_http_proxy_is_honoured(self, fixed_reply):
+        # urllib builds its default opener, proxies included, once per
+        # process, so the proxied request runs in a fresh interpreter.
+        server, proxy_url = fixed_reply
+        target = "http://endpoint.invalid/v1/chat/completions"
+        env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+        env.update(PYTHONPATH=os.path.dirname(os.path.dirname(ipuq.__file__)),
+                   HTTP_PROXY=proxy_url.rsplit("/v1", 1)[0])
+        code = (
+            "from ipuq.elicit.client import HttpTransport, ModelEndpoint; "
+            f"print(HttpTransport(timeout_s=10.0).send(ModelEndpoint({target!r}, 'm'), "
+            "'sys', 'user').text)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "café ok\n"
+        ((path, headers, _),) = server.seen
+        assert path == target  # a proxy gets the absolute URL
+        assert headers["Host"] == "endpoint.invalid"

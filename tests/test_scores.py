@@ -10,7 +10,6 @@ from ipuq.scores import (
     DECOMPOSITION_TOL,
     Decomposition,
     NegativeScoreError,
-    SupportMismatchError,
     bernoulli_entropy,
     ce_kl_decomposition,
     combined_score,
@@ -105,12 +104,6 @@ def test_support_mismatch_smoothing_marks_result():
     assert d.smoothed
     assert d.kl_eu > 1.0  # half the mass was floored at ~1e-9
     assert abs(d.cross_entropy - (d.entropy_au + d.kl_eu)) <= DECOMPOSITION_TOL
-
-
-def test_support_mismatch_strict_mode_raises():
-    ref, pred = pair([0.5, 0.5], [1.0, 0.0])
-    with pytest.raises(SupportMismatchError):
-        ce_kl_decomposition(ref, pred, smooth=False)
 
 
 def test_zero_reference_mass_needs_no_smoothing():

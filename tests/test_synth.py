@@ -20,7 +20,6 @@ from ipuq.synth import (
     format_icl_prompt,
     generate_icl_task,
     ground_truth_variants,
-    inject_case_noise,
 )
 
 # ---------------------------------------------------------------------------
@@ -133,28 +132,6 @@ def test_transform_pipeline_equals_manual_composition(word, rot, shift):
 # ---------------------------------------------------------------------------
 
 
-def test_inject_case_noise_extremes():
-    assert inject_case_noise("HELLO", NoiseSpec(p=0.0, rng_seed=1)) == "HELLO"
-    assert inject_case_noise("HELLO", NoiseSpec(p=1.0, rng_seed=1)) == "hello"
-
-
-def test_inject_case_noise_deterministic_per_seed():
-    a = inject_case_noise("ABCDEFGH", NoiseSpec(p=0.5, rng_seed=7))
-    b = inject_case_noise("ABCDEFGH", NoiseSpec(p=0.5, rng_seed=7))
-    c = inject_case_noise("ABCDEFGH", NoiseSpec(p=0.5, rng_seed=8))
-    assert a == b
-    assert a != c  # overwhelmingly likely for 8 letters
-
-
-def test_inject_case_noise_rate_tracks_p():
-    total = lowered = 0
-    for seed in range(400):
-        out = inject_case_noise("ABCDEFGHIJ", NoiseSpec(p=0.3, rng_seed=seed))
-        lowered += sum(1 for ch in out if ch.islower())
-        total += len(out)
-    assert abs(lowered / total - 0.3) < 0.03
-
-
 def test_noise_spec_validates_p():
     with pytest.raises(ValueError):
         NoiseSpec(p=1.5)
@@ -250,6 +227,20 @@ def test_generate_icl_task_outputs_carry_noise_only_in_casing():
     for x, y in task.examples:
         assert y.upper() == apply_rotation(x, 1)
     assert task.clean_query_output.isupper()
+
+
+def test_generate_icl_task_noise_rate_tracks_p():
+    def lowered_share(p, rng_seed):
+        task = generate_icl_task(
+            _spec(), NoiseSpec(p=p, rng_seed=rng_seed), m=40, word_length=10, rng_seed=rng_seed
+        )
+        outputs = "".join(y for _, y in task.examples)
+        return sum(ch.islower() for ch in outputs) / len(outputs)
+
+    assert lowered_share(0.0, 1) == 0.0
+    assert lowered_share(1.0, 1) == 1.0
+    shares = [lowered_share(0.3, seed) for seed in range(10)]
+    assert abs(sum(shares) / len(shares) - 0.3) < 0.03
 
 
 def test_generate_icl_task_zero_examples():
