@@ -14,9 +14,9 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CandidateSet,
@@ -252,16 +252,25 @@ def append_records(path: str, records: Iterable[dict]) -> None:
             fh.write(canonical_json(rec) + "\n")
 
 
+def _record_lines(path: str) -> Iterator[str]:
+    """Yield the record lines of a records file one at a time, skipping blank
+    lines, after checking the schema header; an empty file yields nothing."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.isspace():
+                continue
+            header = json.loads(line)
+            if header.get("schema") != RECORD_SCHEMA:
+                raise RecordsSchemaError(f"unexpected records schema {header.get('schema')!r}")
+            break
+        for line in fh:
+            if not line.isspace():
+                yield line
+
+
 def load_run_records(path: str) -> list[dict]:
     """Read records back, validating the header line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    if not lines:
-        return []
-    header = json.loads(lines[0])
-    if header.get("schema") != RECORD_SCHEMA:
-        raise RecordsSchemaError(f"unexpected records schema {header.get('schema')!r}")
-    return [json.loads(ln) for ln in lines[1:]]
+    return [json.loads(line) for line in _record_lines(path)]
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -280,13 +289,32 @@ def _drop_torn_tail(path: str) -> None:
     logger.warning("dropped %d bytes of a torn trailing record in %s", len(data) - keep, path)
 
 
+_KEY_SPAN = '"key":{'
+_DECODER = json.JSONDecoder()
+
+
+def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
+    return (key["question_id"], key["method"], key["seed"])
+
+
 def existing_keys(path: str) -> set[tuple[str, str, int]]:
+    """The (question_id, method, seed) keys recorded in ``path``.
+
+    Only each record's ``key`` object is decoded.  In canonical JSON the first
+    raw ``"key":{`` of a line opens it: no other member of a record named
+    ``key`` holds an object, and a ``"`` inside a string is always escaped.
+    A line without that span (not in canonical form) is decoded in full.
+    """
     if not os.path.exists(path):
         return set()
     keys = set()
-    for rec in load_run_records(path):
-        k = rec["key"]
-        keys.add((k["question_id"], k["method"], k["seed"]))
+    for line in _record_lines(path):
+        at = line.find(_KEY_SPAN)
+        if at >= 0:
+            key = _DECODER.raw_decode(line, at + len(_KEY_SPAN) - 1)[0]
+        else:
+            key = json.loads(line)["key"]
+        keys.add(_key_tuple(key))
     return keys
 
 
@@ -700,6 +728,16 @@ def _build_record(
     }
 
 
+def _append_finished(path: str, futures: list[Future]) -> None:
+    """Write the records of the finished cells not yet in the file, in job
+    order, so that cells billed before a Ctrl-C are not elicited again."""
+    wait(futures)
+    _drop_torn_tail(path)
+    recorded = existing_keys(path)
+    finished = [f.result() for f in futures if not f.cancelled() and f.exception() is None]
+    append_records(path, [r for r in finished if _key_tuple(r["key"]) not in recorded])
+
+
 def run_campaign(
     config: CampaignConfig,
     *,
@@ -714,7 +752,8 @@ def run_campaign(
     resumable.  A cell that raises is recorded as failed, with its error and
     its billed attempts, and counts as completed; the caller decides whether
     a partial campaign is acceptable.  If the writer stops (a failed write,
-    Ctrl-C), no further cells are started.
+    Ctrl-C), no further cells are started; on Ctrl-C the cells already in
+    flight finish and are written before the interrupt propagates.
     """
     client = client if client is not None else ChatClient()
     qrecords = load_dataset(config.dataset)
@@ -728,17 +767,27 @@ def run_campaign(
         for seed in config.seeds
         if (q.question_id, method, seed) not in done
     ]
+    cells = len(qrecords) * len(config.methods) * len(config.seeds)
+    logger.info("%s: %d cells already recorded, %d to run", path, cells - len(jobs), len(jobs))
     if not jobs:
-        logger.info("nothing to do: all %d cells already recorded", len(done))
         return []
 
     written: list[dict[str, Any]] = []
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        # Leaving this loop on an exception closes the map, which cancels the
-        # cells that have not started.
-        for record in pool.map(lambda job: _run_cell(config, client, *job), jobs):
-            append_records(path, [record])
-            written.append(record)
+        futures = [pool.submit(_run_cell, config, client, *job) for job in jobs]
+        try:
+            for future in futures:
+                record = future.result()
+                append_records(path, [record])
+                written.append(record)
+        except BaseException as exc:
+            # Cancelling from the back, as Executor.map does, leaves the
+            # cells that started a job-order prefix.
+            for future in reversed(futures):
+                future.cancel()
+            if isinstance(exc, KeyboardInterrupt):
+                _append_finished(path, futures)
+            raise
     failed = sum(1 for r in written if not r["elicitation"]["succeeded"])
     if failed:
         logger.warning("campaign finished with %d/%d failed cells", failed, len(written))

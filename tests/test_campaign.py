@@ -5,18 +5,23 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import random
 import re
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipuq.campaign
 from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
+    METHODS,
     MODE_ANSWER,
     MODE_AUTO,
     MODE_SET,
@@ -79,6 +84,13 @@ def make_config(tmp_path, **overrides):
     )
     defaults.update(overrides)
     return CampaignConfig(**defaults)
+
+
+def _records_without_timing(config):
+    records = load_run_records(records_path(config.output_dir))
+    for record in records:
+        record.pop("timing")
+    return records
 
 
 def agent_client(**kwargs):
@@ -170,6 +182,113 @@ class TestRecordsFile:
             ],
         )
         assert existing_keys(path) == {("q1", "definetti", 0), ("q1", "probint", 2)}
+
+    def test_load_skips_blank_lines_and_reads_an_empty_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert load_run_records(str(path)) == []
+        assert existing_keys(str(path)) == set()
+        record = {"key": {"question_id": "q", "method": "vanilla", "seed": 1}}
+        path.write_text(f"\n{canonical_json({'schema': RECORD_SCHEMA})}\n \n"
+                        f"{canonical_json(record)}\n\n", encoding="utf-8")
+        assert load_run_records(str(path)) == [record]
+        assert existing_keys(str(path)) == {("q", "vanilla", 1)}
+
+    def test_header_only_file_has_no_keys(self, tmp_path):
+        path = records_path(str(tmp_path))
+        append_records(path, [])
+        assert Path(path).read_text(encoding="utf-8") == canonical_json(
+            {"schema": RECORD_SCHEMA}) + "\n"
+        assert existing_keys(path) == set()
+
+    def test_existing_keys_refuses_a_wrong_header(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"schema":"someone.elses.v9"}\n'
+                        '{"key":{"method":"m","question_id":"q","seed":0}}\n', encoding="utf-8")
+        with pytest.raises(RecordsSchemaError):
+            existing_keys(str(path))
+
+    def test_a_non_canonical_line_is_decoded_in_full(self, tmp_path):
+        path = records_path(str(tmp_path))
+        append_records(path, [])
+        record = {"question": "q?", "key": {"seed": 3, "question_id": "q7", "method": "probint"},
+                  "endpoint": {"key": "k"}}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        assert '"key": {' in Path(path).read_text(encoding="utf-8")
+        assert existing_keys(path) == {("q7", "probint", 3)}
+
+    def test_a_line_without_a_key_span_must_decode(self, tmp_path):
+        path = records_path(str(tmp_path))
+        append_records(path, [{"key": {"question_id": "q", "method": "m", "seed": 0}}])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": {"question_id": "q2", "method": "m", "seed": 0\n')
+        with pytest.raises(json.JSONDecodeError):
+            existing_keys(path)
+
+    def test_keys_are_read_without_loading_records(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path)
+        run_campaign(config, client=agent_client()[0])
+
+        def refuse(path):
+            raise AssertionError("a resume decoded every record")
+
+        monkeypatch.setattr(ipuq.campaign, "load_run_records", refuse)
+        assert existing_keys(records_path(config.output_dir)) == {
+            ("synth-0000", "definetti", 0), ("synth-0001", "definetti", 0)}
+        client, transport = agent_client()
+        assert run_campaign(config, client=client) == []
+        assert transport.calls == 0
+
+
+# Strings a record may carry verbatim from a question file or an endpoint: a
+# raw key span, quotes, backslashes, line breaks JSON leaves unescaped
+# (U+2028, U+0085) and non-ASCII text.
+_TRICKY = st.sampled_from((
+    '"key":{"method":"definetti","question_id":"q","seed":0}', '{"key":{', '\\"key\\":{',
+    "\\", '"', "\n", "\r", "\u2028", "\x85", "é", "問", "\U0001f4a5",
+))
+_TEXT = st.lists(st.one_of(_TRICKY, st.text(max_size=4)), max_size=4).map("".join)
+
+
+@st.composite
+def _stored_records(draw):
+    failed = draw(st.booleans())
+    method = draw(st.sampled_from(METHODS))
+    return {
+        "key": {"question_id": draw(_TEXT), "method": method,
+                "seed": draw(st.integers(-(2 ** 40), 2 ** 40))},
+        "question": draw(_TEXT),
+        "candidates": {"answers": draw(st.lists(_TEXT, max_size=3)),
+                       "case_sensitive": False, "open_ended": True},
+        "truth_set": draw(st.lists(_TEXT, max_size=2)),
+        "endpoint": {"key": draw(_TEXT), "model_id": draw(_TEXT), "base_url": "inproc://agent"},
+        "elicitation": {
+            "kind": method,
+            "succeeded": not failed,
+            "error": draw(_TEXT) if failed else None,
+            "payload": None if failed else {"confidence": 0.5},
+            "transcripts": [{"member": 0, "attempts": [
+                {"attempt": 1, "request": draw(_TEXT), "response": draw(_TEXT),
+                 "reply": draw(_TEXT)}]}],
+        },
+        "decision": None if failed else {"chosen_answer": draw(_TEXT), "rule": "argmax"},
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_stored_records(), min_size=1, max_size=4))
+def test_key_scan_matches_a_full_decode(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = records_path(tmp)
+        append_records(path, records)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")[1:-1]
+        assert len(lines) == len(records)
+        full = {(k["question_id"], k["method"], k["seed"])
+                for k in (json.loads(line)["key"] for line in lines)}
+        assert existing_keys(path) == full
+        assert load_run_records(path) == records
 
 
 class TestPayloadRoundTrip:
@@ -362,13 +481,23 @@ class TestRunCampaign:
             (q, m, 0) for q in ("synth-0000", "synth-0001") for m in ("definetti", "probint")
         }
 
-    def test_resume_after_a_torn_last_record(self, tmp_path, caplog):
-        def records_without_timing(config):
-            records = load_run_records(records_path(config.output_dir))
-            for record in records:
-                record.pop("timing")
-            return records
+    def test_resume_logs_cells_recorded_and_left(self, tmp_path, caplog):
+        config = make_config(tmp_path, methods=("definetti", "probint"))
+        path = records_path(config.output_dir)
+        with caplog.at_level(logging.INFO, logger="ipuq.campaign"):
+            run_campaign(config, client=agent_client()[0])
+        assert caplog.messages == [f"{path}: 0 cells already recorded, 4 to run"]
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        Path(path).write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
 
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ipuq.campaign"):
+            run_campaign(config, client=agent_client()[0])
+            run_campaign(config, client=agent_client()[0])
+        assert caplog.messages == [f"{path}: 3 cells already recorded, 1 to run",
+                                   f"{path}: 4 cells already recorded, 0 to run"]
+
+    def test_resume_after_a_torn_last_record(self, tmp_path, caplog):
         whole = make_config(tmp_path, methods=("definetti", "probint"),
                             output_dir=str(tmp_path / "whole"))
         run_campaign(whole, client=agent_client()[0])
@@ -387,7 +516,7 @@ class TestRunCampaign:
         assert f"dropped {cut - last_start} bytes" in caplog.text
         assert transport.calls == 1
         assert [r["key"] for r in resumed] == [json.loads(data[last_start:])["key"]]
-        assert records_without_timing(torn) == records_without_timing(whole)
+        assert _records_without_timing(torn) == _records_without_timing(whole)
 
     def test_records_identical_across_runs_except_timing(self, tmp_path):
         def one_run(subdir, concurrency):
@@ -683,13 +812,17 @@ class TestUnexpectedExceptionsBecomeFailedRecords:
         assert f"wrote {self.QUESTIONS} records" in out and "(1 failed)" in out
 
 
+class SlowAgent(MockTransport):
+    def __init__(self):
+        super().__init__(MockScript(agent=AgentConfig()))
+
+    def send(self, endpoint, system_text, user_text):
+        time.sleep(0.005)  # a network round trip: the workers wait, the writer runs
+        return super().send(endpoint, system_text, user_text)
+
+
 class TestFailedWriteStopsTheCampaign:
     def test_no_cells_start_after_the_writer_fails(self, tmp_path, monkeypatch):
-        class SlowAgent(MockTransport):
-            def send(self, endpoint, system_text, user_text):
-                time.sleep(0.005)  # a network round trip: the workers wait, the writer runs
-                return super().send(endpoint, system_text, user_text)
-
         cells, fail_at = 40, 5
         writes = []
 
@@ -701,9 +834,55 @@ class TestFailedWriteStopsTheCampaign:
 
         monkeypatch.setattr(ipuq.campaign, "append_records", failing_append)
         config = make_config(tmp_path, dataset=synth_source(count=cells), concurrency=2)
-        transport = SlowAgent(MockScript(agent=AgentConfig()))
+        transport = SlowAgent()
         with pytest.raises(OSError, match="disk full"):
             run_campaign(config, client=ChatClient(transport))
         assert len(load_run_records(records_path(config.output_dir))) == fail_at - 1
         # the cells in flight when the write failed finish; no others start
         assert transport.calls < cells // 2
+
+
+class TestCtrlCWritesTheCellsInFlight:
+    CELLS = 12
+
+    @pytest.mark.parametrize("at", (1, 3, 6))
+    @pytest.mark.parametrize("when", ("before_write", "mid_write", "after_write"))
+    def test_finished_cells_are_written_and_billed_once(self, tmp_path, monkeypatch, at, when):
+        writes = 0
+
+        def interrupted_append(path, records):
+            nonlocal writes
+            writes += 1
+            if writes == at and when == "before_write":
+                raise KeyboardInterrupt
+            append_records(path, records)
+            if writes == at and when != "before_write":
+                if when == "mid_write":
+                    with open(path, "rb+") as fh:
+                        fh.truncate(os.path.getsize(path) - 10)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(ipuq.campaign, "append_records", interrupted_append)
+        config = make_config(tmp_path, dataset=synth_source(count=self.CELLS), concurrency=2,
+                             output_dir=str(tmp_path / "interrupted"))
+        transport = Served(SlowAgent())
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(config, client=ChatClient(transport))
+
+        whole = make_config(tmp_path, dataset=synth_source(count=self.CELLS),
+                            output_dir=str(tmp_path / "whole"))
+        run_campaign(whole, client=agent_client()[0])
+        expected = _records_without_timing(whole)
+        stored = _records_without_timing(config)
+        # the cells that ran are a job-order prefix, each written once
+        assert len(stored) >= at
+        assert stored == expected[: len(stored)]
+        # every billed request is on a record
+        assert sum(map(_served_by_record, stored), collections.Counter()) == sum(
+            transport.served.values(), collections.Counter()
+        )
+
+        resumed = Served(SlowAgent())
+        run_campaign(config, client=ChatClient(resumed))
+        assert not set(resumed.served) & set(transport.served)  # no cell billed twice
+        assert _records_without_timing(config) == expected
