@@ -273,20 +273,32 @@ def load_run_records(path: str) -> list[dict]:
     return [json.loads(line) for line in _record_lines(path)]
 
 
+#: Bytes read per step when scanning a records file backwards for its last
+#: newline; memory stays bounded however long the torn record is.
+_TAIL_CHUNK = 64 * 1024
+
+
 def _drop_torn_tail(path: str) -> None:
     """Truncate a final line without a newline, the remains of an interrupted
     append, so that a resume re-runs that cell instead of failing to decode it."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    if not os.path.exists(path):
         return
+    size = os.path.getsize(path)
+    keep = 0
     with open(path, "rb+") as fh:
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
+        stop = size
+        while stop > 0:
+            start = max(stop - _TAIL_CHUNK, 0)
+            fh.seek(start)
+            newline = fh.read(stop - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            stop = start
+        if keep == size:
             return
-        fh.seek(0)
-        data = fh.read()
-        keep = data.rfind(b"\n") + 1
         fh.truncate(keep)
-    logger.warning("dropped %d bytes of a torn trailing record in %s", len(data) - keep, path)
+    logger.warning("dropped %d bytes of a torn trailing record in %s", size - keep, path)
 
 
 _KEY_SPAN = '"key":{'

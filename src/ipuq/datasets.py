@@ -135,11 +135,14 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
 
     Any malformed row raises :class:`SchemaViolationError` naming the
     offending 1-based line number; blank lines are allowed and skipped.
+    A row without an ``id`` gets ``q`` plus its zero-padded line number, and
+    a question id, explicit or default, may appear only once per file.
     """
     if format not in _PARSERS:
         raise ValueError(f"unknown dataset format {format!r}; choose from {FORMATS}")
     parser = _PARSERS[format]
     records: list[QARecord] = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -158,6 +161,13 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
                 raise SchemaViolationError(line_no, str(exc)) from exc
             if record.question_id is None:
                 record.question_id = f"q{line_no:05d}"
+            if record.question_id in first_line:
+                raise SchemaViolationError(
+                    line_no,
+                    f"duplicate question id {record.question_id!r} "
+                    f"(first on line {first_line[record.question_id]})",
+                )
+            first_line[record.question_id] = line_no
             records.append(record)
     return records
 

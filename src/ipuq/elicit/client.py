@@ -9,13 +9,10 @@ never logged and never stored in recorded request bodies.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -113,8 +110,12 @@ def parse_response_body(raw_request: str, raw_response: str) -> ChatReply:
     )
 
 
-def _post(request: urllib.request.Request, timeout_s: float) -> tuple[int, str]:
+def _post(url: str, body: bytes, headers: dict[str, str], timeout_s: float) -> tuple[int, str]:
     """Status and decoded body of one POST; a non-2xx reply is returned, not raised."""
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         response = urllib.request.urlopen(request, timeout=timeout_s)
     except urllib.error.HTTPError as exc:
@@ -131,7 +132,10 @@ def _post(request: urllib.request.Request, timeout_s: float) -> tuple[int, str]:
 class HttpTransport:
     """POSTs chat requests with ``urllib.request``; raises TransportError on failure.
 
-    Each request opens its own connection.  Proxies come from the
+    The HTTP client modules (``urllib.request``, ``http.client`` and the
+    ``ssl``/``socket``/``email`` modules behind them) load on the first
+    request, so a process that never sends one never imports them.  Each
+    request opens its own connection.  Proxies come from the
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` environment and TLS is
     verified against the system CA store (``SSL_CERT_FILE`` overrides it).
     Redirects that would re-send the body (307, 308) are not followed.
@@ -141,6 +145,8 @@ class HttpTransport:
         self.timeout_s = timeout_s
 
     def send(self, endpoint: ModelEndpoint, system_text: str, user_text: str) -> ChatReply:
+        import http.client
+
         _, raw_request = encode_request(endpoint, system_text, user_text)
         headers = {"Content-Type": "application/json"}
         if endpoint.auth_token_env:
@@ -153,10 +159,9 @@ class HttpTransport:
                     endpoint.auth_token_env,
                 )
         try:
-            request = urllib.request.Request(
-                endpoint.base_url, data=raw_request.encode("utf-8"), headers=headers, method="POST"
+            status, raw_response = _post(
+                endpoint.base_url, raw_request.encode("utf-8"), headers, self.timeout_s
             )
-            status, raw_response = _post(request, self.timeout_s)
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"request to {endpoint.base_url} failed: {exc}",
                                  retryable=True) from exc

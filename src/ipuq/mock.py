@@ -16,7 +16,8 @@ Two reply sources, checked in order:
 The same responder serves in-process (as a transport, no sockets) and over
 HTTP (``ipuq mock serve``), byte-identical either way.  Replies, token
 counts and response bodies are fully deterministic; token usage is counted
-in whitespace-separated words.
+in whitespace-separated words.  ``http.server`` is imported only when a
+server is started, so in-process use never loads the network stack.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core import IpuqError
 from .elicit.client import ChatReply, ModelEndpoint, encode_request, parse_response_body
@@ -38,6 +38,9 @@ from .elicit.prompts import (
     extract_candidates,
     extract_question,
 )
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 logger = logging.getLogger(__name__)
 
@@ -294,37 +297,42 @@ class MockTransport:
         return parse_response_body(raw_request, self.responder.respond(body))
 
 
-class _MockHandler(BaseHTTPRequestHandler):
-    responder: MockResponder  # set by the server factory
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
-        try:
-            payload = self.responder.respond(json.loads(raw))
-            status = 200
-        except (ScriptExhaustedError, NoScriptEntryError, ValueError, KeyError) as exc:
-            payload = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
-            status = 500
-        data = payload.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("mock server: " + format, *args)
-
-
 #: How often the background server checks for ``shutdown()``; the
 #: ``serve_forever`` default of 0.5 s makes every shutdown wait that long.
 _SHUTDOWN_POLL_S = 0.01
 
 
 def _make_server(script: MockScript, host: str, port: int) -> ThreadingHTTPServer:
-    handler = type("BoundMockHandler", (_MockHandler,), {"responder": MockResponder(script)})
-    return ThreadingHTTPServer((host, port), handler)
+    """Bind a threading HTTP server whose handler answers from one responder.
+
+    ``http.server`` is imported here, so only a process that serves pays
+    for it.
+    """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    responder = MockResponder(script)
+
+    class MockHandler(BaseHTTPRequestHandler):
+        def do_POST(self) -> None:  # noqa: N802 - http.server API
+            length = int(self.headers.get("Content-Length", 0))
+            raw = self.rfile.read(length)
+            try:
+                payload = responder.respond(json.loads(raw))
+                status = 200
+            except (ScriptExhaustedError, NoScriptEntryError, ValueError, KeyError) as exc:
+                payload = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
+                status = 500
+            data = payload.encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            logger.debug("mock server: " + format, *args)
+
+    return ThreadingHTTPServer((host, port), MockHandler)
 
 
 def start_mock_server(

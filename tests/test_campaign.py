@@ -518,6 +518,33 @@ class TestRunCampaign:
         assert [r["key"] for r in resumed] == [json.loads(data[last_start:])["key"]]
         assert _records_without_timing(torn) == _records_without_timing(whole)
 
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 5)])
+    def test_torn_record_as_long_as_the_scan_chunk_or_longer(self, tmp_path, caplog,
+                                                             chunks, extra):
+        path = records_path(str(tmp_path))
+        append_records(path, [{"key": {"question_id": "q", "method": "vanilla", "seed": 0}}])
+        whole = Path(path).read_bytes()
+        torn = b"x" * (chunks * ipuq.campaign._TAIL_CHUNK + extra)
+        Path(path).write_bytes(whole + torn)
+        with caplog.at_level(logging.WARNING, logger="ipuq.campaign"):
+            ipuq.campaign._drop_torn_tail(path)
+        assert Path(path).read_bytes() == whole
+        assert f"dropped {len(torn)} bytes" in caplog.text
+
+    def test_resume_when_the_only_line_is_torn(self, tmp_path, caplog):
+        whole = make_config(tmp_path, output_dir=str(tmp_path / "whole"))
+        run_campaign(whole, client=agent_client()[0])
+        torn = make_config(tmp_path, output_dir=str(tmp_path / "torn"))
+        path = Path(records_path(torn.output_dir))
+        path.parent.mkdir()
+        path.write_bytes(b'{"schema":"ipu')
+
+        client, transport = agent_client()
+        with caplog.at_level(logging.WARNING, logger="ipuq.campaign"):
+            run_campaign(torn, client=client)
+        assert "dropped 14 bytes" in caplog.text
+        assert _records_without_timing(torn) == _records_without_timing(whole)
+
     def test_records_identical_across_runs_except_timing(self, tmp_path):
         def one_run(subdir, concurrency):
             config = make_config(

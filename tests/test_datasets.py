@@ -165,6 +165,37 @@ def test_default_question_ids_use_line_numbers(tmp_path):
     assert [r.question_id for r in records] == ["q00001", "q00003"]
 
 
+def test_duplicate_question_id_is_rejected_at_its_second_row(tmp_path):
+    path = write_jsonl(
+        tmp_path,
+        [
+            {"id": "a", "question": "q1", "answers": ["x"]},
+            {"id": "a", "question": "q2", "answers": ["y"]},
+        ],
+    )
+    with pytest.raises(SchemaViolationError, match="duplicate question id 'a'") as info:
+        ingest_qa_dataset(path, FORMAT_MAQA)
+    assert info.value.line_no == 2
+    assert "first on line 1" in str(info.value)
+
+
+@pytest.mark.parametrize("explicit_first", [True, False])
+def test_explicit_id_colliding_with_a_default_id_is_rejected(tmp_path, explicit_first):
+    rows = [
+        {"id": "q00002", "question": "q1", "answers": ["x"]},
+        {"question": "q2", "answers": ["y"]},  # default id q00002
+    ]
+    if not explicit_first:
+        rows = [
+            {"question": "q1", "answers": ["x"]},  # default id q00001
+            {"id": "q00001", "question": "q2", "answers": ["y"]},
+        ]
+    path = write_jsonl(tmp_path, rows)
+    with pytest.raises(SchemaViolationError, match="duplicate question id") as info:
+        ingest_qa_dataset(path, FORMAT_MAQA)
+    assert info.value.line_no == 2
+
+
 def test_row_must_be_an_object(tmp_path):
     path = write_jsonl(tmp_path, ['["list", "not", "object"]'])
     with pytest.raises(SchemaViolationError):

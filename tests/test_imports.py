@@ -1,15 +1,27 @@
-"""Static hygiene: no module under ``src/ipuq`` imports a name it never uses.
+"""Import hygiene.
 
-No linter ships with the project, so this walks each module's syntax tree
-with the standard library alone.  A module-level import counts as used when
-its bound name appears anywhere in the module or in the module's
-``__all__`` (which is how the package ``__init__`` files re-export).
+Static: no module under ``src/ipuq`` imports a name it never uses.  No
+linter ships with the project, so this walks each module's syntax tree with
+the standard library alone.  A module-level import counts as used when its
+bound name appears anywhere in the module or in the module's ``__all__``
+(which is how the package ``__init__`` files re-export).
+
+Dynamic: importing the package loads no network module; the first mock
+server and the first HTTP request load them.  Each check runs in a fresh
+interpreter, since this test process has long since imported them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ipuq"
+
+NETWORK_MODULES = (
+    "http.client", "http.server", "urllib.request", "ssl", "email", "socket", "socketserver",
+)
 
 
 def _bound_names(node: ast.stmt) -> list[str]:
@@ -62,3 +74,44 @@ def test_checker_flags_only_unused_names():
         "print(os.sep, xml.dom)\n"
     )
     assert unused_imports(source) == [(2, "sys"), (4, "Iterator")]
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter with ``src`` on the path and
+    no proxy settings, so a loopback request goes straight to its server."""
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED = f"print(sorted(m for m in {NETWORK_MODULES!r} if m in sys.modules))"
+
+
+def test_importing_the_package_loads_no_network_module():
+    code = f"import sys, ipuq, ipuq.campaign, ipuq.mock, ipuq.reporting, ipuq.cli\n{LOADED}\n"
+    assert run_fresh(code) == "[]\n"
+
+
+def test_first_mock_server_and_first_request_load_the_network_modules():
+    code = f"""\
+import sys
+from ipuq.core import CandidateSet
+from ipuq.elicit.client import HttpTransport, ModelEndpoint
+from ipuq.elicit.prompts import PromptKind, render_prompt
+from ipuq.mock import AgentConfig, MockScript, start_mock_server
+{LOADED}
+server, base_url = start_mock_server(MockScript(agent=AgentConfig()))
+print("http.server" in sys.modules, "urllib.request" in sys.modules)
+user = render_prompt(PromptKind.DEFINETTI, "Which?", CandidateSet(answers=("A", "b")))
+reply = HttpTransport(timeout_s=10.0).send(ModelEndpoint(base_url, "m"), "sys", user)
+server.shutdown()
+server.server_close()
+print(reply.output_tokens > 0)
+{LOADED}
+"""
+    assert run_fresh(code).splitlines() == [
+        "[]", "True False", "True", str(sorted(NETWORK_MODULES)),
+    ]

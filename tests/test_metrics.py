@@ -166,6 +166,40 @@ def test_concordance_matches_pair_oracle_exactly():
         assert concordance_index(examples) == concordance_by_pairs(examples)
 
 
+def test_concordance_orders_scores_whose_difference_underflows():
+    # (5e-200 - 0) * (5e-200 - 0) underflows to 0.0; the pair is still concordant.
+    examples = [ScoredExample(0.0, 0, ref_value=0.0), ScoredExample(5e-200, 0, ref_value=5e-200)]
+    assert concordance_index(examples) == concordance_by_pairs(examples) == 1.0
+    flipped = [ScoredExample(5e-200, 0, ref_value=0.0), ScoredExample(0.0, 0, ref_value=5e-200)]
+    assert concordance_index(flipped) == concordance_by_pairs(flipped) == 0.0
+
+
+def shuffled_blocks_of_four(n, seed):
+    """refs 0..n-1 in blocks of four scored (2k, 2k+1, 2k, 2k+1), shuffled.
+
+    Each block holds two score ties and one discordant pair (its middle
+    two); every other pair is concordant.
+    """
+    examples = [
+        ScoredExample(float(2 * (i // 4) + (i % 2)), 0, ref_value=float(i)) for i in range(n)
+    ]
+    random.Random(seed).shuffle(examples)
+    comparable = n * (n - 1) // 2
+    ties = n // 2
+    discordant = n // 4
+    return examples, (comparable - discordant - ties + 0.5 * ties) / comparable
+
+
+def test_concordance_block_construction_matches_pair_oracle():
+    examples, expected = shuffled_blocks_of_four(200, seed=7)
+    assert concordance_by_pairs(examples) == expected
+
+
+def test_concordance_at_twenty_thousand_examples():
+    examples, expected = shuffled_blocks_of_four(20_000, seed=20_000)
+    assert concordance_index(examples) == expected
+
+
 # ---------------------------------------------------------------------------
 # Cost ledger
 # ---------------------------------------------------------------------------
