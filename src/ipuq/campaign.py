@@ -243,10 +243,13 @@ def records_path(output_dir: str) -> str:
 
 def append_records(path: str, records: Iterable[dict]) -> None:
     """Append records, writing the schema header first on a fresh file."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
+    try:
+        fh = open(path, "a", encoding="utf-8")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fh = open(path, "a", encoding="utf-8")
+    with fh:
+        if fh.tell() == 0:
             fh.write(canonical_json({"schema": RECORD_SCHEMA}) + "\n")
         for rec in records:
             fh.write(canonical_json(rec) + "\n")

@@ -14,6 +14,7 @@ All of them hash/compare by value and are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,15 +134,18 @@ class PrecisePMF:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.probs) != len(self.candidates):
+        probs = tuple(map(float, self.probs))
+        object.__setattr__(self, "probs", probs)
+        if len(probs) != len(self.candidates):
             raise LengthMismatchError(
-                f"{len(self.probs)} probabilities for {len(self.candidates)} candidates"
+                f"{len(probs)} probabilities for {len(self.candidates)} candidates"
             )
-        for i, p in enumerate(self.probs):
-            if p < 0.0 or p > 1.0:
-                raise OutOfRangeError(f"prob at index {i} outside [0, 1]: {p!r}")
-        total = sum(self.probs)
+        total = sum(probs)
+        # min and max pass over a NaN that is not first; the sum does not
+        if not (0.0 <= min(probs) and max(probs) <= 1.0 and not math.isnan(total)):
+            for i, p in enumerate(probs):
+                if not 0.0 <= p <= 1.0:
+                    raise OutOfRangeError(f"prob at index {i} outside [0, 1]: {p!r}")
         if abs(total - 1.0) > PROB_TOL:
             raise SumViolationError(f"probabilities sum to {total!r}, expected 1")
 
@@ -164,7 +168,7 @@ class ProbabilityIntervalSet:
         if len(self.lowers) != n or len(self.uppers) != n:
             raise LengthMismatchError("interval bounds must align with candidates")
         for i, (lo, hi) in enumerate(zip(self.lowers, self.uppers)):
-            if lo < 0.0 or hi > 1.0:
+            if not (lo >= 0.0 and hi <= 1.0):
                 raise OutOfRangeError(f"interval at index {i} outside [0, 1]: [{lo!r}, {hi!r}]")
             if lo > hi:
                 raise InvertedIntervalError(f"lower {lo!r} above upper {hi!r} at index {i}")
@@ -219,7 +223,7 @@ class PossibilityAssignment:
         if len(self.scores) != len(self.candidates):
             raise LengthMismatchError("one possibility score per candidate")
         for i, s in enumerate((*self.scores, self.none_of_above)):
-            if s < 0.0 or s > 1.0:
+            if not 0.0 <= s <= 1.0:
                 raise OutOfRangeError(f"possibility score outside [0, 1] at slot {i}: {s!r}")
 
     def combined(self) -> tuple[float, ...]:
@@ -275,7 +279,7 @@ def build_pmf(
     *,
     renormalize: bool = False,
 ) -> PrecisePMF:
-    """Build a :class:`PrecisePMF` from raw non-negative weights.
+    """Build a :class:`PrecisePMF` from raw non-negative, finite weights.
 
     With ``renormalize=False`` the weights must already sum to 1 within
     ``PROB_TOL``; they are divided by their exact sum anyway so downstream
@@ -284,15 +288,19 @@ def build_pmf(
     twice changes nothing (the second division is by a sum that is already
     1.0 up to one rounding step).
     """
-    weights = [float(w) for w in weights]
+    weights = list(map(float, weights))
     if len(weights) != len(candidates):
         raise LengthMismatchError(
             f"{len(weights)} weights for {len(candidates)} candidates"
         )
-    for i, w in enumerate(weights):
-        if w < 0.0:
-            raise NegativeWeightError(f"negative weight at index {i}: {w!r}")
     total = sum(weights)
+    # a NaN or infinite weight, wherever it is, leaves the sum non-finite
+    if not (min(weights) >= 0.0 and math.isfinite(total)):
+        for i, w in enumerate(weights):
+            if w < 0.0:
+                raise NegativeWeightError(f"negative weight at index {i}: {w!r}")
+            if not math.isfinite(w):
+                raise OutOfRangeError(f"weight at index {i} is not finite: {w!r}")
     if total <= 0.0:
         raise ZeroMassError("weights sum to zero; no distribution can be formed")
     if not renormalize and abs(total - 1.0) > PROB_TOL:

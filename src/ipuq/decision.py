@@ -87,9 +87,8 @@ def utilitarian_aggregate(credal: CredalSet) -> PrecisePMF:
     can disagree with per-member majority vote: two members mildly
     favouring B lose to one member strongly favouring A.
     """
-    n = len(credal.candidates)
     m = len(credal.members)
-    mean = [sum(member.probs[i] for member in credal.members) / m for i in range(n)]
+    mean = [sum(column) / m for column in zip(*(member.probs for member in credal.members))]
     return build_pmf(credal.candidates, mean, renormalize=True)
 
 

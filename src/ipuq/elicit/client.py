@@ -217,6 +217,7 @@ __all__ = [
     "ModelEndpoint",
     "ChatReply",
     "Transport",
+    "HttpTransport",
     "ChatClient",
     "build_request_body",
     "encode_request",

@@ -6,15 +6,22 @@ Parsing is deliberately unforgiving -- a malformed reply should bounce back
 to the model with feedback, not be guessed at -- with two small mercies:
 reasoning text before the block is ignored, and a leading ``$`` on a price
 is dropped since the betting prompt talks in dollars.
+
+A block in exactly the form the prompt requests -- rows ``1..n`` in order,
+each ``i|field=value`` with plain ASCII decimals in [0, 1], then the
+labelled row if the kind has one -- is read in one pass.  Any other block
+goes to the row parser, which either accepts it or writes the diagnosis
+that the model, the transcripts and the recorded verdicts see.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
 from ..core import CandidateSet, IpuqError
-from .prompts import CONF_LABEL, NOTA_LABEL, WIRE, PromptKind
+from .prompts import CONF_LABEL, NOTA_LABEL, WIRE, PromptKind, WireFormat
 
 
 class ParseError(IpuqError, ValueError):
@@ -37,7 +44,10 @@ class ValueOutOfRangeError(ParseError):
     pass
 
 
-_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+# The body runs up to the first ``` after the opening line.  Spelled as runs
+# of non-backticks so the scan does not stop to try the closing fence at
+# every character.
+_FENCE_RE = re.compile(r"```[^\n`]*\n([^`]*(?:`(?!``)[^`]*)*)```")
 _NUMBERED_LINE_RE = re.compile(r"^\s*\d+[.)]\s+(.*\S)\s*$")
 
 
@@ -53,6 +63,9 @@ def _parse_decimal(raw: str, *, where: str) -> float:
     if cleaned.startswith("$"):
         cleaned = cleaned[1:]
     try:
+        # float() also takes digit separators and non-ASCII digits
+        if "_" in cleaned or not cleaned.isascii():
+            raise ValueError
         value = float(cleaned)
     except ValueError:
         raise NumberParseError(f"{where}: {raw!r} is not a decimal number") from None
@@ -113,6 +126,71 @@ def _field(fields: dict[str, str], name: str, *, where: str) -> str:
     return fields[name]
 
 
+def _parse_rows(kind: PromptKind, block: str, n: int):
+    """Read a block row by row, raising the :class:`ParseError` whose message
+    the model, the transcripts and the recorded verdicts see."""
+    wire = WIRE[kind]
+    indexed, special = _rows_by_index(block, n)
+    if wire.extra is None:
+        if special:
+            raise CandidateCountMismatchError(f"unexpected rows: {sorted(special)}")
+    elif set(special) != {wire.extra[0]}:
+        raise CandidateCountMismatchError(f"expected exactly one {wire.extra[0]} row")
+
+    values: list = [[] for _ in wire.fields]
+    for i in range(1, n + 1):
+        where = f"answer {i}"
+        for column, name in zip(values, wire.fields):
+            column.append(_parse_decimal(_field(indexed[i], name, where=where), where=where))
+    if wire.extra:
+        label, name, what = wire.extra
+        values.append(
+            _parse_decimal(_field(special[label], name, where=f"{label} row"), where=what)
+        )
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+#: A value in the requested form: what ``repr`` writes for a float in [0, 1].
+_DECIMAL = r"[0-9]+(?:\.[0-9]+)?(?:e-[0-9]+)?"
+
+
+def _requested_form(wire: WireFormat) -> re.Pattern[str]:
+    # One line per match: the row label, then one group per value.  Every
+    # kind's labelled row has the answer rows' field, or is the only row.
+    names = wire.fields or (wire.extra[1],)
+    labels = ([r"[0-9]+"] if wire.fields else []) + ([wire.extra[0]] if wire.extra else [])
+    values = "".join(rf"\|{name}=({_DECIMAL})" for name in names)
+    return re.compile(rf"^({'|'.join(labels)}){values}$", re.MULTILINE)
+
+
+_REQUESTED_FORM = {kind: _requested_form(wire) for kind, wire in WIRE.items() if wire.has_block}
+
+
+@functools.lru_cache(maxsize=256)
+def _requested_labels(kind: PromptKind, n: int) -> tuple[str, ...]:
+    extra = WIRE[kind].extra
+    return (*map(str, range(1, n + 1)), *(extra[:1] if extra else ()))
+
+
+def _read_requested_form(kind: PromptKind, block: str, n: int):
+    """What :func:`_parse_rows` returns for a block in exactly the requested
+    form, read in one pass; None for any other block."""
+    rows = _REQUESTED_FORM[kind].findall(block)
+    # one match per line, and every line ends in a newline
+    if not rows or len(rows) != block.count("\n") or not block.endswith("\n"):
+        return None
+    labels, *columns = zip(*rows)
+    if labels != _requested_labels(kind, n):
+        return None
+    values = [list(map(float, column)) for column in columns]
+    if not all(0.0 <= min(column) and max(column) <= 1.0 for column in values):
+        return None
+    if WIRE[kind].extra:
+        (column,) = values
+        values = [column[:-1], column[-1]] if n else [column[-1]]
+    return values[0] if len(values) == 1 else tuple(values)
+
+
 def parse_structured_report(
     kind: PromptKind,
     text: str,
@@ -149,24 +227,8 @@ def parse_structured_report(
         if candidates is None:
             raise CandidateCountMismatchError(f"kind {kind.value} needs the candidate list")
         n = len(candidates)
-    indexed, special = _rows_by_index(block, n)
-    if wire.extra is None:
-        if special:
-            raise CandidateCountMismatchError(f"unexpected rows: {sorted(special)}")
-    elif set(special) != {wire.extra[0]}:
-        raise CandidateCountMismatchError(f"expected exactly one {wire.extra[0]} row")
-
-    values: list = [[] for _ in wire.fields]
-    for i in range(1, n + 1):
-        where = f"answer {i}"
-        for column, name in zip(values, wire.fields):
-            column.append(_parse_decimal(_field(indexed[i], name, where=where), where=where))
-    if wire.extra:
-        label, name, what = wire.extra
-        values.append(
-            _parse_decimal(_field(special[label], name, where=f"{label} row"), where=what)
-        )
-    return values[0] if len(values) == 1 else tuple(values)
+    values = _read_requested_form(kind, block, n)
+    return values if values is not None else _parse_rows(kind, block, n)
 
 
 __all__ = [

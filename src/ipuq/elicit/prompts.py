@@ -23,6 +23,7 @@ from the rendered text (the scripted mock endpoint relies on that).
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -168,11 +169,18 @@ WIRE: dict[PromptKind, WireFormat] = {
 
 TEMPLATES: dict[PromptKind, str] = {kind: wire.template for kind, wire in WIRE.items()}
 
+#: Each template's opening, which tells its rendered prompts apart.
+_PREFIXES = tuple(
+    (template.split("\n", 1)[0][:60], kind) for kind, template in TEMPLATES.items()
+)
+
 #: Kinds whose prompt enumerates a candidate list and expects per-candidate rows.
 KINDS_WITH_CANDIDATES = tuple(kind for kind, wire in WIRE.items() if wire.fields)
 
 
-def _format_suffix(wire: WireFormat, n_candidates: int) -> str:
+@functools.lru_cache(maxsize=256)
+def _format_suffix(kind: PromptKind, n_candidates: int) -> str:
+    wire = WIRE[kind]
     values = "".join(f"|{name}=<decimal>" for name in wire.fields)
     rows = [f"{i}{values}" for i in range(1, n_candidates + 1)]
     if wire.extra:
@@ -213,7 +221,7 @@ def render_prompt(
         numbered = "\n".join(f"{i + 1}. {a}" for i, a in enumerate(candidates.answers))
         parts.append(f"{ANSWERS_HEADER}\n{numbered}")
     if wire.has_block:
-        parts.append(_format_suffix(wire, n_candidates))
+        parts.append(_format_suffix(kind, n_candidates))
     if feedback:
         parts.append(f"{FEEDBACK_HEADER}\n{feedback}")
     return "\n\n".join(parts)
@@ -224,8 +232,8 @@ def detect_kind(user_text: str) -> PromptKind:
 
     Every template has a distinct opening, so matching the prefix is enough.
     """
-    for kind, template in TEMPLATES.items():
-        if user_text.startswith(template.split("\n", 1)[0][:60]):
+    for prefix, kind in _PREFIXES:
+        if user_text.startswith(prefix):
             return kind
     raise UnknownKindError("text does not start with any known template")
 

@@ -8,9 +8,14 @@ leaves that hook's metric at zero.  This runs each workload once untraced
 and once traced, in tiny mode with no time budget (a few seconds in all),
 so either break shows in the test suite and not only in
 ``perfbench/smoke.py``.  Traced runs write span files under ``.bench_out/``.
+
+A traced run also checks the hooks' accounting: one parse per attempt and
+one append per recorded cell, so that parsing or writing outside the hooks
+shows as a failure here rather than as a per-layer metric that under-counts.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,5 +54,9 @@ def test_tiny_run_is_correct(workload, trace):
     assert result["correct"] is True, out.stderr
     assert result["failed"] == 0, result
     if trace:
+        metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
         hooks = HOOK_METRICS + (("mmi.exact_credal.calls",) if workload == "inproc-set" else ())
-        assert [name for name in hooks if result["metrics"][name]["value"] <= 0] == []
+        assert [name for name in hooks if metrics[name] <= 0] == []
+        assert metrics["parsing.parse.calls"] == metrics["loop.attempts"]
+        cells = int(re.search(r"cells per round (\d+)", out.stdout).group(1))
+        assert metrics["campaign.append.calls"] == cells

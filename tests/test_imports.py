@@ -76,6 +76,14 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == [(2, "sys"), (4, "Iterator")]
 
 
+def test_star_import_of_the_client_binds_its_transport():
+    from ipuq.elicit.client import HttpTransport
+
+    namespace: dict = {}
+    exec("from ipuq.elicit.client import *", namespace)
+    assert namespace["HttpTransport"] is HttpTransport
+
+
 def run_fresh(code: str) -> str:
     """Stdout of ``code`` run in a new interpreter with ``src`` on the path and
     no proxy settings, so a loopback request goes straight to its server."""

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipuq.core import CandidateSet
+from ipuq.elicit import parsing
 from ipuq.elicit.parsing import (
     CandidateCountMismatchError,
     NoStructuredBlockError,
@@ -24,6 +27,7 @@ from ipuq.elicit.prompts import (
     QUESTION_HEADER,
     UnknownKindError,
     VANILLA_TEMPLATE,
+    WIRE,
     detect_kind,
     extract_candidates,
     extract_question,
@@ -279,6 +283,14 @@ def test_parse_number_errors():
         parse_structured_report(
             PromptKind.CREDAL, wrap(["1|prob=1.4", "2|prob=0.3", "3|prob=0.2"]), CANDS
         )
+    # float() reads digit separators and non-ASCII digits; a reply may not
+    for raw in ("0.2_5", "\u0660.\u0665", "0.\uff15"):
+        with pytest.raises(NumberParseError, match="is not a decimal number"):
+            parse_structured_report(
+                PromptKind.CREDAL, wrap([f"1|prob={raw}", "2|prob=0.3", "3|prob=0.2"]), CANDS
+            )
+    reply = wrap(["1|prob=$.5", "2|prob=+2.5e-1", "3|prob= 25E-2 "])
+    assert parse_structured_report(PromptKind.CREDAL, reply, CANDS) == [0.5, 0.25, 0.25]
 
 
 def test_parse_preserves_verbatim_decimals():
@@ -286,3 +298,95 @@ def test_parse_preserves_verbatim_decimals():
     values = [0.1, 0.30000000000000004, 0.5999999999999999]
     rows = [f"{i + 1}|price={v!r}" for i, v in enumerate(values)]
     assert parse_structured_report(PromptKind.DEFINETTI, wrap(rows), CANDS) == values
+
+
+# ---------------------------------------------------------------------------
+# The requested form, read in one pass, against the row parser
+# ---------------------------------------------------------------------------
+
+BLOCK_KINDS = [kind for kind, wire in WIRE.items() if wire.has_block]
+SPECIAL_VALUES = ("0", "1", "1.", "1e-05", "5e-324", "1.5", "nan", "inf")
+
+
+def _swap(rows, i):
+    j = (i + 1) % len(rows)
+    rows = list(rows)
+    rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+#: Each takes the requested rows and a row index, and returns the rows and
+#: their line ending.
+VARIANTS = {
+    "requested": lambda rows, i: (rows, "\n"),
+    "spaces": lambda rows, i: (
+        rows[:i] + [rows[i].replace("|", " | ").replace("=", " = ")] + rows[i + 1:], "\n"),
+    "dollar": lambda rows, i: ([row.replace("=", "=$") for row in rows], "\n"),
+    "crlf": lambda rows, i: (rows, "\r\n"),
+    "blank line": lambda rows, i: (rows[:i] + [""] + rows[i:], "\n"),
+    "text line": lambda rows, i: (rows[:i] + ["so:"] + rows[i:], "\n"),
+    "label 01": lambda rows, i: (["0" + rows[0]] + rows[1:], "\n"),
+    "duplicate row": lambda rows, i: (rows + [rows[i]], "\n"),
+    "missing row": lambda rows, i: (rows[:i] + rows[i + 1:], "\n"),
+    "extra row": lambda rows, i: (rows + [f"{len(rows) + 1}{rows[i][rows[i].index('|'):]}"], "\n"),
+    "rows out of order": lambda rows, i: (_swap(rows, i), "\n"),
+    "no closing newline": lambda rows, i: (rows, ""),
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_requested_form_reads_as_the_row_parser(variant, data):
+    kind = data.draw(st.sampled_from(BLOCK_KINDS))
+    wire = WIRE[kind]
+    n = data.draw(st.integers(1, 5)) if wire.fields else 0
+    value = st.floats(0.0, 1.0).map(repr)
+    if data.draw(st.booleans()):
+        value = value | st.floats(1.0, 2.0).map(repr) | st.sampled_from(SPECIAL_VALUES)
+    rows = [
+        str(i) + "".join(f"|{name}={data.draw(value)}" for name in wire.fields)
+        for i in range(1, n + 1)
+    ]
+    if wire.extra and data.draw(st.integers(0, 9)):
+        label, name, _ = wire.extra
+        rows.append(f"{label}|{name}={data.draw(value)}")
+    block = ""
+    if rows:
+        rows, newline = VARIANTS[variant](rows, data.draw(st.integers(0, len(rows) - 1)))
+        block = newline.join(rows) + newline
+    candidates = CandidateSet(answers=tuple(f"c{i}" for i in range(n))) if n else None
+    expected = _outcome(lambda: parsing._parse_rows(kind, block, n))
+    assert _outcome(
+        lambda: parse_structured_report(kind, f"Reasoning.\n```\n{block}```", candidates)
+    ) == expected
+
+
+def test_requested_form_is_read_in_one_pass(monkeypatch):
+    def row_parser(*args):
+        raise AssertionError("the row parser ran")
+
+    monkeypatch.setattr(parsing, "_parse_rows", row_parser)
+    reply = wrap(["1|pos=1.0", "2|pos=5e-324", "3|pos=0.25", "NOTA|pos=0"])
+    assert parse_structured_report(PromptKind.POSSIBILITY, reply, CANDS) == (
+        [1.0, 5e-324, 0.25], 0.0
+    )
+    reply = wrap(["1|lower=0.1|upper=0.5", "2|lower=0.0|upper=1e-05", "3|lower=0|upper=1"])
+    assert parse_structured_report(PromptKind.PROBINT, reply, CANDS) == (
+        [0.1, 0.0, 0.0], [0.5, 1e-05, 1.0]
+    )
+    assert parse_structured_report(PromptKind.VANILLA, wrap(["CONF|conf=0.85"])) == 0.85
+
+
+@given(st.text(alphabet="`\na|", max_size=40))
+@settings(max_examples=300)
+def test_fence_pattern_matches_the_lazy_reference(text):
+    reference = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+    assert parsing._FENCE_RE.findall(text) == reference.findall(text)
