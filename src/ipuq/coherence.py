@@ -10,7 +10,6 @@ echo the full diagnosis back to the model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,18 +79,14 @@ def verify_axioms(prices: Sequence[float]) -> VerdictReport:
     exclusive, exhaustive candidate list these two checks already imply
     additivity over disjoint unions, so nothing else needs verifying.
     """
-    prices = list(map(float, prices))
+    prices = [float(p) for p in prices]
     violations: list[Violation] = []
+    for i, p in enumerate(prices):
+        if p < 0.0:
+            violations.append(Violation(NEGATIVE, i, observed=p, bound=0.0))
+        elif not p <= 1.0 + PROB_TOL:
+            violations.append(Violation(VALUE_RANGE, i, observed=p, bound=1.0))
     total = sum(prices)
-    # min and max pass over a NaN that is not first; the sum does not
-    if prices and not (
-        0.0 <= min(prices) and max(prices) <= 1.0 + PROB_TOL and not math.isnan(total)
-    ):
-        for i, p in enumerate(prices):
-            if p < 0.0:
-                violations.append(Violation(NEGATIVE, i, observed=p, bound=0.0))
-            elif not p <= 1.0 + PROB_TOL:
-                violations.append(Violation(VALUE_RANGE, i, observed=p, bound=1.0))
     if abs(total - 1.0) > PROB_TOL:
         violations.append(Violation(SUM, GLOBAL_INDEX, observed=total, bound=1.0))
     return VerdictReport.from_violations(violations)

@@ -134,18 +134,15 @@ class PrecisePMF:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
-        object.__setattr__(self, "probs", probs)
-        if len(probs) != len(self.candidates):
+        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        if len(self.probs) != len(self.candidates):
             raise LengthMismatchError(
-                f"{len(probs)} probabilities for {len(self.candidates)} candidates"
+                f"{len(self.probs)} probabilities for {len(self.candidates)} candidates"
             )
-        total = sum(probs)
-        # min and max pass over a NaN that is not first; the sum does not
-        if not (0.0 <= min(probs) and max(probs) <= 1.0 and not math.isnan(total)):
-            for i, p in enumerate(probs):
-                if not 0.0 <= p <= 1.0:
-                    raise OutOfRangeError(f"prob at index {i} outside [0, 1]: {p!r}")
+        for i, p in enumerate(self.probs):
+            if not 0.0 <= p <= 1.0:
+                raise OutOfRangeError(f"prob at index {i} outside [0, 1]: {p!r}")
+        total = sum(self.probs)
         if abs(total - 1.0) > PROB_TOL:
             raise SumViolationError(f"probabilities sum to {total!r}, expected 1")
 
@@ -288,19 +285,17 @@ def build_pmf(
     twice changes nothing (the second division is by a sum that is already
     1.0 up to one rounding step).
     """
-    weights = list(map(float, weights))
+    weights = [float(w) for w in weights]
     if len(weights) != len(candidates):
         raise LengthMismatchError(
             f"{len(weights)} weights for {len(candidates)} candidates"
         )
+    for i, w in enumerate(weights):
+        if w < 0.0:
+            raise NegativeWeightError(f"negative weight at index {i}: {w!r}")
+        if not math.isfinite(w):
+            raise OutOfRangeError(f"weight at index {i} is not finite: {w!r}")
     total = sum(weights)
-    # a NaN or infinite weight, wherever it is, leaves the sum non-finite
-    if not (min(weights) >= 0.0 and math.isfinite(total)):
-        for i, w in enumerate(weights):
-            if w < 0.0:
-                raise NegativeWeightError(f"negative weight at index {i}: {w!r}")
-            if not math.isfinite(w):
-                raise OutOfRangeError(f"weight at index {i} is not finite: {w!r}")
     if total <= 0.0:
         raise ZeroMassError("weights sum to zero; no distribution can be formed")
     if not renormalize and abs(total - 1.0) > PROB_TOL:

@@ -175,9 +175,14 @@ def _requested_labels(kind: PromptKind, n: int) -> tuple[str, ...]:
 def _read_requested_form(kind: PromptKind, block: str, n: int):
     """What :func:`_parse_rows` returns for a block in exactly the requested
     form, read in one pass; None for any other block."""
-    rows = _REQUESTED_FORM[kind].findall(block)
+    pattern = _REQUESTED_FORM[kind]
+    # A block off the requested form is nearly always off it from its first
+    # row, so a miss costs one row rather than a scan of the whole block.
+    if pattern.match(block) is None:
+        return None
+    rows = pattern.findall(block)
     # one match per line, and every line ends in a newline
-    if not rows or len(rows) != block.count("\n") or not block.endswith("\n"):
+    if len(rows) != block.count("\n") or not block.endswith("\n"):
         return None
     labels, *columns = zip(*rows)
     if labels != _requested_labels(kind, n):
