@@ -8,8 +8,10 @@ and prints a small aligned table.
 """
 
 import argparse
+import dataclasses
 
-from ipuq.study import run_synthetic_study, simulated_agent_client_factory, write_study_csv
+from ipuq.reporting import write_csv
+from ipuq.study import STUDY_CSV_COLUMNS, run_synthetic_study, simulated_agent_client_factory
 from ipuq.synth import TransformSpec
 
 
@@ -33,7 +35,7 @@ def main() -> None:
         word_length=args.word_length,
         base_seed=args.base_seed,
     )
-    write_study_csv(cells, args.out)
+    write_csv(map(dataclasses.asdict, cells), STUDY_CSV_COLUMNS, args.out)
 
     print(f"{'method':<10} {'p':>5} {'m':>4} {'first-order':>12} {'second-order':>13} {'err':>5}")
     for c in cells:

@@ -20,8 +20,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CandidateSet,
+    ConfigError,
     CredalSet,
     IpuqError,
+    JsonForm,
     PossibilityAssignment,
     PrecisePMF,
     ProbabilityIntervalSet,
@@ -69,10 +71,6 @@ DATASET_QA_FILE = "qa_file"
 DATASET_SYNTH = "synth"
 
 
-class ConfigError(IpuqError, ValueError):
-    pass
-
-
 class RecordsSchemaError(IpuqError, ValueError):
     pass
 
@@ -83,7 +81,7 @@ class RecordsSchemaError(IpuqError, ValueError):
 
 
 @dataclass(frozen=True)
-class DatasetSource:
+class DatasetSource(JsonForm):
     """Where campaign questions come from: a QA file or generated tasks."""
 
     kind: str
@@ -106,63 +104,9 @@ class DatasetSource:
         else:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        if self.kind == DATASET_QA_FILE:
-            return {"kind": self.kind, "path": self.path, "format": self.format}
-        return {
-            "kind": self.kind,
-            "transform": self.transform.to_dict(),
-            "noise_p": self.noise_p,
-            "m": self.m,
-            "word_length": self.word_length,
-            "count": self.count,
-            "base_seed": self.base_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DatasetSource":
-        kind = data.get("kind")
-        if kind == DATASET_QA_FILE:
-            return cls(kind=kind, path=data.get("path"), format=data.get("format"))
-        if kind == DATASET_SYNTH:
-            return cls(
-                kind=kind,
-                transform=TransformSpec.from_dict(data["transform"]),
-                noise_p=float(data.get("noise_p", 0.25)),
-                m=int(data.get("m", 4)),
-                word_length=int(data.get("word_length", 4)),
-                count=int(data.get("count", 8)),
-                base_seed=int(data.get("base_seed", 0)),
-            )
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-
-
-def _endpoint_to_dict(ep: ModelEndpoint) -> dict[str, Any]:
-    return {
-        "base_url": ep.base_url,
-        "model_id": ep.model_id,
-        "auth_token_env": ep.auth_token_env,
-        "temperature": ep.temperature,
-        "seed": ep.seed,
-        "price_per_input_token": ep.price_per_input_token,
-        "price_per_output_token": ep.price_per_output_token,
-    }
-
-
-def _endpoint_from_dict(data: dict[str, Any]) -> ModelEndpoint:
-    return ModelEndpoint(
-        base_url=data["base_url"],
-        model_id=data["model_id"],
-        auth_token_env=data.get("auth_token_env"),
-        temperature=float(data.get("temperature", 0.0)),
-        seed=data.get("seed"),
-        price_per_input_token=float(data.get("price_per_input_token", 0.0)),
-        price_per_output_token=float(data.get("price_per_output_token", 0.0)),
-    )
-
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(JsonForm):
     """Everything one campaign run needs, loadable from a JSON file."""
 
     dataset: DatasetSource
@@ -192,40 +136,6 @@ class CampaignConfig:
             raise ConfigError(f"unknown score mode {self.score_mode!r}")
         if self.retry_budget < 1 or self.concurrency < 1 or self.credal_members < 1:
             raise ConfigError("retry_budget, concurrency and credal_members must be >= 1")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "methods": list(self.methods),
-            "endpoints": [_endpoint_to_dict(ep) for ep in self.endpoints],
-            "seeds": list(self.seeds),
-            "retry_budget": self.retry_budget,
-            "concurrency": self.concurrency,
-            "output_dir": self.output_dir,
-            "credal_members": self.credal_members,
-            "score_mode": self.score_mode,
-            "salvage_renormalize": self.salvage_renormalize,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CampaignConfig":
-        return cls(
-            dataset=DatasetSource.from_dict(data["dataset"]),
-            methods=tuple(data["methods"]),
-            endpoints=tuple(_endpoint_from_dict(e) for e in data["endpoints"]),
-            seeds=tuple(int(s) for s in data.get("seeds", [0])),
-            retry_budget=int(data.get("retry_budget", 5)),
-            concurrency=int(data.get("concurrency", 1)),
-            output_dir=data.get("output_dir", "runs"),
-            credal_members=int(data.get("credal_members", 5)),
-            score_mode=data.get("score_mode", MODE_AUTO),
-            salvage_renormalize=bool(data.get("salvage_renormalize", False)),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "CampaignConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # =========================================================================

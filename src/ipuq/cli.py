@@ -4,6 +4,7 @@ record-level evaluation, and the local mock endpoint."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -28,21 +29,22 @@ from .elicit.loop import ACCEPTANCE, RetriesExhaustedError, elicit_with_retry
 from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
 from .mock import MockScript, serve_forever
 from .reporting import (
+    COST_CSV_COLUMNS,
     LABEL_AMBIGUOUS,
     LABEL_KINDS,
+    METRIC_CSV_COLUMNS,
     REF_ENTROPY_PSTAR,
     REF_KINDS,
     SCORE_FIELDS,
     cost_rows,
     metric_rows,
-    write_cost_csv,
-    write_metric_csv,
+    write_csv,
 )
 from .study import (
     DEFAULT_STUDY_METHODS,
+    STUDY_CSV_COLUMNS,
     run_synthetic_study,
     simulated_agent_client_factory,
-    write_study_csv,
 )
 from .synth import TransformSpec
 
@@ -221,12 +223,13 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
         base_seed=args.base_seed,
         max_attempts=args.max_attempts,
     )
+    rows = [dataclasses.asdict(cell) for cell in cells]
     if args.out:
-        write_study_csv(cells, args.out)
-        print(f"wrote {len(cells)} rows to {args.out}")
+        write_csv(rows, STUDY_CSV_COLUMNS, args.out)
+        print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        for cell in cells:
-            print(json.dumps(cell.as_row(), sort_keys=True))
+        for row in rows:
+            print(json.dumps(row, sort_keys=True))
     return EXIT_PARTIAL if any(cell.n < args.repeats for cell in cells) else EXIT_OK
 
 
@@ -256,7 +259,7 @@ def _cmd_eval_concordance(args: argparse.Namespace) -> int:
 
 def _emit_metric_rows(rows: list[dict], out: str | None) -> int:
     if out:
-        write_metric_csv(rows, out)
+        write_csv(rows, METRIC_CSV_COLUMNS, out)
         print(f"wrote {len(rows)} rows to {out}")
     else:
         for row in rows:
@@ -269,7 +272,7 @@ def _cmd_eval_cost(args: argparse.Namespace) -> int:
     config = CampaignConfig.load(args.config)
     rows = cost_rows(records, config.endpoints)
     if args.out:
-        write_cost_csv(rows, args.out)
+        write_csv(rows, COST_CSV_COLUMNS, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         for row in rows:

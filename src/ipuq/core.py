@@ -10,13 +10,21 @@ constructor.  The probability types come in four flavours:
   plus a reserved "none of the listed answers" slot.
 
 All of them hash/compare by value and are safe to share across threads.
+
+:class:`JsonForm` gives the config dataclasses of the other modules their
+one JSON form, and reads it back with a type check on every field.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import math
+import types
+import typing
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence, TypeVar
 
 #: Absolute tolerance for probability sum checks across the whole package.
 #: Verbalized numbers arrive as short decimal strings, so binary float noise
@@ -62,6 +70,95 @@ class EmptyCredalError(IpuqError, ValueError):
 
 class CandidateSetMismatchError(IpuqError, ValueError):
     pass
+
+
+class ConfigError(IpuqError, ValueError):
+    """A config the program cannot use: malformed JSON form or contradictory settings."""
+
+
+_J = TypeVar("_J", bound="JsonForm")
+
+#: The values each scalar field type accepts; an integer may fill a float field.
+_SCALARS: dict[type, tuple[type, ...]] = {
+    str: (str,), int: (int,), float: (int, float), bool: (bool,)
+}
+
+
+class JsonForm:
+    """The JSON form of a config dataclass.
+
+    ``to_dict`` is :func:`dataclasses.asdict`, and ``from_dict`` reads that
+    form back.  It descends into nested dataclasses, ``X | None`` and
+    ``tuple[...]`` fields.  A missing key takes the field's default and an
+    unknown key is ignored.  Every value is checked against its field's type:
+    a missing required key or a mismatch raises :class:`ConfigError` naming
+    ``Class.field``.  A JSON boolean does not count as a number.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls: type[_J], data: Any) -> _J:
+        return _read_dataclass(cls, data, cls.__name__)
+
+    @classmethod
+    def load(cls: type[_J], path: str) -> _J:
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, required) per field.  Resolving the annotations evaluates
+    their strings, so it is done once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            hints[f.name],
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _mismatch(where: str, expected: str, value: Any) -> ConfigError:
+    return ConfigError(f"{where}: expected {expected}, got {type(value).__name__} {value!r:.60}")
+
+
+def _read_dataclass(cls: type, data: Any, where: str) -> Any:
+    if not isinstance(data, dict):
+        raise _mismatch(where, "an object", data)
+    kwargs = {}
+    for name, hint, required in _field_types(cls):
+        if name in data:
+            kwargs[name] = _read(hint, data[name], f"{cls.__name__}.{name}")
+        elif required:
+            raise ConfigError(f"{cls.__name__}.{name}: missing required key")
+    return cls(**kwargs)
+
+
+def _read(hint: Any, value: Any, where: str) -> Any:
+    if dataclasses.is_dataclass(hint):
+        return _read_dataclass(hint, value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):  # X | None
+        if value is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _read(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _mismatch(where, "an array", value)
+        if args[-1] is Ellipsis:
+            return tuple(_read(args[0], item, where) for item in value)
+        if len(value) != len(args):
+            raise _mismatch(where, f"an array of {len(args)}", value)
+        return tuple(_read(a, item, where) for a, item in zip(args, value))
+    if not isinstance(value, _SCALARS[hint]) or (hint is not bool and isinstance(value, bool)):
+        raise _mismatch(where, hint.__name__, value)
+    return float(value) if hint is float else value
 
 
 def _clean_answer(text: str) -> str:
@@ -146,9 +243,6 @@ class PrecisePMF:
         if abs(total - 1.0) > PROB_TOL:
             raise SumViolationError(f"probabilities sum to {total!r}, expected 1")
 
-    def prob_of(self, index: int) -> float:
-        return self.probs[index]
-
 
 @dataclass(frozen=True)
 class ProbabilityIntervalSet:
@@ -169,9 +263,6 @@ class ProbabilityIntervalSet:
                 raise OutOfRangeError(f"interval at index {i} outside [0, 1]: [{lo!r}, {hi!r}]")
             if lo > hi:
                 raise InvertedIntervalError(f"lower {lo!r} above upper {hi!r} at index {i}")
-
-    def width(self, index: int) -> float:
-        return self.uppers[index] - self.lowers[index]
 
 
 @dataclass(frozen=True)
@@ -236,7 +327,7 @@ class QARecord:
     marks the question as ambiguous).  ``reference_answer`` is the single
     answer correctness is judged against.  ``prediction`` is whatever answer
     the system under study committed to, which may fall outside the candidate
-    list; membership is checked lazily via :meth:`prediction_in_candidates`.
+    list.
     """
 
     question: str
@@ -263,11 +354,6 @@ class QARecord:
     @property
     def ambiguous(self) -> bool:
         return len(self.truth_set) > 1
-
-    def prediction_in_candidates(self) -> bool | None:
-        if self.prediction is None:
-            return None
-        return self.candidates.index_of(self.prediction) is not None
 
 
 def build_pmf(
@@ -336,6 +422,8 @@ __all__ = [
     "InvertedIntervalError",
     "EmptyCredalError",
     "CandidateSetMismatchError",
+    "ConfigError",
+    "JsonForm",
     "CandidateSet",
     "PrecisePMF",
     "ProbabilityIntervalSet",

@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .core import IpuqError
+from .core import ConfigError, IpuqError, JsonForm
 from .elicit.client import ChatReply, ModelEndpoint, encode_request, parse_response_body
 from .elicit.prompts import (
     NOTA_LABEL,
@@ -67,7 +67,7 @@ class ScriptEntry:
 
 
 @dataclass(frozen=True)
-class AgentConfig:
+class AgentConfig(JsonForm):
     """Parameters of the programmable mock agent.
 
     ``noise_p`` is the per-letter lowercase rate the agent believes in: a
@@ -84,26 +84,9 @@ class AgentConfig:
     nota: float = 0.0
     credal_spread: float = 0.05
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "noise_p": self.noise_p,
-            "width_c": self.width_c,
-            "nota": self.nota,
-            "credal_spread": self.credal_spread,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AgentConfig":
-        return cls(
-            noise_p=float(data.get("noise_p", 0.25)),
-            width_c=float(data.get("width_c", 1.0)),
-            nota=float(data.get("nota", 0.0)),
-            credal_spread=float(data.get("credal_spread", 0.05)),
-        )
-
 
 @dataclass(frozen=True)
-class MockScript:
+class MockScript(JsonForm):
     """Everything a mock endpoint needs: canned entries and/or an agent."""
 
     entries: tuple[ScriptEntry, ...] = ()
@@ -111,42 +94,7 @@ class MockScript:
 
     def __post_init__(self) -> None:
         if not self.entries and self.agent is None:
-            raise ValueError("a mock script needs entries, an agent, or both")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "entries": [
-                {
-                    "question": e.question,
-                    "kind": e.kind,
-                    "replies": list(e.replies),
-                    **({"seed": e.seed} if e.seed is not None else {}),
-                }
-                for e in self.entries
-            ]
-        }
-        if self.agent is not None:
-            out["agent"] = self.agent.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MockScript":
-        entries = tuple(
-            ScriptEntry(
-                question=e["question"],
-                kind=e["kind"],
-                replies=tuple(e["replies"]),
-                seed=e.get("seed"),
-            )
-            for e in data.get("entries", ())
-        )
-        agent = AgentConfig.from_dict(data["agent"]) if "agent" in data else None
-        return cls(entries=entries, agent=agent)
-
-    @classmethod
-    def load(cls, path: str) -> "MockScript":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            raise ConfigError("a mock script needs entries, an agent, or both")
 
 
 def _count_demonstrations(question: str) -> int:

@@ -199,14 +199,6 @@ def metric_rows(
     return rows
 
 
-def write_metric_csv(rows: Iterable[dict[str, Any]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(METRIC_CSV_COLUMNS))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def cost_rows(
     records: Iterable[dict[str, Any]], endpoints: Sequence[ModelEndpoint]
 ) -> list[dict[str, Any]]:
@@ -236,12 +228,12 @@ def cost_rows(
     return rows
 
 
-def write_cost_csv(rows: Iterable[dict[str, Any]], path: str) -> None:
+def write_csv(rows: Iterable[dict[str, Any]], columns: Sequence[str], path: str) -> None:
+    """Write ``rows`` under a ``columns`` header; a None value is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(COST_CSV_COLUMNS))
+        writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 __all__ = [
@@ -257,7 +249,6 @@ __all__ = [
     "examples_for_auroc",
     "examples_for_concordance",
     "metric_rows",
-    "write_metric_csv",
     "cost_rows",
-    "write_cost_csv",
+    "write_csv",
 ]

@@ -9,7 +9,7 @@ fixed p should move only the imprecision scores.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import statistics
 import tempfile
 from dataclasses import dataclass
@@ -22,18 +22,6 @@ from .mock import AgentConfig, MockScript, MockTransport
 from .synth import TransformSpec
 
 DEFAULT_STUDY_METHODS = (PromptKind.DEFINETTI.value, PromptKind.PROBINT.value)
-
-STUDY_CSV_COLUMNS = (
-    "method",
-    "p",
-    "m",
-    "n",
-    "first_order_mean",
-    "first_order_std",
-    "second_order_mean",
-    "second_order_std",
-    "error_rate",
-)
 
 
 @dataclass(frozen=True)
@@ -50,8 +38,9 @@ class StudyCell:
     second_order_std: float | None
     error_rate: float | None
 
-    def as_row(self) -> dict[str, object]:
-        return {c: getattr(self, c) for c in STUDY_CSV_COLUMNS}
+
+#: A study CSV's header: the fields of :class:`StudyCell`, in order.
+STUDY_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(StudyCell))
 
 
 def simulated_agent_client_factory(
@@ -142,19 +131,10 @@ def run_synthetic_study(
     return cells
 
 
-def write_study_csv(cells: Sequence[StudyCell], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(STUDY_CSV_COLUMNS))
-        writer.writeheader()
-        for cell in cells:
-            writer.writerow({k: ("" if v is None else v) for k, v in cell.as_row().items()})
-
-
 __all__ = [
     "DEFAULT_STUDY_METHODS",
     "STUDY_CSV_COLUMNS",
     "StudyCell",
     "simulated_agent_client_factory",
     "run_synthetic_study",
-    "write_study_csv",
 ]

@@ -18,9 +18,8 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Any
 
-from .core import IpuqError
+from .core import ConfigError, IpuqError, JsonForm
 
 TRANSFORM_ROTATION = "rotation"
 TRANSFORM_CYCLIC_SHIFT = "cyclic_shift"
@@ -82,7 +81,7 @@ def apply_cyclic_shift(text: str, steps: int, *, direction: str = SHIFT_LEFT) ->
 
 
 @dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(JsonForm):
     """An ordered pipeline of string transformations.
 
     Each step is ``(kind, steps)`` with kind one of ``rotation`` or
@@ -99,22 +98,9 @@ class TransformSpec:
         )
         for kind, _ in self.steps:
             if kind not in (TRANSFORM_ROTATION, TRANSFORM_CYCLIC_SHIFT):
-                raise ValueError(f"unknown transform kind {kind!r}")
+                raise ConfigError(f"unknown transform kind {kind!r}")
         if self.shift_direction not in (SHIFT_LEFT, SHIFT_RIGHT):
-            raise ValueError(f"unknown shift direction {self.shift_direction!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "steps": [list(s) for s in self.steps],
-            "shift_direction": self.shift_direction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TransformSpec":
-        return cls(
-            steps=tuple((k, n) for k, n in data["steps"]),
-            shift_direction=data.get("shift_direction", SHIFT_LEFT),
-        )
+            raise ConfigError(f"unknown shift direction {self.shift_direction!r}")
 
 
 def apply_transform(spec: TransformSpec, text: str) -> str:
@@ -129,7 +115,7 @@ def apply_transform(spec: TransformSpec, text: str) -> str:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(JsonForm):
     """Per-letter lowercase noise: each letter flips with probability ``p``."""
 
     p: float
@@ -137,14 +123,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"noise probability must lie in [0, 1], got {self.p!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"p": self.p, "rng_seed": self.rng_seed}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "NoiseSpec":
-        return cls(p=float(data["p"]), rng_seed=int(data.get("rng_seed", 0)))
+            raise ConfigError(f"noise probability must lie in [0, 1], got {self.p!r}")
 
 
 def _lowercase_with(rng: random.Random, text: str, p: float) -> str:
@@ -152,7 +131,7 @@ def _lowercase_with(rng: random.Random, text: str, p: float) -> str:
 
 
 @dataclass(frozen=True)
-class IclTask:
+class IclTask(JsonForm):
     """One generated task: noisy demonstrations plus a held-out query."""
 
     transform: TransformSpec
@@ -163,31 +142,6 @@ class IclTask:
     examples: tuple[tuple[str, str], ...]
     query_input: str
     clean_query_output: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "transform": self.transform.to_dict(),
-            "noise": self.noise.to_dict(),
-            "m": self.m,
-            "word_length": self.word_length,
-            "rng_seed": self.rng_seed,
-            "examples": [list(e) for e in self.examples],
-            "query_input": self.query_input,
-            "clean_query_output": self.clean_query_output,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "IclTask":
-        return cls(
-            transform=TransformSpec.from_dict(data["transform"]),
-            noise=NoiseSpec.from_dict(data["noise"]),
-            m=int(data["m"]),
-            word_length=int(data["word_length"]),
-            rng_seed=int(data["rng_seed"]),
-            examples=tuple((x, y) for x, y in data["examples"]),
-            query_input=data["query_input"],
-            clean_query_output=data["clean_query_output"],
-        )
 
 
 def generate_icl_task(

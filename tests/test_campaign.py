@@ -563,6 +563,33 @@ class TestRunCampaign:
 
         assert one_run("a", 1) == one_run("b", 1) == one_run("c", 4)
 
+    def test_answer_mode_writes_what_auto_writes(self, tmp_path):
+        # "answer" forces nothing: a prediction outside the candidate set is
+        # scored set-level under it, as under "auto"
+        data = tmp_path / "qa.jsonl"
+        rows = [
+            {"id": "in", "question": "Which river runs through Lyon?",
+             "answers": ["Rhone", "Saone"], "prediction": "Saone"},
+            {"id": "out", "question": "Which planet is called the red planet?",
+             "answers": ["Mars", "Ares"], "prediction": "Venus"},
+        ]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        source = DatasetSource(kind=DATASET_QA_FILE, path=str(data), format="maqa_like")
+
+        def records(mode):
+            config = make_config(tmp_path, dataset=source, methods=ALL_METHODS,
+                                 score_mode=mode, output_dir=str(tmp_path / mode))
+            client, _ = agent_client()
+            run_campaign(config, client=client)
+            return _records_without_timing(config)
+
+        answer = records(MODE_ANSWER)
+        assert answer == records(MODE_AUTO)
+        used = {(r["key"]["question_id"], r["key"]["method"]): r["scores"]["mode"]
+                for r in answer}
+        assert used[("in", "possibility")] == MODE_ANSWER
+        assert used[("out", "possibility")] == MODE_SET
+
     def test_http_and_in_process_campaigns_write_the_same_records(self, tmp_path, serve):
         def records_without_timing(subdir, base_url, transport):
             config = make_config(

@@ -378,6 +378,30 @@ def test_mock_serve_requires_a_readable_script(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_campaign_config_without_endpoints_is_a_dataset_error(tmp_path, capsys):
+    _, config_path = write_campaign_config(tmp_path, "http://127.0.0.1:9/v1")
+    path = tmp_path / "config.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["endpoints"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    err = capsys.readouterr().err
+    assert err == "error: CampaignConfig.endpoints: missing required key\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"entries": [{"question": "q", "kind": "vanilla"}]},
+     "ScriptEntry.replies: missing required key"),
+    ({}, "a mock script needs entries, an agent, or both"),
+], ids=["entry without replies", "empty script"])
+def test_malformed_mock_script_is_a_dataset_error(tmp_path, capsys, data, message):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mock", "serve", "--script", str(script), "--port", "0"]) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_mock_serve_announces_the_bound_port_and_closes_on_ctrl_c(
     tmp_path, capsys, monkeypatch
 ):

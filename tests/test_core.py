@@ -81,7 +81,7 @@ def test_candidate_set_is_idempotent(answers):
 
 def test_pmf_accepts_valid_distribution():
     pmf = PrecisePMF(candidates=cs("a", "b"), probs=(0.25, 0.75))
-    assert pmf.prob_of(1) == 0.75
+    assert pmf.probs[1] == 0.75
 
 
 def test_pmf_length_mismatch():
@@ -118,8 +118,8 @@ def test_interval_set_round_trip_and_width():
     ivs = ProbabilityIntervalSet(
         candidates=cs("a", "b"), lowers=(0.2, 0.1), uppers=(0.5, 0.9)
     )
-    assert ivs.width(0) == 0.5 - 0.2
-    assert ivs.width(1) == pytest.approx(0.8)
+    assert ivs.uppers[0] - ivs.lowers[0] == 0.5 - 0.2
+    assert ivs.uppers[1] - ivs.lowers[1] == pytest.approx(0.8)
 
 
 def test_interval_set_rejects_inverted():
@@ -266,9 +266,6 @@ def test_qarecord_labels_and_membership():
         prediction="Madrid",
     )
     assert rec.ambiguous is False
-    assert rec.prediction_in_candidates() is False
-    rec.prediction = "  PARIS "
-    assert rec.prediction_in_candidates() is True
 
 
 def test_qarecord_with_multiple_truths_is_ambiguous():

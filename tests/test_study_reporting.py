@@ -1,6 +1,7 @@
 """Synthetic disentanglement study and record-level reporting."""
 
 import csv
+import dataclasses
 import math
 
 import pytest
@@ -16,21 +17,19 @@ from ipuq.reporting import (
     examples_for_auroc,
     examples_for_concordance,
     metric_rows,
-    write_cost_csv,
-    write_metric_csv,
+    write_csv,
 )
 from ipuq.elicit.client import ChatClient, ChatReply, ModelEndpoint
 from ipuq.study import (
     STUDY_CSV_COLUMNS,
     run_synthetic_study,
     simulated_agent_client_factory,
-    write_study_csv,
 )
 from ipuq.synth import TransformSpec
 
 ROT1 = TransformSpec(steps=(("rotation", 1),))
 
-# write_study_csv output for the four single-report agent methods, as the
+# The study CSV for the four single-report agent methods, as the
 # study wrote it before it ran on the campaign engine.
 PINNED_STUDY_CSV = "".join(line + "\r\n" for line in (
     "method,p,m,n,first_order_mean,first_order_std,second_order_mean,second_order_std,"
@@ -131,7 +130,7 @@ class TestSyntheticStudy:
             methods=("definetti", "probint", "possibility", "vanilla"),
         )
         path = tmp_path / "study.csv"
-        write_study_csv(cells, str(path))
+        write_csv(map(dataclasses.asdict, cells), STUDY_CSV_COLUMNS, str(path))
         assert path.read_bytes() == PINNED_STUDY_CSV.encode("utf-8")
 
     def test_credal_runs_in_the_study(self):
@@ -163,7 +162,7 @@ class TestSyntheticStudy:
         cells = run_synthetic_study(ROT1, noise_grid=(0.25,), m_grid=(1,), repeats=1,
                                     word_length=3)
         path = tmp_path / "study.csv"
-        write_study_csv(cells, str(path))
+        write_csv(map(dataclasses.asdict, cells), STUDY_CSV_COLUMNS, str(path))
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(STUDY_CSV_COLUMNS)
@@ -294,7 +293,7 @@ class TestMetricRows:
         ]
         rows = metric_rows(records, "auroc", dataset="toy")
         path = tmp_path / "metrics.csv"
-        write_metric_csv(rows, str(path))
+        write_csv(rows, METRIC_CSV_COLUMNS, str(path))
         with open(path, encoding="utf-8", newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert list(parsed[0].keys()) == list(METRIC_CSV_COLUMNS)
@@ -329,7 +328,7 @@ class TestCostRows:
     def test_csv_columns(self, tmp_path):
         rows = cost_rows([fake_record("definetti", 0)], self.endpoints())
         path = tmp_path / "costs.csv"
-        write_cost_csv(rows, str(path))
+        write_csv(rows, COST_CSV_COLUMNS, str(path))
         with open(path, encoding="utf-8", newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert list(parsed[0].keys()) == list(COST_CSV_COLUMNS)
