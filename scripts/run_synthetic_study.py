@@ -10,6 +10,8 @@ and prints a small aligned table.
 import argparse
 import dataclasses
 
+from ipuq.campaign import DatasetSource
+from ipuq.mock import AgentConfig
 from ipuq.reporting import write_csv
 from ipuq.study import STUDY_CSV_COLUMNS, run_synthetic_study, simulated_agent_client_factory
 from ipuq.synth import TransformSpec
@@ -20,9 +22,9 @@ def main() -> None:
     ap.add_argument("--p-grid", default="0,0.25,0.5")
     ap.add_argument("--m-grid", default="1,5,20,80")
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--word-length", type=int, default=4)
-    ap.add_argument("--width-c", type=float, default=1.0)
-    ap.add_argument("--base-seed", type=int, default=0)
+    ap.add_argument("--word-length", type=int, default=DatasetSource.word_length)
+    ap.add_argument("--width-c", type=float, default=AgentConfig.width_c)
+    ap.add_argument("--base-seed", type=int, default=DatasetSource.base_seed)
     ap.add_argument("--out", default="study.csv")
     args = ap.parse_args()
 

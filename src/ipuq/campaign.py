@@ -51,6 +51,7 @@ from .mmi import (
 )
 from .scores import bernoulli_entropy, combined_score, entropy
 from .synth import (
+    _MAX_CASINGS,
     IclTask,
     NoiseSpec,
     TransformSpec,
@@ -101,6 +102,16 @@ class DatasetSource(JsonForm):
         elif self.kind == DATASET_SYNTH:
             if self.transform is None:
                 raise ConfigError("synth dataset needs a 'transform'")
+            # the bounds generate_icl_task and ground_truth_variants enforce
+            if self.m < 0 or self.count < 1:
+                raise ConfigError(f"synth dataset needs m >= 0 and count >= 1, got "
+                                  f"m={self.m}, count={self.count}")
+            longest = _MAX_CASINGS.bit_length() - 1  # 2**longest casings
+            if not 1 <= self.word_length <= longest:
+                raise ConfigError(f"synth word_length must lie in [1, {longest}], "
+                                  f"got {self.word_length}")
+            if not 0.0 <= self.noise_p <= 1.0:
+                raise ConfigError(f"noise probability must lie in [0, 1], got {self.noise_p!r}")
         else:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
 
@@ -165,30 +176,51 @@ def append_records(path: str, records: Iterable[dict]) -> None:
             fh.write(canonical_json(rec) + "\n")
 
 
-def _record_lines(path: str) -> Iterator[str]:
-    """Yield the record lines of a records file one at a time, skipping blank
-    lines, after checking the schema header; an empty file yields nothing."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.isspace():
-                continue
-            header = json.loads(line)
-            if header.get("schema") != RECORD_SCHEMA:
-                raise RecordsSchemaError(f"unexpected records schema {header.get('schema')!r}")
-            break
-        for line in fh:
-            if not line.isspace():
-                yield line
+#: Bytes read per step by the records file readers: forwards by
+#: :func:`_record_spans`, backwards by :func:`_drop_torn_tail`.  Memory stays
+#: bounded by one chunk plus the longest line.
+_TAIL_CHUNK = 64 * 1024
+
+_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def _record_spans(path: str) -> Iterator[tuple[bytearray, int, int]]:
+    """Yield each record line of a records file as ``(buffer, start, end)``,
+    the line being ``buffer[start:end]`` without its ``\\n``, after checking
+    the schema header; blank lines are skipped and an empty file yields
+    nothing.  The buffer is reused, so a caller reads the span before asking
+    for the next one.
+
+    The file is read ``_TAIL_CHUNK`` bytes at a time.  A line that crosses a
+    chunk edge is carried into the next buffer, and no record line is
+    copied or decoded here.
+    """
+    header = True
+    with open(path, "rb") as fh:
+        buf = bytearray()
+        # at the end of the file, a last line without a newline gets one
+        while chunk := fh.read(_TAIL_CHUNK) or (b"\n" if buf else b""):
+            scan = len(buf)  # the carried start of a line holds no newline
+            buf += chunk
+            start = 0
+            while (end := buf.find(b"\n", scan)) >= 0:
+                # only a line that starts with a space pays for a copy
+                if buf[start] not in _SPACE or buf[start:end].strip():
+                    if header:
+                        head = json.loads(buf[start:end].decode("utf-8"))
+                        schema = head.get("schema") if isinstance(head, dict) else head
+                        if schema != RECORD_SCHEMA:
+                            raise RecordsSchemaError(f"unexpected records schema {schema!r}")
+                        header = False
+                    else:
+                        yield buf, start, end
+                start = scan = end + 1
+            del buf[:start]
 
 
 def load_run_records(path: str) -> list[dict]:
     """Read records back, validating the header line."""
-    return [json.loads(line) for line in _record_lines(path)]
-
-
-#: Bytes read per step when scanning a records file backwards for its last
-#: newline; memory stays bounded however long the torn record is.
-_TAIL_CHUNK = 64 * 1024
+    return [json.loads(buf[start:end].decode("utf-8")) for buf, start, end in _record_spans(path)]
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -214,7 +246,7 @@ def _drop_torn_tail(path: str) -> None:
     logger.warning("dropped %d bytes of a torn trailing record in %s", size - keep, path)
 
 
-_KEY_SPAN = '"key":{'
+_KEY_SPAN = b'"key":{'
 _DECODER = json.JSONDecoder()
 
 
@@ -225,20 +257,24 @@ def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
 def existing_keys(path: str) -> set[tuple[str, str, int]]:
     """The (question_id, method, seed) keys recorded in ``path``.
 
-    Only each record's ``key`` object is decoded.  In canonical JSON the first
-    raw ``"key":{`` of a line opens it: no other member of a record named
-    ``key`` holds an object, and a ``"`` inside a string is always escaped.
-    A line without that span (not in canonical form) is decoded in full.
+    Each line is searched on bytes, from its end, for a raw ``"key":{``, and
+    only the text from that ``{`` on is decoded; the key object is read from
+    its start.  In canonical JSON a line holds exactly one such span, because
+    no other member of a record named ``key`` holds an object and a ``"``
+    inside a string is always escaped; the search runs from the end because
+    ``key`` sorts after the large ``elicitation`` member.  A line without
+    that span (not in canonical form) is decoded in full.
     """
     if not os.path.exists(path):
         return set()
     keys = set()
-    for line in _record_lines(path):
-        at = line.find(_KEY_SPAN)
+    for buf, start, end in _record_spans(path):
+        at = buf.rfind(_KEY_SPAN, start, end)
         if at >= 0:
-            key = _DECODER.raw_decode(line, at + len(_KEY_SPAN) - 1)[0]
+            at += len(_KEY_SPAN) - 1
+            key = _DECODER.raw_decode(buf[at:end].decode("utf-8"))[0]
         else:
-            key = json.loads(line)["key"]
+            key = json.loads(buf[start:end].decode("utf-8"))["key"]
         keys.add(_key_tuple(key))
     return keys
 
@@ -653,14 +689,32 @@ def _build_record(
     }
 
 
+def _finished(futures: list[Future]) -> list[dict[str, Any]]:
+    """The records of the cells that ran, in job order, once all have ended."""
+    wait(futures)
+    return [f.result() for f in futures if not f.cancelled() and f.exception() is None]
+
+
 def _append_finished(path: str, futures: list[Future]) -> None:
     """Write the records of the finished cells not yet in the file, in job
     order, so that cells billed before a Ctrl-C are not elicited again."""
-    wait(futures)
+    finished = _finished(futures)
     _drop_torn_tail(path)
     recorded = existing_keys(path)
-    finished = [f.result() for f in futures if not f.cancelled() and f.exception() is None]
     append_records(path, [r for r in finished if _key_tuple(r["key"]) not in recorded])
+
+
+def _log_dropped(futures: list[Future]) -> None:
+    """Log at ERROR each finished cell a failed write leaves out of the file,
+    with what it billed: a resume elicits and bills it again."""
+    for record in _finished(futures):
+        elicitation = record["elicitation"]
+        logger.error(
+            "records write failed; dropped cell %s/%s/%d, which billed %d attempts, "
+            "%d input and %d output tokens",
+            *_key_tuple(record["key"]), elicitation["attempts"],
+            elicitation["usage"]["input_tokens"], elicitation["usage"]["output_tokens"],
+        )
 
 
 def run_campaign(
@@ -677,8 +731,11 @@ def run_campaign(
     resumable.  A cell that raises is recorded as failed, with its error and
     its billed attempts, and counts as completed; the caller decides whether
     a partial campaign is acceptable.  If the writer stops (a failed write,
-    Ctrl-C), no further cells are started; on Ctrl-C the cells already in
-    flight finish and are written before the interrupt propagates.
+    Ctrl-C), no further cells are started and the cells already in flight
+    finish.  On Ctrl-C they are written before the interrupt propagates; on
+    a failed write (``OSError``) each finished cell left out of the file is
+    logged at ERROR with its key and billed usage.  Resuming reads only the
+    keys of the records file (see :func:`existing_keys`).
     """
     client = client if client is not None else ChatClient()
     qrecords = load_dataset(config.dataset)
@@ -712,6 +769,8 @@ def run_campaign(
                 future.cancel()
             if isinstance(exc, KeyboardInterrupt):
                 _append_finished(path, futures)
+            elif isinstance(exc, OSError):
+                _log_dropped(futures[len(written):])
             raise
     failed = sum(1 for r in written if not r["elicitation"]["succeeded"])
     if failed:

@@ -27,7 +27,7 @@ from .datasets import SchemaViolationError
 from .elicit.client import ChatClient, ModelEndpoint
 from .elicit.loop import ACCEPTANCE, RetriesExhaustedError, elicit_with_retry
 from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
-from .mock import MockScript, serve_forever
+from .mock import AgentConfig, MockScript, serve_forever
 from .reporting import (
     COST_CSV_COLUMNS,
     LABEL_AMBIGUOUS,
@@ -338,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--p-grid", default="0,0.25,0.5")
     p_run.add_argument("--m-grid", default="1,5,20,80")
     p_run.add_argument("--repeats", type=int, default=5)
-    p_run.add_argument("--word-length", type=int, default=4)
-    p_run.add_argument("--base-seed", type=int, default=0)
-    p_run.add_argument("--max-attempts", type=int, default=5)
+    p_run.add_argument("--word-length", type=int, default=DatasetSource.word_length)
+    p_run.add_argument("--base-seed", type=int, default=DatasetSource.base_seed)
+    p_run.add_argument("--max-attempts", type=int, default=CampaignConfig.retry_budget)
     p_run.add_argument("--methods", default=",".join(DEFAULT_STUDY_METHODS))
     p_run.add_argument(
         "--agent-width-c",
         type=float,
-        default=1.0,
+        default=AgentConfig.width_c,
         help="interval width constant for the in-process simulated agent",
     )
     p_run.add_argument("--base-url", default=None, help="use a real endpoint instead")

@@ -92,7 +92,8 @@ class JsonForm:
     ``tuple[...]`` fields.  A missing key takes the field's default and an
     unknown key is ignored.  Every value is checked against its field's type:
     a missing required key or a mismatch raises :class:`ConfigError` naming
-    ``Class.field``.  A JSON boolean does not count as a number.
+    ``Class.field``.  A JSON boolean does not count as a number, and a float
+    field refuses NaN and infinities.
     """
 
     def to_dict(self) -> dict[str, Any]:
@@ -158,7 +159,11 @@ def _read(hint: Any, value: Any, where: str) -> Any:
         return tuple(_read(a, item, where) for a, item in zip(args, value))
     if not isinstance(value, _SCALARS[hint]) or (hint is not bool and isinstance(value, bool)):
         raise _mismatch(where, hint.__name__, value)
-    return float(value) if hint is float else value
+    if hint is not float:
+        return value
+    if not math.isfinite(value):  # json.load reads NaN and Infinity
+        raise _mismatch(where, "a finite number", value)
+    return float(value)
 
 
 def _clean_answer(text: str) -> str:

@@ -44,7 +44,7 @@ STUDY_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(StudyCell))
 
 
 def simulated_agent_client_factory(
-    *, width_c: float = 1.0, credal_spread: float = 0.05
+    *, width_c: float = AgentConfig.width_c
 ) -> Callable[[float], ChatClient]:
     """In-process clients whose agent believes the analytic ground truth.
 
@@ -56,7 +56,7 @@ def simulated_agent_client_factory(
     def factory(p: float) -> ChatClient:
         script = MockScript(
             entries=(),
-            agent=AgentConfig(noise_p=p, width_c=width_c, credal_spread=credal_spread),
+            agent=AgentConfig(noise_p=p, width_c=width_c),
         )
         return ChatClient(transport=MockTransport(script))
 
@@ -91,9 +91,9 @@ def run_synthetic_study(
     *,
     client_factory: Callable[[float], ChatClient] | None = None,
     methods: Sequence[str] = DEFAULT_STUDY_METHODS,
-    word_length: int = 4,
-    base_seed: int = 0,
-    max_attempts: int = 5,
+    word_length: int = DatasetSource.word_length,
+    base_seed: int = DatasetSource.base_seed,
+    max_attempts: int = CampaignConfig.retry_budget,
 ) -> list[StudyCell]:
     """Run one campaign per (p, m) cell and return one row per method.
 

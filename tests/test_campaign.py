@@ -291,6 +291,109 @@ def test_key_scan_matches_a_full_decode(records):
         assert load_run_records(path) == records
 
 
+# The records file readers against a plain per-line decode, for every line
+# layout a records file may have and chunk sizes that split the header and
+# the key span.
+_HEADER = canonical_json({"schema": RECORD_SCHEMA})
+
+
+def _reader_record(question_id, question="q?", pad=10, seed=0):
+    return {
+        "key": {"question_id": question_id, "method": "vanilla", "seed": seed},
+        "question": question,
+        "elicitation": {"transcripts": "x" * pad, "kind": "vanilla"},
+        "endpoint": {"key": "ep", "model_id": "m"},
+    }
+
+
+def _reader_lines(chunk):
+    records = [
+        _reader_record("plain"),
+        _reader_record("brace}{"),
+        _reader_record('quote\\"q'),
+        _reader_record("問題-é", question="Qu'est-ce que c'est ?"),
+        _reader_record("quoter",
+                       question='it says "key":{"question_id":"fake","method":"m","seed":9}'),
+        _reader_record("long", pad=3 * chunk + 5, seed=4),
+    ]
+    lines = [canonical_json(r) for r in records]
+    lines.append(json.dumps(_reader_record("spaced", seed=2)))  # not canonical: no key span
+    return lines
+
+
+def _reference_decode(data: bytes) -> list[dict]:
+    lines = [line for line in data.decode("utf-8").split("\n") if line.strip()]
+    if not lines:
+        return []
+    assert json.loads(lines[0]) == {"schema": RECORD_SCHEMA}
+    return [json.loads(line) for line in lines[1:]]
+
+
+_LAYOUTS = {
+    "lf": lambda lines: "\n".join(lines) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank lines": lambda lines: "\n \n\r\n" + "\n\n \t\n".join(lines) + "\n\n  \n",
+    "no final newline": lambda lines: "\n".join(lines),
+}
+
+
+@pytest.fixture(params=(1, 7, 64, ipuq.campaign._TAIL_CHUNK), ids="chunk{}".format)
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(ipuq.campaign, "_TAIL_CHUNK", request.param)
+    return request.param
+
+
+class TestRecordsReader:
+    @pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS)
+    def test_matches_a_plain_decode(self, tmp_path, chunk, layout):
+        lines = _reader_lines(chunk)
+        assert '"key": {' in lines[-1] and '"key":{' not in lines[-1]
+        data = layout([_HEADER, *lines]).encode("utf-8")
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(data)
+        records = load_run_records(str(path))
+        assert records == _reference_decode(data)
+        assert len(records) == len(lines)
+        assert existing_keys(str(path)) == {
+            (r["key"]["question_id"], r["key"]["method"], r["key"]["seed"]) for r in records}
+
+    def test_buffer_holds_at_most_a_chunk_and_the_longest_line(self, tmp_path, chunk):
+        lines = _reader_lines(chunk) * 3
+        path = tmp_path / "records.jsonl"
+        path.write_text(_LAYOUTS["lf"]([_HEADER, *lines]), encoding="utf-8")
+        longest = max(len(line.encode("utf-8")) for line in lines) + 1
+        spans = 0
+        for buf, start, end in ipuq.campaign._record_spans(str(path)):
+            assert len(buf) < chunk + longest
+            assert json.loads(buf[start:end].decode("utf-8")) == json.loads(lines[spans])
+            spans += 1
+        assert spans == len(lines)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \r\n\n"], ids=["empty", "newline", "blank"])
+    def test_a_file_without_lines_has_no_records(self, tmp_path, chunk, text):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert load_run_records(str(path)) == []
+        assert existing_keys(str(path)) == set()
+
+    @pytest.mark.parametrize("read", (load_run_records, existing_keys))
+    @pytest.mark.parametrize("header", ('{"schema":"someone.elses.v9"}', '["a list"]'))
+    def test_a_wrong_header_is_refused(self, tmp_path, chunk, read, header):
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"\n{header}\n{_reader_lines(chunk)[0]}\n", encoding="utf-8")
+        with pytest.raises(RecordsSchemaError, match="someone.elses.v9|a list"):
+            read(str(path))
+
+    @pytest.mark.parametrize("read", (load_run_records, existing_keys))
+    def test_a_malformed_line_without_a_key_span_must_decode(self, tmp_path, chunk, read):
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"{_HEADER}\n{_reader_lines(chunk)[0]}\n"
+                        '{"key": {"question_id": "q2", "method": "m", "seed": 0\n',
+                        encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            read(str(path))
+
+
 class TestPayloadRoundTrip:
     def test_definetti(self):
         pmf = PrecisePMF(candidates=TWO, probs=(0.25, 0.75))
@@ -876,7 +979,7 @@ class SlowAgent(MockTransport):
 
 
 class TestFailedWriteStopsTheCampaign:
-    def test_no_cells_start_after_the_writer_fails(self, tmp_path, monkeypatch):
+    def test_no_cells_start_after_the_writer_fails(self, tmp_path, monkeypatch, caplog):
         cells, fail_at = 40, 5
         writes = []
 
@@ -888,12 +991,27 @@ class TestFailedWriteStopsTheCampaign:
 
         monkeypatch.setattr(ipuq.campaign, "append_records", failing_append)
         config = make_config(tmp_path, dataset=synth_source(count=cells), concurrency=2)
-        transport = SlowAgent()
-        with pytest.raises(OSError, match="disk full"):
-            run_campaign(config, client=ChatClient(transport))
-        assert len(load_run_records(records_path(config.output_dir))) == fail_at - 1
+        transport = Served(SlowAgent())
+        with caplog.at_level(logging.ERROR, logger="ipuq.campaign"):
+            with pytest.raises(OSError, match="disk full"):
+                run_campaign(config, client=ChatClient(transport))
+        stored = load_run_records(records_path(config.output_dir))
+        assert len(stored) == fail_at - 1
         # the cells in flight when the write failed finish; no others start
-        assert transport.calls < cells // 2
+        assert transport.sent < cells // 2
+
+        # every billed request is on a record in the file or on a logged cell
+        dropped = [r.args for r in caplog.records if r.levelno == logging.ERROR]
+        assert [args[0] for args in dropped] == [
+            f"synth-{i:04d}" for i in range(fail_at - 1, fail_at - 1 + len(dropped))]
+        assert len(dropped) >= 1  # the cell whose write failed
+        logged = collections.Counter()
+        for _qid, _method, _seed, attempts, input_tokens, output_tokens in dropped:
+            logged.update(requests=attempts, input_tokens=input_tokens,
+                          output_tokens=output_tokens)
+        assert sum(map(_served_by_record, stored), logged) == sum(
+            transport.served.values(), collections.Counter()
+        )
 
 
 class TestCtrlCWritesTheCellsInFlight:

@@ -390,6 +390,18 @@ def test_campaign_config_without_endpoints_is_a_dataset_error(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_synth_config_outside_the_generator_bounds_is_a_dataset_error(tmp_path, capsys):
+    _, config_path = write_campaign_config(tmp_path, "http://127.0.0.1:9/v1")
+    path = tmp_path / "config.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["dataset"]["m"] = -1
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    err = capsys.readouterr().err
+    assert err == "error: synth dataset needs m >= 0 and count >= 1, got m=-1, count=1\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("data, message", [
     ({"entries": [{"question": "q", "kind": "vanilla"}]},
      "ScriptEntry.replies: missing required key"),

@@ -147,3 +147,44 @@ def test_missing_keys_take_the_field_defaults():
     )
     # an integer in a float field is stored as a float, as the request body sends it
     assert type(config.endpoints[0].temperature) is float
+
+
+@pytest.mark.parametrize("path", [
+    ("endpoints", 0, "temperature"),
+    ("endpoints", 0, "price_per_input_token"),
+    ("dataset", "noise_p"),
+])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_floats_are_refused(path, literal):
+    data = _config_data()
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = "@"
+    text = json.dumps(data).replace('"@"', literal)
+    owner = "DatasetSource" if path[0] == "dataset" else "ModelEndpoint"
+    with pytest.raises(ConfigError, match=rf"^{owner}\.{last}: expected a finite number, "):
+        CampaignConfig.from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", -1, "m >= 0"),
+    ("count", 0, "count >= 1"),
+    ("word_length", 0, "word_length must lie in [1, 20]"),
+    ("word_length", 21, "word_length must lie in [1, 20]"),
+    ("noise_p", 1.5, "noise probability must lie in [0, 1]"),
+    ("noise_p", -0.1, "noise probability must lie in [0, 1]"),
+])
+def test_synth_fields_outside_the_generator_bounds_are_refused(field, value, message):
+    data = _config_data()
+    data["dataset"][field] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        CampaignConfig.from_dict(data)
+
+
+def test_synth_bounds_are_inclusive():
+    for field, value in (("m", 0), ("count", 1), ("word_length", 1), ("word_length", 20),
+                         ("noise_p", 0.0), ("noise_p", 1.0)):
+        assert getattr(DatasetSource.from_dict(
+            dict(SYNTH_SOURCE.to_dict(), **{field: value})), field) == value
