@@ -19,7 +19,6 @@ from ipuq.campaign import (
     load_run_records,
     records_path,
     run_campaign,
-    usage_entries,
 )
 from ipuq.elicit.client import ModelEndpoint
 from ipuq.mock import AgentConfig, MockScript, start_mock_server
@@ -79,8 +78,8 @@ def main() -> None:
         print(f"{method:<12} {fmt(bucket['first']):>12} {fmt(bucket['second']):>13} "
               f"{bucket['failed']:>7d}")
 
-    tokens_in = sum(e.input_tokens for e in usage_entries(records))
-    tokens_out = sum(e.output_tokens for e in usage_entries(records))
+    tokens_in = sum(rec["elicitation"]["usage"]["input_tokens"] for rec in records)
+    tokens_out = sum(rec["elicitation"]["usage"]["output_tokens"] for rec in records)
     print(f"\ntokens: {tokens_in} in / {tokens_out} out")
 
 

@@ -51,7 +51,7 @@ from .mmi import (
 )
 from .scores import bernoulli_entropy, combined_score, entropy
 from .synth import (
-    _MAX_CASINGS,
+    MAX_WORD_LENGTH,
     IclTask,
     NoiseSpec,
     TransformSpec,
@@ -66,7 +66,11 @@ RECORD_SCHEMA = "ipuq.runrecord.v1"
 
 MODE_AUTO = "auto"
 MODE_SET = "set"
+#: Recorded when a cell was scored answer-level; not a configurable mode.
 MODE_ANSWER = "answer"
+
+#: A record's score fields, in the ``scores`` block beside ``mode``.
+SCORE_FIELDS = ("first_order", "second_order", "combined")
 
 DATASET_QA_FILE = "qa_file"
 DATASET_SYNTH = "synth"
@@ -106,9 +110,8 @@ class DatasetSource(JsonForm):
             if self.m < 0 or self.count < 1:
                 raise ConfigError(f"synth dataset needs m >= 0 and count >= 1, got "
                                   f"m={self.m}, count={self.count}")
-            longest = _MAX_CASINGS.bit_length() - 1  # 2**longest casings
-            if not 1 <= self.word_length <= longest:
-                raise ConfigError(f"synth word_length must lie in [1, {longest}], "
+            if not 1 <= self.word_length <= MAX_WORD_LENGTH:
+                raise ConfigError(f"synth word_length must lie in [1, {MAX_WORD_LENGTH}], "
                                   f"got {self.word_length}")
             if not 0.0 <= self.noise_p <= 1.0:
                 raise ConfigError(f"noise probability must lie in [0, 1], got {self.noise_p!r}")
@@ -143,8 +146,9 @@ class CampaignConfig(JsonForm):
             raise ConfigError(f"exactly one endpoint is required, got {len(self.endpoints)}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.score_mode not in (MODE_AUTO, MODE_SET, MODE_ANSWER):
-            raise ConfigError(f"unknown score mode {self.score_mode!r}")
+        if self.score_mode not in (MODE_AUTO, MODE_SET):
+            raise ConfigError(f"score_mode must be {MODE_AUTO!r} or {MODE_SET!r}, "
+                              f"got {self.score_mode!r}")
         if self.retry_budget < 1 or self.concurrency < 1 or self.credal_members < 1:
             raise ConfigError("retry_budget, concurrency and credal_members must be >= 1")
 
@@ -536,9 +540,6 @@ def _transcripts_to_dicts(results: Sequence[ElicitationResult]) -> list[dict[str
     return out
 
 
-_SCORE_KEYS = ("first_order", "second_order", "combined")
-
-
 def _score_block(
     method: str, payload: object, candidates: CandidateSet, mode: str, prediction: str | None
 ) -> dict[str, Any]:
@@ -623,7 +624,7 @@ def _build_record(
     prediction = qrecord.prediction
     decision_dict: dict[str, Any] | None = None
     payload_dict: dict[str, Any] | None = None
-    scores_dict: dict[str, Any] = dict.fromkeys(("mode", *_SCORE_KEYS))
+    scores_dict: dict[str, Any] = dict.fromkeys(("mode", *SCORE_FIELDS))
     if payload is not None:
         payload_dict = payload_to_dict(method, payload)
         outcome_decision = decide(method, payload)
@@ -791,7 +792,7 @@ def recompute_scores(record: dict[str, Any]) -> dict[str, float | None]:
     """
     payload_dict = record["elicitation"]["payload"]
     if payload_dict is None:
-        return dict.fromkeys(_SCORE_KEYS)
+        return dict.fromkeys(SCORE_FIELDS)
     candidates = candidates_from_dict(record["candidates"])
     method = record["key"]["method"]
     payload = payload_from_dict(method, payload_dict, candidates)
@@ -802,37 +803,13 @@ def recompute_scores(record: dict[str, Any]) -> dict[str, float | None]:
     return scores
 
 
-@dataclass(frozen=True)
-class UsageEntry:
-    """Duck-typed usage row for :func:`ipuq.metrics.cost_report`."""
-
-    endpoint_key: str
-    kind: str
-    input_tokens: int
-    output_tokens: int
-
-
-def usage_entries(records: Iterable[dict[str, Any]]) -> list[UsageEntry]:
-    out = []
-    for rec in records:
-        usage = rec["elicitation"]["usage"]
-        out.append(
-            UsageEntry(
-                endpoint_key=rec["endpoint"]["key"],
-                kind=rec["key"]["method"],
-                input_tokens=int(usage["input_tokens"]),
-                output_tokens=int(usage["output_tokens"]),
-            )
-        )
-    return out
-
-
 __all__ = [
     "RECORD_SCHEMA",
     "METHODS",
     "MODE_AUTO",
     "MODE_SET",
     "MODE_ANSWER",
+    "SCORE_FIELDS",
     "DATASET_QA_FILE",
     "DATASET_SYNTH",
     "ConfigError",
@@ -857,6 +834,4 @@ __all__ = [
     "load_dataset",
     "run_campaign",
     "recompute_scores",
-    "UsageEntry",
-    "usage_entries",
 ]

@@ -100,6 +100,17 @@ def _int_grid(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _write_rows(rows: list[dict], columns: Sequence[str], out: str | None) -> None:
+    """CSV under ``columns`` to ``out`` when given, else one JSON line per row
+    to stdout."""
+    if out:
+        write_csv(rows, columns, out)
+        print(f"wrote {len(rows)} rows to {out}")
+    else:
+        for row in rows:
+            print(json.dumps(row, sort_keys=True))
+
+
 # -------------------------------------------------------------------------
 # Subcommand implementations
 # -------------------------------------------------------------------------
@@ -149,14 +160,14 @@ def _cmd_elicit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_campaign_config(args: argparse.Namespace, *, must_exist: bool) -> int:
+def _cmd_campaign(args: argparse.Namespace) -> int:
     config = CampaignConfig.load(args.config)
     path = records_path(config.output_dir)
     has_records = os.path.exists(path) and os.path.getsize(path) > 0
-    if must_exist and not has_records:
+    if args.subcommand == "resume" and not has_records:
         print(f"error: nothing to resume at {path}", file=sys.stderr)
         return EXIT_DATASET
-    if not must_exist and has_records:
+    if args.subcommand == "run" and has_records:
         print(
             f"error: records already exist at {path}; use `campaign resume`",
             file=sys.stderr,
@@ -166,14 +177,6 @@ def _run_campaign_config(args: argparse.Namespace, *, must_exist: bool) -> int:
     failed = sum(1 for rec in written if not rec["elicitation"]["succeeded"])
     print(f"wrote {len(written)} records to {path} ({failed} failed)")
     return EXIT_PARTIAL if failed else EXIT_OK
-
-
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    return _run_campaign_config(args, must_exist=False)
-
-
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    return _run_campaign_config(args, must_exist=True)
 
 
 def _cmd_synth_gen(args: argparse.Namespace) -> int:
@@ -223,60 +226,27 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
         base_seed=args.base_seed,
         max_attempts=args.max_attempts,
     )
-    rows = [dataclasses.asdict(cell) for cell in cells]
-    if args.out:
-        write_csv(rows, STUDY_CSV_COLUMNS, args.out)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+    _write_rows([dataclasses.asdict(cell) for cell in cells], STUDY_CSV_COLUMNS, args.out)
     return EXIT_PARTIAL if any(cell.n < args.repeats for cell in cells) else EXIT_OK
 
 
-def _cmd_eval_auroc(args: argparse.Namespace) -> int:
+def _cmd_eval_metric(args: argparse.Namespace) -> int:
     records = load_run_records(args.records)
     rows = metric_rows(
         records,
-        "auroc",
+        args.subcommand,
         dataset=args.dataset,
         score_field=args.score_field,
-        label_kind=args.label,
+        **{args.target: getattr(args, args.target)},  # label_kind or ref_kind
     )
-    return _emit_metric_rows(rows, args.out)
-
-
-def _cmd_eval_concordance(args: argparse.Namespace) -> int:
-    records = load_run_records(args.records)
-    rows = metric_rows(
-        records,
-        "concordance",
-        dataset=args.dataset,
-        score_field=args.score_field,
-        ref_kind=args.ref,
-    )
-    return _emit_metric_rows(rows, args.out)
-
-
-def _emit_metric_rows(rows: list[dict], out: str | None) -> int:
-    if out:
-        write_csv(rows, METRIC_CSV_COLUMNS, out)
-        print(f"wrote {len(rows)} rows to {out}")
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+    _write_rows(rows, METRIC_CSV_COLUMNS, args.out)
     return EXIT_OK
 
 
 def _cmd_eval_cost(args: argparse.Namespace) -> int:
     records = load_run_records(args.records)
     config = CampaignConfig.load(args.config)
-    rows = cost_rows(records, config.endpoints)
-    if args.out:
-        write_csv(rows, COST_CSV_COLUMNS, args.out)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+    _write_rows(cost_rows(records, config.endpoints), COST_CSV_COLUMNS, args.out)
     return EXIT_OK
 
 
@@ -315,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_campaign = sub.add_parser("campaign", help="run or resume a recorded campaign")
     campaign_sub = p_campaign.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("run", _cmd_campaign_run), ("resume", _cmd_campaign_resume)):
+    for name in ("run", "resume"):
         p = campaign_sub.add_parser(name)
         p.add_argument("--config", required=True, help="campaign config JSON file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_campaign)
 
     p_synth = sub.add_parser("synth", help="generate tasks or run the grid study")
     synth_sub = p_synth.add_subparsers(dest="subcommand", required=True)
@@ -359,21 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="metrics over a records file")
     eval_sub = p_eval.add_subparsers(dest="subcommand", required=True)
 
-    p_auroc = eval_sub.add_parser("auroc")
-    p_auroc.add_argument("--records", required=True)
-    p_auroc.add_argument("--dataset", default="records")
-    p_auroc.add_argument("--score-field", choices=SCORE_FIELDS, default="first_order")
-    p_auroc.add_argument("--label", choices=LABEL_KINDS, default=LABEL_AMBIGUOUS)
-    p_auroc.add_argument("--out", default=None)
-    p_auroc.set_defaults(func=_cmd_eval_auroc)
-
-    p_conc = eval_sub.add_parser("concordance")
-    p_conc.add_argument("--records", required=True)
-    p_conc.add_argument("--dataset", default="records")
-    p_conc.add_argument("--score-field", choices=SCORE_FIELDS, default="first_order")
-    p_conc.add_argument("--ref", choices=REF_KINDS, default=REF_ENTROPY_PSTAR)
-    p_conc.add_argument("--out", default=None)
-    p_conc.set_defaults(func=_cmd_eval_concordance)
+    for metric, flag, target, choices, default in (
+        ("auroc", "--label", "label_kind", LABEL_KINDS, LABEL_AMBIGUOUS),
+        ("concordance", "--ref", "ref_kind", REF_KINDS, REF_ENTROPY_PSTAR),
+    ):
+        p = eval_sub.add_parser(metric)
+        p.add_argument("--records", required=True)
+        p.add_argument("--dataset", default="records")
+        p.add_argument("--score-field", choices=SCORE_FIELDS, default="first_order")
+        p.add_argument(flag, dest=target, choices=choices, default=default)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_eval_metric, target=target)
 
     p_cost = eval_sub.add_parser("cost")
     p_cost.add_argument("--records", required=True)
@@ -400,10 +366,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (SchemaViolationError, ConfigError, RecordsSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (SchemaViolationError, ConfigError, RecordsSchemaError, FileNotFoundError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except IpuqError as exc:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    CandidateSet,
     CredalSet,
     LengthMismatchError,
     PrecisePMF,
@@ -40,43 +41,28 @@ class DecisionOutcome:
     tie_broken: bool = False
 
 
-def _argmax(scores: Sequence[float]) -> tuple[int, bool]:
+def _argmax(rule: str, scores: Sequence[float], candidates: CandidateSet) -> DecisionOutcome:
+    """``rule``'s pick: the lowest index scoring within ``TIE_TOL`` of the best."""
     best = max(scores)
     winners = [i for i, s in enumerate(scores) if best - s <= TIE_TOL]
-    return winners[0], len(winners) > 1
+    return DecisionOutcome(rule=rule, chosen_index=winners[0],
+                           chosen_answer=candidates.answers[winners[0]],
+                           tie_broken=len(winners) > 1)
 
 
 def precise_argmax(pmf: PrecisePMF) -> DecisionOutcome:
     """Pick the most probable answer of a single distribution."""
-    idx, tied = _argmax(pmf.probs)
-    return DecisionOutcome(
-        rule=RULE_PRECISE_ARGMAX,
-        chosen_index=idx,
-        chosen_answer=pmf.candidates.answers[idx],
-        tie_broken=tied,
-    )
+    return _argmax(RULE_PRECISE_ARGMAX, pmf.probs, pmf.candidates)
 
 
 def maximin(intervals: ProbabilityIntervalSet) -> DecisionOutcome:
     """Pick the answer with the best worst case (largest lower bound)."""
-    idx, tied = _argmax(intervals.lowers)
-    return DecisionOutcome(
-        rule=RULE_MAXIMIN,
-        chosen_index=idx,
-        chosen_answer=intervals.candidates.answers[idx],
-        tie_broken=tied,
-    )
+    return _argmax(RULE_MAXIMIN, intervals.lowers, intervals.candidates)
 
 
 def maximax(intervals: ProbabilityIntervalSet) -> DecisionOutcome:
     """Pick the answer with the best best case (largest upper bound)."""
-    idx, tied = _argmax(intervals.uppers)
-    return DecisionOutcome(
-        rule=RULE_MAXIMAX,
-        chosen_index=idx,
-        chosen_answer=intervals.candidates.answers[idx],
-        tie_broken=tied,
-    )
+    return _argmax(RULE_MAXIMAX, intervals.uppers, intervals.candidates)
 
 
 def utilitarian_aggregate(credal: CredalSet) -> PrecisePMF:

@@ -179,36 +179,26 @@ class CostLedger:
         return total
 
 
-def cost_report(results: Iterable[object], endpoints: Sequence[object]) -> CostLedger:
-    """Aggregate elicitation usage into a :class:`CostLedger`.
+def cost_report(
+    usage: Iterable[tuple[str, str, int, int]], endpoints: Sequence[object]
+) -> CostLedger:
+    """Aggregate token usage into a :class:`CostLedger`.
 
-    ``results`` may be any objects exposing ``endpoint_key``, ``kind`` and
-    token counts (``input_tokens``/``output_tokens``), which is the shape of
-    elicitation results and of usage entries loaded back from run records.
-    ``endpoints`` supply per-token prices by their ``key``; a result whose
-    endpoint is missing raises :class:`UnknownEndpointError` rather than
-    silently pricing it at zero.
+    ``usage`` holds ``(endpoint_key, method, input_tokens, output_tokens)``
+    tuples.  ``endpoints`` supply per-token prices by their ``key``; usage
+    whose endpoint is missing raises :class:`UnknownEndpointError` rather
+    than silently pricing it at zero.
     """
     prices: dict[str, tuple[float, float]] = {
         ep.key: (ep.price_per_input_token, ep.price_per_output_token) for ep in endpoints
     }
     ledger = CostLedger()
-    for res in results:
-        key = res.endpoint_key
+    for key, method, tin, tout in usage:
         if key not in prices:
             raise UnknownEndpointError(key)
         p_in, p_out = prices[key]
-        tin = int(res.input_tokens)
-        tout = int(res.output_tokens)
-        ledger.add(
-            key,
-            res.kind,
-            CostRow(
-                input_tokens=tin,
-                output_tokens=tout,
-                currency=tin * p_in + tout * p_out,
-            ),
-        )
+        tin, tout = int(tin), int(tout)
+        ledger.add(key, method, CostRow(tin, tout, tin * p_in + tout * p_out))
     return ledger
 
 

@@ -9,7 +9,7 @@ import statistics
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from .campaign import RECORDS, candidates_from_dict, payload_from_dict, usage_entries
+from .campaign import RECORDS, SCORE_FIELDS, candidates_from_dict, payload_from_dict
 from .core import PrecisePMF, build_pmf
 from .elicit.client import ModelEndpoint
 from .metrics import (
@@ -31,8 +31,6 @@ LABEL_KINDS = (LABEL_AMBIGUOUS, LABEL_INCORRECT)
 REF_ENTROPY_PSTAR = "entropy_pstar"
 REF_KL_PSTAR = "kl_pstar"
 REF_KINDS = (REF_ENTROPY_PSTAR, REF_KL_PSTAR)
-
-SCORE_FIELDS = ("first_order", "second_order", "combined")
 
 METRIC_CSV_COLUMNS = ("method", "dataset", "metric", "value", "stderr", "n")
 COST_CSV_COLUMNS = ("endpoint", "method", "input_tokens", "output_tokens", "currency")
@@ -203,29 +201,23 @@ def cost_rows(
     records: Iterable[dict[str, Any]], endpoints: Sequence[ModelEndpoint]
 ) -> list[dict[str, Any]]:
     """Per (endpoint, method) cost lines plus per-endpoint totals."""
-    ledger = cost_report(usage_entries(records), endpoints)
-    rows = []
-    for (endpoint_key, method), row in sorted(ledger.rows.items()):
-        rows.append(
-            {
-                "endpoint": endpoint_key,
-                "method": method,
-                "input_tokens": row.input_tokens,
-                "output_tokens": row.output_tokens,
-                "currency": row.currency,
-            }
-        )
-    for endpoint_key, row in sorted(ledger.endpoint_totals().items()):
-        rows.append(
-            {
-                "endpoint": endpoint_key,
-                "method": "__total__",
-                "input_tokens": row.input_tokens,
-                "output_tokens": row.output_tokens,
-                "currency": row.currency,
-            }
-        )
-    return rows
+    usage = (
+        (rec["endpoint"]["key"], rec["key"]["method"],
+         rec["elicitation"]["usage"]["input_tokens"], rec["elicitation"]["usage"]["output_tokens"])
+        for rec in records
+    )
+    ledger = cost_report(usage, endpoints)
+    totals = [((key, "__total__"), row) for key, row in sorted(ledger.endpoint_totals().items())]
+    return [
+        {
+            "endpoint": endpoint_key,
+            "method": method,
+            "input_tokens": row.input_tokens,
+            "output_tokens": row.output_tokens,
+            "currency": row.currency,
+        }
+        for (endpoint_key, method), row in [*sorted(ledger.rows.items()), *totals]
+    ]
 
 
 def write_csv(rows: Iterable[dict[str, Any]], columns: Sequence[str], path: str) -> None:

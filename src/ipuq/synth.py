@@ -29,8 +29,8 @@ SHIFT_RIGHT = "right"
 
 _ALPHABET = string.ascii_uppercase
 
-#: Most casings ``ground_truth_variants`` enumerates: words of up to 20 letters.
-_MAX_CASINGS = 2**20
+#: Longest word ``ground_truth_variants`` enumerates, at 2**20 casings.
+MAX_WORD_LENGTH = 20
 
 
 class NonAlphabetInputError(IpuqError, ValueError):
@@ -231,9 +231,9 @@ def ground_truth_variants(clean: str, p: float) -> tuple[CaseVariant, ...]:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"noise probability must lie in [0, 1], got {p!r}")
     length = len(clean)
-    if 2**length > _MAX_CASINGS:
+    if length > MAX_WORD_LENGTH:
         raise EnumerationTooLargeError(
-            f"2^{length} casings exceed the enumeration cap of {_MAX_CASINGS}"
+            f"2^{length} casings exceed the enumeration cap of 2^{MAX_WORD_LENGTH}"
         )
     variants: list[CaseVariant] = []
     for mask in range(2**length):
@@ -253,6 +253,7 @@ __all__ = [
     "TRANSFORM_CYCLIC_SHIFT",
     "SHIFT_LEFT",
     "SHIFT_RIGHT",
+    "MAX_WORD_LENGTH",
     "NonAlphabetInputError",
     "EmptyStringError",
     "VocabularyExhaustedError",

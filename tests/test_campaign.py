@@ -42,7 +42,6 @@ from ipuq.campaign import (
     recompute_scores,
     run_campaign,
     score_payload,
-    usage_entries,
 )
 from ipuq.core import (
     CandidateSet,
@@ -666,9 +665,9 @@ class TestRunCampaign:
 
         assert one_run("a", 1) == one_run("b", 1) == one_run("c", 4)
 
-    def test_answer_mode_writes_what_auto_writes(self, tmp_path):
-        # "answer" forces nothing: a prediction outside the candidate set is
-        # scored set-level under it, as under "auto"
+    def test_auto_mode_falls_back_to_set_level_and_answer_mode_is_refused(self, tmp_path):
+        # a prediction outside the candidate set is scored set-level under
+        # "auto"; "answer" is only ever recorded, never configured
         data = tmp_path / "qa.jsonl"
         rows = [
             {"id": "in", "question": "Which river runs through Lyon?",
@@ -678,20 +677,15 @@ class TestRunCampaign:
         ]
         data.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         source = DatasetSource(kind=DATASET_QA_FILE, path=str(data), format="maqa_like")
-
-        def records(mode):
-            config = make_config(tmp_path, dataset=source, methods=ALL_METHODS,
-                                 score_mode=mode, output_dir=str(tmp_path / mode))
-            client, _ = agent_client()
-            run_campaign(config, client=client)
-            return _records_without_timing(config)
-
-        answer = records(MODE_ANSWER)
-        assert answer == records(MODE_AUTO)
+        config = make_config(tmp_path, dataset=source, methods=ALL_METHODS, score_mode=MODE_AUTO)
+        client, _ = agent_client()
+        run_campaign(config, client=client)
         used = {(r["key"]["question_id"], r["key"]["method"]): r["scores"]["mode"]
-                for r in answer}
+                for r in _records_without_timing(config)}
         assert used[("in", "possibility")] == MODE_ANSWER
         assert used[("out", "possibility")] == MODE_SET
+        with pytest.raises(ConfigError, match="score_mode must be 'auto' or 'set', got 'answer'"):
+            make_config(tmp_path, dataset=source, score_mode=MODE_ANSWER)
 
     def test_http_and_in_process_campaigns_write_the_same_records(self, tmp_path, serve):
         def records_without_timing(subdir, base_url, transport):
@@ -763,7 +757,7 @@ class TestRunCampaign:
             assert record["scores"]["first_order"] is None
             assert record["prediction"] is None
 
-    def test_usage_entries_feed_cost_report(self, tmp_path):
+    def test_record_usage_feeds_cost_report(self, tmp_path):
         price_in, price_out = 2e-6, 6e-6
         config = make_config(
             tmp_path,
@@ -779,13 +773,16 @@ class TestRunCampaign:
         )
         client, _ = agent_client()
         written = run_campaign(config, client=client)
-        entries = usage_entries(written)
-        assert len(entries) == 4
-        assert all(e.input_tokens > 0 for e in entries)
-        ledger = cost_report(entries, config.endpoints)
-        expected = sum(
-            e.input_tokens * price_in + e.output_tokens * price_out for e in entries
-        )
+        usage = [
+            (r["endpoint"]["key"], r["key"]["method"],
+             r["elicitation"]["usage"]["input_tokens"],
+             r["elicitation"]["usage"]["output_tokens"])
+            for r in written
+        ]
+        assert len(usage) == 4
+        assert all(tin > 0 for _, _, tin, _ in usage)
+        ledger = cost_report(usage, config.endpoints)
+        expected = sum(tin * price_in + tout * price_out for _, _, tin, tout in usage)
         assert ledger.total().currency == pytest.approx(expected, abs=1e-12)
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +371,149 @@ class TestEvalCommands:
         path.write_text('{"schema":"other.v1"}\n', encoding="utf-8")
         assert main(["eval", "auroc", "--records", str(path)]) == EXIT_DATASET
         assert "error" in capsys.readouterr().err
+
+    def test_records_that_are_not_utf8_are_a_dataset_error(self, tmp_path, capsys):
+        path = eval_fixture_records(tmp_path)
+        Path(path).write_bytes(Path(path).read_bytes().replace(b'"q0"', b'"q\xff"'))
+        assert main(["eval", "auroc", "--records", path]) == EXIT_DATASET
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_resume_over_a_key_span_that_is_not_utf8_is_a_dataset_error(tmp_path, capsys):
+    config, config_path = write_campaign_config(tmp_path, "http://localhost:1")
+    path = records_path(config.output_dir)
+    append_records(path, [{"key": {"question_id": "q0", "method": "vanilla", "seed": 0}}])
+    Path(path).write_bytes(Path(path).read_bytes().replace(b'"q0"', b'"q\xff"'))
+    assert main(["campaign", "resume", "--config", config_path]) == EXIT_DATASET
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def row_command_argv(tmp_path, command):
+    """Arguments for one row-writing command.  The eval commands read a records
+    file over two methods and two seeds with uneven scores and token counts,
+    priced by a config in ``tmp_path``; ``synth run`` runs the in-process agent."""
+    base_url = "http://example.invalid/v1"
+    records = []
+    for method in ("definetti", "vanilla"):
+        for seed in (0, 1):
+            for i in range(5):
+                p = 0.5 + i / 12
+                records.append({
+                    "key": {"question_id": f"q{i}", "method": method, "seed": seed},
+                    "pstar": [p, 1 - p],
+                    "labels": {"ambiguous": (i + seed) % 2, "correct": None},
+                    "endpoint": {"key": f"m@{base_url}", "model_id": "m",
+                                 "base_url": base_url},
+                    "elicitation": {"usage": {"input_tokens": 90 + 7 * i + seed,
+                                              "output_tokens": 11 + len(method) * i}},
+                    "scores": {"mode": "set",
+                               "first_order": (7 * i + 3 * seed + len(method)) % 11 / 13,
+                               "second_order": None, "combined": None},
+                })
+    path = records_path(str(tmp_path / "eval"))
+    append_records(path, records)
+    _, config_path = write_campaign_config(
+        tmp_path, base_url,
+        endpoints=(ModelEndpoint(base_url=base_url, model_id="m",
+                                 price_per_input_token=3e-6, price_per_output_token=1.5e-5),),
+    )
+    return {
+        "eval auroc": ["eval", "auroc", "--records", path],
+        "eval concordance": ["eval", "concordance", "--records", path],
+        "eval cost": ["eval", "cost", "--records", path, "--config", config_path],
+        "synth run": ["synth", "run", "--p-grid", "0.25,0.5", "--m-grid", "2",
+                      "--repeats", "2", "--word-length", "3",
+                      "--methods", "definetti,probint"],
+    }[command]
+
+
+#: Per command, the JSON lines it prints to stdout and the CSV lines it writes
+#: to ``--out`` (each ended by ``\r\n``), captured before the row-writing
+#: commands shared one writer.
+PINNED_ROWS = {
+    "eval auroc": (
+        [
+            '{"dataset": "records", "method": "definetti", "metric": "auroc", "n": 10, '
+            '"stderr": 0.0833333333333333, "value": 0.5833333333333333}',
+            '{"dataset": "records", "method": "vanilla", "metric": "auroc", "n": 10, '
+            '"stderr": 0.0, "value": 0.3333333333333333}',
+        ],
+        [
+            "method,dataset,metric,value,stderr,n",
+            "definetti,records,auroc,0.5833333333333333,0.0833333333333333,10",
+            "vanilla,records,auroc,0.3333333333333333,0.0,10",
+        ],
+    ),
+    "eval concordance": (
+        [
+            '{"dataset": "records", "method": "definetti", "metric": "concordance", "n": 10, '
+            '"stderr": 0.09999999999999998, "value": 0.6}',
+            '{"dataset": "records", "method": "vanilla", "metric": "concordance", "n": 10, '
+            '"stderr": 0.0, "value": 0.7}',
+        ],
+        [
+            "method,dataset,metric,value,stderr,n",
+            "definetti,records,concordance,0.6,0.09999999999999998,10",
+            "vanilla,records,concordance,0.7,0.0,10",
+        ],
+    ),
+    "eval cost": (
+        [
+            '{"currency": 0.007484999999999999, "endpoint": "m@http://example.invalid/v1", '
+            '"input_tokens": 1045, "method": "definetti", "output_tokens": 290}',
+            '{"currency": 0.006885, "endpoint": "m@http://example.invalid/v1", '
+            '"input_tokens": 1045, "method": "vanilla", "output_tokens": 250}',
+            '{"currency": 0.014369999999999997, "endpoint": "m@http://example.invalid/v1", '
+            '"input_tokens": 2090, "method": "__total__", "output_tokens": 540}',
+        ],
+        [
+            "endpoint,method,input_tokens,output_tokens,currency",
+            "m@http://example.invalid/v1,definetti,1045,290,0.007484999999999999",
+            "m@http://example.invalid/v1,vanilla,1045,250,0.006885",
+            "m@http://example.invalid/v1,__total__,2090,540,0.014369999999999997",
+        ],
+    ),
+    "synth run": (
+        [
+            '{"error_rate": 0.0, "first_order_mean": 1.687005433856425, "first_order_std": 0.0, '
+            '"m": 2, "method": "definetti", "n": 2, "p": 0.25, "second_order_mean": null, '
+            '"second_order_std": null}',
+            '{"error_rate": 0.0, "first_order_mean": null, "first_order_std": null, "m": 2, '
+            '"method": "probint", "n": 2, "p": 0.25, "second_order_mean": 0.5, '
+            '"second_order_std": 0.0}',
+            '{"error_rate": 0.0, "first_order_mean": 2.0794415416798357, "first_order_std": 0.0, '
+            '"m": 2, "method": "definetti", "n": 2, "p": 0.5, "second_order_mean": null, '
+            '"second_order_std": null}',
+            '{"error_rate": 0.0, "first_order_mean": null, "first_order_std": null, "m": 2, '
+            '"method": "probint", "n": 2, "p": 0.5, "second_order_mean": 0.5, '
+            '"second_order_std": 0.0}',
+        ],
+        [
+            "method,p,m,n,first_order_mean,first_order_std,second_order_mean,"
+            "second_order_std,error_rate",
+            "definetti,0.25,2,2,1.687005433856425,0.0,,,0.0",
+            "probint,0.25,2,2,,,0.5,0.0,0.0",
+            "definetti,0.5,2,2,2.0794415416798357,0.0,,,0.0",
+            "probint,0.5,2,2,,,0.5,0.0,0.0",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", sorted(PINNED_ROWS))
+def test_row_output_bytes_are_pinned(tmp_path, capsys, command, to_file):
+    argv = row_command_argv(tmp_path, command)
+    lines, table = PINNED_ROWS[command]
+    if not to_file:
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+        return
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {len(lines)} rows to {out}\n"
+    assert out.read_bytes() == "".join(line + "\r\n" for line in table).encode("utf-8")
 
 
 def test_mock_serve_requires_a_readable_script(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Import hygiene.
 
-Static: no module under ``src/ipuq`` imports a name it never uses.  No
-linter ships with the project, so this walks each module's syntax tree with
-the standard library alone.  A module-level import counts as used when its
-bound name appears anywhere in the module or in the module's ``__all__``
-(which is how the package ``__init__`` files re-export).
+Static: no module under ``src/ipuq`` imports a name it never uses, and none
+imports an underscore name from another ``ipuq`` module.  No linter ships
+with the project, so this walks each module's syntax tree with the standard
+library alone.  A module-level import counts as used when its bound name
+appears anywhere in the module or in the module's ``__all__`` (which is how
+the package ``__init__`` files re-export).
 
 Dynamic: importing the package loads no network module; the first mock
 server and the first HTTP request load them.  Each check runs in a fresh
@@ -74,6 +75,47 @@ def test_checker_flags_only_unused_names():
         "print(os.sep, xml.dom)\n"
     )
     assert unused_imports(source) == [(2, "sys"), (4, "Iterator")]
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every underscore name, dunders aside, that ``source``
+    imports from a module of the ``ipuq`` package, at any depth."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ipuq")
+        for alias in node.names
+        if alias.name.startswith("_")
+        and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    )
+
+
+def test_no_private_names_imported_across_modules():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    private = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for path in modules
+        for line, name in private_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert private == []
+
+
+def test_private_checker_flags_only_underscore_names_from_the_package():
+    source = (
+        "from __future__ import annotations\n"
+        "from .synth import _CAP, PUBLIC, __version__\n"
+        "from ..core import _helper as helper\n"
+        "from ipuq.mock import _agent\n"
+        "from ipuqx import _other\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from . import _private\n"
+    )
+    assert private_imports(source) == [
+        (2, "_CAP"), (3, "_helper"), (4, "_agent"), (8, "_private"),
+    ]
 
 
 def test_star_import_of_the_client_binds_its_transport():

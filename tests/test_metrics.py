@@ -212,17 +212,9 @@ class FakeEndpoint:
         self.price_per_output_token = pout
 
 
-class FakeResult:
-    def __init__(self, endpoint_key, kind, input_tokens, output_tokens):
-        self.endpoint_key = endpoint_key
-        self.kind = kind
-        self.input_tokens = input_tokens
-        self.output_tokens = output_tokens
-
-
 def test_cost_report_arithmetic():
     ep = FakeEndpoint("m@url", 1e-6, 2e-6)
-    ledger = cost_report([FakeResult("m@url", "definetti", 1000, 500)], [ep])
+    ledger = cost_report([("m@url", "definetti", 1000, 500)], [ep])
     row = ledger.rows[("m@url", "definetti")]
     assert row.currency == pytest.approx(0.002, abs=1e-15)
     assert row.input_tokens == 1000
@@ -232,15 +224,15 @@ def test_cost_report_arithmetic():
 def test_cost_report_empty_and_unknown():
     assert cost_report([], [FakeEndpoint("e", 0, 0)]).total() == CostRow()
     with pytest.raises(UnknownEndpointError):
-        cost_report([FakeResult("ghost", "vanilla", 1, 1)], [FakeEndpoint("e", 0, 0)])
+        cost_report([("ghost", "vanilla", 1, 1)], [FakeEndpoint("e", 0, 0)])
 
 
 def test_cost_rows_sum_to_endpoint_total():
     ep = FakeEndpoint("m@url", 2e-6, 3e-6)
     results = [
-        FakeResult("m@url", "definetti", 100, 10),
-        FakeResult("m@url", "probint", 200, 20),
-        FakeResult("m@url", "definetti", 50, 5),
+        ("m@url", "definetti", 100, 10),
+        ("m@url", "probint", 200, 20),
+        ("m@url", "definetti", 50, 5),
     ]
     ledger = cost_report(results, [ep])
     total = ledger.endpoint_totals()["m@url"]
@@ -273,7 +265,7 @@ def test_ledger_merge_is_additive():
 )
 def test_ledger_total_matches_manual_sum(pairs):
     ep = FakeEndpoint("e", 1.5e-6, 2.5e-6)
-    results = [FakeResult("e", f"k{i % 3}", a, b) for i, (a, b) in enumerate(pairs)]
+    results = [("e", f"k{i % 3}", a, b) for i, (a, b) in enumerate(pairs)]
     ledger = cost_report(results, [ep])
     want_in = sum(a for a, _ in pairs)
     want_out = sum(b for _, b in pairs)
