@@ -80,6 +80,20 @@ class RecordsSchemaError(IpuqError, ValueError):
     pass
 
 
+class RecordDecodeError(RecordsSchemaError):
+    """A records file line that is not UTF-8 or not JSON.
+
+    Names the file, the 1-based line and the byte offset within that line
+    where decoding failed.
+    """
+
+    def __init__(self, path: str, line: int, offset: int, reason: str):
+        super().__init__(f"{path}: line {line}, byte offset {offset}: {reason}")
+        self.path = path
+        self.line = line
+        self.offset = offset
+
+
 # =========================================================================
 # Configuration
 # =========================================================================
@@ -158,8 +172,11 @@ class CampaignConfig(JsonForm):
 # =========================================================================
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 def records_path(output_dir: str) -> str:
@@ -181,25 +198,33 @@ def append_records(path: str, records: Iterable[dict]) -> None:
 
 
 #: Bytes read per step by the records file readers: forwards by
-#: :func:`_record_spans`, backwards by :func:`_drop_torn_tail`.  Memory stays
+#: :func:`_decoded_lines`, backwards by :func:`_drop_torn_tail`.  Memory stays
 #: bounded by one chunk plus the longest line.
 _TAIL_CHUNK = 64 * 1024
 
 _SPACE = b" \t\n\r\x0b\x0c"
 
 
-def _record_spans(path: str) -> Iterator[tuple[bytearray, int, int]]:
-    """Yield each record line of a records file as ``(buffer, start, end)``,
-    the line being ``buffer[start:end]`` without its ``\\n``, after checking
-    the schema header; blank lines are skipped and an empty file yields
-    nothing.  The buffer is reused, so a caller reads the span before asking
-    for the next one.
+def _check_header(head: Any) -> None:
+    schema = head.get("schema") if isinstance(head, dict) else head
+    if schema != RECORD_SCHEMA:
+        raise RecordsSchemaError(f"unexpected records schema {schema!r}")
+
+
+def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> Iterator[Any]:
+    """Yield ``decode(buffer, start, end)`` for each record line of a records
+    file, the line being ``buffer[start:end]`` without its ``\\n``, after
+    checking the schema header; blank lines are skipped and an empty file
+    yields nothing.  The buffer is reused, so ``decode`` copies what it keeps.
 
     The file is read ``_TAIL_CHUNK`` bytes at a time.  A line that crosses a
-    chunk edge is carried into the next buffer, and no record line is
-    copied or decoded here.
+    chunk edge is carried into the next buffer; no record line is copied
+    before ``decode`` sees it.  ``decode`` decodes the line, or a tail of
+    it, as UTF-8 JSON; when that fails, :class:`RecordDecodeError` names
+    the line and the failing byte.
     """
     header = True
+    offset = 0  # of the buffer's first byte in the file
     with open(path, "rb") as fh:
         buf = bytearray()
         # at the end of the file, a last line without a newline gets one
@@ -210,21 +235,49 @@ def _record_spans(path: str) -> Iterator[tuple[bytearray, int, int]]:
             while (end := buf.find(b"\n", scan)) >= 0:
                 # only a line that starts with a space pays for a copy
                 if buf[start] not in _SPACE or buf[start:end].strip():
-                    if header:
-                        head = json.loads(buf[start:end].decode("utf-8"))
-                        schema = head.get("schema") if isinstance(head, dict) else head
-                        if schema != RECORD_SCHEMA:
-                            raise RecordsSchemaError(f"unexpected records schema {schema!r}")
-                        header = False
-                    else:
-                        yield buf, start, end
+                    try:
+                        if header:
+                            _check_header(json.loads(buf[start:end].decode("utf-8")))
+                            header = False
+                        else:
+                            yield decode(buf, start, end)
+                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                        raise _decode_error(path, offset + start, end - start, exc) from exc
                 start = scan = end + 1
             del buf[:start]
+            offset += start
+
+
+def _decode_error(
+    path: str, line_start: int, line_length: int, exc: UnicodeDecodeError | json.JSONDecodeError
+) -> RecordDecodeError:
+    """The error for a line at file offset ``line_start`` whose decode failed.
+
+    Every decode runs to the line's end, so the failing byte lies as many
+    bytes before the end as the decoded text holds from the failure on.
+    The line number is counted here, so only a failure pays for it.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        rest = len(exc.object) - exc.start
+        reason = f"not UTF-8 ({exc.reason})"
+    else:
+        rest = len(exc.doc[exc.pos:].encode("utf-8"))
+        reason = f"not JSON ({exc.msg})"
+    line = 1
+    with open(path, "rb") as fh:
+        while line_start > 0 and (chunk := fh.read(min(line_start, _TAIL_CHUNK))):
+            line += chunk.count(b"\n")
+            line_start -= len(chunk)
+    return RecordDecodeError(path, line, line_length - rest, reason)
+
+
+def _decode_line(buf: bytearray, start: int, end: int) -> dict[str, Any]:
+    return json.loads(buf[start:end].decode("utf-8"))
 
 
 def load_run_records(path: str) -> list[dict]:
     """Read records back, validating the header line."""
-    return [json.loads(buf[start:end].decode("utf-8")) for buf, start, end in _record_spans(path)]
+    return list(_decoded_lines(path, _decode_line))
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -258,6 +311,14 @@ def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
     return (key["question_id"], key["method"], key["seed"])
 
 
+def _decode_key(buf: bytearray, start: int, end: int) -> tuple[str, str, int]:
+    at = buf.rfind(_KEY_SPAN, start, end)
+    if at < 0:
+        return _key_tuple(_decode_line(buf, start, end)["key"])
+    at += len(_KEY_SPAN) - 1
+    return _key_tuple(_DECODER.raw_decode(buf[at:end].decode("utf-8"))[0])
+
+
 def existing_keys(path: str) -> set[tuple[str, str, int]]:
     """The (question_id, method, seed) keys recorded in ``path``.
 
@@ -271,16 +332,7 @@ def existing_keys(path: str) -> set[tuple[str, str, int]]:
     """
     if not os.path.exists(path):
         return set()
-    keys = set()
-    for buf, start, end in _record_spans(path):
-        at = buf.rfind(_KEY_SPAN, start, end)
-        if at >= 0:
-            at += len(_KEY_SPAN) - 1
-            key = _DECODER.raw_decode(buf[at:end].decode("utf-8"))[0]
-        else:
-            key = json.loads(buf[start:end].decode("utf-8"))["key"]
-        keys.add(_key_tuple(key))
-    return keys
+    return set(_decoded_lines(path, _decode_key))
 
 
 # =========================================================================
@@ -459,25 +511,39 @@ def decide(method: str, payload: object) -> DecisionOutcome | None:
 # =========================================================================
 
 
-def synth_tasks(source: DatasetSource) -> list[IclTask]:
-    """The source's tasks in question-id order: task ``i`` draws its words from
-    seed ``base_seed + i`` and its demonstration noise from ``base_seed + 10_000 + i``."""
-    return [
-        generate_icl_task(
-            source.transform,
-            NoiseSpec(p=source.noise_p, rng_seed=source.base_seed + 10_000 + i),
-            m=source.m,
-            word_length=source.word_length,
-            rng_seed=source.base_seed + i,
-        )
-        for i in range(source.count)
-    ]
+def synth_question_id(index: int) -> str:
+    """The question id of a synthetic source's task ``index``."""
+    return f"synth-{index:04d}"
 
 
-def build_synth_records(source: DatasetSource) -> list[QARecord]:
-    """Generate the QA records for a synthetic dataset source."""
+def synth_tasks(
+    source: DatasetSource, wanted: Callable[[str], bool] | None = None
+) -> dict[str, IclTask]:
+    """The source's tasks by question id, in id order: task ``i`` draws its
+    words from seed ``base_seed + i`` and its demonstration noise from
+    ``base_seed + 10_000 + i``.  With ``wanted``, only the tasks whose id it
+    accepts are generated."""
+    tasks = {}
+    for i in range(source.count):
+        question_id = synth_question_id(i)
+        if wanted is None or wanted(question_id):
+            tasks[question_id] = generate_icl_task(
+                source.transform,
+                NoiseSpec(p=source.noise_p, rng_seed=source.base_seed + 10_000 + i),
+                m=source.m,
+                word_length=source.word_length,
+                rng_seed=source.base_seed + i,
+            )
+    return tasks
+
+
+def build_synth_records(
+    source: DatasetSource, wanted: Callable[[str], bool] | None = None
+) -> list[QARecord]:
+    """Generate the QA records for a synthetic dataset source, or for the
+    questions whose id ``wanted`` accepts."""
     records = []
-    for i, task in enumerate(synth_tasks(source)):
+    for question_id, task in synth_tasks(source, wanted).items():
         variants = ground_truth_variants(task.clean_query_output, source.noise_p)
         records.append(
             QARecord(
@@ -490,18 +556,27 @@ def build_synth_records(source: DatasetSource) -> list[QARecord]:
                 truth_set=tuple(v.text for v in variants),
                 reference_answer=task.clean_query_output,
                 pstar=tuple(v.prob for v in variants),
-                question_id=f"synth-{i:04d}",
+                question_id=question_id,
             )
         )
     return records
 
 
-def load_dataset(source: DatasetSource) -> list[QARecord]:
+def load_dataset(
+    source: DatasetSource, wanted: Callable[[str], bool] | None = None
+) -> list[QARecord]:
+    """The source's questions in order, or those whose id ``wanted`` accepts.
+
+    ``wanted`` is called once per question id, in order.  A synthetic source
+    generates only the questions it accepts; a QA file is read and checked
+    whole, since its ids come from the file.
+    """
     if source.kind == DATASET_SYNTH:
-        return build_synth_records(source)
+        return build_synth_records(source, wanted)
     from .datasets import ingest_qa_dataset
 
-    return ingest_qa_dataset(source.path, source.format)
+    records = ingest_qa_dataset(source.path, source.format)
+    return records if wanted is None else [q for q in records if wanted(q.question_id)]
 
 
 def _verdicts_to_dicts(result: ElicitationResult) -> list[dict[str, Any]]:
@@ -554,29 +629,37 @@ def _score_block(
     return {"mode": used, "first_order": first, "second_order": second, "combined": combined}
 
 
-def _member_endpoints(base: ModelEndpoint, seed: int, count: int) -> list[ModelEndpoint]:
+def _seed_endpoints(
+    base: ModelEndpoint, seed: int, members: int
+) -> tuple[ModelEndpoint, list[ModelEndpoint]]:
+    """The endpoint of a record seed, and its credal ensemble's members."""
     # Distinct member seeds give the ensemble its distinct beliefs; derived
     # deterministically from the record seed so resumes stay reproducible.
-    return [dataclasses.replace(base, seed=seed * 100 + j) for j in range(count)]
+    return (
+        dataclasses.replace(base, seed=seed),
+        [dataclasses.replace(base, seed=seed * 100 + j) for j in range(members)],
+    )
 
 
 def _run_cell(
     config: CampaignConfig,
     client: ChatClient,
+    endpoints: tuple[ModelEndpoint, list[ModelEndpoint]],
     qrecord: QARecord,
     method: str,
     seed: int,
 ) -> dict[str, Any]:
-    """Elicit, score and record one cell.  Whatever the cell raises becomes a
-    failed record that keeps the results of every loop it reached."""
+    """Elicit, score and record one cell, with the seed's ``endpoints`` from
+    :func:`_seed_endpoints`.  Whatever the cell raises becomes a failed
+    record that keeps the results of every loop it reached."""
     started = time.time()
-    endpoint = dataclasses.replace(config.endpoints[0], seed=seed)
+    endpoint, members = endpoints
     results: list[ElicitationResult] = []
     try:
         if RECORDS[method].ensemble:
             payload = elicit_credal_ensemble(
                 client,
-                _member_endpoints(endpoint, seed, config.credal_members),
+                members,
                 qrecord.question,
                 qrecord.candidates,
                 max_attempts=config.retry_budget,
@@ -736,28 +819,39 @@ def run_campaign(
     finish.  On Ctrl-C they are written before the interrupt propagates; on
     a failed write (``OSError``) each finished cell left out of the file is
     logged at ERROR with its key and billed usage.  Resuming reads only the
-    keys of the records file (see :func:`existing_keys`).
+    keys of the records file (see :func:`existing_keys`), and only the
+    questions that still have a cell to run are built.
     """
     client = client if client is not None else ChatClient()
-    qrecords = load_dataset(config.dataset)
     path = records_path(config.output_dir)
     _drop_torn_tail(path)
     done = existing_keys(path)
+    cells = [(method, seed) for method in config.methods for seed in config.seeds]
+    missing: dict[str, list[tuple[str, int]]] = {}
+
+    def pending(question_id: str) -> bool:
+        missing[question_id] = [c for c in cells if (question_id, *c) not in done]
+        return bool(missing[question_id])
+
     jobs = [
         (q, method, seed)
-        for q in qrecords
-        for method in config.methods
-        for seed in config.seeds
-        if (q.question_id, method, seed) not in done
+        for q in load_dataset(config.dataset, pending)
+        for method, seed in missing[q.question_id]
     ]
-    cells = len(qrecords) * len(config.methods) * len(config.seeds)
-    logger.info("%s: %d cells already recorded, %d to run", path, cells - len(jobs), len(jobs))
+    # ``missing`` holds every question of the dataset, so keys of other
+    # questions, methods or seeds in the file are not counted
+    logger.info("%s: %d cells already recorded, %d to run",
+                path, len(missing) * len(cells) - len(jobs), len(jobs))
     if not jobs:
         return []
 
+    base = config.endpoints[0]
+    endpoints = {seed: _seed_endpoints(base, seed, config.credal_members)
+                 for seed in config.seeds}
     written: list[dict[str, Any]] = []
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        futures = [pool.submit(_run_cell, config, client, *job) for job in jobs]
+        futures = [pool.submit(_run_cell, config, client, endpoints[seed], q, method, seed)
+                   for q, method, seed in jobs]
         try:
             for future in futures:
                 record = future.result()
@@ -814,6 +908,7 @@ __all__ = [
     "DATASET_SYNTH",
     "ConfigError",
     "RecordsSchemaError",
+    "RecordDecodeError",
     "DatasetSource",
     "CampaignConfig",
     "canonical_json",
@@ -829,6 +924,7 @@ __all__ = [
     "candidates_from_dict",
     "score_payload",
     "decide",
+    "synth_question_id",
     "synth_tasks",
     "build_synth_records",
     "load_dataset",

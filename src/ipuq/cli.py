@@ -185,7 +185,7 @@ def _cmd_synth_gen(args: argparse.Namespace) -> int:
                            count=args.count, base_seed=args.base_seed)
     lines = [
         json.dumps(task.to_dict(), sort_keys=True, ensure_ascii=False)
-        for task in synth_tasks(source)
+        for task in synth_tasks(source).values()
     ]
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -295,6 +295,13 @@ class CredalSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    @functools.cached_property
+    def mean(self) -> PrecisePMF:
+        """The members' equal-weight arithmetic mean, built on first use."""
+        m = len(self.members)
+        mean = [sum(column) / m for column in zip(*(member.probs for member in self.members))]
+        return build_pmf(self.candidates, mean, renormalize=True)
+
 
 @dataclass(frozen=True)
 class PossibilityAssignment:

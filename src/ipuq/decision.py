@@ -12,7 +12,6 @@ from .core import (
     LengthMismatchError,
     PrecisePMF,
     ProbabilityIntervalSet,
-    build_pmf,
     fold_equal,
 )
 
@@ -71,11 +70,11 @@ def utilitarian_aggregate(credal: CredalSet) -> PrecisePMF:
     The mean of PMFs is itself a PMF, so the result is a valid precise
     distribution; its argmax is the group's utilitarian choice.  Note this
     can disagree with per-member majority vote: two members mildly
-    favouring B lose to one member strongly favouring A.
+    favouring B lose to one member strongly favouring A.  The mean is built
+    once per credal set (:attr:`~ipuq.core.CredalSet.mean`), so a record's
+    decision and its scores share it.
     """
-    m = len(credal.members)
-    mean = [sum(column) / m for column in zip(*(member.probs for member in credal.members))]
-    return build_pmf(credal.candidates, mean, renormalize=True)
+    return credal.mean
 
 
 def alignment_rate(

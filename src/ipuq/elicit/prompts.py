@@ -199,6 +199,12 @@ def _format_suffix(kind: PromptKind, n_candidates: int) -> str:
     return f"{FORMAT_HEADER}\n{intro}\n```\n{body}\n```"
 
 
+@functools.lru_cache(maxsize=256)
+def _answers_section(answers: tuple[str, ...]) -> str:
+    numbered = "\n".join(f"{i + 1}. {a}" for i, a in enumerate(answers))
+    return f"{ANSWERS_HEADER}\n{numbered}"
+
+
 def render_prompt(
     kind: PromptKind,
     question: str,
@@ -218,8 +224,7 @@ def render_prompt(
         if candidates is None:
             raise MissingCandidatesError(f"kind {kind.value} requires a candidate list")
         n_candidates = len(candidates)
-        numbered = "\n".join(f"{i + 1}. {a}" for i, a in enumerate(candidates.answers))
-        parts.append(f"{ANSWERS_HEADER}\n{numbered}")
+        parts.append(_answers_section(candidates.answers))
     if wire.has_block:
         parts.append(_format_suffix(kind, n_candidates))
     if feedback:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipuq.campaign
+import ipuq.datasets
 from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
@@ -29,6 +30,7 @@ from ipuq.campaign import (
     CampaignConfig,
     ConfigError,
     DatasetSource,
+    RecordDecodeError,
     RecordsSchemaError,
     append_records,
     build_synth_records,
@@ -222,7 +224,8 @@ class TestRecordsFile:
         append_records(path, [{"key": {"question_id": "q", "method": "m", "seed": 0}}])
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": {"question_id": "q2", "method": "m", "seed": 0\n')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(RecordDecodeError, match=r"records\.jsonl: line 3, byte offset 54: "
+                                                    r"not JSON \(Expecting ',' delimiter\)"):
             existing_keys(path)
 
     def test_keys_are_read_without_loading_records(self, tmp_path, monkeypatch):
@@ -361,12 +364,13 @@ class TestRecordsReader:
         path = tmp_path / "records.jsonl"
         path.write_text(_LAYOUTS["lf"]([_HEADER, *lines]), encoding="utf-8")
         longest = max(len(line.encode("utf-8")) for line in lines) + 1
-        spans = 0
-        for buf, start, end in ipuq.campaign._record_spans(str(path)):
+
+        def decode(buf, start, end):
             assert len(buf) < chunk + longest
-            assert json.loads(buf[start:end].decode("utf-8")) == json.loads(lines[spans])
-            spans += 1
-        assert spans == len(lines)
+            return json.loads(buf[start:end].decode("utf-8"))
+
+        decoded = list(ipuq.campaign._decoded_lines(str(path), decode))
+        assert decoded == [json.loads(line) for line in lines]
 
     @pytest.mark.parametrize("text", ["", "\n", " \r\n\n"], ids=["empty", "newline", "blank"])
     def test_a_file_without_lines_has_no_records(self, tmp_path, chunk, text):
@@ -389,8 +393,25 @@ class TestRecordsReader:
         path.write_text(f"{_HEADER}\n{_reader_lines(chunk)[0]}\n"
                         '{"key": {"question_id": "q2", "method": "m", "seed": 0\n',
                         encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(RecordDecodeError, match=r"records\.jsonl: line 3, byte offset 54: "
+                                                    r"not JSON \(Expecting ',' delimiter\)"):
             read(str(path))
+
+    @pytest.mark.parametrize("read", (load_run_records, existing_keys))
+    @pytest.mark.parametrize("bad, reason", ((b"@", "not JSON (Expecting value)"),
+                                             (b"\xff", "not UTF-8 (invalid start byte)")))
+    def test_an_undecodable_line_names_its_line_and_byte(self, tmp_path, chunk, read, bad,
+                                                          reason):
+        # non-ASCII text before the failing byte, inside the key span and before it
+        line = canonical_json(_reader_record("問題-é", question="é", seed=7)).encode("utf-8")
+        line = line.replace(b'"seed":7', b'"seed":' + bad)
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"\n".join(
+            [_HEADER.encode(), b"", _reader_lines(chunk)[0].encode(), line, b""]))
+        with pytest.raises(RecordDecodeError) as caught:
+            read(str(path))
+        assert str(caught.value) == f"{path}: line 4, byte offset {line.index(bad)}: {reason}"
+        assert (caught.value.line, caught.value.offset) == (4, line.index(bad))
 
 
 class TestPayloadRoundTrip:
@@ -784,6 +805,121 @@ class TestRunCampaign:
         ledger = cost_report(usage, config.endpoints)
         expected = sum(tin * price_in + tout * price_out for _, _, tin, tout in usage)
         assert ledger.total().currency == pytest.approx(expected, abs=1e-12)
+
+    def test_one_credal_mean_per_credal_record(self, tmp_path, monkeypatch):
+        # the record's decision and its scores share the utilitarian mean
+        builds = []
+        mean = CredalSet.__dict__["mean"]
+        build = mean.func
+        monkeypatch.setattr(mean, "func", lambda credal: builds.append(credal) or build(credal))
+        config = make_config(tmp_path, methods=("credal", "definetti"), seeds=(0, 1))
+        written = run_campaign(config, client=agent_client(credal_spread=0.05)[0])
+        credal = [r for r in written if r["key"]["method"] == "credal"]
+        assert len(credal) == 4 and all(r["elicitation"]["succeeded"] for r in credal)
+        assert all(r["decision"] is not None for r in credal)
+        assert len(builds) == len(credal)
+
+
+class TestResumeBuildsOnlyMissingQuestions:
+    """A resume reads the recorded keys first and builds only the questions
+    that still have a cell to run."""
+
+    QUESTIONS = 4
+
+    def config(self, tmp_path, subdir, dataset=None, **overrides):
+        return make_config(tmp_path, dataset=dataset or synth_source(count=self.QUESTIONS),
+                           methods=("definetti", "probint"), seeds=(0, 1),
+                           output_dir=str(tmp_path / subdir), **overrides)
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The question index of every synthetic task generated from now on."""
+        built = []
+        generate = ipuq.campaign.generate_icl_task
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["rng_seed"])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(ipuq.campaign, "generate_icl_task", counted)
+        return built
+
+    def test_a_complete_campaign_builds_no_question(self, tmp_path, monkeypatch, caplog):
+        config = self.config(tmp_path, "runs")
+        run_campaign(config, client=agent_client()[0])
+        built = self.count_builds(monkeypatch)
+        client, transport = agent_client()
+        with caplog.at_level(logging.INFO, logger="ipuq.campaign"):
+            assert run_campaign(config, client=client) == []
+        assert built == []
+        assert transport.calls == 0
+        path = records_path(config.output_dir)
+        assert caplog.messages == [f"{path}: 16 cells already recorded, 0 to run"]
+
+    @pytest.mark.parametrize("kept", (0, 1, 4, 5, 11, 15))
+    def test_a_partial_resume_builds_the_questions_with_missing_cells(
+        self, tmp_path, monkeypatch, caplog, kept
+    ):
+        whole = self.config(tmp_path, "whole")
+        run_campaign(whole, client=agent_client()[0])
+        cut = self.config(tmp_path, "cut")
+        path = Path(records_path(cut.output_dir))
+        path.parent.mkdir()
+        lines = Path(records_path(whole.output_dir)).read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:1 + kept]))  # the header and ``kept`` records
+
+        built = self.count_builds(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="ipuq.campaign"):
+            resumed = run_campaign(cut, client=agent_client()[0])
+        cells_per_question = len(cut.methods) * len(cut.seeds)
+        assert built == list(range(kept // cells_per_question, self.QUESTIONS))
+        assert len(resumed) == 16 - kept
+        assert caplog.messages == [f"{path}: {kept} cells already recorded, {16 - kept} to run"]
+        assert _records_without_timing(cut) == _records_without_timing(whole)
+
+    def test_keys_outside_the_config_are_not_counted(self, tmp_path, caplog):
+        wide = self.config(tmp_path, "runs")
+        run_campaign(wide, client=agent_client()[0])
+        narrow = self.config(tmp_path, "runs", dataset=synth_source(count=2))
+        narrow = dataclasses.replace(narrow, methods=("definetti",), seeds=(1,))
+        client, transport = agent_client()
+        with caplog.at_level(logging.INFO, logger="ipuq.campaign"):
+            assert run_campaign(narrow, client=client) == []
+        assert transport.calls == 0
+        path = records_path(narrow.output_dir)
+        assert caplog.messages == [f"{path}: 2 cells already recorded, 0 to run"]
+        assert len(existing_keys(path)) == 16
+
+    def test_a_qa_file_resume_reads_the_whole_file_and_runs_the_missing_cells(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        data = tmp_path / "qa.jsonl"
+        rows = [{"id": f"q{i}", "question": f"Which word is clue {i}?",
+                 "answers": ["Alpha", "Beta"][: 1 + i % 2]} for i in range(3)]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        source = DatasetSource(kind=DATASET_QA_FILE, path=str(data), format="maqa_like")
+        whole = self.config(tmp_path, "whole", dataset=source)
+        run_campaign(whole, client=agent_client()[0])
+        cut = self.config(tmp_path, "cut", dataset=source)
+        path = Path(records_path(cut.output_dir))
+        path.parent.mkdir()
+        lines = Path(records_path(whole.output_dir)).read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-3]))
+
+        ingests = []
+        ingest = ipuq.datasets.ingest_qa_dataset
+        monkeypatch.setattr(ipuq.datasets, "ingest_qa_dataset",
+                            lambda *args: ingests.append(args) or ingest(*args))
+        client, transport = agent_client()
+        with caplog.at_level(logging.INFO, logger="ipuq.campaign"):
+            resumed = run_campaign(cut, client=client)
+            assert run_campaign(cut, client=agent_client()[0]) == []
+        assert ingests == [(str(data), "maqa_like")] * 2
+        assert [r["key"]["question_id"] for r in resumed] == ["q2"] * 3
+        assert transport.calls == 3
+        assert caplog.messages == [f"{path}: 9 cells already recorded, 3 to run",
+                                   f"{path}: 12 cells already recorded, 0 to run"]
+        assert _records_without_timing(cut) == _records_without_timing(whole)
 
 
 def _no_block(text):

@@ -376,8 +376,9 @@ class TestEvalCommands:
         path = eval_fixture_records(tmp_path)
         Path(path).write_bytes(Path(path).read_bytes().replace(b'"q0"', b'"q\xff"'))
         assert main(["eval", "auroc", "--records", path]) == EXIT_DATASET
-        err = capsys.readouterr().err
-        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        offset = Path(path).read_bytes().split(b"\n")[1].index(b"\xff")
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2, byte offset {offset}: not UTF-8 (invalid start byte)\n")
 
 
 def test_resume_over_a_key_span_that_is_not_utf8_is_a_dataset_error(tmp_path, capsys):
@@ -386,7 +387,10 @@ def test_resume_over_a_key_span_that_is_not_utf8_is_a_dataset_error(tmp_path, ca
     append_records(path, [{"key": {"question_id": "q0", "method": "vanilla", "seed": 0}}])
     Path(path).write_bytes(Path(path).read_bytes().replace(b'"q0"', b'"q\xff"'))
     assert main(["campaign", "resume", "--config", config_path]) == EXIT_DATASET
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    # the offset counts from the line's start, not from the key span's
+    assert Path(path).read_bytes().split(b"\n")[1].index(b"\xff") == 43
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2, byte offset 43: not UTF-8 (invalid start byte)\n")
 
 
 def row_command_argv(tmp_path, command):

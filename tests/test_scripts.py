@@ -1,7 +1,8 @@
-"""The demo scripts under ``scripts/`` run end to end on tiny arguments."""
+"""The scripts under ``scripts/`` run end to end on tiny arguments."""
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,18 @@ def test_mock_campaign_script_runs_then_resumes(tmp_path):
     assert "wrote 5 new records (5 total)" in first.stdout
     again = run_script("run_mock_campaign.py", *args, cwd=tmp_path)
     assert "wrote 0 new records (5 total)" in again.stdout
+
+
+def test_bench_pairs_script_compares_two_checkouts(tmp_path):
+    proc = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--workload", "inproc-set",
+                      "--pairs", "1", "--seconds", "0", "--tiny", cwd=tmp_path)
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["pair 1/1 seed 1, a first",
+                         "inproc-set, 1 pairs of 0 s runs: "
+                         "median [q1, q3] a -> b (b better in n pairs)"]
+    metrics = [line.split()[0] for line in lines[2:]]
+    assert metrics == ["cells_per_s", "tokens_per_cell", "eval_records_per_s", "resume_s",
+                       "setup_s", "peak_rss_mb"]
+    # the same checkout on both sides: tokens per cell are equal, so no side wins
+    assert re.fullmatch(r"tokens_per_cell +([\d.]+) \[\1, \1\] -> \1 \[\1, \1\] \(0/1\)",
+                        lines[3].strip())
