@@ -8,8 +8,18 @@ from each checkout with the same seed; pair ``i`` uses seed ``--seed + i``
 and the side that runs first alternates from pair to pair.  For every
 end-to-end metric in ``BENCHMARK.json`` the script prints each side's median
 and quartiles and how many pairs the second checkout won, taking the
-metric's better direction from that file; ties count for neither side.  It
-exits with status 1 when any run is not correct or has failed operations.
+metric's better direction from that file; ties count for neither side.
+After each metric it prints one verdict, in the first of these that holds:
+
+  gain        b won at least 9 in 10 pairs and its median is better than a's
+              by more than a's interquartile range;
+  worse       b's median is worse than a's by more than the metric's bound,
+              a fraction of a's median taken from ``BENCHMARK.json``;
+  unresolved  a's interquartile range exceeds the bound and not every b run
+              beats every a run;
+  flat        otherwise.
+
+It exits with status 1 when any run is not correct or has failed operations.
 """
 
 import argparse
@@ -38,6 +48,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(a: list[float], b: list[float], won: int, sign: int, bound: float) -> str:
+    """The verdict on one metric; ``sign`` is 1 when higher is better, else -1."""
+    q1, median_a, q3 = quartiles(a)
+    gap = sign * (quartiles(b)[1] - median_a)  # > 0 when b is better
+    allowed = bound * abs(median_a)
+    if 10 * won >= 9 * len(a) and gap > q3 - q1:
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    if q3 - q1 > allowed and not all(sign * (y - x) > 0 for x in a for y in b):
+        return "unresolved"
+    return "flat"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -50,8 +74,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--tiny", action="store_true", help="a few cells per round, for smoke tests")
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = (args.a.resolve(), args.b.resolve())
 
     runs: list[tuple[dict, dict]] = []
@@ -72,14 +95,16 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs: "
           "median [q1, q3] a -> b (b better in n pairs)")
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         a = [pa[name] for pa, _ in runs]
         b = [pb[name] for _, pb in runs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         won = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
         (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
         print(f"  {name:20s} {ma:.6g} [{qa1:.6g}, {qa3:.6g}] -> "
               f"{mb:.6g} [{qb1:.6g}, {qb3:.6g}] ({won}/{len(runs)})")
+        print(f"    verdict: {verdict(a, b, won, sign, metric['bound'])}")
     return 0 if ok else 1
 
 

@@ -172,7 +172,9 @@ class CampaignConfig(JsonForm):
 # =========================================================================
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# records are trees, so there is no cycle to check for
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                              check_circular=False)
 
 
 def canonical_json(obj: Any) -> str:
@@ -221,7 +223,8 @@ def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> I
     chunk edge is carried into the next buffer; no record line is copied
     before ``decode`` sees it.  ``decode`` decodes the line, or a tail of
     it, as UTF-8 JSON; when that fails, :class:`RecordDecodeError` names
-    the line and the failing byte.
+    the line and the failing byte.  A line whose record key ``decode``
+    cannot index raises :class:`RecordsSchemaError` naming the line.
     """
     header = True
     offset = 0  # of the buffer's first byte in the file
@@ -243,6 +246,12 @@ def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> I
                             yield decode(buf, start, end)
                     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                         raise _decode_error(path, offset + start, end - start, exc) from exc
+                    except (KeyError, TypeError):  # a line without a record key
+                        line = _line_number(path, offset + start)
+                        raise RecordsSchemaError(
+                            f"{path}: line {line}: not a record "
+                            "(no key object with question_id, method and seed)"
+                        ) from None
                 start = scan = end + 1
             del buf[:start]
             offset += start
@@ -255,7 +264,6 @@ def _decode_error(
 
     Every decode runs to the line's end, so the failing byte lies as many
     bytes before the end as the decoded text holds from the failure on.
-    The line number is counted here, so only a failure pays for it.
     """
     if isinstance(exc, UnicodeDecodeError):
         rest = len(exc.object) - exc.start
@@ -263,21 +271,37 @@ def _decode_error(
     else:
         rest = len(exc.doc[exc.pos:].encode("utf-8"))
         reason = f"not JSON ({exc.msg})"
+    return RecordDecodeError(path, _line_number(path, line_start), line_length - rest, reason)
+
+
+def _line_number(path: str, line_start: int) -> int:
+    """The 1-based number of the line at file offset ``line_start``.  It is
+    counted only when a line fails, so the readers' loop never pays for it."""
     line = 1
     with open(path, "rb") as fh:
         while line_start > 0 and (chunk := fh.read(min(line_start, _TAIL_CHUNK))):
             line += chunk.count(b"\n")
             line_start -= len(chunk)
-    return RecordDecodeError(path, line, line_length - rest, reason)
+    return line
 
 
-def _decode_line(buf: bytearray, start: int, end: int) -> dict[str, Any]:
+def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
+    return (key["question_id"], key["method"], key["seed"])
+
+
+def _decode_line(buf: bytearray, start: int, end: int) -> Any:
     return json.loads(buf[start:end].decode("utf-8"))
 
 
+def _decode_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
+    record = _decode_line(buf, start, end)
+    _key_tuple(record["key"])
+    return record
+
+
 def load_run_records(path: str) -> list[dict]:
-    """Read records back, validating the header line."""
-    return list(_decoded_lines(path, _decode_line))
+    """Read records back, validating the header line and each line's key."""
+    return list(_decoded_lines(path, _decode_record))
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -307,14 +331,10 @@ _KEY_SPAN = b'"key":{'
 _DECODER = json.JSONDecoder()
 
 
-def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
-    return (key["question_id"], key["method"], key["seed"])
-
-
 def _decode_key(buf: bytearray, start: int, end: int) -> tuple[str, str, int]:
     at = buf.rfind(_KEY_SPAN, start, end)
     if at < 0:
-        return _key_tuple(_decode_line(buf, start, end)["key"])
+        return _key_tuple(_decode_record(buf, start, end)["key"])
     at += len(_KEY_SPAN) - 1
     return _key_tuple(_DECODER.raw_decode(buf[at:end].decode("utf-8"))[0])
 
@@ -579,40 +599,34 @@ def load_dataset(
     return records if wanted is None else [q for q in records if wanted(q.question_id)]
 
 
-def _verdicts_to_dicts(result: ElicitationResult) -> list[dict[str, Any]]:
-    out = []
-    for a in result.attempt_log:
-        entry: dict[str, Any] = {"attempt": a.attempt}
-        if a.parse_error is not None:
-            entry["parse_error"] = a.parse_error
-        if a.verdict is not None:
-            entry["passed"] = a.verdict.passed
-            entry["violations"] = [
-                {"code": v.code, "index": v.index, "observed": v.observed, "bound": v.bound}
-                for v in a.verdict.violations
-            ]
-        out.append(entry)
-    return out
-
-
-def _transcripts_to_dicts(results: Sequence[ElicitationResult]) -> list[dict[str, Any]]:
-    out = []
+def _attempt_dicts(
+    results: Sequence[ElicitationResult],
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """A record's ``verdicts`` and ``transcripts``: one entry per member,
+    each listing that member's attempts."""
+    verdicts, transcripts = [], []
     for member, res in enumerate(results):
-        out.append(
-            {
-                "member": member,
-                "attempts": [
-                    {
-                        "attempt": a.attempt,
-                        "request": a.request_body,
-                        "response": a.response_body,
-                        "reply": a.reply_text,
-                    }
-                    for a in res.attempt_log
-                ],
-            }
-        )
-    return out
+        checked, replies = [], []
+        for a in res.attempt_log:
+            entry: dict[str, Any] = {"attempt": a.attempt}
+            if a.parse_error is not None:
+                entry["parse_error"] = a.parse_error
+            if a.verdict is not None:
+                entry["passed"] = a.verdict.passed
+                entry["violations"] = [
+                    {"code": v.code, "index": v.index, "observed": v.observed, "bound": v.bound}
+                    for v in a.verdict.violations
+                ]
+            checked.append(entry)
+            replies.append({
+                "attempt": a.attempt,
+                "request": a.reply.raw_request,
+                "response": a.reply.raw_response,
+                "reply": a.reply.text,
+            })
+        verdicts.append({"member": member, "attempts": checked})
+        transcripts.append({"member": member, "attempts": replies})
+    return verdicts, transcripts
 
 
 def _score_block(
@@ -731,6 +745,7 @@ def _build_record(
     total_out = sum(r.output_tokens for r in results)
     attempts = sum(r.attempts for r in results)
     loop_scores = [r for r in results if r.score is not None]
+    verdicts, transcripts = _attempt_dicts(results)
 
     return {
         "key": {"question_id": qrecord.question_id, "method": method, "seed": seed},
@@ -761,11 +776,8 @@ def _build_record(
             "loop_score": loop_scores[0].score if loop_scores else None,
             "loop_score_kind": loop_scores[0].score_kind if loop_scores else None,
             "usage": {"input_tokens": total_in, "output_tokens": total_out},
-            "verdicts": [
-                {"member": i, "attempts": _verdicts_to_dicts(r)}
-                for i, r in enumerate(results)
-            ],
-            "transcripts": _transcripts_to_dicts(results),
+            "verdicts": verdicts,
+            "transcripts": transcripts,
         },
         "scores": scores_dict,
         "decision": decision_dict,

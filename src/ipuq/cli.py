@@ -366,8 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (SchemaViolationError, ConfigError, RecordsSchemaError, FileNotFoundError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (SchemaViolationError, ConfigError, RecordsSchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except IpuqError as exc:

@@ -47,19 +47,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerdictReport:
-    """Outcome of one verification pass.  ``passed`` iff no violations."""
+    """Outcome of one verification pass: every violation it found."""
 
-    passed: bool
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.passed != (len(self.violations) == 0):
-            raise ValueError("passed flag must agree with the violation list")
-
-    @classmethod
-    def from_violations(cls, violations: Sequence[Violation]) -> "VerdictReport":
-        vs = tuple(violations)
-        return cls(passed=not vs, violations=vs)
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def codes(self) -> tuple[str, ...]:
         return tuple(v.code for v in self.violations)
@@ -89,7 +83,7 @@ def verify_axioms(prices: Sequence[float]) -> VerdictReport:
     total = sum(prices)
     if abs(total - 1.0) > PROB_TOL:
         violations.append(Violation(SUM, GLOBAL_INDEX, observed=total, bound=1.0))
-    return VerdictReport.from_violations(violations)
+    return VerdictReport(tuple(violations))
 
 
 def verify_interval_coherence(
@@ -115,7 +109,7 @@ def verify_interval_coherence(
         upper_total = sum(intervals.uppers)
         if upper_total < 1.0 - PROB_TOL:
             violations.append(Violation(UPPER_SUM, GLOBAL_INDEX, observed=upper_total, bound=1.0))
-    return VerdictReport.from_violations(violations)
+    return VerdictReport(tuple(violations))
 
 
 def normalize_possibility(assignment: PossibilityAssignment) -> PossibilityAssignment:

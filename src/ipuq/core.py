@@ -105,8 +105,13 @@ class JsonForm:
 
     @classmethod
     def load(cls: type[_J], path: str) -> _J:
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a JSON file; one not UTF-8 or not JSON is a ConfigError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @functools.cache

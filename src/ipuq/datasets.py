@@ -32,11 +32,14 @@ FORMATS = (FORMAT_MAQA, FORMAT_AMBIGQA, FORMAT_MC)
 
 
 class SchemaViolationError(IpuqError, ValueError):
-    """A row that does not fit the declared format; carries the line number."""
+    """A row that does not fit the declared format; carries the line number
+    and, when raised by :func:`ingest_qa_dataset`, names the file."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path: str | None = None):
+        where = f"{path}: line {line_no}" if path else f"line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.reason = message
 
 
 def _require(row: dict, key: str, line_no: int):
@@ -133,8 +136,9 @@ _PARSERS = {
 def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
     """Read a JSONL dataset file into QA records.
 
-    Any malformed row raises :class:`SchemaViolationError` naming the
-    offending 1-based line number; blank lines are allowed and skipped.
+    Any malformed row, including one that is not UTF-8 or not JSON, raises
+    :class:`SchemaViolationError` naming the file and the offending 1-based
+    line number; blank lines are allowed and skipped.
     A row without an ``id`` gets ``q`` plus its zero-padded line number, and
     a question id, explicit or default, may appear only once per file.
     """
@@ -143,22 +147,25 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
     parser = _PARSERS[format]
     records: list[QARecord] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise SchemaViolationError(
+                    line_no, f"not UTF-8 ({exc.reason} at byte offset {exc.start})", path
+                ) from exc
             except json.JSONDecodeError as exc:
-                raise SchemaViolationError(line_no, f"invalid JSON: {exc}") from exc
+                raise SchemaViolationError(line_no, f"invalid JSON: {exc}", path) from exc
             if not isinstance(row, dict):
-                raise SchemaViolationError(line_no, "row must be a JSON object")
+                raise SchemaViolationError(line_no, "row must be a JSON object", path)
             try:
                 record = parser(row, line_no)
             except IpuqError as exc:
-                if isinstance(exc, SchemaViolationError):
-                    raise
-                raise SchemaViolationError(line_no, str(exc)) from exc
+                reason = exc.reason if isinstance(exc, SchemaViolationError) else str(exc)
+                raise SchemaViolationError(line_no, reason, path) from exc
             if record.question_id is None:
                 record.question_id = f"q{line_no:05d}"
             if record.question_id in first_line:
@@ -166,6 +173,7 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
                     line_no,
                     f"duplicate question id {record.question_id!r} "
                     f"(first on line {first_line[record.question_id]})",
+                    path,
                 )
             first_line[record.question_id] = line_no
             records.append(record)

@@ -78,16 +78,12 @@ class MemberQuorumNotMetError(IpuqError, RuntimeError):
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """Everything about one attempt, verbatim enough to replay it."""
+    """One attempt: the transport's reply, verbatim, and what became of it."""
 
     attempt: int
-    request_body: str
-    response_body: str
-    reply_text: str
+    reply: ChatReply
     verdict: VerdictReport | None = None
     parse_error: str | None = None
-    input_tokens: int = 0
-    output_tokens: int = 0
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,7 @@ class ElicitationResult:
     """Outcome of one elicitation loop, successful or not."""
 
     kind: str
-    question: str
-    endpoint_key: str
     succeeded: bool
-    attempts: int
     attempt_log: tuple[AttemptRecord, ...]
     payload: object | None = None
     score: float | None = None
@@ -106,19 +99,23 @@ class ElicitationResult:
     salvaged: bool = False
 
     @property
+    def attempts(self) -> int:
+        return len(self.attempt_log)
+
+    @property
     def input_tokens(self) -> int:
-        return sum(a.input_tokens for a in self.attempt_log)
+        return sum(a.reply.input_tokens for a in self.attempt_log)
 
     @property
     def output_tokens(self) -> int:
-        return sum(a.output_tokens for a in self.attempt_log)
+        return sum(a.reply.output_tokens for a in self.attempt_log)
 
     @property
     def verdicts(self) -> tuple[VerdictReport, ...]:
         return tuple(a.verdict for a in self.attempt_log if a.verdict is not None)
 
 
-_PASSED = VerdictReport(passed=True)
+_PASSED = VerdictReport()
 
 
 def _check_prices(prices: list[float], candidates: CandidateSet) -> tuple[VerdictReport, Any]:
@@ -135,7 +132,7 @@ def _check_intervals(bounds, candidates: CandidateSet) -> tuple[VerdictReport, A
     except InvertedIntervalError:
         bad = next(i for i, (lo, hi) in enumerate(zip(lowers, uppers)) if lo > hi)
         violation = Violation(INVERTED, bad, observed=lowers[bad], bound=uppers[bad])
-        return VerdictReport.from_violations([violation]), None
+        return VerdictReport((violation,)), None
     verdict = verify_interval_coherence(intervals)
     return verdict, intervals if verdict.passed else None
 
@@ -150,7 +147,7 @@ def _check_possibility(reply, candidates: CandidateSet) -> tuple[VerdictReport, 
         normalize_possibility(assignment)
     except AllZeroError:
         violation = Violation(ALL_ZERO, -1, observed=0.0, bound=0.0)
-        return VerdictReport.from_violations([violation]), None
+        return VerdictReport((violation,)), None
     return _PASSED, assignment
 
 
@@ -206,18 +203,6 @@ ACCEPTANCE: dict[PromptKind, Acceptance] = {
 }
 
 
-def _attempt_record(attempt: int, reply: ChatReply, **outcome) -> AttemptRecord:
-    return AttemptRecord(
-        attempt=attempt,
-        request_body=reply.raw_request,
-        response_body=reply.raw_response,
-        reply_text=reply.text,
-        input_tokens=reply.input_tokens,
-        output_tokens=reply.output_tokens,
-        **outcome,
-    )
-
-
 def _parse_feedback(error: ParseError) -> str:
     return (
         f"Your reply could not be parsed: {error}.\n"
@@ -265,10 +250,7 @@ def elicit_with_retry(
         scored = succeeded and acceptance.score is not None
         return ElicitationResult(
             kind=kind.value,
-            question=question,
-            endpoint_key=endpoint.key,
             succeeded=succeeded,
-            attempts=len(attempt_log),
             attempt_log=tuple(attempt_log),
             payload=payload,
             score=acceptance.score(payload) if scored else None,
@@ -283,13 +265,13 @@ def elicit_with_retry(
             try:
                 parsed = parse_structured_report(kind, reply.text, candidates)
             except ParseError as exc:
-                attempt_log.append(_attempt_record(attempt, reply, parse_error=str(exc)))
+                attempt_log.append(AttemptRecord(attempt, reply, parse_error=str(exc)))
                 feedback = _parse_feedback(exc)
                 logger.debug("attempt %d/%d parse failure: %s", attempt, max_attempts, exc)
                 continue
             last_parsed = parsed
             verdict, payload = acceptance.check(parsed, candidates)
-            attempt_log.append(_attempt_record(attempt, reply, verdict=verdict))
+            attempt_log.append(AttemptRecord(attempt, reply, verdict=verdict))
             if verdict.passed:
                 return result(True, payload)
             feedback = _verdict_feedback(verdict)

@@ -36,20 +36,17 @@ METRIC_CSV_COLUMNS = ("method", "dataset", "metric", "value", "stderr", "n")
 COST_CSV_COLUMNS = ("endpoint", "method", "input_tokens", "output_tokens", "currency")
 
 
-def _record_score(record: dict[str, Any], score_field: str) -> float | None:
-    if score_field not in SCORE_FIELDS:
-        raise ValueError(f"unknown score field {score_field!r}; choose from {SCORE_FIELDS}")
-    return record["scores"].get(score_field)
+def _check_choice(what: str, value: str, choices: Sequence[str]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {choices}")
 
 
 def _record_label(record: dict[str, Any], label_kind: str) -> int | None:
     labels = record["labels"]
     if label_kind == LABEL_AMBIGUOUS:
         return labels.get("ambiguous")
-    if label_kind == LABEL_INCORRECT:
-        correct = labels.get("correct")
-        return None if correct is None else 1 - int(correct)
-    raise ValueError(f"unknown label kind {label_kind!r}; choose from {LABEL_KINDS}")
+    correct = labels.get("correct")
+    return None if correct is None else 1 - int(correct)
 
 
 def _predicted_pmf(record: dict[str, Any]) -> PrecisePMF | None:
@@ -73,35 +70,35 @@ def _pstar_reference(record: dict[str, Any], ref_kind: str) -> float | None:
         if total <= 0:
             return None
         return entropy([p / total for p in pstar])
-    if ref_kind == REF_KL_PSTAR:
-        predicted = _predicted_pmf(record)
-        if predicted is None:
-            return None
-        candidates = predicted.candidates
-        mass = [0.0] * len(candidates)
-        matched = 0.0
-        for answer, p in zip(record["truth_set"], pstar):
-            idx = candidates.index_of(answer)
-            if idx is not None:
-                mass[idx] += p
-                matched += p
-        if matched <= 0:
-            logger.debug(
-                "record %s: no truth-set answer matches a candidate; skipping kl ref",
-                record["key"],
-            )
-            return None
-        reference = build_pmf(candidates, mass, renormalize=True)
-        return ce_kl_decomposition(reference, predicted).kl_eu
-    raise ValueError(f"unknown reference kind {ref_kind!r}; choose from {REF_KINDS}")
+    predicted = _predicted_pmf(record)
+    if predicted is None:
+        return None
+    candidates = predicted.candidates
+    mass = [0.0] * len(candidates)
+    matched = 0.0
+    for answer, p in zip(record["truth_set"], pstar):
+        idx = candidates.index_of(answer)
+        if idx is not None:
+            mass[idx] += p
+            matched += p
+    if matched <= 0:
+        logger.debug(
+            "record %s: no truth-set answer matches a candidate; skipping kl ref",
+            record["key"],
+        )
+        return None
+    reference = build_pmf(candidates, mass, renormalize=True)
+    return ce_kl_decomposition(reference, predicted).kl_eu
 
 
 def examples_for_auroc(
     records: Iterable[dict[str, Any]], *, score_field: str, label_kind: str
 ) -> list[ScoredExample]:
+    _check_choice("score field", score_field, SCORE_FIELDS)
+    _check_choice("label kind", label_kind, LABEL_KINDS)
     out = []
     for rec in records:
-        score = _record_score(rec, score_field)
+        score = rec["scores"].get(score_field)
         label = _record_label(rec, label_kind)
         if score is None or label is None:
             continue
@@ -112,9 +109,11 @@ def examples_for_auroc(
 def examples_for_concordance(
     records: Iterable[dict[str, Any]], *, score_field: str, ref_kind: str
 ) -> list[ScoredExample]:
+    _check_choice("score field", score_field, SCORE_FIELDS)
+    _check_choice("reference kind", ref_kind, REF_KINDS)
     out = []
     for rec in records:
-        score = _record_score(rec, score_field)
+        score = rec["scores"].get(score_field)
         ref = _pstar_reference(rec, ref_kind)
         if score is None or ref is None:
             continue
@@ -156,8 +155,10 @@ def metric_rows(
     are dropped from the aggregate; a method with no usable seed is skipped
     entirely, with a warning.
     """
-    if metric not in ("auroc", "concordance"):
-        raise ValueError(f"unknown metric {metric!r}")
+    _check_choice("metric", metric, ("auroc", "concordance"))
+    _check_choice("score field", score_field, SCORE_FIELDS)
+    _check_choice("label kind", label_kind, LABEL_KINDS)
+    _check_choice("reference kind", ref_kind, REF_KINDS)
     rows = []
     for method, by_seed in sorted(_group_records(records).items()):
         per_seed: list[float] = []

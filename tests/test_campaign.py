@@ -413,6 +413,24 @@ class TestRecordsReader:
         assert str(caught.value) == f"{path}: line 4, byte offset {line.index(bad)}: {reason}"
         assert (caught.value.line, caught.value.offset) == (4, line.index(bad))
 
+    @pytest.mark.parametrize("read", (load_run_records, existing_keys))
+    @pytest.mark.parametrize("line", (
+        '{"question":"q"}',
+        '["a list"]',
+        '"text"',
+        '{"key":"q0"}',
+        '{"key": null}',
+        '{"key":{"question_id":"q0","method":"vanilla"}}',
+        '{"key": {"method": "vanilla", "seed": 0}}',
+    ))
+    def test_a_line_without_a_record_key_names_its_line(self, tmp_path, chunk, read, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"{_HEADER}\n\n{_reader_lines(chunk)[0]}\n{line}\n", encoding="utf-8")
+        with pytest.raises(RecordsSchemaError) as caught:
+            read(str(path))
+        assert str(caught.value) == (
+            f"{path}: line 4: not a record (no key object with question_id, method and seed)")
+
 
 class TestPayloadRoundTrip:
     def test_definetti(self):

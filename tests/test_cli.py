@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from ipuq.campaign import (
+    DATASET_QA_FILE,
     DATASET_SYNTH,
+    RECORD_SCHEMA,
     CampaignConfig,
     DatasetSource,
     append_records,
@@ -391,6 +393,61 @@ def test_resume_over_a_key_span_that_is_not_utf8_is_a_dataset_error(tmp_path, ca
     assert Path(path).read_bytes().split(b"\n")[1].index(b"\xff") == 43
     assert capsys.readouterr().err == (
         f"error: {path}: line 2, byte offset 43: not UTF-8 (invalid start byte)\n")
+
+
+_RECORDS_HEADER = f'{{"schema":"{RECORD_SCHEMA}"}}\n'.encode()
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_a_records_line_without_a_key_is_a_dataset_error(tmp_path, capsys, command):
+    config, config_path = write_campaign_config(tmp_path, "http://localhost:1")
+    path = records_path(config.output_dir)
+    Path(path).parent.mkdir()
+    Path(path).write_bytes(_RECORDS_HEADER + b'{"question":"q"}\n')
+    argv = (["eval", "auroc", "--records", path] if command == "eval"
+            else ["campaign", "resume", "--config", config_path])
+    assert main(argv) == EXIT_DATASET
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: not a record (no key object with question_id, method "
+        "and seed)\n")
+
+
+def _file_reading_argv(tmp_path, command):
+    """The argv of a file-reading command, the one input file in it that the
+    test breaks, and the sound first line that file keeps, if it is read line
+    by line.  The other inputs are sound."""
+    url = "http://127.0.0.1:9/v1"
+    config_path = write_campaign_config(tmp_path, url)[1]
+    records = eval_fixture_records(tmp_path)
+    if command == "campaign run qa":
+        qa = str(tmp_path / "qa.jsonl")
+        dataset = DatasetSource(kind=DATASET_QA_FILE, path=qa, format="maqa_like")
+        config_path = write_campaign_config(tmp_path, url, dataset=dataset)[1]
+        return (["campaign", "run", "--config", config_path], qa,
+                b'{"question": "q", "answers": ["a"]}\n')
+    if command.startswith("campaign"):
+        return command.split() + ["--config", config_path], config_path, b""
+    if command == "eval cost config":
+        return ["eval", "cost", "--records", records, "--config", config_path], config_path, b""
+    if command.startswith("eval"):
+        verb = command.split()[1]
+        extra = ["--config", config_path] if verb == "cost" else []
+        return ["eval", verb, "--records", records, *extra], records, _RECORDS_HEADER
+    script = str(tmp_path / "script.json")
+    return ["mock", "serve", "--script", script, "--port", "0"], script, b""
+
+
+@pytest.mark.parametrize("fault", [b"\xff", b"@"], ids=["not utf-8", "not json"])
+@pytest.mark.parametrize("command", [
+    "campaign run", "campaign resume", "campaign run qa", "eval auroc", "eval concordance",
+    "eval cost", "eval cost config", "mock serve",
+])
+def test_an_undecodable_input_file_is_named(tmp_path, capsys, command, fault):
+    argv, bad, head = _file_reading_argv(tmp_path, command)
+    Path(bad).write_bytes(head + b'{"question": ' + fault + b"}\n")
+    assert main(argv) == EXIT_DATASET
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 def row_command_argv(tmp_path, command):

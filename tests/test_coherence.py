@@ -60,9 +60,9 @@ def test_verdict_report_describe_mentions_each_violation():
     assert "answer 2" in text
 
 
-def test_verdict_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        VerdictReport(passed=True, violations=(Violation(SUM, GLOBAL_INDEX, 2.0, 1.0),))
+def test_verdict_report_passes_iff_it_has_no_violations():
+    assert VerdictReport(()).passed
+    assert not VerdictReport((Violation(SUM, GLOBAL_INDEX, 2.0, 1.0),)).passed
 
 
 def test_verify_axioms_reports_nan_as_out_of_range():

@@ -206,3 +206,17 @@ def test_unknown_format_rejected(tmp_path):
     path = write_jsonl(tmp_path, [{"question": "q", "answers": ["a"]}])
     with pytest.raises(ValueError):
         ingest_qa_dataset(path, "csv")
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (b"\xff", "not UTF-8 (invalid start byte at byte offset 30)"),
+    (b"@", "invalid JSON: Expecting value: line 1 column 31 (char 30)"),
+], ids=["not utf-8", "not json"])
+def test_an_undecodable_row_names_the_file_and_its_line(tmp_path, bad, reason):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b'{"question": "q1", "answers": ["a"]}\n'
+                     b'{"question": "q2", "answers": ' + bad + b'}\n')
+    with pytest.raises(SchemaViolationError) as info:
+        ingest_qa_dataset(str(path), FORMAT_MAQA)
+    assert info.value.line_no == 2
+    assert str(info.value) == f"{path}: line 2: {reason}"

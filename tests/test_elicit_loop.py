@@ -66,6 +66,18 @@ class DownAfter:
         return self.inner.send(endpoint, system_text, user_text)
 
 
+class Recording:
+    """Serves scripted replies and keeps each one it returned."""
+
+    def __init__(self, *entries):
+        self.inner = MockTransport(MockScript(entries=entries))
+        self.replies = []
+
+    def send(self, endpoint, system_text, user_text):
+        self.replies.append(self.inner.send(endpoint, system_text, user_text))
+        return self.replies[-1]
+
+
 class TestRetryLoop:
     def test_success_on_second_attempt(self):
         client, transport = scripted_client(
@@ -79,7 +91,7 @@ class TestRetryLoop:
         )
         result = elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
         assert result.succeeded and not result.salvaged
-        assert result.attempts == 2
+        assert result.attempts == 2 == len(result.attempt_log)
         assert transport.calls == 2
         assert isinstance(result.payload, PrecisePMF)
         assert result.payload.probs == (0.5, 0.5)
@@ -107,7 +119,7 @@ class TestRetryLoop:
             )
         result = info.value.result
         assert not result.succeeded
-        assert result.attempts == 5
+        assert result.attempts == 5 == len(result.attempt_log)
         assert transport.calls == 5
         assert len(result.attempt_log) == 5
         assert len(result.verdicts) == 5
@@ -143,10 +155,10 @@ class TestRetryLoop:
         )
         result = elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
         first, second = result.attempt_log
-        assert FEEDBACK_HEADER not in first.request_body
-        assert FEEDBACK_HEADER in second.request_body
+        assert FEEDBACK_HEADER not in first.reply.raw_request
+        assert FEEDBACK_HEADER in second.reply.raw_request
         # the diagnosis itself travels along
-        assert "sum" in second.request_body.lower()
+        assert "sum" in second.reply.raw_request.lower()
 
     def test_usage_tokens_sum_over_attempts(self):
         client, _ = scripted_client(
@@ -161,9 +173,29 @@ class TestRetryLoop:
         )
         result = elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
         assert result.attempts == 3
-        assert result.input_tokens == sum(a.input_tokens for a in result.attempt_log)
-        assert result.output_tokens == sum(a.output_tokens for a in result.attempt_log)
+        assert result.input_tokens == sum(a.reply.input_tokens for a in result.attempt_log)
+        assert result.output_tokens == sum(a.reply.output_tokens for a in result.attempt_log)
         assert result.input_tokens > 0 and result.output_tokens > 0
+
+    def test_each_attempt_keeps_the_reply_the_transport_returned(self):
+        transport = Recording(
+            entry(
+                "definetti",
+                [
+                    "no block",
+                    block(["1|price=0.6", "2|price=0.6"]),
+                    block(["1|price=0.5", "2|price=0.5"]),
+                ],
+            )
+        )
+        result = elicit_with_retry(
+            ChatClient(transport), ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO
+        )
+        parse_failure, failed, passed = result.attempt_log
+        assert parse_failure.parse_error and failed.verdict.violations and passed.verdict.passed
+        assert len(transport.replies) == 3
+        for attempt, reply in zip(result.attempt_log, transport.replies):
+            assert attempt.reply is reply
 
     def test_max_attempts_must_be_positive(self):
         client, _ = scripted_client(entry("definetti", ["unused"]))
@@ -188,7 +220,8 @@ class TestRetryLoop:
         with pytest.raises(TransportError) as info:
             elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
         (partial,) = info.value.results
-        assert partial.attempts == 1 and partial.attempt_log[0].parse_error
+        assert partial.attempts == 1 == len(partial.attempt_log)
+        assert partial.attempt_log[0].parse_error
         assert partial.input_tokens > 0 and partial.output_tokens == 2
 
 
@@ -359,8 +392,8 @@ class TestCredalEnsemble:
                 client, [self.member(s) for s in range(3)], QUESTION, TWO
             )
         finished, cut_short = info.value.results
-        assert finished.succeeded and finished.attempts == 1
-        assert not cut_short.succeeded and cut_short.attempts == 1
+        assert finished.succeeded and finished.attempts == 1 == len(finished.attempt_log)
+        assert not cut_short.succeeded and cut_short.attempts == 1 == len(cut_short.attempt_log)
 
     def test_quorum_validation(self):
         client, _ = scripted_client(entry("credal", ["unused"], seed=0))

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run end to end on tiny arguments."""
 
 import csv
+import importlib.util
 import os
 import re
 import subprocess
@@ -49,9 +50,34 @@ def test_bench_pairs_script_compares_two_checkouts(tmp_path):
     assert lines[:2] == ["pair 1/1 seed 1, a first",
                          "inproc-set, 1 pairs of 0 s runs: "
                          "median [q1, q3] a -> b (b better in n pairs)"]
-    metrics = [line.split()[0] for line in lines[2:]]
+    # each metric line is followed by its verdict line
+    metrics = [line.split()[0] for line in lines[2::2]]
     assert metrics == ["cells_per_s", "tokens_per_cell", "eval_records_per_s", "resume_s",
                        "setup_s", "peak_rss_mb"]
+    verdicts = [line.split() for line in lines[3::2]]
+    assert all(v[0] == "verdict:" and v[1] in ("gain", "worse", "unresolved", "flat")
+               for v in verdicts)
     # the same checkout on both sides: tokens per cell are equal, so no side wins
     assert re.fullmatch(r"tokens_per_cell +([\d.]+) \[\1, \1\] -> \1 \[\1, \1\] \(0/1\)",
-                        lines[3].strip())
+                        lines[4].strip())
+    assert lines[5].strip() == "verdict: flat"
+
+
+def test_bench_pairs_verdicts():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    verdict = bench_pairs.verdict
+    a = [100.0, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    # higher is better: b wins every pair by more than a's spread
+    assert verdict(a, [x + 10 for x in a], 10, 1, 0.24) == "gain"
+    # the same gap with fewer than 9 in 10 pairs won is no gain
+    assert verdict(a, [x + 10 for x in a], 8, 1, 0.24) == "flat"
+    # lower is better: the same rise is a loss, worse than a 5 % bound
+    assert verdict(a, [x + 10 for x in a], 0, -1, 0.05) == "worse"
+    # a spread of 4.5 on a median of 104.5 exceeds a 2 % bound
+    assert verdict(a, a, 0, 1, 0.02) == "unresolved"
+    # ... unless every b run beats every a run
+    assert verdict(a, [x + 9.5 for x in a], 8, 1, 0.02) == "flat"
+    assert verdict(a, a, 0, 1, 0.05) == "flat"

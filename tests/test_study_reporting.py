@@ -286,6 +286,33 @@ class TestMetricRows:
         with pytest.raises(ValueError):
             metric_rows([], "f1", dataset="toy")
 
+    @pytest.mark.parametrize("argument, message", [
+        ("score_field", "unknown score field 'bogus'"),
+        ("label_kind", "unknown label kind 'bogus'"),
+        ("ref_kind", "unknown reference kind 'bogus'"),
+    ])
+    def test_an_unknown_argument_is_refused_before_any_record_is_read(self, argument,
+                                                                      message):
+        def unread():
+            raise AssertionError("a record was read")
+            yield
+
+        bad = {argument: "bogus"}
+        calls = [lambda: metric_rows(unread(), "auroc", dataset="toy", **bad),
+                 lambda: metric_rows(unread(), "concordance", dataset="toy", **bad)]
+        score_field = bad.get("score_field", "first_order")
+        if argument != "ref_kind":
+            calls.append(lambda: examples_for_auroc(
+                unread(), score_field=score_field,
+                label_kind=bad.get("label_kind", LABEL_AMBIGUOUS)))
+        if argument != "label_kind":
+            calls.append(lambda: examples_for_concordance(
+                unread(), score_field=score_field,
+                ref_kind=bad.get("ref_kind", REF_ENTROPY_PSTAR)))
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_csv_round_trip(self, tmp_path):
         records = [
             fake_record("definetti", 0, first=0.9, ambiguous=1),
