@@ -224,7 +224,8 @@ def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> I
     before ``decode`` sees it.  ``decode`` decodes the line, or a tail of
     it, as UTF-8 JSON; when that fails, :class:`RecordDecodeError` names
     the line and the failing byte.  A line whose record key ``decode``
-    cannot index raises :class:`RecordsSchemaError` naming the line.
+    cannot read, or that lacks a member ``decode`` requires, raises
+    :class:`RecordsSchemaError` naming the line.
     """
     header = True
     offset = 0  # of the buffer's first byte in the file
@@ -246,12 +247,11 @@ def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> I
                             yield decode(buf, start, end)
                     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                         raise _decode_error(path, offset + start, end - start, exc) from exc
-                    except (KeyError, TypeError):  # a line without a record key
+                    except (KeyError, TypeError, _MissingMembers) as exc:
                         line = _line_number(path, offset + start)
-                        raise RecordsSchemaError(
-                            f"{path}: line {line}: not a record "
-                            "(no key object with question_id, method and seed)"
-                        ) from None
+                        reason = str(exc) if isinstance(exc, _MissingMembers) else (
+                            "not a record (no key object with question_id, method and seed)")
+                        raise RecordsSchemaError(f"{path}: line {line}: {reason}") from None
                 start = scan = end + 1
             del buf[:start]
             offset += start
@@ -286,7 +286,10 @@ def _line_number(path: str, line_start: int) -> int:
 
 
 def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
-    return (key["question_id"], key["method"], key["seed"])
+    cell = question_id, method, seed = key["question_id"], key["method"], key["seed"]
+    if type(question_id) is not str or type(method) is not str or type(seed) is not int:
+        raise TypeError(f"record key {cell!r} is not (str, str, int)")
+    return cell
 
 
 def _decode_line(buf: bytearray, start: int, end: int) -> Any:
@@ -299,9 +302,39 @@ def _decode_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
     return record
 
 
+#: What eval reads of every record besides its key: (dotted member path,
+#: its names, the type it is read as).
+_EVAL_MEMBERS = tuple((path, tuple(path.split(".")), kind) for path, kind in (
+    ("scores", dict), ("labels", dict), ("candidates", dict), ("truth_set", list),
+    ("endpoint.key", str), ("elicitation.payload", (dict, type(None))),
+    ("elicitation.usage.input_tokens", int), ("elicitation.usage.output_tokens", int),
+))
+_ABSENT = object()
+
+
+class _MissingMembers(Exception):
+    """A record without a member that eval reads."""
+
+
+def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
+    record = _decode_record(buf, start, end)
+    missing = []
+    for path, names, kind in _EVAL_MEMBERS:
+        value = record
+        for name in names:
+            value = value.get(name, _ABSENT) if isinstance(value, dict) else _ABSENT
+        if not isinstance(value, kind):
+            missing.append(path)
+    if missing:
+        cell = "/".join(map(str, _key_tuple(record["key"])))
+        raise _MissingMembers(f"record {cell} lacks what eval reads: {', '.join(missing)}")
+    return record
+
+
 def load_run_records(path: str) -> list[dict]:
-    """Read records back, validating the header line and each line's key."""
-    return list(_decoded_lines(path, _decode_record))
+    """Read records back, validating the header line, each line's key and
+    the members that eval reads (see :data:`_EVAL_MEMBERS`)."""
+    return list(_decoded_lines(path, _decode_run_record))
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -499,7 +532,6 @@ def payload_from_dict(method: str, data: dict[str, Any], candidates: CandidateSe
 def score_payload(
     method: str,
     payload: object,
-    candidates: CandidateSet,
     *,
     mode: str = MODE_AUTO,
     prediction_index: int | None = None,
@@ -634,9 +666,7 @@ def _score_block(
 ) -> dict[str, Any]:
     """A record's ``scores`` block: the payload scored against the prediction."""
     index = candidates.index_of(prediction) if prediction is not None else None
-    first, second, used = score_payload(
-        method, payload, candidates, mode=mode, prediction_index=index
-    )
+    first, second, used = score_payload(method, payload, mode=mode, prediction_index=index)
     combined = (
         combined_score(first, second) if first is not None and second is not None else None
     )
@@ -744,7 +774,6 @@ def _build_record(
     total_in = sum(r.input_tokens for r in results)
     total_out = sum(r.output_tokens for r in results)
     attempts = sum(r.attempts for r in results)
-    loop_scores = [r for r in results if r.score is not None]
     verdicts, transcripts = _attempt_dicts(results)
 
     return {
@@ -773,8 +802,6 @@ def _build_record(
             "error": error,
             "attempts": attempts,
             "payload": payload_dict,
-            "loop_score": loop_scores[0].score if loop_scores else None,
-            "loop_score_kind": loop_scores[0].score_kind if loop_scores else None,
             "usage": {"input_tokens": total_in, "output_tokens": total_out},
             "verdicts": verdicts,
             "transcripts": transcripts,

@@ -13,6 +13,8 @@ from typing import Sequence
 
 from .campaign import (
     DATASET_SYNTH,
+    MODE_SET,
+    RECORDS,
     CampaignConfig,
     ConfigError,
     DatasetSource,
@@ -20,6 +22,7 @@ from .campaign import (
     load_run_records,
     records_path,
     run_campaign,
+    score_payload,
     synth_tasks,
 )
 from .core import CandidateSet, IpuqError
@@ -140,23 +143,21 @@ def _cmd_elicit(args: argparse.Namespace) -> int:
         report = {
             "succeeded": False,
             "attempts": exc.result.attempts,
-            "verdicts": [v.describe() for v in exc.result.verdicts if v is not None],
+            "verdicts": [
+                a.verdict.describe() if a.verdict is not None else f"parse error: {a.parse_error}"
+                for a in exc.result.attempt_log
+            ],
         }
         print(json.dumps(report, indent=2))
         return EXIT_FAILURE
-    print(
-        json.dumps(
-            {
-                "succeeded": True,
-                "attempts": result.attempts,
-                "salvaged": result.salvaged,
-                "payload": ACCEPTANCE[kind].to_json(result.payload),
-                "score": result.score,
-                "score_kind": result.score_kind,
-            },
-            indent=2,
-        )
-    )
+    report = {"succeeded": True, "attempts": result.attempts, "salvaged": result.salvaged,
+              "payload": ACCEPTANCE[kind].to_json(result.payload)}
+    # only a method whose record payload is one loop's payload is scored: an
+    # ensemble method's payload is built from several loops
+    if kind.value in RECORDS and not RECORDS[kind.value].ensemble:
+        first, second, _ = score_payload(kind.value, result.payload, mode=MODE_SET)
+        report["scores"] = {"first_order": first, "second_order": second}
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 

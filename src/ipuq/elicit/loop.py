@@ -7,7 +7,7 @@ attempt budget.  Transport-level failures are not attempts -- the client
 retries those itself with backoff and raises if the endpoint stays down.
 
 What a kind's verified reply becomes -- its coherence check, typed payload,
-loop score and whether it may be salvaged -- is that kind's entry in
+JSON form and whether it may be salvaged -- is that kind's entry in
 :data:`ACCEPTANCE`; its prompt and reply rows are its entry in
 :data:`~ipuq.elicit.prompts.WIRE`.  Every exception that ends a loop, of
 whatever type, carries the partial result of each loop it reached in
@@ -39,8 +39,6 @@ from ..coherence import (
     verify_axioms,
     verify_interval_coherence,
 )
-from ..mmi import mmi_upper_bound
-from ..scores import entropy
 from .client import ChatClient, ChatReply, ModelEndpoint
 from .parsing import ParseError, parse_structured_report
 from .prompts import SYSTEM_TEXT, PromptKind, render_prompt
@@ -51,10 +49,6 @@ DEFAULT_MAX_ATTEMPTS = 5
 
 #: Violation code for structurally inverted intervals (lower above upper).
 INVERTED = "INVERTED"
-
-SCORE_ENTROPY = "entropy_nats"
-SCORE_MMI_UPPER_BOUND = "mmi_upper_bound"
-SCORE_ONE_MINUS_CONF = "one_minus_confidence"
 
 
 class RetriesExhaustedError(IpuqError, RuntimeError):
@@ -94,8 +88,6 @@ class ElicitationResult:
     succeeded: bool
     attempt_log: tuple[AttemptRecord, ...]
     payload: object | None = None
-    score: float | None = None
-    score_kind: str | None = None
     salvaged: bool = False
 
     @property
@@ -160,30 +152,23 @@ class Acceptance:
     """What the loop does with one kind's parsed reply.
 
     ``check`` runs the kind's coherence check and returns its verdict with
-    the typed payload (None unless it passed).  ``score`` is the loop's own
-    score of a payload, recorded as ``score_kind``.  ``salvage`` marks price
-    vectors that may be renormalized once the attempts are spent.
-    ``to_json`` gives a payload's JSON form.
+    the typed payload (None unless it passed); ``to_json`` gives a payload's
+    JSON form; ``salvage`` marks price vectors that may be renormalized once
+    the attempts are spent.  Scores are the campaign's record table's job.
     """
 
     check: Callable[[Any, CandidateSet | None], tuple[VerdictReport, Any]]
     to_json: Callable[[Any], Any]
-    score: Callable[[Any], float] | None = None
-    score_kind: str | None = None
     salvage: bool = False
 
 
 #: The loop's table: one entry per protocol.  A credal member must itself
 #: be a proper PMF, so the betting axioms apply to it as to prices.
 ACCEPTANCE: dict[PromptKind, Acceptance] = {
-    PromptKind.DEFINETTI: Acceptance(
-        _check_prices, _pmf_json, score=entropy, score_kind=SCORE_ENTROPY, salvage=True
-    ),
+    PromptKind.DEFINETTI: Acceptance(_check_prices, _pmf_json, salvage=True),
     PromptKind.PROBINT: Acceptance(
         _check_intervals,
         lambda ivs: {"lowers": list(ivs.lowers), "uppers": list(ivs.uppers)},
-        score=lambda ivs: mmi_upper_bound(ivs.lowers).value,
-        score_kind=SCORE_MMI_UPPER_BOUND,
     ),
     PromptKind.CREDAL: Acceptance(_check_prices, _pmf_json, salvage=True),
     PromptKind.POSSIBILITY: Acceptance(
@@ -191,10 +176,7 @@ ACCEPTANCE: dict[PromptKind, Acceptance] = {
         lambda a: {"scores": list(a.scores), "none_of_above": a.none_of_above},
     ),
     PromptKind.VANILLA: Acceptance(
-        lambda conf, _: (_PASSED, float(conf)),
-        lambda conf: {"confidence": conf},
-        score=lambda conf: 1.0 - conf,
-        score_kind=SCORE_ONE_MINUS_CONF,
+        lambda conf, _: (_PASSED, float(conf)), lambda conf: {"confidence": conf}
     ),
     PromptKind.CANDIDATES: Acceptance(
         lambda answers, _: (_PASSED, CandidateSet(answers=tuple(answers), open_ended=True)),
@@ -247,16 +229,7 @@ def elicit_with_retry(
     last_parsed = None
 
     def result(succeeded: bool, payload=None, salvaged: bool = False) -> ElicitationResult:
-        scored = succeeded and acceptance.score is not None
-        return ElicitationResult(
-            kind=kind.value,
-            succeeded=succeeded,
-            attempt_log=tuple(attempt_log),
-            payload=payload,
-            score=acceptance.score(payload) if scored else None,
-            score_kind=acceptance.score_kind if scored else None,
-            salvaged=salvaged,
-        )
+        return ElicitationResult(kind.value, succeeded, tuple(attempt_log), payload, salvaged)
 
     try:
         for attempt in range(1, max_attempts + 1):
@@ -374,9 +347,6 @@ __all__ = [
     "INVERTED",
     "Acceptance",
     "ACCEPTANCE",
-    "SCORE_ENTROPY",
-    "SCORE_MMI_UPPER_BOUND",
-    "SCORE_ONE_MINUS_CONF",
     "RetriesExhaustedError",
     "MemberQuorumNotMetError",
     "AttemptRecord",

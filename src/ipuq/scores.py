@@ -53,7 +53,8 @@ class Decomposition:
 def entropy(pmf: PrecisePMF | Sequence[float]) -> float:
     """Shannon entropy in nats; ``0 * ln 0`` counts as 0."""
     probs = pmf.probs if isinstance(pmf, PrecisePMF) else [float(p) for p in pmf]
-    return -sum(p * math.log(p) for p in probs if p > 0.0)
+    # 0.0 - x rather than -x, so a point mass gives 0.0 and not -0.0
+    return 0.0 - sum(p * math.log(p) for p in probs if p > 0.0)
 
 
 def bernoulli_entropy(p: float) -> float:

@@ -15,6 +15,7 @@ import pytest
 
 from ipuq.campaign import (
     DATASET_SYNTH,
+    MODE_SET,
     CampaignConfig,
     DatasetSource,
     canonical_json,
@@ -22,6 +23,7 @@ from ipuq.campaign import (
     records_path,
     recompute_scores,
     run_campaign,
+    score_payload,
 )
 from ipuq.coherence import SUM
 from ipuq.core import (
@@ -236,7 +238,7 @@ def test_c06_retry_loop_attempts_and_verdicts():
         )
         assert result.attempts == 2
         assert result.payload.probs == (0.5, 0.5)
-        assert result.score == math.log(2)
+        assert score_payload("definetti", result.payload, mode=MODE_SET)[0] == math.log(2)
 
         incoherent = wrap(["1|price=0.6", "2|price=0.6"])
         script = MockScript(entries=(

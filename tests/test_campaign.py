@@ -159,8 +159,8 @@ class TestConfig:
 class TestRecordsFile:
     def test_header_written_once(self, tmp_path):
         path = records_path(str(tmp_path / "out"))
-        append_records(path, [{"key": {"question_id": "q", "method": "m", "seed": 0}}])
-        append_records(path, [{"key": {"question_id": "q2", "method": "m", "seed": 0}}])
+        append_records(path, [_reader_record("q")])
+        append_records(path, [_reader_record("q2")])
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0]) == {"schema": RECORD_SCHEMA}
         assert len(lines) == 3
@@ -189,7 +189,7 @@ class TestRecordsFile:
         path.write_text("", encoding="utf-8")
         assert load_run_records(str(path)) == []
         assert existing_keys(str(path)) == set()
-        record = {"key": {"question_id": "q", "method": "vanilla", "seed": 1}}
+        record = _reader_record("q", seed=1)
         path.write_text(f"\n{canonical_json({'schema': RECORD_SCHEMA})}\n \n"
                         f"{canonical_json(record)}\n\n", encoding="utf-8")
         assert load_run_records(str(path)) == [record]
@@ -270,10 +270,13 @@ def _stored_records(draw):
             "succeeded": not failed,
             "error": draw(_TEXT) if failed else None,
             "payload": None if failed else {"confidence": 0.5},
+            "usage": {"input_tokens": draw(st.integers(0, 99)), "output_tokens": 1},
             "transcripts": [{"member": 0, "attempts": [
                 {"attempt": 1, "request": draw(_TEXT), "response": draw(_TEXT),
                  "reply": draw(_TEXT)}]}],
         },
+        "labels": {"ambiguous": 1, "correct": None},
+        "scores": {"mode": "set", "first_order": None if failed else 0.5},
         "decision": None if failed else {"chosen_answer": draw(_TEXT), "rule": "argmax"},
     }
 
@@ -300,11 +303,17 @@ _HEADER = canonical_json({"schema": RECORD_SCHEMA})
 
 
 def _reader_record(question_id, question="q?", pad=10, seed=0):
+    """A small record holding its key and every member eval reads."""
     return {
         "key": {"question_id": question_id, "method": "vanilla", "seed": seed},
         "question": question,
-        "elicitation": {"transcripts": "x" * pad, "kind": "vanilla"},
+        "candidates": {"answers": ["a"]},
+        "truth_set": ["a"],
+        "labels": {"ambiguous": 0, "correct": None},
+        "elicitation": {"transcripts": "x" * pad, "kind": "vanilla", "payload": None,
+                        "usage": {"input_tokens": 1, "output_tokens": 1}},
         "endpoint": {"key": "ep", "model_id": "m"},
+        "scores": {"mode": None, "first_order": None},
     }
 
 
@@ -422,6 +431,7 @@ class TestRecordsReader:
         '{"key": null}',
         '{"key":{"question_id":"q0","method":"vanilla"}}',
         '{"key": {"method": "vanilla", "seed": 0}}',
+        '{"key":{"question_id":["q"],"method":"m","seed":0}}',
     ))
     def test_a_line_without_a_record_key_names_its_line(self, tmp_path, chunk, read, line):
         path = tmp_path / "records.jsonl"
@@ -468,26 +478,26 @@ class TestPayloadRoundTrip:
 class TestScorePayload:
     def test_definetti_set_vs_answer(self):
         pmf = PrecisePMF(candidates=TWO, probs=(0.25, 0.75))
-        first, second, used = score_payload("definetti", pmf, TWO, mode=MODE_SET)
+        first, second, used = score_payload("definetti", pmf, mode=MODE_SET)
         assert used == MODE_SET
         assert first == entropy(pmf) and second is None
         first, second, used = score_payload(
-            "definetti", pmf, TWO, mode=MODE_AUTO, prediction_index=1
+            "definetti", pmf, mode=MODE_AUTO, prediction_index=1
         )
         assert used == MODE_ANSWER
         assert first == bernoulli_entropy(0.75)
 
     def test_auto_without_prediction_falls_back_to_set(self):
         pmf = PrecisePMF(candidates=TWO, probs=(0.5, 0.5))
-        _, _, used = score_payload("definetti", pmf, TWO, mode=MODE_AUTO)
+        _, _, used = score_payload("definetti", pmf, mode=MODE_AUTO)
         assert used == MODE_SET
 
     def test_probint_modes(self):
         ivs = ProbabilityIntervalSet(candidates=TWO, lowers=(0.1, 0.3), uppers=(0.5, 0.8))
-        first, second, _ = score_payload("probint", ivs, TWO, mode=MODE_SET)
+        first, second, _ = score_payload("probint", ivs, mode=MODE_SET)
         assert first is None
         assert second == 1.0 - (0.1 + 0.3)
-        _, second, _ = score_payload("probint", ivs, TWO, mode=MODE_ANSWER,
+        _, second, _ = score_payload("probint", ivs, mode=MODE_ANSWER,
                                      prediction_index=1)
         assert second == pytest.approx(0.5)
 
@@ -499,7 +509,7 @@ class TestScorePayload:
                 PrecisePMF(candidates=THREE, probs=(0.5, 0.3, 0.2)),
             ),
         )
-        _, exact, _ = score_payload("credal", credal, THREE, mode=MODE_SET)
+        _, exact, _ = score_payload("credal", credal, mode=MODE_SET)
         assert exact == pytest.approx(0.3)  # best event {A} or {C}
 
     def test_credal_set_level_is_exact_for_twenty_candidates(self):
@@ -514,7 +524,7 @@ class TestScorePayload:
                 PrecisePMF(candidates=twenty, probs=row + (0.0,) * 17) for row in rows
             ),
         )
-        _, second, _ = score_payload("credal", credal, twenty, mode=MODE_SET)
+        _, second, _ = score_payload("credal", credal, mode=MODE_SET)
         assert second == exact_mmi_credal(credal).value == 0.5
         assert second < mmi_upper_bound(interval_from_credal(credal).lowers).value == 1.0
 
@@ -522,20 +532,20 @@ class TestScorePayload:
         poss = PossibilityAssignment(
             candidates=THREE, scores=(1.0, 0.4, 0.2), none_of_above=0.0
         )
-        _, second, _ = score_payload("possibility", poss, THREE, mode=MODE_SET)
+        _, second, _ = score_payload("possibility", poss, mode=MODE_SET)
         assert second == 0.4
-        _, binary, _ = score_payload("possibility", poss, THREE, mode=MODE_ANSWER,
+        _, binary, _ = score_payload("possibility", poss, mode=MODE_ANSWER,
                                      prediction_index=0)
         assert binary == 0.4  # min(chosen, strongest rival)
 
     def test_vanilla(self):
-        first, second, _ = score_payload("vanilla", 0.9, TWO, mode=MODE_SET)
+        first, second, _ = score_payload("vanilla", 0.9, mode=MODE_SET)
         assert first == pytest.approx(0.1) and second is None
 
     def test_unknown_mode_rejected(self):
         pmf = PrecisePMF(candidates=TWO, probs=(0.5, 0.5))
         with pytest.raises(ValueError):
-            score_payload("definetti", pmf, TWO, mode="both")
+            score_payload("definetti", pmf, mode="both")
 
 
 class TestDecide:

@@ -21,7 +21,9 @@ from ipuq.campaign import (
 )
 from ipuq.cli import EXIT_DATASET, EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from ipuq.elicit.client import ModelEndpoint
+from ipuq.elicit.prompts import NOTA_LABEL
 from ipuq.mock import AgentConfig, MockScript, ScriptEntry
+from ipuq.scores import entropy
 from ipuq.synth import IclTask, TransformSpec, format_icl_prompt
 
 
@@ -137,27 +139,34 @@ class TestElicit:
     def endpoint_args(self, base_url):
         return ["--base-url", base_url, "--model", "mock-agent"]
 
-    def test_success_prints_payload(self, capsys, serve):
-        script = MockScript(
-            entries=(
-                ScriptEntry(
-                    question=self.QUESTION,
-                    kind="definetti",
-                    replies=(block(["1|price=0.7", "2|price=0.3"]),),
-                ),
-            )
-        )
+    @pytest.mark.parametrize("kind, rows, payload, scores", [
+        ("definetti", ["1|price=0.7", "2|price=0.3"], {"probs": [0.7, 0.3]},
+         {"first_order": entropy([0.7, 0.3]), "second_order": None}),
+        ("probint", ["1|lower=0.2|upper=0.6", "2|lower=0.3|upper=0.5"],
+         {"lowers": [0.2, 0.3], "uppers": [0.6, 0.5]},
+         {"first_order": None, "second_order": 1.0 - (0.2 + 0.3)}),
+        ("possibility", ["1|pos=1.0", "2|pos=0.4", f"{NOTA_LABEL}|pos=0.1"],
+         {"scores": [1.0, 0.4], "none_of_above": 0.1},
+         {"first_order": None, "second_order": 0.4}),
+        ("vanilla", ["CONF|conf=0.85"], {"confidence": 0.85},
+         {"first_order": 1.0 - 0.85, "second_order": None}),
+    ])
+    def test_success_prints_payload(self, capsys, serve, kind, rows, payload, scores):
+        script = MockScript(entries=(
+            ScriptEntry(question=self.QUESTION, kind=kind, replies=(block(rows),)),
+        ))
         with serve(script) as base_url:
             code = main([
-                "elicit", "--kind", "definetti", "--question", self.QUESTION,
+                "elicit", "--kind", kind, "--question", self.QUESTION,
                 "--candidate", "Unicorn", "--candidate", "Lion",
                 *self.endpoint_args(base_url),
             ])
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["succeeded"] is True
-        assert report["payload"]["probs"] == [0.7, 0.3]
-        assert report["score_kind"] == "entropy_nats"
+        assert report["payload"] == payload
+        # set-level, from the campaign's record table
+        assert report["scores"] == scores
 
     def test_credal_prints_the_member_pmf(self, capsys, serve):
         script = MockScript(
@@ -179,7 +188,7 @@ class TestElicit:
         report = json.loads(capsys.readouterr().out)
         assert report["succeeded"] is True
         assert report["payload"] == {"probs": [0.6, 0.4]}
-        assert report["score"] is None
+        assert "scores" not in report
 
     def test_candidates_prints_the_answer_list(self, capsys, serve):
         script = MockScript(
@@ -197,7 +206,9 @@ class TestElicit:
                 *self.endpoint_args(base_url),
             ])
         assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["payload"] == ["Unicorn", "Lion"]
+        report = json.loads(capsys.readouterr().out)
+        assert report["payload"] == ["Unicorn", "Lion"]
+        assert "scores" not in report
 
     def test_exhausted_budget_exits_nonzero_with_verdicts(self, capsys, serve):
         bad = block(["1|price=0.8", "2|price=0.8"])
@@ -218,6 +229,25 @@ class TestElicit:
         assert report["succeeded"] is False
         assert report["attempts"] == 2
         assert len(report["verdicts"]) == 2
+
+    def test_exhausted_budget_lists_parse_failures(self, capsys, serve):
+        script = MockScript(entries=(
+            ScriptEntry(question=self.QUESTION, kind="definetti", replies=(
+                "No numbers from me.", block(["1|price=0.8", "2|price=0.8"]), "Still none.",
+            )),
+        ))
+        with serve(script) as base_url:
+            code = main([
+                "elicit", "--kind", "definetti", "--question", self.QUESTION,
+                "--candidate", "Unicorn", "--candidate", "Lion",
+                "--max-attempts", "3", *self.endpoint_args(base_url),
+            ])
+        assert code == EXIT_FAILURE
+        report = json.loads(capsys.readouterr().out)
+        assert report["attempts"] == 3
+        first, second, third = report["verdicts"]
+        assert first.startswith("parse error: ") and third.startswith("parse error: ")
+        assert second.startswith("SUM (overall)")
 
     def test_candidate_kinds_require_candidates(self, capsys):
         code = main([
@@ -398,18 +428,34 @@ def test_resume_over_a_key_span_that_is_not_utf8_is_a_dataset_error(tmp_path, ca
 _RECORDS_HEADER = f'{{"schema":"{RECORD_SCHEMA}"}}\n'.encode()
 
 
+@pytest.mark.parametrize("line", [b'{"question":"q"}',
+                                  b'{"key":{"question_id":["q"],"method":"m","seed":0}}'])
 @pytest.mark.parametrize("command", ["eval", "resume"])
-def test_a_records_line_without_a_key_is_a_dataset_error(tmp_path, capsys, command):
+def test_a_records_line_without_a_key_is_a_dataset_error(tmp_path, capsys, command, line):
     config, config_path = write_campaign_config(tmp_path, "http://localhost:1")
     path = records_path(config.output_dir)
     Path(path).parent.mkdir()
-    Path(path).write_bytes(_RECORDS_HEADER + b'{"question":"q"}\n')
+    Path(path).write_bytes(_RECORDS_HEADER + line + b"\n")
     argv = (["eval", "auroc", "--records", path] if command == "eval"
             else ["campaign", "resume", "--config", config_path])
     assert main(argv) == EXIT_DATASET
     assert capsys.readouterr().err == (
         f"error: {path}: line 2: not a record (no key object with question_id, method "
         "and seed)\n")
+
+
+@pytest.mark.parametrize("verb", ["auroc", "concordance", "cost"])
+def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(tmp_path, capsys, verb):
+    config_path = write_campaign_config(tmp_path, "http://localhost:1")[1]
+    path = eval_fixture_records(tmp_path)
+    with open(path, "ab") as fh:
+        fh.write(b'{"key":{"question_id":"q","method":"definetti","seed":0}}\n')
+    extra = ["--config", config_path] if verb == "cost" else []
+    assert main(["eval", verb, "--records", path, *extra]) == EXIT_DATASET
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 6: record q/definetti/0 lacks what eval reads: scores, labels, "
+        "candidates, truth_set, endpoint.key, elicitation.payload, "
+        "elicitation.usage.input_tokens, elicitation.usage.output_tokens\n")
 
 
 def _file_reading_argv(tmp_path, command):
@@ -462,11 +508,14 @@ def row_command_argv(tmp_path, command):
                 p = 0.5 + i / 12
                 records.append({
                     "key": {"question_id": f"q{i}", "method": method, "seed": seed},
+                    "candidates": {"answers": ["A", "B"]},
+                    "truth_set": ["A", "B"],
                     "pstar": [p, 1 - p],
                     "labels": {"ambiguous": (i + seed) % 2, "correct": None},
                     "endpoint": {"key": f"m@{base_url}", "model_id": "m",
                                  "base_url": base_url},
-                    "elicitation": {"usage": {"input_tokens": 90 + 7 * i + seed,
+                    "elicitation": {"payload": None,
+                                    "usage": {"input_tokens": 90 + 7 * i + seed,
                                               "output_tokens": 11 + len(method) * i}},
                     "scores": {"mode": "set",
                                "first_order": (7 * i + 3 * seed + len(method)) % 11 / 13,

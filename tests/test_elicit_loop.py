@@ -16,13 +16,11 @@ from ipuq.core import (
     PrecisePMF,
     interval_from_credal,
 )
+from ipuq.campaign import MODE_SET, score_payload
 from ipuq.coherence import ALL_ZERO, SUM
 from ipuq.elicit.client import ChatClient, ModelEndpoint, TransportError
 from ipuq.elicit.loop import (
     INVERTED,
-    SCORE_ENTROPY,
-    SCORE_MMI_UPPER_BOUND,
-    SCORE_ONE_MINUS_CONF,
     MemberQuorumNotMetError,
     RetriesExhaustedError,
     elicit_credal_ensemble,
@@ -38,6 +36,12 @@ TWO = CandidateSet(answers=("Amsterdam", "The Hague"))
 
 def block(rows):
     return "```\n" + "\n".join(rows) + "\n```"
+
+
+def set_scores(kind, payload):
+    """(first_order, second_order) of a loop payload, scored set-level by the
+    campaign's record table: the loop itself does not score."""
+    return score_payload(kind, payload, mode=MODE_SET)[:2]
 
 
 def scripted_client(*entries):
@@ -95,8 +99,7 @@ class TestRetryLoop:
         assert transport.calls == 2
         assert isinstance(result.payload, PrecisePMF)
         assert result.payload.probs == (0.5, 0.5)
-        assert result.score == math.log(2)
-        assert result.score_kind == SCORE_ENTROPY
+        assert set_scores("definetti", result.payload) == (math.log(2), None)
         # one verdict per attempt: first failed on the sum axiom, second clean
         assert [v.passed for v in result.verdicts] == [False, True]
         assert result.verdicts[0].violations[0].code == SUM
@@ -126,7 +129,7 @@ class TestRetryLoop:
         for verdict in result.verdicts:
             assert not verdict.passed
             assert [v.code for v in verdict.violations] == [SUM]
-        assert result.payload is None and result.score is None
+        assert result.payload is None
 
     def test_parse_failure_consumes_attempt(self):
         client, _ = scripted_client(
@@ -241,8 +244,7 @@ class TestSalvage:
         assert result.succeeded and result.salvaged
         assert result.attempts == 3
         assert result.payload.probs == (0.5, 0.5)
-        assert result.score == math.log(2)
-        assert result.score_kind == SCORE_ENTROPY
+        assert set_scores("definetti", result.payload) == (math.log(2), None)
 
     def test_no_salvage_when_disabled(self):
         bad = block(["1|price=0.6", "2|price=0.6"])
@@ -289,8 +291,7 @@ class TestOtherKinds:
         result = elicit_with_retry(client, ENDPOINT, PromptKind.PROBINT, QUESTION, TWO)
         assert result.payload.lowers == (0.2, 0.3)
         assert result.payload.uppers == (0.6, 0.5)
-        assert result.score == 1.0 - (0.2 + 0.3)
-        assert result.score_kind == SCORE_MMI_UPPER_BOUND
+        assert set_scores("probint", result.payload) == (None, 1.0 - (0.2 + 0.3))
 
     def test_inverted_interval_is_a_verdict_not_a_crash(self):
         client, _ = scripted_client(
@@ -323,14 +324,13 @@ class TestOtherKinds:
         assert result.payload.scores == (1.0, 0.4)
         assert result.payload.none_of_above == 0.1
         # possibility reports carry no single first-order score
-        assert result.score is None and result.score_kind is None
+        assert set_scores("possibility", result.payload)[0] is None
 
     def test_vanilla_scores_one_minus_confidence(self):
         client, _ = scripted_client(entry("vanilla", [block(["CONF|conf=0.85"])]))
         result = elicit_with_retry(client, ENDPOINT, PromptKind.VANILLA, QUESTION, TWO)
         assert result.payload == 0.85
-        assert result.score == pytest.approx(0.15)
-        assert result.score_kind == SCORE_ONE_MINUS_CONF
+        assert set_scores("vanilla", result.payload)[0] == pytest.approx(0.15)
 
     def test_candidate_generation_returns_open_ended_set(self):
         client, _ = scripted_client(

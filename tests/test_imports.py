@@ -118,6 +118,56 @@ def test_private_checker_flags_only_underscore_names_from_the_package():
     ]
 
 
+def imported_modules(source: str, package: str) -> set[str]:
+    """The absolute names of the modules ``source``, a module of ``package``,
+    imports at any depth.  ``from m import n`` counts as ``m`` and as
+    ``m.n``, since ``n`` may be a submodule."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")
+                base = parts[:len(parts) - node.level + 1]
+                module = ".".join(base + [node.module] if node.module else base)
+            else:
+                module = node.module
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_elicitation_loop_does_not_score():
+    """Scoring a payload is the campaign's record table's job alone, so no
+    module of ``ipuq.elicit`` imports the score or MMI modules."""
+    modules = sorted((SRC / "elicit").rglob("*.py"))
+    assert modules
+    scoring = [
+        f"{path.relative_to(SRC.parent)}: {name}"
+        for path in modules
+        for name in sorted(imported_modules(path.read_text(encoding="utf-8"), "ipuq.elicit"))
+        if name in ("ipuq.mmi", "ipuq.scores")
+    ]
+    assert scoring == []
+
+
+def test_module_checker_resolves_relative_imports():
+    source = (
+        "import ipuq.mmi\n"
+        "from ..scores import entropy\n"
+        "from . import client\n"
+        "from .. import mmi\n"
+        "from .parsing import ParseError\n"
+        "def f():\n"
+        "    from ipuq import core\n"
+    )
+    assert imported_modules(source, "ipuq.elicit") == {
+        "ipuq.mmi", "ipuq.scores", "ipuq.scores.entropy", "ipuq.elicit", "ipuq.elicit.client",
+        "ipuq.elicit.parsing", "ipuq.elicit.parsing.ParseError", "ipuq", "ipuq.core",
+    }
+
+
 def test_star_import_of_the_client_binds_its_transport():
     from ipuq.elicit.client import HttpTransport
 

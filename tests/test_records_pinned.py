@@ -12,8 +12,9 @@ verdicts, retries, salvage and failed cells as well as clean ones.
 JSON (``campaign.canonical_json``) of the list of records read back with
 ``load_run_records``, each without its ``timing`` subrecord: the value of
 ``records_digest`` below.  The digests were computed by running this very
-module against the code before the per-method tables replaced the
-per-method if-chains, and printing ``records_digest`` for each campaign.
+module and printing ``records_digest`` for each campaign; they were last
+re-pinned when records dropped the loop's own score and a point mass's
+entropy became 0.0 instead of -0.0, a change checked field by field.
 A change that alters any record byte outside ``timing`` fails here; if the
 change is meant, recompute the digests the same way and say why in
 CHANGES.md.
@@ -48,13 +49,13 @@ from ipuq.synth import TransformSpec
 
 PINNED = {
     ("synth", MODE_AUTO):
-        "da9e85a08387fbfa07e59b5fcd5004843e55a52d71417d795c321de9fe2c0217",
+        "55eacb7e8edd1243897d85574dd89c365e64ad5bc1223dab5a4aa1df05fc5bfb",
     ("synth", MODE_SET):
-        "adb749f2f2ba780d0c569372ee2216c0747baf7f992ca8f55e933a48019e75e1",
+        "4ad958bb0277e3a6a8684be01dc32e03e87c7d450f779bc65f4350ad13593cc3",
     ("qa_file", MODE_AUTO):
-        "59c33305f1f977763e8085b2a8a6645e97765eb0f75cc8406c6ab90bbbb40c03",
+        "a13ae7de11587a467758befd2fc30a99f2b5a828808726fd9657638f52b70ef7",
     ("qa_file", MODE_SET):
-        "fc0462bfd341a698c62dcc16077bf991baf1ad0d457fd9280ec69a4eae3836f1",
+        "79ee54f62bbe30862255df914cfc9b0dc3b5d697904665b35e66ace5d97ae1ec",
 }
 
 QA_ROWS = [

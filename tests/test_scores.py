@@ -41,6 +41,8 @@ def test_entropy_of_fair_coin_is_ln2():
 
 def test_entropy_of_point_mass_is_zero():
     assert entropy(pmf([1.0, 0.0, 0.0])) == 0.0
+    # -0.0 == 0.0, so only the sign shows it; JSON would write it as -0.0
+    assert math.copysign(1, entropy([1.0])) == 1
 
 
 def test_entropy_accepts_raw_sequences():
