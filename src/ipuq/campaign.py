@@ -223,9 +223,8 @@ def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> I
     chunk edge is carried into the next buffer; no record line is copied
     before ``decode`` sees it.  ``decode`` decodes the line, or a tail of
     it, as UTF-8 JSON; when that fails, :class:`RecordDecodeError` names
-    the line and the failing byte.  A line whose record key ``decode``
-    cannot read, or that lacks a member ``decode`` requires, raises
-    :class:`RecordsSchemaError` naming the line.
+    the line and the failing byte.  A line that ``decode`` refuses as a
+    record raises :class:`RecordsSchemaError` naming the line.
     """
     header = True
     offset = 0  # of the buffer's first byte in the file
@@ -247,11 +246,9 @@ def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> I
                             yield decode(buf, start, end)
                     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                         raise _decode_error(path, offset + start, end - start, exc) from exc
-                    except (KeyError, TypeError, _MissingMembers) as exc:
+                    except _NotARecord as exc:
                         line = _line_number(path, offset + start)
-                        reason = str(exc) if isinstance(exc, _MissingMembers) else (
-                            "not a record (no key object with question_id, method and seed)")
-                        raise RecordsSchemaError(f"{path}: line {line}: {reason}") from None
+                        raise RecordsSchemaError(f"{path}: line {line}: {exc}") from None
                 start = scan = end + 1
             del buf[:start]
             offset += start
@@ -285,11 +282,19 @@ def _line_number(path: str, line_start: int) -> int:
     return line
 
 
-def _key_tuple(key: dict[str, Any]) -> tuple[str, str, int]:
-    cell = question_id, method, seed = key["question_id"], key["method"], key["seed"]
-    if type(question_id) is not str or type(method) is not str or type(seed) is not int:
-        raise TypeError(f"record key {cell!r} is not (str, str, int)")
-    return cell
+class _NotARecord(Exception):
+    """A record line without what its reader needs; the message says what."""
+
+
+def _key_tuple(key: Any) -> tuple[str, str, int]:
+    try:
+        cell = question_id, method, seed = key["question_id"], key["method"], key["seed"]
+        if type(question_id) is str and type(method) is str and type(seed) is int:
+            return cell
+    except (KeyError, TypeError):
+        pass
+    raise _NotARecord(
+        "not a record (key needs a string question_id, a string method and an integer seed)")
 
 
 def _decode_line(buf: bytearray, start: int, end: int) -> Any:
@@ -298,22 +303,16 @@ def _decode_line(buf: bytearray, start: int, end: int) -> Any:
 
 def _decode_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
     record = _decode_line(buf, start, end)
-    _key_tuple(record["key"])
+    _key_tuple(record.get("key") if type(record) is dict else None)
     return record
 
 
-#: What eval reads of every record besides its key: (dotted member path,
-#: its names, the type it is read as).
-_EVAL_MEMBERS = tuple((path, tuple(path.split(".")), kind) for path, kind in (
-    ("scores", dict), ("labels", dict), ("candidates", dict), ("truth_set", list),
-    ("endpoint.key", str), ("elicitation.payload", (dict, type(None))),
-    ("elicitation.usage.input_tokens", int), ("elicitation.usage.output_tokens", int),
-))
-_ABSENT = object()
-
-
-class _MissingMembers(Exception):
-    """A record without a member that eval reads."""
+#: What eval reads of every record besides its key, and the type it reads.
+_EVAL_MEMBERS = [(path, path.split("."), kind) for path, kind in {
+    "scores": dict, "labels": dict, "candidates.answers": list, "truth_set": list,
+    "endpoint.key": str, "elicitation.payload": (dict, type(None)),
+    "elicitation.usage.input_tokens": int, "elicitation.usage.output_tokens": int,
+}.items()]
 
 
 def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
@@ -321,13 +320,13 @@ def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
     missing = []
     for path, names, kind in _EVAL_MEMBERS:
         value = record
-        for name in names:
-            value = value.get(name, _ABSENT) if isinstance(value, dict) else _ABSENT
+        for name in names:  # an absent member reads as ..., which no member's type holds
+            value = value.get(name, ...) if type(value) is dict else ...
         if not isinstance(value, kind):
             missing.append(path)
     if missing:
         cell = "/".join(map(str, _key_tuple(record["key"])))
-        raise _MissingMembers(f"record {cell} lacks what eval reads: {', '.join(missing)}")
+        raise _NotARecord(f"record {cell} lacks what eval reads: {', '.join(missing)}")
     return record
 
 

@@ -55,9 +55,6 @@ class VerdictReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
-
     def describe(self) -> str:
         if self.passed:
             return "passed"

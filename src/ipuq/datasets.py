@@ -5,8 +5,8 @@ Input is line-delimited JSON.  Three row schemas are understood:
 ``maqa_like``
     ``{"question": str, "answers": [str, ...]}`` plus optional
     ``reference`` (defaults to the first answer), ``pstar`` (probabilities
-    aligned with ``answers``), ``prediction`` and ``id``.  Multiple answers
-    mark the question ambiguous.
+    aligned with ``answers``), ``prediction`` and a string ``id``.  Multiple
+    answers mark the question ambiguous.
 
 ``ambigqa_like``
     ``{"question": str, "qa_pairs": [{"question": str, "answers": [str,..]},
@@ -70,7 +70,6 @@ def _row_maqa(row: dict, line_no: int) -> QARecord:
         reference_answer=reference,
         prediction=row.get("prediction"),
         pstar=tuple(pstar) if pstar is not None else None,
-        question_id=row.get("id"),
     )
 
 
@@ -95,7 +94,6 @@ def _row_ambigqa(row: dict, line_no: int) -> QARecord:
         truth_set=tuple(answers),
         reference_answer=answers[0],
         prediction=row.get("prediction"),
-        question_id=row.get("id"),
     )
 
 
@@ -122,7 +120,6 @@ def _row_mc(row: dict, line_no: int) -> QARecord:
         reference_answer=answer.strip(),
         prediction=row.get("prediction"),
         pstar=tuple(pstar) if pstar is not None else None,
-        question_id=row.get("id"),
     )
 
 
@@ -139,8 +136,8 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
     Any malformed row, including one that is not UTF-8 or not JSON, raises
     :class:`SchemaViolationError` naming the file and the offending 1-based
     line number; blank lines are allowed and skipped.
-    A row without an ``id`` gets ``q`` plus its zero-padded line number, and
-    a question id, explicit or default, may appear only once per file.
+    A row without an ``id`` gets ``q`` plus its zero-padded line number.  An
+    ``id`` must be a string, and a question id may appear only once per file.
     """
     if format not in _PARSERS:
         raise ValueError(f"unknown dataset format {format!r}; choose from {FORMATS}")
@@ -166,8 +163,11 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
             except IpuqError as exc:
                 reason = exc.reason if isinstance(exc, SchemaViolationError) else str(exc)
                 raise SchemaViolationError(line_no, reason, path) from exc
+            record.question_id = row.get("id")
             if record.question_id is None:
                 record.question_id = f"q{line_no:05d}"
+            elif type(record.question_id) is not str:
+                raise SchemaViolationError(line_no, "id must be a string", path)
             if record.question_id in first_line:
                 raise SchemaViolationError(
                     line_no,

@@ -102,10 +102,6 @@ class ElicitationResult:
     def output_tokens(self) -> int:
         return sum(a.reply.output_tokens for a in self.attempt_log)
 
-    @property
-    def verdicts(self) -> tuple[VerdictReport, ...]:
-        return tuple(a.verdict for a in self.attempt_log if a.verdict is not None)
-
 
 _PASSED = VerdictReport()
 
@@ -176,7 +172,8 @@ ACCEPTANCE: dict[PromptKind, Acceptance] = {
         lambda a: {"scores": list(a.scores), "none_of_above": a.none_of_above},
     ),
     PromptKind.VANILLA: Acceptance(
-        lambda conf, _: (_PASSED, float(conf)), lambda conf: {"confidence": conf}
+        lambda conf, _: (_PASSED, float(conf)),
+        lambda conf: {"confidence": conf},
     ),
     PromptKind.CANDIDATES: Acceptance(
         lambda answers, _: (_PASSED, CandidateSet(answers=tuple(answers), open_ended=True)),
@@ -229,7 +226,13 @@ def elicit_with_retry(
     last_parsed = None
 
     def result(succeeded: bool, payload=None, salvaged: bool = False) -> ElicitationResult:
-        return ElicitationResult(kind.value, succeeded, tuple(attempt_log), payload, salvaged)
+        return ElicitationResult(
+            kind=kind.value,
+            succeeded=succeeded,
+            attempt_log=tuple(attempt_log),
+            payload=payload,
+            salvaged=salvaged,
+        )
 
     try:
         for attempt in range(1, max_attempts + 1):

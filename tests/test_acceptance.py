@@ -251,9 +251,8 @@ def test_c06_retry_loop_attempts_and_verdicts():
             )
         failed = info.value.result
         assert failed.attempts == 5
-        assert len(failed.verdicts) == 5
-        for verdict in failed.verdicts:
-            assert [v.code for v in verdict.violations] == [SUM]
+        for attempt in failed.attempt_log:
+            assert [v.code for v in attempt.verdict.violations] == [SUM]
 
 
 # -------------------------------------------------------------------------

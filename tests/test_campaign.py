@@ -432,6 +432,8 @@ class TestRecordsReader:
         '{"key":{"question_id":"q0","method":"vanilla"}}',
         '{"key": {"method": "vanilla", "seed": 0}}',
         '{"key":{"question_id":["q"],"method":"m","seed":0}}',
+        '{"key":{"question_id":7,"method":"m","seed":0}}',
+        '{"key":{"question_id":"q","method":"m","seed":true}}',
     ))
     def test_a_line_without_a_record_key_names_its_line(self, tmp_path, chunk, read, line):
         path = tmp_path / "records.jsonl"
@@ -439,7 +441,8 @@ class TestRecordsReader:
         with pytest.raises(RecordsSchemaError) as caught:
             read(str(path))
         assert str(caught.value) == (
-            f"{path}: line 4: not a record (no key object with question_id, method and seed)")
+            f"{path}: line 4: not a record (key needs a string question_id, a string method "
+            "and an integer seed)")
 
 
 class TestPayloadRoundTrip:

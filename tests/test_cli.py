@@ -440,22 +440,45 @@ def test_a_records_line_without_a_key_is_a_dataset_error(tmp_path, capsys, comma
             else ["campaign", "resume", "--config", config_path])
     assert main(argv) == EXIT_DATASET
     assert capsys.readouterr().err == (
-        f"error: {path}: line 2: not a record (no key object with question_id, method "
-        "and seed)\n")
+        f"error: {path}: line 2: not a record (key needs a string question_id, a string "
+        "method and an integer seed)\n")
 
 
+def test_a_qa_id_that_is_not_a_string_is_refused_before_any_record(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text('{"id": 7, "question": "q", "answers": ["a"]}\n', encoding="utf-8")
+    dataset = DatasetSource(kind=DATASET_QA_FILE, path=str(qa), format="maqa_like")
+    config, config_path = write_campaign_config(tmp_path, "http://localhost:1", dataset=dataset)
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: {qa}: line 1: id must be a string\n"
+    assert not Path(records_path(config.output_dir)).exists()
+
+
+_KEY_ONLY = {"key": {"question_id": "q", "method": "definetti", "seed": 0}}
+
+
+@pytest.mark.parametrize("record, missing", [
+    (_KEY_ONLY, "scores, labels, candidates.answers, truth_set, endpoint.key, "
+                "elicitation.payload, elicitation.usage.input_tokens, "
+                "elicitation.usage.output_tokens"),
+    # a pstar and a payload send concordance --ref kl_pstar into the answers
+    ({**_KEY_ONLY, "scores": {}, "labels": {}, "candidates": {}, "truth_set": ["a"],
+      "pstar": [1.0], "endpoint": {"key": "m"},
+      "elicitation": {"payload": {"probs": [1.0]},
+                      "usage": {"input_tokens": 1, "output_tokens": 1}}},
+     "candidates.answers"),
+], ids=["key only", "candidates without answers"])
 @pytest.mark.parametrize("verb", ["auroc", "concordance", "cost"])
-def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(tmp_path, capsys, verb):
+def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
+    tmp_path, capsys, verb, record, missing
+):
     config_path = write_campaign_config(tmp_path, "http://localhost:1")[1]
     path = eval_fixture_records(tmp_path)
-    with open(path, "ab") as fh:
-        fh.write(b'{"key":{"question_id":"q","method":"definetti","seed":0}}\n')
-    extra = ["--config", config_path] if verb == "cost" else []
-    assert main(["eval", verb, "--records", path, *extra]) == EXIT_DATASET
+    append_records(path, [record])
+    extra = {"concordance": ["--ref", "kl_pstar"], "cost": ["--config", config_path]}
+    assert main(["eval", verb, "--records", path, *extra.get(verb, [])]) == EXIT_DATASET
     assert capsys.readouterr().err == (
-        f"error: {path}: line 6: record q/definetti/0 lacks what eval reads: scores, labels, "
-        "candidates, truth_set, endpoint.key, elicitation.payload, "
-        "elicitation.usage.input_tokens, elicitation.usage.output_tokens\n")
+        f"error: {path}: line 6: record q/definetti/0 lacks what eval reads: {missing}\n")
 
 
 def _file_reading_argv(tmp_path, command):

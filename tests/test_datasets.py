@@ -196,6 +196,19 @@ def test_explicit_id_colliding_with_a_default_id_is_rejected(tmp_path, explicit_
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize("row, fmt", [
+    ({"question": "q", "answers": ["a"]}, FORMAT_MAQA),
+    ({"question": "q", "qa_pairs": [{"question": "q", "answers": ["a"]}]}, FORMAT_AMBIGQA),
+    ({"question": "q", "options": ["a", "b"], "answer": "a"}, FORMAT_MC),
+])
+@pytest.mark.parametrize("bad_id", [7, ["q"], True])
+def test_an_id_that_is_not_a_string_is_rejected(tmp_path, row, fmt, bad_id):
+    path = write_jsonl(tmp_path, [{**row, "id": "a"}, {**row, "id": bad_id}])
+    with pytest.raises(SchemaViolationError) as info:
+        ingest_qa_dataset(path, fmt)
+    assert str(info.value) == f"{path}: line 2: id must be a string"
+
+
 def test_row_must_be_an_object(tmp_path):
     path = write_jsonl(tmp_path, ['["list", "not", "object"]'])
     with pytest.raises(SchemaViolationError):

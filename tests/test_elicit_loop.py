@@ -101,8 +101,8 @@ class TestRetryLoop:
         assert result.payload.probs == (0.5, 0.5)
         assert set_scores("definetti", result.payload) == (math.log(2), None)
         # one verdict per attempt: first failed on the sum axiom, second clean
-        assert [v.passed for v in result.verdicts] == [False, True]
-        assert result.verdicts[0].violations[0].code == SUM
+        assert [a.verdict.passed for a in result.attempt_log] == [False, True]
+        assert result.attempt_log[0].verdict.violations[0].code == SUM
 
     def test_first_try_needs_one_call(self):
         client, transport = scripted_client(
@@ -125,8 +125,8 @@ class TestRetryLoop:
         assert result.attempts == 5 == len(result.attempt_log)
         assert transport.calls == 5
         assert len(result.attempt_log) == 5
-        assert len(result.verdicts) == 5
-        for verdict in result.verdicts:
+        for attempt in result.attempt_log:
+            verdict = attempt.verdict
             assert not verdict.passed
             assert [v.code for v in verdict.violations] == [SUM]
         assert result.payload is None
@@ -301,8 +301,8 @@ class TestOtherKinds:
             elicit_with_retry(
                 client, ENDPOINT, PromptKind.PROBINT, QUESTION, TWO, max_attempts=1
             )
-        (verdict,) = info.value.result.verdicts
-        (violation,) = verdict.violations
+        (attempt,) = info.value.result.attempt_log
+        (violation,) = attempt.verdict.violations
         assert violation.code == INVERTED
         assert violation.index == 0
         assert violation.observed == 0.7 and violation.bound == 0.2
@@ -319,7 +319,7 @@ class TestOtherKinds:
         )
         result = elicit_with_retry(client, ENDPOINT, PromptKind.POSSIBILITY, QUESTION, TWO)
         assert result.attempts == 2
-        assert result.verdicts[0].violations[0].code == ALL_ZERO
+        assert result.attempt_log[0].verdict.violations[0].code == ALL_ZERO
         assert isinstance(result.payload, PossibilityAssignment)
         assert result.payload.scores == (1.0, 0.4)
         assert result.payload.none_of_above == 0.1
