@@ -37,7 +37,7 @@ from .elicit import (
     generate_candidates,
     render_prompt,
 )
-from .metrics import CostLedger, ScoredExample, auroc, concordance_index, cost_report
+from .metrics import ScoredExample, auroc, concordance_index
 from .mmi import (
     exact_mmi_credal,
     interval_width_mmi,
@@ -102,8 +102,6 @@ __all__ = [
     "ScoredExample",
     "auroc",
     "concordance_index",
-    "CostLedger",
-    "cost_report",
     "PromptKind",
     "render_prompt",
     "ModelEndpoint",

@@ -315,8 +315,16 @@ _EVAL_MEMBERS = [(path, path.split("."), kind) for path, kind in {
 }.items()]
 
 
+def _cell_name(record: dict[str, Any]) -> str:
+    return "/".join(map(str, _key_tuple(record["key"])))
+
+
 def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
     record = _decode_record(buf, start, end)
+    method = record["key"]["method"]
+    if method not in RECORDS:
+        raise _NotARecord(
+            f"record {_cell_name(record)}: unknown method {method!r}; choose from {METHODS}")
     missing = []
     for path, names, kind in _EVAL_MEMBERS:
         value = record
@@ -325,14 +333,14 @@ def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
         if not isinstance(value, kind):
             missing.append(path)
     if missing:
-        cell = "/".join(map(str, _key_tuple(record["key"])))
-        raise _NotARecord(f"record {cell} lacks what eval reads: {', '.join(missing)}")
+        raise _NotARecord(
+            f"record {_cell_name(record)} lacks what eval reads: {', '.join(missing)}")
     return record
 
 
 def load_run_records(path: str) -> list[dict]:
     """Read records back, validating the header line, each line's key and
-    the members that eval reads (see :data:`_EVAL_MEMBERS`)."""
+    method, and the members that eval reads (see :data:`_EVAL_MEMBERS`)."""
     return list(_decoded_lines(path, _decode_run_record))
 
 
@@ -526,6 +534,20 @@ def payload_to_dict(method: str, payload: object) -> dict[str, Any]:
 
 def payload_from_dict(method: str, data: dict[str, Any], candidates: CandidateSet):
     return RECORDS[method].decode(data, candidates)
+
+
+def decode_record_payload(record: dict[str, Any]) -> tuple[CandidateSet, Any]:
+    """A stored record's candidates and its non-null payload, decoded.  A
+    payload its method cannot decode raises :class:`RecordsSchemaError`
+    naming the record."""
+    try:
+        candidates = candidates_from_dict(record["candidates"])
+        payload = payload_from_dict(
+            record["key"]["method"], record["elicitation"]["payload"], candidates)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecordsSchemaError(
+            f"record {_cell_name(record)}: payload does not decode ({exc!r})") from exc
+    return candidates, payload
 
 
 def score_payload(
@@ -922,14 +944,12 @@ def recompute_scores(record: dict[str, Any]) -> dict[str, float | None]:
     Used to prove records are self-contained: the result must match the
     stored ``scores`` values to full float precision.
     """
-    payload_dict = record["elicitation"]["payload"]
-    if payload_dict is None:
+    if record["elicitation"]["payload"] is None:
         return dict.fromkeys(SCORE_FIELDS)
-    candidates = candidates_from_dict(record["candidates"])
-    method = record["key"]["method"]
-    payload = payload_from_dict(method, payload_dict, candidates)
+    candidates, payload = decode_record_payload(record)
     scores = _score_block(
-        method, payload, candidates, record["scores"]["mode"], record.get("prediction")
+        record["key"]["method"], payload, candidates, record["scores"]["mode"],
+        record.get("prediction"),
     )
     del scores["mode"]
     return scores
@@ -958,6 +978,7 @@ __all__ = [
     "RECORDS",
     "payload_to_dict",
     "payload_from_dict",
+    "decode_record_payload",
     "candidates_to_dict",
     "candidates_from_dict",
     "score_payload",

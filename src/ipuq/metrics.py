@@ -1,4 +1,4 @@
-"""Evaluation metrics and usage accounting.
+"""Evaluation metrics.
 
 The ranking metrics answer one question: does a higher uncertainty score
 pick out the examples that deserve it (ambiguous ones, wrong ones, or ones
@@ -8,7 +8,7 @@ which keeps scores comparable across methods with different granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -24,10 +24,6 @@ class AllRefsTiedError(IpuqError, ValueError):
 
 
 class MissingRefError(IpuqError, ValueError):
-    pass
-
-
-class UnknownEndpointError(IpuqError, KeyError):
     pass
 
 
@@ -134,83 +130,11 @@ def concordance_index(examples: Sequence[ScoredExample]) -> float:
     return (comparable - discordant - half + 0.5 * half) / comparable
 
 
-@dataclass(frozen=True)
-class CostRow:
-    """Token counts and currency for one (endpoint, method) cell."""
-
-    input_tokens: int = 0
-    output_tokens: int = 0
-    currency: float = 0.0
-
-    def plus(self, other: "CostRow") -> "CostRow":
-        return CostRow(
-            input_tokens=self.input_tokens + other.input_tokens,
-            output_tokens=self.output_tokens + other.output_tokens,
-            currency=self.currency + other.currency,
-        )
-
-
-@dataclass
-class CostLedger:
-    """Additive usage ledger keyed by (endpoint, method)."""
-
-    rows: dict[tuple[str, str], CostRow] = field(default_factory=dict)
-
-    def add(self, endpoint_key: str, method: str, row: CostRow) -> None:
-        key = (endpoint_key, method)
-        self.rows[key] = self.rows.get(key, CostRow()).plus(row)
-
-    def merged(self, other: "CostLedger") -> "CostLedger":
-        out = CostLedger(rows=dict(self.rows))
-        for key, row in other.rows.items():
-            out.rows[key] = out.rows.get(key, CostRow()).plus(row)
-        return out
-
-    def endpoint_totals(self) -> dict[str, CostRow]:
-        out: dict[str, CostRow] = {}
-        for (endpoint_key, _), row in self.rows.items():
-            out[endpoint_key] = out.get(endpoint_key, CostRow()).plus(row)
-        return out
-
-    def total(self) -> CostRow:
-        total = CostRow()
-        for row in self.rows.values():
-            total = total.plus(row)
-        return total
-
-
-def cost_report(
-    usage: Iterable[tuple[str, str, int, int]], endpoints: Sequence[object]
-) -> CostLedger:
-    """Aggregate token usage into a :class:`CostLedger`.
-
-    ``usage`` holds ``(endpoint_key, method, input_tokens, output_tokens)``
-    tuples.  ``endpoints`` supply per-token prices by their ``key``; usage
-    whose endpoint is missing raises :class:`UnknownEndpointError` rather
-    than silently pricing it at zero.
-    """
-    prices: dict[str, tuple[float, float]] = {
-        ep.key: (ep.price_per_input_token, ep.price_per_output_token) for ep in endpoints
-    }
-    ledger = CostLedger()
-    for key, method, tin, tout in usage:
-        if key not in prices:
-            raise UnknownEndpointError(key)
-        p_in, p_out = prices[key]
-        tin, tout = int(tin), int(tout)
-        ledger.add(key, method, CostRow(tin, tout, tin * p_in + tout * p_out))
-    return ledger
-
-
 __all__ = [
     "DegenerateLabelsError",
     "AllRefsTiedError",
     "MissingRefError",
-    "UnknownEndpointError",
     "ScoredExample",
     "auroc",
     "concordance_index",
-    "CostRow",
-    "CostLedger",
-    "cost_report",
 ]

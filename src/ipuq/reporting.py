@@ -9,8 +9,8 @@ import statistics
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from .campaign import RECORDS, SCORE_FIELDS, candidates_from_dict, payload_from_dict
-from .core import PrecisePMF, build_pmf
+from .campaign import RECORDS, SCORE_FIELDS, RecordsSchemaError, decode_record_payload
+from .core import ConfigError, PrecisePMF, build_pmf
 from .elicit.client import ModelEndpoint
 from .metrics import (
     AllRefsTiedError,
@@ -18,7 +18,6 @@ from .metrics import (
     ScoredExample,
     auroc,
     concordance_index,
-    cost_report,
 )
 from .scores import ce_kl_decomposition, entropy
 
@@ -51,13 +50,10 @@ def _record_label(record: dict[str, Any], label_kind: str) -> int | None:
 
 def _predicted_pmf(record: dict[str, Any]) -> PrecisePMF | None:
     """The record's precise belief over its candidates, when the method has one."""
-    payload_dict = record["elicitation"]["payload"]
-    method = record["key"]["method"]
-    belief = RECORDS[method].belief
-    if payload_dict is None or belief is None:
+    belief = RECORDS[record["key"]["method"]].belief
+    if record["elicitation"]["payload"] is None or belief is None:
         return None
-    candidates = candidates_from_dict(record["candidates"])
-    return belief(payload_from_dict(method, payload_dict, candidates))
+    return belief(decode_record_payload(record)[1])
 
 
 def _pstar_reference(record: dict[str, Any], ref_kind: str) -> float | None:
@@ -176,6 +172,8 @@ def metric_rows(
                         recs, score_field=score_field, ref_kind=ref_kind
                     )
                     value = concordance_index(examples)
+            except RecordsSchemaError:
+                raise  # a record eval cannot read fails the eval, not one seed
             except (DegenerateLabelsError, AllRefsTiedError, ValueError) as exc:
                 logger.warning("%s/%s seed %d skipped: %s", method, metric, seed, exc)
                 continue
@@ -198,27 +196,49 @@ def metric_rows(
     return rows
 
 
+class UnknownEndpointError(ConfigError):
+    """A record names an endpoint whose prices the config does not give."""
+
+
+def _add_usage(
+    sums: dict[tuple[str, str], list], key: tuple[str, str], tin: int, tout: int, currency: float
+) -> None:
+    line = sums.setdefault(key, [0, 0, 0.0])
+    line[0] += tin
+    line[1] += tout
+    line[2] += currency
+
+
 def cost_rows(
     records: Iterable[dict[str, Any]], endpoints: Sequence[ModelEndpoint]
 ) -> list[dict[str, Any]]:
-    """Per (endpoint, method) cost lines plus per-endpoint totals."""
-    usage = (
-        (rec["endpoint"]["key"], rec["key"]["method"],
-         rec["elicitation"]["usage"]["input_tokens"], rec["elicitation"]["usage"]["output_tokens"])
-        for rec in records
-    )
-    ledger = cost_report(usage, endpoints)
-    totals = [((key, "__total__"), row) for key, row in sorted(ledger.endpoint_totals().items())]
-    return [
-        {
-            "endpoint": endpoint_key,
-            "method": method,
-            "input_tokens": row.input_tokens,
-            "output_tokens": row.output_tokens,
-            "currency": row.currency,
-        }
-        for (endpoint_key, method), row in [*sorted(ledger.rows.items()), *totals]
-    ]
+    """Per (endpoint, method) cost lines, sorted, then one ``__total__`` line
+    per endpoint, sorted.
+
+    Each record's usage is priced at its endpoint's per-token prices; a
+    record whose endpoint is not among ``endpoints`` raises
+    :class:`UnknownEndpointError` rather than being priced at zero.  Every
+    sum starts at 0.0 and adds left to right: a line's over its records in
+    record order, an endpoint's total over its lines in first-appearance order.
+    """
+    prices = {ep.key: (ep.price_per_input_token, ep.price_per_output_token) for ep in endpoints}
+    lines: dict[tuple[str, str], list] = {}
+    for rec in records:
+        endpoint_key = rec["endpoint"]["key"]
+        if endpoint_key not in prices:
+            raise UnknownEndpointError(
+                f"records name endpoint {endpoint_key!r}, which the config does not list; "
+                f"it lists {sorted(prices)}")
+        p_in, p_out = prices[endpoint_key]
+        usage = rec["elicitation"]["usage"]
+        tin, tout = usage["input_tokens"], usage["output_tokens"]
+        currency = tin * p_in + tout * p_out
+        _add_usage(lines, (endpoint_key, rec["key"]["method"]), tin, tout, currency)
+    totals: dict[tuple[str, str], list] = {}
+    for (endpoint_key, _), line in lines.items():
+        _add_usage(totals, (endpoint_key, "__total__"), *line)
+    return [dict(zip(COST_CSV_COLUMNS, (*key, *line)))
+            for key, line in [*sorted(lines.items()), *sorted(totals.items())]]
 
 
 def write_csv(rows: Iterable[dict[str, Any]], columns: Sequence[str], path: str) -> None:
@@ -239,6 +259,7 @@ __all__ = [
     "SCORE_FIELDS",
     "METRIC_CSV_COLUMNS",
     "COST_CSV_COLUMNS",
+    "UnknownEndpointError",
     "examples_for_auroc",
     "examples_for_concordance",
     "metric_rows",

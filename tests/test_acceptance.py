@@ -38,7 +38,7 @@ from ipuq.decision import maximax, maximin, precise_argmax
 from ipuq.elicit.client import ChatClient, ModelEndpoint
 from ipuq.elicit.loop import RetriesExhaustedError, elicit_with_retry
 from ipuq.elicit.prompts import PromptKind
-from ipuq.metrics import CostLedger, CostRow, ScoredExample, auroc, concordance_index
+from ipuq.metrics import ScoredExample, auroc, concordance_index
 from ipuq.mmi import (
     exact_mmi_credal,
     interval_width_mmi,
@@ -46,6 +46,7 @@ from ipuq.mmi import (
     possibility_mmi,
 )
 from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
+from ipuq.reporting import cost_rows
 from ipuq.scores import ce_kl_decomposition
 from ipuq.study import run_synthetic_study
 from ipuq.synth import TransformSpec, apply_cyclic_shift, apply_rotation, ground_truth_variants
@@ -445,25 +446,37 @@ def test_c11_campaign_determinism_and_rescoring(tmp_path, serve):
 
 
 # -------------------------------------------------------------------------
-# 12. cost ledger arithmetic
+# 12. cost rows arithmetic
 # -------------------------------------------------------------------------
 
 
-def test_c12_cost_ledger_exactness():
-    with criterion(12, "cost ledger reproduces hand totals and merges additively"):
-        a = CostLedger()
-        a.add("m@u", "definetti", CostRow(1000, 100, 1000 * 2e-6 + 100 * 6e-6))
-        a.add("m@u", "definetti", CostRow(500, 50, 500 * 2e-6 + 50 * 6e-6))
-        a.add("m@u", "vanilla", CostRow(200, 10, 200 * 2e-6 + 10 * 6e-6))
-        hand_total = (1700 * 2e-6) + (160 * 6e-6)
-        assert abs(a.total().currency - hand_total) <= 1e-12
-        assert a.total().input_tokens == 1700 and a.total().output_tokens == 160
+def test_c12_cost_rows_exactness():
+    def usage(endpoint_key, method, tin, tout):
+        return {"endpoint": {"key": endpoint_key}, "key": {"method": method},
+                "elicitation": {"usage": {"input_tokens": tin, "output_tokens": tout}}}
 
-        b = CostLedger()
-        b.add("m@u", "definetti", CostRow(10, 1, 10 * 2e-6 + 1 * 6e-6))
-        b.add("other@u", "credal", CostRow(30, 3, 30 * 1e-6 + 3 * 2e-6))
-        merged = a.merged(b)
+    def totals(rows):
+        return [r for r in rows if r["method"] == "__total__"]
+
+    endpoints = (
+        ModelEndpoint(base_url="u", model_id="m",
+                      price_per_input_token=2e-6, price_per_output_token=6e-6),
+        ModelEndpoint(base_url="u", model_id="other",
+                      price_per_input_token=1e-6, price_per_output_token=2e-6),
+    )
+    with criterion(12, "cost rows reproduce hand totals and add across record sets"):
+        a = [usage("m@u", "definetti", 1000, 100), usage("m@u", "definetti", 500, 50),
+             usage("m@u", "vanilla", 200, 10)]
+        [a_total] = totals(cost_rows(a, endpoints))
+        hand_total = (1700 * 2e-6) + (160 * 6e-6)
+        assert abs(a_total["currency"] - hand_total) <= 1e-12
+        assert a_total["input_tokens"] == 1700 and a_total["output_tokens"] == 160
+
+        b = [usage("m@u", "definetti", 10, 1), usage("other@u", "credal", 30, 3)]
+        both = cost_rows(a + b, endpoints)
         assert abs(
-            merged.total().currency - (a.total().currency + b.total().currency)
+            sum(r["currency"] for r in totals(both))
+            - (a_total["currency"] + sum(r["currency"] for r in totals(cost_rows(b, endpoints))))
         ) <= 1e-12
-        assert merged.rows[("m@u", "definetti")].input_tokens == 1510
+        by_line = {(r["endpoint"], r["method"]): r for r in both}
+        assert by_line[("m@u", "definetti")]["input_tokens"] == 1510

@@ -56,9 +56,9 @@ from ipuq.core import (
 from ipuq.cli import EXIT_PARTIAL, main
 from ipuq.elicit.client import ChatClient, HttpTransport, ModelEndpoint, TransportError
 from ipuq.elicit.prompts import extract_question
-from ipuq.metrics import cost_report
 from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
 from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
+from ipuq.reporting import cost_rows
 from ipuq.scores import bernoulli_entropy, entropy
 from ipuq.synth import TransformSpec
 
@@ -477,6 +477,22 @@ class TestPayloadRoundTrip:
         data = payload_to_dict("vanilla", 0.8)
         assert payload_from_dict("vanilla", data, TWO) == 0.8
 
+    @pytest.mark.parametrize("method, payload, error", [
+        ("definetti", {}, "KeyError('probs')"),
+        ("probint", {"lowers": [0.1, 0.2]}, "KeyError('uppers')"),
+        ("credal", {"members": 5}, "TypeError("),
+        ("possibility", {"scores": [1.0, 0.3], "none_of_above": "x"}, "ValueError("),
+        ("vanilla", {"confidence": None}, "TypeError("),
+    ])
+    def test_a_payload_that_does_not_decode_names_its_record(self, method, payload, error):
+        record = {"key": {"question_id": "q", "method": method, "seed": 0},
+                  "candidates": {"answers": ["A", "B"]},
+                  "elicitation": {"payload": payload}, "scores": {"mode": MODE_SET}}
+        with pytest.raises(RecordsSchemaError) as caught:
+            recompute_scores(record)
+        assert str(caught.value).startswith(
+            f"record q/{method}/0: payload does not decode ({error}")
+
 
 class TestScorePayload:
     def test_definetti_set_vs_answer(self):
@@ -809,7 +825,7 @@ class TestRunCampaign:
             assert record["scores"]["first_order"] is None
             assert record["prediction"] is None
 
-    def test_record_usage_feeds_cost_report(self, tmp_path):
+    def test_record_usage_feeds_cost_rows(self, tmp_path):
         price_in, price_out = 2e-6, 6e-6
         config = make_config(
             tmp_path,
@@ -825,17 +841,14 @@ class TestRunCampaign:
         )
         client, _ = agent_client()
         written = run_campaign(config, client=client)
-        usage = [
-            (r["endpoint"]["key"], r["key"]["method"],
-             r["elicitation"]["usage"]["input_tokens"],
-             r["elicitation"]["usage"]["output_tokens"])
-            for r in written
-        ]
+        usage = [r["elicitation"]["usage"] for r in written]
         assert len(usage) == 4
-        assert all(tin > 0 for _, _, tin, _ in usage)
-        ledger = cost_report(usage, config.endpoints)
-        expected = sum(tin * price_in + tout * price_out for _, _, tin, tout in usage)
-        assert ledger.total().currency == pytest.approx(expected, abs=1e-12)
+        assert all(u["input_tokens"] > 0 for u in usage)
+        *_, total = cost_rows(written, config.endpoints)
+        assert total["method"] == "__total__"
+        expected = sum(u["input_tokens"] * price_in + u["output_tokens"] * price_out
+                       for u in usage)
+        assert total["currency"] == pytest.approx(expected, abs=1e-12)
 
     def test_one_credal_mean_per_credal_record(self, tmp_path, monkeypatch):
         # the record's decision and its scores share the utilitarian mean

@@ -11,6 +11,7 @@ import pytest
 from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
+    METHODS,
     RECORD_SCHEMA,
     CampaignConfig,
     DatasetSource,
@@ -457,28 +458,51 @@ def test_a_qa_id_that_is_not_a_string_is_refused_before_any_record(tmp_path, cap
 _KEY_ONLY = {"key": {"question_id": "q", "method": "definetti", "seed": 0}}
 
 
-@pytest.mark.parametrize("record, missing", [
-    (_KEY_ONLY, "scores, labels, candidates.answers, truth_set, endpoint.key, "
-                "elicitation.payload, elicitation.usage.input_tokens, "
-                "elicitation.usage.output_tokens"),
-    # a pstar and a payload send concordance --ref kl_pstar into the answers
-    ({**_KEY_ONLY, "scores": {}, "labels": {}, "candidates": {}, "truth_set": ["a"],
-      "pstar": [1.0], "endpoint": {"key": "m"},
-      "elicitation": {"payload": {"probs": [1.0]},
-                      "usage": {"input_tokens": 1, "output_tokens": 1}}},
-     "candidates.answers"),
-], ids=["key only", "candidates without answers"])
+# every member eval reads, a pstar and a payload, which concordance --ref kl_pstar decodes
+_EVAL_READY = {**_KEY_ONLY, "scores": {}, "labels": {}, "candidates": {"answers": ["a"]},
+               "truth_set": ["a"], "pstar": [1.0], "endpoint": {"key": "m"},
+               "elicitation": {"payload": {"probs": [1.0]},
+                               "usage": {"input_tokens": 1, "output_tokens": 1}}}
+
+
+@pytest.mark.parametrize("record, reason", [
+    (_KEY_ONLY, "q/definetti/0 lacks what eval reads: scores, labels, candidates.answers, "
+                "truth_set, endpoint.key, elicitation.payload, "
+                "elicitation.usage.input_tokens, elicitation.usage.output_tokens"),
+    ({**_EVAL_READY, "candidates": {}}, "q/definetti/0 lacks what eval reads: candidates.answers"),
+    ({**_EVAL_READY, "key": {**_KEY_ONLY["key"], "method": "m"}},
+     f"q/m/0: unknown method 'm'; choose from {METHODS}"),
+], ids=["key only", "candidates without answers", "unknown method"])
 @pytest.mark.parametrize("verb", ["auroc", "concordance", "cost"])
 def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
-    tmp_path, capsys, verb, record, missing
+    tmp_path, capsys, verb, record, reason
 ):
     config_path = write_campaign_config(tmp_path, "http://localhost:1")[1]
     path = eval_fixture_records(tmp_path)
     append_records(path, [record])
     extra = {"concordance": ["--ref", "kl_pstar"], "cost": ["--config", config_path]}
     assert main(["eval", verb, "--records", path, *extra.get(verb, [])]) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: {path}: line 6: record {reason}\n"
+
+
+def test_eval_over_a_payload_that_does_not_decode_is_a_dataset_error(tmp_path, capsys):
+    path = eval_fixture_records(tmp_path)
+    append_records(path, [{**_EVAL_READY, "elicitation": {**_EVAL_READY["elicitation"],
+                                                          "payload": {}}}])
+    assert main(["eval", "concordance", "--records", path, "--ref", "kl_pstar"]) == EXIT_DATASET
     assert capsys.readouterr().err == (
-        f"error: {path}: line 6: record q/definetti/0 lacks what eval reads: {missing}\n")
+        "error: record q/definetti/0: payload does not decode (KeyError('probs'))\n")
+
+
+def test_eval_cost_over_an_endpoint_the_config_does_not_list_is_a_dataset_error(
+    tmp_path, capsys
+):
+    config_path = write_campaign_config(tmp_path, "http://localhost:1")[1]
+    path = eval_fixture_records(tmp_path)
+    assert main(["eval", "cost", "--records", path, "--config", config_path]) == EXIT_DATASET
+    assert capsys.readouterr().err == (
+        "error: records name endpoint 'm@url', which the config does not list; "
+        "it lists ['mock-agent@http://localhost:1']\n")
 
 
 def _file_reading_argv(tmp_path, command):

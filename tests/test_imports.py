@@ -7,12 +7,14 @@ library alone.  A module-level import counts as used when its bound name
 appears anywhere in the module or in the module's ``__all__`` (which is how
 the package ``__init__`` files re-export).
 
-Dynamic: importing the package loads no network module; the first mock
-server and the first HTTP request load them.  Each check runs in a fresh
+Dynamic: every name in a module's ``__all__`` is bound once it is imported.
+Importing the package loads no network module; the first mock server and
+the first HTTP request load them.  Those two checks run in a fresh
 interpreter, since this test process has long since imported them.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -166,6 +168,18 @@ def test_module_checker_resolves_relative_imports():
         "ipuq.mmi", "ipuq.scores", "ipuq.scores.entropy", "ipuq.elicit", "ipuq.elicit.client",
         "ipuq.elicit.parsing", "ipuq.elicit.parsing.ParseError", "ipuq", "ipuq.core",
     }
+
+
+def test_every_exported_name_is_bound():
+    """Each name in a module's ``__all__`` exists once the module is imported,
+    so deleting a definition cannot leave a dangling export."""
+    dangling = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        dangling += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                     if not hasattr(module, name)]
+    assert dangling == []
 
 
 def test_star_import_of_the_client_binds_its_transport():

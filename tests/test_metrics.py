@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 
 from ipuq.metrics import (
     AllRefsTiedError,
-    CostLedger,
-    CostRow,
     DegenerateLabelsError,
     MissingRefError,
     ScoredExample,
-    UnknownEndpointError,
     auroc,
     concordance_index,
-    cost_report,
 )
 
 # ---------------------------------------------------------------------------
@@ -198,80 +194,3 @@ def test_concordance_block_construction_matches_pair_oracle():
 def test_concordance_at_twenty_thousand_examples():
     examples, expected = shuffled_blocks_of_four(20_000, seed=20_000)
     assert concordance_index(examples) == expected
-
-
-# ---------------------------------------------------------------------------
-# Cost ledger
-# ---------------------------------------------------------------------------
-
-
-class FakeEndpoint:
-    def __init__(self, key, pin, pout):
-        self.key = key
-        self.price_per_input_token = pin
-        self.price_per_output_token = pout
-
-
-def test_cost_report_arithmetic():
-    ep = FakeEndpoint("m@url", 1e-6, 2e-6)
-    ledger = cost_report([("m@url", "definetti", 1000, 500)], [ep])
-    row = ledger.rows[("m@url", "definetti")]
-    assert row.currency == pytest.approx(0.002, abs=1e-15)
-    assert row.input_tokens == 1000
-    assert row.output_tokens == 500
-
-
-def test_cost_report_empty_and_unknown():
-    assert cost_report([], [FakeEndpoint("e", 0, 0)]).total() == CostRow()
-    with pytest.raises(UnknownEndpointError):
-        cost_report([("ghost", "vanilla", 1, 1)], [FakeEndpoint("e", 0, 0)])
-
-
-def test_cost_rows_sum_to_endpoint_total():
-    ep = FakeEndpoint("m@url", 2e-6, 3e-6)
-    results = [
-        ("m@url", "definetti", 100, 10),
-        ("m@url", "probint", 200, 20),
-        ("m@url", "definetti", 50, 5),
-    ]
-    ledger = cost_report(results, [ep])
-    total = ledger.endpoint_totals()["m@url"]
-    assert total.input_tokens == 350
-    assert total.output_tokens == 35
-    by_hand = sum(r.currency for r in ledger.rows.values())
-    assert total.currency == pytest.approx(by_hand, abs=1e-15)
-    assert total.currency == pytest.approx(350 * 2e-6 + 35 * 3e-6, abs=1e-12)
-
-
-def test_ledger_merge_is_additive():
-    a = CostLedger()
-    a.add("e1", "definetti", CostRow(10, 5, 0.001))
-    b = CostLedger()
-    b.add("e1", "definetti", CostRow(30, 15, 0.003))
-    b.add("e2", "vanilla", CostRow(1, 1, 0.0001))
-    merged = a.merged(b)
-    assert merged.rows[("e1", "definetti")] == CostRow(40, 20, 0.004)
-    assert merged.rows[("e2", "vanilla")] == CostRow(1, 1, 0.0001)
-    # merge must not mutate the inputs
-    assert a.rows[("e1", "definetti")] == CostRow(10, 5, 0.001)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
-        min_size=0,
-        max_size=20,
-    )
-)
-def test_ledger_total_matches_manual_sum(pairs):
-    ep = FakeEndpoint("e", 1.5e-6, 2.5e-6)
-    results = [("e", f"k{i % 3}", a, b) for i, (a, b) in enumerate(pairs)]
-    ledger = cost_report(results, [ep])
-    want_in = sum(a for a, _ in pairs)
-    want_out = sum(b for _, b in pairs)
-    total = ledger.total()
-    assert total.input_tokens == want_in
-    assert total.output_tokens == want_out
-    assert total.currency == pytest.approx(
-        want_in * 1.5e-6 + want_out * 2.5e-6, abs=1e-12
-    )

@@ -5,6 +5,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipuq.reporting import (
     COST_CSV_COLUMNS,
@@ -13,6 +15,7 @@ from ipuq.reporting import (
     METRIC_CSV_COLUMNS,
     REF_ENTROPY_PSTAR,
     REF_KL_PSTAR,
+    UnknownEndpointError,
     cost_rows,
     examples_for_auroc,
     examples_for_concordance,
@@ -351,6 +354,112 @@ class TestCostRows:
         assert total["currency"] == pytest.approx(
             by_method["definetti"]["currency"] + by_method["vanilla"]["currency"]
         )
+
+    def test_arithmetic(self):
+        line, _ = cost_rows([fake_record("definetti", 0, tokens=(1000, 500))], self.endpoints())
+        assert line["currency"] == pytest.approx(0.002, abs=1e-15)
+        assert line["input_tokens"] == 1000
+        assert line["output_tokens"] == 500
+
+    def test_empty_and_unknown_endpoint(self):
+        assert cost_rows([], self.endpoints()) == []
+        with pytest.raises(UnknownEndpointError, match="'ghost@url'.*lists \\['m@url'\\]"):
+            cost_rows([fake_record("vanilla", 0, endpoint_key="ghost@url")], self.endpoints())
+
+    def test_lines_sum_to_endpoint_total(self):
+        ep = ModelEndpoint(base_url="url", model_id="m",
+                           price_per_input_token=2e-6, price_per_output_token=3e-6)
+        records = [
+            fake_record("definetti", 0, tokens=(100, 10)),
+            fake_record("probint", 0, tokens=(200, 20)),
+            fake_record("definetti", 1, tokens=(50, 5)),
+        ]
+        *lines, total = cost_rows(records, [ep])
+        assert total["input_tokens"] == 350
+        assert total["output_tokens"] == 35
+        by_hand = sum(line["currency"] for line in lines)
+        assert total["currency"] == pytest.approx(by_hand, abs=1e-15)
+        assert total["currency"] == pytest.approx(350 * 2e-6 + 35 * 3e-6, abs=1e-12)
+
+    def test_record_sets_add(self):
+        endpoints = [
+            ModelEndpoint(base_url="url", model_id="e1",
+                          price_per_input_token=5e-5, price_per_output_token=1e-4),
+            ModelEndpoint(base_url="url", model_id="e2",
+                          price_per_input_token=5e-5, price_per_output_token=5e-5),
+        ]
+        a = [fake_record("definetti", 0, tokens=(10, 5), endpoint_key="e1@url")]
+        b = [fake_record("definetti", 1, tokens=(30, 15), endpoint_key="e1@url"),
+             fake_record("vanilla", 0, tokens=(1, 1), endpoint_key="e2@url")]
+        lines = {(r["endpoint"], r["method"]): r for r in cost_rows(a + b, endpoints)}
+        definetti, vanilla = lines[("e1@url", "definetti")], lines[("e2@url", "vanilla")]
+        assert (definetti["input_tokens"], definetti["output_tokens"]) == (40, 20)
+        assert definetti["currency"] == pytest.approx(0.004, abs=1e-15)
+        assert (vanilla["input_tokens"], vanilla["output_tokens"]) == (1, 1)
+        assert vanilla["currency"] == pytest.approx(0.0001, abs=1e-15)
+        # pricing reads the records and leaves them as they were
+        line, _ = cost_rows(a, endpoints)
+        assert (line["input_tokens"], line["output_tokens"]) == (10, 5)
+        assert line["currency"] == pytest.approx(0.001, abs=1e-15)
+
+    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)), max_size=20))
+    def test_total_matches_manual_sum(self, pairs):
+        ep = ModelEndpoint(base_url="url", model_id="e",
+                           price_per_input_token=1.5e-6, price_per_output_token=2.5e-6)
+        records = [fake_record(f"k{i % 3}", 0, tokens=pair, endpoint_key="e@url")
+                   for i, pair in enumerate(pairs)]
+        totals = [r for r in cost_rows(records, [ep]) if r["method"] == "__total__"]
+        want_in = sum(a for a, _ in pairs)
+        want_out = sum(b for _, b in pairs)
+        total = totals[0] if totals else {"input_tokens": 0, "output_tokens": 0, "currency": 0.0}
+        assert total["input_tokens"] == want_in
+        assert total["output_tokens"] == want_out
+        assert total["currency"] == pytest.approx(
+            want_in * 1.5e-6 + want_out * 2.5e-6, abs=1e-12
+        )
+
+    def test_currency_sums_run_left_to_right(self):
+        # Float addition does not associate on these currencies, so exact
+        # equality pins the order: each (endpoint, method) sum adds its
+        # records in record order from 0.0, and each endpoint total adds
+        # its method sums in the order the methods first appear.
+        prices = {"a": (0.1, 0.2), "b": (0.3, 0.7)}
+        tokens = {
+            "a": {"vanilla": [(9, 0), (6, 5), (6, 5)], "definetti": [(2, 9), (1, 4), (5, 7)],
+                  "credal": [(2, 9), (1, 1), (1, 1)]},
+            "b": {"vanilla": [(6, 5), (4, 1), (3, 6)], "definetti": [(8, 5), (6, 8), (5, 5)],
+                  "credal": [(6, 2), (1, 5), (1, 9)]},
+        }
+        endpoints = [ModelEndpoint(base_url=url, model_id="m", price_per_input_token=p_in,
+                                   price_per_output_token=p_out)
+                     for url, (p_in, p_out) in prices.items()]
+        records = [fake_record(method, k, endpoint_key=f"m@{url}", tokens=by_method[method][k])
+                   for k in range(3)
+                   for url, by_method in tokens.items()
+                   for method in by_method]
+
+        def left_to_right(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        rows = {(r["endpoint"], r["method"]): r for r in cost_rows(records, endpoints)}
+        assert len(rows) == 8
+        for url, by_method in tokens.items():
+            p_in, p_out = prices[url]
+            currencies = {method: [tin * p_in + tout * p_out for tin, tout in cell]
+                          for method, cell in by_method.items()}
+            sums = {}
+            for method, values in currencies.items():
+                assert left_to_right(values) != left_to_right(values[::-1])
+                sums[method] = left_to_right(values)
+                assert rows[(f"m@{url}", method)]["currency"] == sums[method]
+            total = left_to_right(sums.values())
+            assert total != left_to_right(sums[m] for m in sorted(sums))
+            assert total != left_to_right(
+                currencies[m][k] for k in range(3) for m in currencies)
+            assert rows[(f"m@{url}", "__total__")]["currency"] == total
 
     def test_csv_columns(self, tmp_path):
         rows = cost_rows([fake_record("definetti", 0)], self.endpoints())
