@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -335,12 +336,45 @@ def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
     if missing:
         raise _NotARecord(
             f"record {_cell_name(record)} lacks what eval reads: {', '.join(missing)}")
+    if (wrong := _wrong_value(record)) is not None:
+        raise _NotARecord(f"record {_cell_name(record)}: {wrong}")
     return record
+
+
+def _is_bit(value: Any) -> bool:
+    return type(value) is int and 0 <= value <= 1
+
+
+def _is_number(value: Any) -> bool:
+    return type(value) in (int, float)  # a bool is not a number here
+
+
+def _wrong_value(record: dict[str, Any]) -> str | None:
+    """What is wrong with a label, score or p* value that eval reads, if
+    anything.  An absent member reads as no value, as eval reads it."""
+    labels = record["labels"]
+    if "ambiguous" in labels and not _is_bit(labels["ambiguous"]):
+        return f"labels.ambiguous must be 0 or 1, got {labels['ambiguous']!r}"
+    correct = labels.get("correct")
+    if correct is not None and not _is_bit(correct):
+        return f"labels.correct must be 0, 1 or null, got {correct!r}"
+    for name in SCORE_FIELDS:
+        score = record["scores"].get(name)
+        if score is not None and not _is_number(score):
+            return f"scores.{name} must be a number or null, got {score!r}"
+    pstar = record.get("pstar")
+    if pstar is not None and not (
+        type(pstar) is list and len(pstar) == len(record["truth_set"])
+        and all(_is_number(p) and 0.0 <= p < math.inf for p in pstar)
+    ):
+        return "pstar must be null or one finite non-negative number per truth_set answer"
+    return None
 
 
 def load_run_records(path: str) -> list[dict]:
     """Read records back, validating the header line, each line's key and
-    method, and the members that eval reads (see :data:`_EVAL_MEMBERS`)."""
+    method, the members that eval reads (see :data:`_EVAL_MEMBERS`) and the
+    values it reads (see :func:`_wrong_value`)."""
     return list(_decoded_lines(path, _decode_run_record))
 
 
@@ -715,11 +749,13 @@ def _run_cell(
     seed: int,
 ) -> dict[str, Any]:
     """Elicit, score and record one cell, with the seed's ``endpoints`` from
-    :func:`_seed_endpoints`.  Whatever the cell raises becomes a failed
-    record that keeps the results of every loop it reached."""
+    :func:`_seed_endpoints`.  Whatever the elicitation raises becomes a
+    failed record; either way the record keeps the result of every loop it
+    reached, which each loop appends to ``results`` however it ends."""
     started = time.time()
     endpoint, members = endpoints
     results: list[ElicitationResult] = []
+    payload = error = None
     try:
         if RECORDS[method].ensemble:
             payload = elicit_credal_ensemble(
@@ -729,10 +765,10 @@ def _run_cell(
                 qrecord.candidates,
                 max_attempts=config.retry_budget,
                 salvage_renormalize=config.salvage_renormalize,
-                member_results=results,
+                results=results,
             )
         else:
-            result = elicit_with_retry(
+            payload = elicit_with_retry(
                 client,
                 endpoint,
                 PromptKind(method),
@@ -740,10 +776,8 @@ def _run_cell(
                 qrecord.candidates,
                 max_attempts=config.retry_budget,
                 salvage_renormalize=config.salvage_renormalize,
-            )
-            results.append(result)
-            payload = result.payload
-        return _build_record(config, qrecord, method, seed, payload, results, None, started)
+                results=results,
+            ).payload
     except Exception as exc:
         if isinstance(exc, TransportError):
             error = f"transport: {exc}"
@@ -753,8 +787,7 @@ def _run_cell(
             error = f"{type(exc).__name__}: {exc}"
             logger.warning("cell %s/%s/%d failed: %s", qrecord.question_id, method, seed,
                            error, exc_info=True)
-        results = list(getattr(exc, "results", results))
-        return _build_record(config, qrecord, method, seed, None, results, error, started)
+    return _build_record(config, qrecord, method, seed, payload, results, error, started)
 
 
 def _build_record(

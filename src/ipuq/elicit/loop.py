@@ -9,9 +9,9 @@ retries those itself with backoff and raises if the endpoint stays down.
 What a kind's verified reply becomes -- its coherence check, typed payload,
 JSON form and whether it may be salvaged -- is that kind's entry in
 :data:`ACCEPTANCE`; its prompt and reply rows are its entry in
-:data:`~ipuq.elicit.prompts.WIRE`.  Every exception that ends a loop, of
-whatever type, carries the partial result of each loop it reached in
-``results``, so the attempts already billed are not lost.
+:data:`~ipuq.elicit.prompts.WIRE`.  Every loop appends its result to the
+caller's ``results`` list however it ends, exceptions included, so the
+attempts already billed are not lost; no exception carries results.
 """
 
 from __future__ import annotations
@@ -59,15 +59,13 @@ class RetriesExhaustedError(IpuqError, RuntimeError):
             f"{result.kind} elicitation failed after {result.attempts} attempts"
         )
         self.result = result
-        self.results = (result,)
 
 
 class MemberQuorumNotMetError(IpuqError, RuntimeError):
     """Not every ensemble member produced a usable report."""
 
-    def __init__(self, succeeded: int, required: int, results: list["ElicitationResult"]):
+    def __init__(self, succeeded: int, required: int):
         super().__init__(f"only {succeeded} of required {required} members succeeded")
-        self.results = results
 
 
 @dataclass(frozen=True)
@@ -206,6 +204,7 @@ def elicit_with_retry(
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     salvage_renormalize: bool = False,
+    results: list[ElicitationResult] | None = None,
 ) -> ElicitationResult:
     """Elicit one report, re-prompting with feedback until it verifies.
 
@@ -216,7 +215,8 @@ def elicit_with_retry(
     ``salvaged``.  Otherwise :class:`RetriesExhaustedError` carries the
     failed result, including one verdict or parse error per attempt.  Any
     other exception, a :class:`TransportError` or whatever the transport
-    raised, leaves with the partial result in ``results``.
+    raised, propagates as it is.  However the loop ends, its result, with
+    every attempt it billed, is appended to ``results`` when one is given.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -225,14 +225,17 @@ def elicit_with_retry(
     feedback: str | None = None
     last_parsed = None
 
-    def result(succeeded: bool, payload=None, salvaged: bool = False) -> ElicitationResult:
-        return ElicitationResult(
+    def end(succeeded: bool, payload=None, salvaged: bool = False) -> ElicitationResult:
+        result = ElicitationResult(
             kind=kind.value,
             succeeded=succeeded,
             attempt_log=tuple(attempt_log),
             payload=payload,
             salvaged=salvaged,
         )
+        if results is not None:
+            results.append(result)
+        return result
 
     try:
         for attempt in range(1, max_attempts + 1):
@@ -249,7 +252,7 @@ def elicit_with_retry(
             verdict, payload = acceptance.check(parsed, candidates)
             attempt_log.append(AttemptRecord(attempt, reply, verdict=verdict))
             if verdict.passed:
-                return result(True, payload)
+                return end(True, payload)
             feedback = _verdict_feedback(verdict)
             logger.debug(
                 "attempt %d/%d failed verification: %s", attempt, max_attempts, verdict.describe()
@@ -265,12 +268,12 @@ def elicit_with_retry(
             logger.info("salvaged %s report by renormalization after %d attempts",
                         kind.value, max_attempts)
             pmf = build_pmf(candidates, last_parsed, renormalize=True)
-            return result(True, pmf, salvaged=True)
-    except Exception as exc:
-        exc.results = (result(False),)
+            return end(True, pmf, salvaged=True)
+    except Exception:
+        end(False)
         raise
 
-    raise RetriesExhaustedError(result(False))
+    raise RetriesExhaustedError(end(False))
 
 
 def elicit_credal_ensemble(
@@ -281,24 +284,22 @@ def elicit_credal_ensemble(
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     salvage_renormalize: bool = False,
-    member_results: list[ElicitationResult] | None = None,
+    results: list[ElicitationResult] | None = None,
 ) -> CredalSet:
     """Elicit one credal set: one PMF per member endpoint, same candidates.
 
     ``members`` are typically the same model under different seeds, or
     different models; each member's distinct belief becomes one extreme
     point.  Every member must succeed: each one is still asked, and if any
-    ran out of attempts, :class:`MemberQuorumNotMetError` carries all their
-    results.  Any other exception stops the ensemble and carries, in
-    ``results``, the results of the members before it and of the one it cut
-    short.  Pass a list as ``member_results`` to collect every member's
-    result, failed ones included, for accounting.
+    ran out of attempts, :class:`MemberQuorumNotMetError` is raised once all
+    have been.  Any other exception stops the ensemble at the member it cut
+    short.  ``results`` is passed to each member's loop, so it gains one
+    result per member reached, in member order, however the ensemble ends.
     """
     if not members:
         raise ValueError("need at least one ensemble member")
     pmfs: list[PrecisePMF] = []
     tags: list[str] = []
-    collected: list[ElicitationResult] = []
     for ep in members:
         try:
             result = elicit_with_retry(
@@ -309,21 +310,15 @@ def elicit_credal_ensemble(
                 candidates,
                 max_attempts=max_attempts,
                 salvage_renormalize=salvage_renormalize,
+                results=results,
             )
         except RetriesExhaustedError as exc:
             logger.warning("credal member %s failed: %s", ep.key, exc)
-            collected.append(exc.result)
             continue
-        except Exception as exc:
-            exc.results = (*collected, *getattr(exc, "results", ()))
-            raise
-        collected.append(result)
         pmfs.append(result.payload)
         tags.append(f"{ep.key}#seed={ep.seed}")
-    if member_results is not None:
-        member_results.extend(collected)
     if len(pmfs) < len(members):
-        raise MemberQuorumNotMetError(len(pmfs), len(members), collected)
+        raise MemberQuorumNotMetError(len(pmfs), len(members))
     return CredalSet(candidates=candidates, members=tuple(pmfs), member_tags=tuple(tags))
 
 

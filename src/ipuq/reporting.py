@@ -9,7 +9,7 @@ import statistics
 from collections import defaultdict
 from typing import Any, Iterable, Sequence
 
-from .campaign import RECORDS, SCORE_FIELDS, RecordsSchemaError, decode_record_payload
+from .campaign import RECORDS, SCORE_FIELDS, decode_record_payload
 from .core import ConfigError, PrecisePMF, build_pmf
 from .elicit.client import ModelEndpoint
 from .metrics import (
@@ -149,7 +149,9 @@ def metric_rows(
 
     Seeds whose slice is degenerate (one class only, or all references tied)
     are dropped from the aggregate; a method with no usable seed is skipped
-    entirely, with a warning.
+    entirely, with a warning.  Any other error fails the call:
+    :func:`~ipuq.campaign.load_run_records` refuses a record whose labels,
+    scores or p* eval cannot read.
     """
     _check_choice("metric", metric, ("auroc", "concordance"))
     _check_choice("score field", score_field, SCORE_FIELDS)
@@ -172,9 +174,7 @@ def metric_rows(
                         recs, score_field=score_field, ref_kind=ref_kind
                     )
                     value = concordance_index(examples)
-            except RecordsSchemaError:
-                raise  # a record eval cannot read fails the eval, not one seed
-            except (DegenerateLabelsError, AllRefsTiedError, ValueError) as exc:
+            except (DegenerateLabelsError, AllRefsTiedError) as exc:
                 logger.warning("%s/%s seed %d skipped: %s", method, metric, seed, exc)
                 continue
             per_seed.append(value)

@@ -1074,6 +1074,29 @@ def _served_by_record(record):
     return collections.Counter(requests=elicitation["attempts"], **elicitation["usage"])
 
 
+@pytest.mark.parametrize("fail_at", (1, 2, 4))
+def test_an_outage_that_recovers_bills_only_what_was_served(tmp_path, fail_at):
+    # the first question's definetti cell sends request 1, its three credal
+    # members requests 2 to 4
+    config = make_config(tmp_path, methods=("definetti", "credal"),
+                         output_dir=str(tmp_path / "recovered"))
+    transport = Served(MockTransport(MockScript(agent=AgentConfig())), fail_at=fail_at,
+                       error=lambda: TransportError("busy", retryable=True))
+    sleeps = []
+    written = run_campaign(config, client=ChatClient(transport, sleep=sleeps.append))
+    assert transport.sent == sum(_served_by_record(r)["requests"] for r in written) + 1
+    assert sleeps == [0.5]
+    by_question = collections.defaultdict(collections.Counter)
+    for record in written:
+        by_question[record["question"]] += _served_by_record(record)
+    assert by_question == transport.served
+
+    whole = make_config(tmp_path, methods=("definetti", "credal"),
+                        output_dir=str(tmp_path / "whole"))
+    run_campaign(whole, client=agent_client()[0])
+    assert _records_without_timing(config) == _records_without_timing(whole)
+
+
 class TestUnexpectedExceptionsBecomeFailedRecords:
     QUESTIONS = 4
 

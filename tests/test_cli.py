@@ -338,7 +338,7 @@ def eval_fixture_records(tmp_path, base_url="url"):
             "key": {"question_id": f"q{i}", "method": "definetti", "seed": 0},
             "candidates": {"answers": ["A", "B"], "open_ended": False,
                            "case_sensitive": False},
-            "truth_set": ["A"],
+            "truth_set": ["A", "B"],
             "pstar": [0.5 + first / 10, 0.5 - first / 10],
             "labels": {"ambiguous": ambiguous, "correct": None},
             "endpoint": {"key": key, "model_id": "m", "base_url": base_url},
@@ -483,6 +483,46 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
     extra = {"concordance": ["--ref", "kl_pstar"], "cost": ["--config", config_path]}
     assert main(["eval", verb, "--records", path, *extra.get(verb, [])]) == EXIT_DATASET
     assert capsys.readouterr().err == f"error: {path}: line 6: record {reason}\n"
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"labels": {"ambiguous": 2}}, "labels.ambiguous must be 0 or 1, got 2"),
+    ({"labels": {"ambiguous": True}}, "labels.ambiguous must be 0 or 1, got True"),
+    ({"labels": {"ambiguous": None}}, "labels.ambiguous must be 0 or 1, got None"),
+    ({"labels": {"ambiguous": 1.0}}, "labels.ambiguous must be 0 or 1, got 1.0"),
+    ({"labels": {"ambiguous": 0, "correct": 2}}, "labels.correct must be 0, 1 or null, got 2"),
+    ({"labels": {"correct": "1"}}, "labels.correct must be 0, 1 or null, got '1'"),
+    ({"scores": {"first_order": "abc"}}, "scores.first_order must be a number or null, got 'abc'"),
+    ({"scores": {"second_order": False}}, "scores.second_order must be a number or null, got False"),
+    ({"scores": {"combined": [0.5]}}, "scores.combined must be a number or null, got [0.5]"),
+    ({"pstar": [-0.5]}, "pstar must be null or one finite non-negative number per truth_set answer"),
+    ({"pstar": [0.5, 0.5]}, "pstar must be null or one finite non-negative number per truth_set "
+                            "answer"),
+    ({"pstar": ["1"]}, "pstar must be null or one finite non-negative number per truth_set answer"),
+    ({"pstar": {"a": 1.0}}, "pstar must be null or one finite non-negative number per truth_set "
+                            "answer"),
+], ids=["ambiguous 2", "ambiguous true", "ambiguous null", "ambiguous 1.0", "correct 2",
+        "correct '1'", "first_order 'abc'", "second_order false", "combined list",
+        "pstar negative", "pstar too long", "pstar string", "pstar object"])
+@pytest.mark.parametrize("argv", [["auroc"], ["concordance", "--ref", "kl_pstar"]],
+                         ids=["auroc", "concordance"])
+def test_eval_over_a_value_eval_cannot_read_is_a_dataset_error(
+    tmp_path, capsys, argv, change, reason
+):
+    path = eval_fixture_records(tmp_path)
+    append_records(path, [{**_EVAL_READY, **change}])
+    assert main(["eval", argv[0], "--records", path, *argv[1:]]) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: {path}: line 6: record q/definetti/0: {reason}\n"
+
+
+def test_eval_reads_null_labels_scores_and_pstar(tmp_path):
+    path = eval_fixture_records(tmp_path)
+    append_records(path, [{**_EVAL_READY, "pstar": None,
+                           "labels": {"ambiguous": 1, "correct": None},
+                           "scores": dict.fromkeys(("first_order", "second_order", "combined"))}])
+    for argv in (["auroc"], ["concordance", "--ref", "kl_pstar"]):
+        assert main(["eval", argv[0], "--records", path, *argv[1:],
+                     "--out", str(tmp_path / "rows.csv")]) == EXIT_OK
 
 
 def test_eval_over_a_payload_that_does_not_decode_is_a_dataset_error(tmp_path, capsys):

@@ -213,19 +213,52 @@ class TestRetryLoop:
                 raise TransportError("boom", retryable=False)
 
         client = ChatClient(Failing())
-        with pytest.raises(TransportError) as info:
-            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
-        (partial,) = info.value.results
+        results = []
+        with pytest.raises(TransportError):
+            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO,
+                              results=results)
+        (partial,) = results
         assert not partial.succeeded and partial.attempts == 0
 
-    def test_transport_error_carries_the_billed_attempts(self):
+    def test_transport_error_leaves_the_billed_attempts_in_the_list(self):
         client = ChatClient(DownAfter(1, entry("definetti", ["no block"])))
-        with pytest.raises(TransportError) as info:
-            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO)
-        (partial,) = info.value.results
+        results = []
+        with pytest.raises(TransportError):
+            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO,
+                              results=results)
+        (partial,) = results
         assert partial.attempts == 1 == len(partial.attempt_log)
         assert partial.attempt_log[0].parse_error
         assert partial.input_tokens > 0 and partial.output_tokens == 2
+
+
+    def test_the_list_gains_one_result_per_loop_however_it_ends(self):
+        good = block(["1|price=0.5", "2|price=0.5"])
+        bad = block(["1|price=0.6", "2|price=0.6"])
+        results = []
+        client, _ = scripted_client(entry("definetti", [good]))
+        verified = elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO,
+                                     results=results)
+        assert results == [verified]
+
+        client, _ = scripted_client(entry("definetti", [bad] * 2))
+        salvaged = elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO,
+                                     max_attempts=2, salvage_renormalize=True, results=results)
+        assert results == [verified, salvaged] and salvaged.salvaged
+
+        client, _ = scripted_client(entry("definetti", [bad] * 2))
+        with pytest.raises(RetriesExhaustedError) as info:
+            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO,
+                              max_attempts=2, results=results)
+        assert len(results) == 3 and results[2] is info.value.result
+
+        client = ChatClient(DownAfter(1, entry("definetti", [bad])))
+        with pytest.raises(TransportError):
+            elicit_with_retry(client, ENDPOINT, PromptKind.DEFINETTI, QUESTION, TWO,
+                              results=results)
+        assert [r.attempts for r in results] == [1, 2, 2, 1]
+        assert [r.succeeded for r in results] == [True, True, False, False]
+        assert not hasattr(info.value, "results")
 
 
 class TestSalvage:
@@ -370,28 +403,27 @@ class TestCredalEnsemble:
             entry("credal", [bad] * 2, seed=1),
         ]
         client, _ = scripted_client(*entries)
-        sink = []
-        with pytest.raises(MemberQuorumNotMetError) as info:
+        results = []
+        with pytest.raises(MemberQuorumNotMetError):
             elicit_credal_ensemble(
                 client,
                 [self.member(0), self.member(1)],
                 QUESTION,
                 TWO,
                 max_attempts=2,
-                member_results=sink,
+                results=results,
             )
-        assert list(info.value.results) == sink
-        assert len(sink) == 2
-        assert sink[0].succeeded and not sink[1].succeeded
+        assert [r.succeeded for r in results] == [True, False]
 
-    def test_transport_error_carries_every_member_reached(self):
+    def test_transport_error_leaves_every_member_reached_in_the_list(self):
         good = block(["1|prob=0.3", "2|prob=0.7"])
         client = ChatClient(DownAfter(2, entry("credal", [good, "no block"])))
-        with pytest.raises(TransportError) as info:
+        results = []
+        with pytest.raises(TransportError):
             elicit_credal_ensemble(
-                client, [self.member(s) for s in range(3)], QUESTION, TWO
+                client, [self.member(s) for s in range(3)], QUESTION, TWO, results=results
             )
-        finished, cut_short = info.value.results
+        finished, cut_short = results
         assert finished.succeeded and finished.attempts == 1 == len(finished.attempt_log)
         assert not cut_short.succeeded and cut_short.attempts == 1 == len(cut_short.attempt_log)
 

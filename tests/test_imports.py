@@ -5,7 +5,8 @@ imports an underscore name from another ``ipuq`` module.  No linter ships
 with the project, so this walks each module's syntax tree with the standard
 library alone.  A module-level import counts as used when its bound name
 appears anywhere in the module or in the module's ``__all__`` (which is how
-the package ``__init__`` files re-export).
+the package ``__init__`` files re-export).  Also static: no ``except ... as
+name:`` body in ``src/ipuq`` writes an attribute on ``name``.
 
 Dynamic: every name in a module's ``__all__`` is bound once it is imported.
 Importing the package loads no network module; the first mock server and
@@ -168,6 +169,65 @@ def test_module_checker_resolves_relative_imports():
         "ipuq.mmi", "ipuq.scores", "ipuq.scores.entropy", "ipuq.elicit", "ipuq.elicit.client",
         "ipuq.elicit.parsing", "ipuq.elicit.parsing.ParseError", "ipuq", "ipuq.core",
     }
+
+
+def exception_attribute_writes(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every write to an attribute of ``name`` inside the body
+    of an ``except ... as name:`` clause: an assignment, augmented or
+    annotated, to ``name.attr`` anywhere in a target, or ``setattr(name, ...)``."""
+    found = []
+    for handler in ast.walk(ast.parse(source)):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        for node in (n for stmt in handler.body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Assign):
+                written = [a for t in node.targets for a in ast.walk(t)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                written = list(ast.walk(node.target))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and node.args):
+                written = [ast.Attribute(value=node.args[0])]
+            else:
+                continue
+            found += [(node.lineno, handler.name) for a in written
+                      if isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name)
+                      and a.value.id == handler.name]
+    return sorted(found)
+
+
+def test_no_exception_carries_attributes_set_where_it_is_caught():
+    """Billed attempts reach a record through the list each elicitation loop
+    appends to, so no handler stows data on the exception it caught."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    writes = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for path in modules
+        for line, name in exception_attribute_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert writes == []
+
+
+def test_exception_attribute_checker_flags_only_writes_on_the_caught_name():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except ValueError as exc:\n"
+        "    exc.results = ()\n"
+        "    other.results = exc.args\n"
+        "    exc.count += 1\n"
+        "    first, exc.second = 1, 2\n"
+        "    if exc.args:\n"
+        "        setattr(exc, 'note', 1)\n"
+        "    log(exc.results)\n"
+        "except KeyError:\n"
+        "    exc.results = ()\n"
+        "def f(exc):\n"
+        "    exc.results = ()\n"
+    )
+    assert exception_attribute_writes(source) == [
+        (4, "exc"), (6, "exc"), (7, "exc"), (9, "exc"),
+    ]
 
 
 def test_every_exported_name_is_bound():

@@ -416,3 +416,59 @@ class TestHttpTransport:
         ((path, headers, _),) = server.seen
         assert path == target  # a proxy gets the absolute URL
         assert headers["Host"] == "endpoint.invalid"
+
+
+class Flaky:
+    """Fails the first ``failures`` sends, then serves the simulated agent."""
+
+    def __init__(self, failures, retryable=True):
+        self.inner = MockTransport(MockScript(agent=AgentConfig()))
+        self.failures = failures
+        self.retryable = retryable
+        self.sends = 0
+
+    def send(self, endpoint, system_text, user_text):
+        self.sends += 1
+        if self.sends <= self.failures:
+            raise TransportError(f"outage {self.sends}", retryable=self.retryable)
+        return self.inner.send(endpoint, system_text, user_text)
+
+
+class TestChatClientRetries:
+    ENDPOINT = ModelEndpoint(base_url="inproc://agent", model_id="m", seed=0)
+    USER = render_prompt(PromptKind.DEFINETTI, QUESTION, TWO)
+
+    def test_retryable_failures_back_off_until_a_reply(self):
+        transport = Flaky(2)
+        sleeps = []
+        reply = ChatClient(transport, sleep=sleeps.append).complete(
+            self.ENDPOINT, SYSTEM_TEXT, self.USER)
+        assert transport.sends == 3 and sleeps == [0.5, 1.0]
+        assert reply == transport.inner.send(self.ENDPOINT, SYSTEM_TEXT, self.USER)
+
+    def test_retryable_failures_throughout_raise_the_last(self):
+        transport = Flaky(10**6)
+        sleeps = []
+        client = ChatClient(transport, sleep=sleeps.append)
+        with pytest.raises(TransportError, match="outage 4") as info:
+            client.complete(self.ENDPOINT, SYSTEM_TEXT, self.USER)
+        assert info.value.retryable
+        assert transport.sends == client.transport_retries + 1 == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    def test_the_retry_count_and_backoff_base_are_the_client_s(self):
+        transport = Flaky(10**6)
+        sleeps = []
+        client = ChatClient(transport, transport_retries=1, backoff_base_s=0.1,
+                            sleep=sleeps.append)
+        with pytest.raises(TransportError, match="outage 2"):
+            client.complete(self.ENDPOINT, SYSTEM_TEXT, self.USER)
+        assert transport.sends == 2 and sleeps == [0.1]
+
+    def test_a_non_retryable_failure_is_raised_at_once(self):
+        transport = Flaky(1, retryable=False)
+        sleeps = []
+        with pytest.raises(TransportError, match="outage 1"):
+            ChatClient(transport, sleep=sleeps.append).complete(
+                self.ENDPOINT, SYSTEM_TEXT, self.USER)
+        assert transport.sends == 1 and sleeps == []

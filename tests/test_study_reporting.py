@@ -285,6 +285,20 @@ class TestMetricRows:
         ]
         assert metric_rows(records, "auroc", dataset="toy") == []
 
+    @pytest.mark.parametrize("change", [{"ambiguous": 2}, {"first": "abc"}],
+                             ids=["ambiguous 2", "first_order 'abc'"])
+    def test_a_value_no_metric_can_read_fails_the_call(self, caplog, change):
+        # only a degenerate slice is skipped; anything else is not one seed's fault
+        values = {"first": 0.5, "ambiguous": 0, **change}
+        records = [
+            fake_record("definetti", 0, first=0.9, ambiguous=1),
+            fake_record("definetti", 0, first=0.1, ambiguous=0),
+            fake_record("definetti", 0, **values),
+        ]
+        with pytest.raises(ValueError):
+            metric_rows(records, "auroc", dataset="toy")
+        assert "skipped" not in caplog.text
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             metric_rows([], "f1", dataset="toy")
