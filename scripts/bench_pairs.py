@@ -19,7 +19,8 @@ After each metric it prints one verdict, in the first of these that holds:
               beats every a run;
   flat        otherwise.
 
-It exits with status 1 when any run is not correct or has failed operations.
+It exits with status 1 when any run is not correct or has failed operations,
+or when any metric's verdict is ``worse``.
 """
 
 import argparse
@@ -104,7 +105,9 @@ def main(argv=None) -> int:
         (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
         print(f"  {name:20s} {ma:.6g} [{qa1:.6g}, {qa3:.6g}] -> "
               f"{mb:.6g} [{qb1:.6g}, {qb3:.6g}] ({won}/{len(runs)})")
-        print(f"    verdict: {verdict(a, b, won, sign, metric['bound'])}")
+        outcome = verdict(a, b, won, sign, metric["bound"])
+        print(f"    verdict: {outcome}")
+        ok = ok and outcome != "worse"
     return 0 if ok else 1
 
 

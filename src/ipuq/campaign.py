@@ -36,6 +36,7 @@ from .decision import DecisionOutcome, maximin, precise_argmax, utilitarian_aggr
 from .elicit.client import ChatClient, ModelEndpoint, TransportError
 from .elicit.loop import (
     ACCEPTANCE,
+    DEFAULT_MAX_ATTEMPTS,
     ElicitationResult,
     MemberQuorumNotMetError,
     RetriesExhaustedError,
@@ -142,7 +143,7 @@ class CampaignConfig(JsonForm):
     methods: tuple[str, ...]
     endpoints: tuple[ModelEndpoint, ...]
     seeds: tuple[int, ...] = (0,)
-    retry_budget: int = 5
+    retry_budget: int = DEFAULT_MAX_ATTEMPTS
     concurrency: int = 1
     output_dir: str = "runs"
     credal_members: int = 5
@@ -350,8 +351,12 @@ def _is_number(value: Any) -> bool:
 
 
 def _wrong_value(record: dict[str, Any]) -> str | None:
-    """What is wrong with a label, score or p* value that eval reads, if
-    anything.  An absent member reads as no value, as eval reads it."""
+    """What is wrong with an answer, label, score or p* value that eval
+    reads, if anything.  An absent member reads as no value, as eval reads it."""
+    for name, answers in (("candidates.answers", record["candidates"]["answers"]),
+                          ("truth_set", record["truth_set"])):
+        if wrong := [answer for answer in answers if type(answer) is not str]:
+            return f"{name} must hold only strings, got {wrong[0]!r}"
     labels = record["labels"]
     if "ambiguous" in labels and not _is_bit(labels["ambiguous"]):
         return f"labels.ambiguous must be 0 or 1, got {labels['ambiguous']!r}"
@@ -562,22 +567,14 @@ RECORDS: dict[str, RecordSpec] = {
 METHODS = tuple(RECORDS)
 
 
-def payload_to_dict(method: str, payload: object) -> dict[str, Any]:
-    return RECORDS[method].encode(payload)
-
-
-def payload_from_dict(method: str, data: dict[str, Any], candidates: CandidateSet):
-    return RECORDS[method].decode(data, candidates)
-
-
 def decode_record_payload(record: dict[str, Any]) -> tuple[CandidateSet, Any]:
     """A stored record's candidates and its non-null payload, decoded.  A
     payload its method cannot decode raises :class:`RecordsSchemaError`
     naming the record."""
     try:
         candidates = candidates_from_dict(record["candidates"])
-        payload = payload_from_dict(
-            record["key"]["method"], record["elicitation"]["payload"], candidates)
+        payload = RECORDS[record["key"]["method"]].decode(
+            record["elicitation"]["payload"], candidates)
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordsSchemaError(
             f"record {_cell_name(record)}: payload does not decode ({exc!r})") from exc
@@ -749,13 +746,13 @@ def _run_cell(
     seed: int,
 ) -> dict[str, Any]:
     """Elicit, score and record one cell, with the seed's ``endpoints`` from
-    :func:`_seed_endpoints`.  Whatever the elicitation raises becomes a
-    failed record; either way the record keeps the result of every loop it
-    reached, which each loop appends to ``results`` however it ends."""
+    :func:`_seed_endpoints`.  Whatever the elicitation or the building of its
+    record raises becomes a failed record; either way the record keeps the
+    result of every loop it reached, which each loop appends to ``results``
+    however it ends."""
     started = time.time()
     endpoint, members = endpoints
     results: list[ElicitationResult] = []
-    payload = error = None
     try:
         if RECORDS[method].ensemble:
             payload = elicit_credal_ensemble(
@@ -778,6 +775,7 @@ def _run_cell(
                 salvage_renormalize=config.salvage_renormalize,
                 results=results,
             ).payload
+        return _build_record(config, qrecord, method, seed, payload, results, None, started)
     except Exception as exc:
         if isinstance(exc, TransportError):
             error = f"transport: {exc}"
@@ -787,7 +785,7 @@ def _run_cell(
             error = f"{type(exc).__name__}: {exc}"
             logger.warning("cell %s/%s/%d failed: %s", qrecord.question_id, method, seed,
                            error, exc_info=True)
-    return _build_record(config, qrecord, method, seed, payload, results, error, started)
+    return _build_record(config, qrecord, method, seed, None, results, error, started)
 
 
 def _build_record(
@@ -807,7 +805,7 @@ def _build_record(
     payload_dict: dict[str, Any] | None = None
     scores_dict: dict[str, Any] = dict.fromkeys(("mode", *SCORE_FIELDS))
     if payload is not None:
-        payload_dict = payload_to_dict(method, payload)
+        payload_dict = RECORDS[method].encode(payload)
         outcome_decision = decide(method, payload)
         if outcome_decision is not None:
             prediction = outcome_decision.chosen_answer
@@ -874,7 +872,7 @@ def _finished(futures: list[Future]) -> list[dict[str, Any]]:
 
 def _append_finished(path: str, futures: list[Future]) -> None:
     """Write the records of the finished cells not yet in the file, in job
-    order, so that cells billed before a Ctrl-C are not elicited again."""
+    order, so that cells billed before a stop are not elicited again."""
     finished = _finished(futures)
     _drop_torn_tail(path)
     recorded = existing_keys(path)
@@ -905,15 +903,17 @@ def run_campaign(
     records file is written by this thread alone, in deterministic job order
     (question x method x seed, in config order).  Cells already present in
     the records file are skipped, which is what makes interrupted campaigns
-    resumable.  A cell that raises is recorded as failed, with its error and
-    its billed attempts, and counts as completed; the caller decides whether
-    a partial campaign is acceptable.  If the writer stops (a failed write,
-    Ctrl-C), no further cells are started and the cells already in flight
-    finish.  On Ctrl-C they are written before the interrupt propagates; on
-    a failed write (``OSError``) each finished cell left out of the file is
-    logged at ERROR with its key and billed usage.  Resuming reads only the
-    keys of the records file (see :func:`existing_keys`), and only the
-    questions that still have a cell to run are built.
+    resumable.  A cell whose elicitation or record building raises is
+    recorded as failed, with its error and its billed attempts, and counts as
+    completed; the caller decides whether a partial campaign is acceptable.
+    If the writer stops (a failed write, Ctrl-C, any other exception), no
+    further cells are started and the cells already in flight finish.  When
+    writing a record raises (an ``OSError``, or a record the file cannot
+    encode), each finished cell left out of the file is logged at ERROR with
+    its key and billed usage; on any other stop they are written before the
+    exception propagates.  Resuming reads only the keys of the records file
+    (see :func:`existing_keys`), and only the questions that still have a
+    cell to run are built.
     """
     client = client if client is not None else ChatClient()
     path = records_path(config.output_dir)
@@ -942,23 +942,30 @@ def run_campaign(
     endpoints = {seed: _seed_endpoints(base, seed, config.credal_members)
                  for seed in config.seeds}
     written: list[dict[str, Any]] = []
+    write_failed = False
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         futures = [pool.submit(_run_cell, config, client, endpoints[seed], q, method, seed)
                    for q, method, seed in jobs]
         try:
             for future in futures:
                 record = future.result()
-                append_records(path, [record])
+                try:
+                    append_records(path, [record])
+                except Exception:
+                    # writing again may fail the same way, so nothing is
+                    # written after a failed write
+                    write_failed = True
+                    raise
                 written.append(record)
-        except BaseException as exc:
+        except BaseException:
             # Cancelling from the back, as Executor.map does, leaves the
             # cells that started a job-order prefix.
             for future in reversed(futures):
                 future.cancel()
-            if isinstance(exc, KeyboardInterrupt):
-                _append_finished(path, futures)
-            elif isinstance(exc, OSError):
+            if write_failed:
                 _log_dropped(futures[len(written):])
+            else:
+                _append_finished(path, futures)
             raise
     failed = sum(1 for r in written if not r["elicitation"]["succeeded"])
     if failed:
@@ -1009,8 +1016,6 @@ __all__ = [
     "existing_keys",
     "RecordSpec",
     "RECORDS",
-    "payload_to_dict",
-    "payload_from_dict",
     "decode_record_payload",
     "candidates_to_dict",
     "candidates_from_dict",

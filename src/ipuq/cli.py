@@ -28,7 +28,7 @@ from .campaign import (
 from .core import CandidateSet, IpuqError
 from .datasets import SchemaViolationError
 from .elicit.client import ChatClient, ModelEndpoint
-from .elicit.loop import ACCEPTANCE, RetriesExhaustedError, elicit_with_retry
+from .elicit.loop import ACCEPTANCE, DEFAULT_MAX_ATTEMPTS, RetriesExhaustedError, elicit_with_retry
 from .elicit.prompts import KINDS_WITH_CANDIDATES, PromptKind
 from .mock import AgentConfig, MockScript, serve_forever
 from .reporting import (
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="candidate answer (repeatable)",
     )
-    p_elicit.add_argument("--max-attempts", type=int, default=5)
+    p_elicit.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     p_elicit.add_argument("--salvage", action="store_true")
     _add_endpoint_flags(p_elicit)
     p_elicit.set_defaults(func=_cmd_elicit)

@@ -21,8 +21,8 @@ from ..core import IpuqError
 logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_S = 60.0
-DEFAULT_TRANSPORT_RETRIES = 3
-DEFAULT_BACKOFF_BASE_S = 0.5
+TRANSPORT_RETRIES = 3
+BACKOFF_BASE_S = 0.5
 
 
 class TransportError(IpuqError, RuntimeError):
@@ -174,45 +174,37 @@ class HttpTransport:
 
 
 class ChatClient:
-    """A transport plus a backoff policy for transient failures.
+    """A transport plus a fixed backoff policy for transient failures.
 
-    Only transport-level trouble is retried here (with exponential backoff);
-    failed *verification* is the retry loop's business and goes back to the
+    Only transport-level trouble is retried here: a retryable failure is
+    retried ``TRANSPORT_RETRIES`` times, after 0.5, 1 and 2 s.
+    Failed *verification* is the retry loop's business and goes back to the
     model immediately with feedback instead.
     """
 
     def __init__(
-        self,
-        transport: Transport | None = None,
-        *,
-        transport_retries: int = DEFAULT_TRANSPORT_RETRIES,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-        sleep: Callable[[float], None] = time.sleep,
+        self, transport: Transport | None = None, *, sleep: Callable[[float], None] = time.sleep
     ):
         self.transport = transport if transport is not None else HttpTransport()
-        self.transport_retries = transport_retries
-        self.backoff_base_s = backoff_base_s
         self._sleep = sleep
 
     def complete(self, endpoint: ModelEndpoint, system_text: str, user_text: str) -> ChatReply:
-        last: TransportError | None = None
-        for attempt in range(self.transport_retries + 1):
+        for attempt in range(TRANSPORT_RETRIES):
             try:
                 return self.transport.send(endpoint, system_text, user_text)
             except TransportError as exc:
-                last = exc
-                if not exc.retryable or attempt == self.transport_retries:
+                if not exc.retryable:
                     raise
-                delay = self.backoff_base_s * (2**attempt)
+                delay = BACKOFF_BASE_S * (2**attempt)
                 logger.debug("transient transport failure (%s); retrying in %.2fs", exc, delay)
                 self._sleep(delay)
-        raise last  # pragma: no cover - loop always returns or raises
+        return self.transport.send(endpoint, system_text, user_text)
 
 
 __all__ = [
     "DEFAULT_TIMEOUT_S",
-    "DEFAULT_TRANSPORT_RETRIES",
-    "DEFAULT_BACKOFF_BASE_S",
+    "TRANSPORT_RETRIES",
+    "BACKOFF_BASE_S",
     "TransportError",
     "ModelEndpoint",
     "ChatReply",

@@ -80,13 +80,17 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class ElicitationResult:
-    """Outcome of one elicitation loop, successful or not."""
+    """Outcome of one elicitation loop, successful or not.  A loop that
+    verified or salvaged a report has its payload; any other has none."""
 
     kind: str
-    succeeded: bool
     attempt_log: tuple[AttemptRecord, ...]
     payload: object | None = None
     salvaged: bool = False
+
+    @property
+    def succeeded(self) -> bool:
+        return self.payload is not None
 
     @property
     def attempts(self) -> int:
@@ -225,10 +229,9 @@ def elicit_with_retry(
     feedback: str | None = None
     last_parsed = None
 
-    def end(succeeded: bool, payload=None, salvaged: bool = False) -> ElicitationResult:
+    def end(payload=None, salvaged: bool = False) -> ElicitationResult:
         result = ElicitationResult(
             kind=kind.value,
-            succeeded=succeeded,
             attempt_log=tuple(attempt_log),
             payload=payload,
             salvaged=salvaged,
@@ -252,7 +255,7 @@ def elicit_with_retry(
             verdict, payload = acceptance.check(parsed, candidates)
             attempt_log.append(AttemptRecord(attempt, reply, verdict=verdict))
             if verdict.passed:
-                return end(True, payload)
+                return end(payload)
             feedback = _verdict_feedback(verdict)
             logger.debug(
                 "attempt %d/%d failed verification: %s", attempt, max_attempts, verdict.describe()
@@ -268,12 +271,12 @@ def elicit_with_retry(
             logger.info("salvaged %s report by renormalization after %d attempts",
                         kind.value, max_attempts)
             pmf = build_pmf(candidates, last_parsed, renormalize=True)
-            return end(True, pmf, salvaged=True)
+            return end(pmf, salvaged=True)
     except Exception:
-        end(False)
+        end()
         raise
 
-    raise RetriesExhaustedError(end(False))
+    raise RetriesExhaustedError(end())
 
 
 def elicit_credal_ensemble(

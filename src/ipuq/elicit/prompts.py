@@ -48,13 +48,6 @@ class PromptKind(str, enum.Enum):
     CANDIDATES = "candidates"
     VANILLA = "vanilla"
 
-    @classmethod
-    def parse(cls, name: str) -> "PromptKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise UnknownKindError(f"unknown prompt kind {name!r}") from None
-
 
 DEFINETTI_TEMPLATE = (
     "Assign a buy price (between $0.00 and $1.00) for each answer representing "
@@ -167,12 +160,8 @@ WIRE: dict[PromptKind, WireFormat] = {
     PromptKind.VANILLA: WireFormat(VANILLA_TEMPLATE, extra=(CONF_LABEL, "conf", "confidence")),
 }
 
-TEMPLATES: dict[PromptKind, str] = {kind: wire.template for kind, wire in WIRE.items()}
-
 #: Each template's opening, which tells its rendered prompts apart.
-_PREFIXES = tuple(
-    (template.split("\n", 1)[0][:60], kind) for kind, template in TEMPLATES.items()
-)
+_PREFIXES = tuple((wire.template.split("\n", 1)[0][:60], kind) for kind, wire in WIRE.items())
 
 #: Kinds whose prompt enumerates a candidate list and expects per-candidate rows.
 KINDS_WITH_CANDIDATES = tuple(kind for kind, wire in WIRE.items() if wire.fields)
@@ -283,7 +272,6 @@ __all__ = [
     "PromptKind",
     "WireFormat",
     "WIRE",
-    "TEMPLATES",
     "KINDS_WITH_CANDIDATES",
     "QUESTION_HEADER",
     "ANSWERS_HEADER",

@@ -27,6 +27,7 @@ from ipuq.campaign import (
     MODE_AUTO,
     MODE_SET,
     RECORD_SCHEMA,
+    RECORDS,
     CampaignConfig,
     ConfigError,
     DatasetSource,
@@ -38,8 +39,6 @@ from ipuq.campaign import (
     decide,
     existing_keys,
     load_run_records,
-    payload_from_dict,
-    payload_to_dict,
     records_path,
     recompute_scores,
     run_campaign,
@@ -54,7 +53,13 @@ from ipuq.core import (
     interval_from_credal,
 )
 from ipuq.cli import EXIT_PARTIAL, main
-from ipuq.elicit.client import ChatClient, HttpTransport, ModelEndpoint, TransportError
+from ipuq.elicit.client import (
+    ChatClient,
+    HttpTransport,
+    ModelEndpoint,
+    TransportError,
+    parse_response_body,
+)
 from ipuq.elicit.prompts import extract_question
 from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
 from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
@@ -448,13 +453,13 @@ class TestRecordsReader:
 class TestPayloadRoundTrip:
     def test_definetti(self):
         pmf = PrecisePMF(candidates=TWO, probs=(0.25, 0.75))
-        data = payload_to_dict("definetti", pmf)
-        assert payload_from_dict("definetti", data, TWO) == pmf
+        data = RECORDS["definetti"].encode(pmf)
+        assert RECORDS["definetti"].decode(data, TWO) == pmf
 
     def test_probint(self):
         ivs = ProbabilityIntervalSet(candidates=TWO, lowers=(0.1, 0.2), uppers=(0.5, 0.8))
-        data = payload_to_dict("probint", ivs)
-        assert payload_from_dict("probint", data, TWO) == ivs
+        data = RECORDS["probint"].encode(ivs)
+        assert RECORDS["probint"].decode(data, TWO) == ivs
 
     def test_credal(self):
         credal = CredalSet(
@@ -465,17 +470,17 @@ class TestPayloadRoundTrip:
             ),
             member_tags=("m0", "m1"),
         )
-        data = payload_to_dict("credal", credal)
-        assert payload_from_dict("credal", data, TWO) == credal
+        data = RECORDS["credal"].encode(credal)
+        assert RECORDS["credal"].decode(data, TWO) == credal
 
     def test_possibility(self):
         poss = PossibilityAssignment(candidates=TWO, scores=(1.0, 0.3), none_of_above=0.1)
-        data = payload_to_dict("possibility", poss)
-        assert payload_from_dict("possibility", data, TWO) == poss
+        data = RECORDS["possibility"].encode(poss)
+        assert RECORDS["possibility"].decode(data, TWO) == poss
 
     def test_vanilla(self):
-        data = payload_to_dict("vanilla", 0.8)
-        assert payload_from_dict("vanilla", data, TWO) == 0.8
+        data = RECORDS["vanilla"].encode(0.8)
+        assert RECORDS["vanilla"].decode(data, TWO) == 0.8
 
     @pytest.mark.parametrize("method, payload, error", [
         ("definetti", {}, "KeyError('probs')"),
@@ -1158,6 +1163,45 @@ class TestUnexpectedExceptionsBecomeFailedRecords:
         # the cells after the failing one ran and succeeded
         assert all(r["elicitation"]["succeeded"] for r in written if r is not failed)
 
+    @pytest.mark.parametrize("concurrency", (1, 2))
+    def test_a_record_that_cannot_be_built_is_a_failed_record(
+        self, tmp_path, monkeypatch, caplog, concurrency
+    ):
+        calls = 0
+        lock = threading.Lock()
+        score = ipuq.campaign.score_payload
+
+        def third_call_raises(*args, **kwargs):
+            nonlocal calls
+            with lock:
+                calls += 1
+                third = calls == 3
+            if third:
+                raise ValueError("boom")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(ipuq.campaign, "score_payload", third_call_raises)
+        config = make_config(tmp_path, dataset=synth_source(count=3), seeds=(0, 1),
+                             concurrency=concurrency)
+        transport = Served(MockTransport(MockScript(agent=AgentConfig())))
+        with caplog.at_level(logging.WARNING, logger="ipuq.campaign"):
+            written = run_campaign(config, client=ChatClient(transport))
+
+        stored = load_run_records(records_path(config.output_dir))
+        assert len(stored) == 6
+        assert [r["key"] for r in stored] == [r["key"] for r in written]
+        (failed,) = [r for r in stored if not r["elicitation"]["succeeded"]]
+        elicitation = failed["elicitation"]
+        assert elicitation["error"] == "ValueError: boom"
+        assert elicitation["payload"] is None and elicitation["attempts"] == 1
+        assert [r.getMessage() for r in caplog.records].count(
+            "cell {}/definetti/{} failed: ValueError: boom".format(
+                failed["key"]["question_id"], failed["key"]["seed"])) == 1
+        # the failed cell keeps its billed attempt: the file holds all that was served
+        assert sum(map(_served_by_record, stored), collections.Counter()) == sum(
+            transport.served.values(), collections.Counter()
+        )
+
     def test_campaign_run_exits_partial(self, tmp_path, monkeypatch, capsys):
         config = self.config(tmp_path, "credal", 2)
         transport = self.key_error_transport(config, seed=0)
@@ -1176,6 +1220,17 @@ class SlowAgent(MockTransport):
     def send(self, endpoint, system_text, user_text):
         time.sleep(0.005)  # a network round trip: the workers wait, the writer runs
         return super().send(endpoint, system_text, user_text)
+
+
+def _logged_as_dropped(caplog):
+    """The question ids and the summed usage of the cells that a failed
+    write logged at ERROR as dropped."""
+    dropped = [r.args for r in caplog.records if r.levelno == logging.ERROR]
+    logged = collections.Counter()
+    for _qid, _method, _seed, attempts, input_tokens, output_tokens in dropped:
+        logged.update(requests=attempts, input_tokens=input_tokens,
+                      output_tokens=output_tokens)
+    return [args[0] for args in dropped], logged
 
 
 class TestFailedWriteStopsTheCampaign:
@@ -1201,14 +1256,10 @@ class TestFailedWriteStopsTheCampaign:
         assert transport.sent < cells // 2
 
         # every billed request is on a record in the file or on a logged cell
-        dropped = [r.args for r in caplog.records if r.levelno == logging.ERROR]
-        assert [args[0] for args in dropped] == [
+        dropped, logged = _logged_as_dropped(caplog)
+        assert dropped == [
             f"synth-{i:04d}" for i in range(fail_at - 1, fail_at - 1 + len(dropped))]
         assert len(dropped) >= 1  # the cell whose write failed
-        logged = collections.Counter()
-        for _qid, _method, _seed, attempts, input_tokens, output_tokens in dropped:
-            logged.update(requests=attempts, input_tokens=input_tokens,
-                          output_tokens=output_tokens)
         assert sum(map(_served_by_record, stored), logged) == sum(
             transport.served.values(), collections.Counter()
         )
@@ -1258,3 +1309,74 @@ class TestCtrlCWritesTheCellsInFlight:
         run_campaign(config, client=ChatClient(resumed))
         assert not set(resumed.served) & set(transport.served)  # no cell billed twice
         assert _records_without_timing(config) == expected
+
+
+class LoneSurrogateReply(SlowAgent):
+    """Ends the reply to ``question`` with an escaped lone surrogate, as a
+    body cut inside an emoji's surrogate pair carries it."""
+
+    def __init__(self, question):
+        super().__init__()
+        self.question = question
+
+    def send(self, endpoint, system_text, user_text):
+        reply = super().send(endpoint, system_text, user_text)
+        if extract_question(user_text) != self.question:
+            return reply
+        body = json.dumps({
+            "choices": [{"message": {"content": reply.text + "\ud800"}}],
+            "usage": {"prompt_tokens": reply.input_tokens,
+                      "completion_tokens": reply.output_tokens},
+        })
+        assert "\\ud800" in body  # the body itself is ASCII
+        return parse_response_body(reply.raw_request, body)
+
+
+@pytest.mark.parametrize("concurrency", (1, 2))
+@pytest.mark.parametrize("fault", ("raises_once", "lone_surrogate"))
+def test_a_write_that_raises_anything_is_a_failed_write(
+    tmp_path, monkeypatch, caplog, fault, concurrency
+):
+    cells, fail_at = 8, 3
+    config = make_config(tmp_path, dataset=synth_source(count=cells), concurrency=concurrency,
+                         output_dir=str(tmp_path / "stopped"))
+    qrecords = build_synth_records(config.dataset)
+    questions = [q.question_id for q in qrecords]
+    if fault == "raises_once":
+        writes = 0
+
+        def append_raising_once(path, records):
+            nonlocal writes
+            writes += 1
+            if writes == fail_at:
+                raise RuntimeError("injected fault")
+            append_records(path, records)
+
+        monkeypatch.setattr(ipuq.campaign, "append_records", append_raising_once)
+        transport, error = Served(SlowAgent()), RuntimeError
+    else:
+        # a write that would fail again if tried again
+        transport = Served(LoneSurrogateReply(qrecords[fail_at - 1].question))
+        error = UnicodeEncodeError
+    with caplog.at_level(logging.ERROR, logger="ipuq.campaign"):
+        with pytest.raises(error):
+            run_campaign(config, client=ChatClient(transport))
+
+    whole = make_config(tmp_path, dataset=synth_source(count=cells),
+                        output_dir=str(tmp_path / "whole"))
+    run_campaign(whole, client=agent_client()[0])
+    expected = _records_without_timing(whole)
+    stored = _records_without_timing(config)
+    # the file holds the records written before the failed write; the cell
+    # whose write failed and the cells in flight are logged, in job order
+    assert stored == expected[: fail_at - 1]
+    dropped, logged = _logged_as_dropped(caplog)
+    assert dropped == questions[fail_at - 1: fail_at - 1 + len(dropped)]
+    assert len(dropped) >= 1  # the cell whose write failed
+    assert sum(map(_served_by_record, stored), logged) == sum(
+        transport.served.values(), collections.Counter()
+    )
+
+    monkeypatch.setattr(ipuq.campaign, "append_records", append_records)
+    run_campaign(config, client=agent_client()[0])
+    assert _records_without_timing(config) == expected

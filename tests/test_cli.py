@@ -501,9 +501,12 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
     ({"pstar": ["1"]}, "pstar must be null or one finite non-negative number per truth_set answer"),
     ({"pstar": {"a": 1.0}}, "pstar must be null or one finite non-negative number per truth_set "
                             "answer"),
+    ({"candidates": {"answers": ["a", 7]}}, "candidates.answers must hold only strings, got 7"),
+    ({"truth_set": [None]}, "truth_set must hold only strings, got None"),
 ], ids=["ambiguous 2", "ambiguous true", "ambiguous null", "ambiguous 1.0", "correct 2",
         "correct '1'", "first_order 'abc'", "second_order false", "combined list",
-        "pstar negative", "pstar too long", "pstar string", "pstar object"])
+        "pstar negative", "pstar too long", "pstar string", "pstar object",
+        "answer not a string", "truth_set entry not a string"])
 @pytest.mark.parametrize("argv", [["auroc"], ["concordance", "--ref", "kl_pstar"]],
                          ids=["auroc", "concordance"])
 def test_eval_over_a_value_eval_cannot_read_is_a_dataset_error(

@@ -8,15 +8,18 @@ methods, two seeds) under them, then resumes it with the faults off until
 - a non-retryable outage on one request;
 - a transport that raises something other than a transport error;
 - an ``OSError`` on the n-th records append;
-- a ``KeyboardInterrupt`` once r records are written.
+- a ``KeyboardInterrupt`` once r records are written;
+- a torn last line: the faulted run's last record cut short, without its
+  newline, as a process killed in the middle of that append leaves it.
 
 Transport faults are keyed by request content (question, protocol and
 request seed), never by call order, so a schedule means the same at every
 concurrency.  Each cell gets at most one of them.  Every schedule must
 leave a file with each cell once and no torn line; the tokens served must
-equal the file's usage plus the usage logged for dropped cells; a cell that
-failed stays failed; and every other cell must equal the cell of an
-uninterrupted run, apart from ``timing``.
+equal the file's usage plus the usage logged for dropped cells plus the
+torn cell's first billing, which the resume bills again; a cell that failed
+stays failed; and every other cell must equal the cell of an uninterrupted
+run, apart from ``timing``.
 """
 
 import collections
@@ -116,8 +119,9 @@ class FaultyAgent:
 
 def draw_schedule(seed, config):
     """A seeded schedule: transport faults by request key, each on its own
-    cell, and the append at which a write fails or the record count after
-    which Ctrl-C arrives (either may be None)."""
+    cell, the append at which a write fails, the record count after which
+    Ctrl-C arrives, and the fraction of the last record a torn line keeps
+    (each of the last three may be None)."""
     rng = random.Random(seed)
     questions = [q.question for q in build_synth_records(config.dataset)]
     cells = [(q, m, s) for q in questions for m in config.methods for s in config.seeds]
@@ -137,7 +141,8 @@ def draw_schedule(seed, config):
         cell_faults[cell] = fault[0]
     fail_append = rng.choice((None, rng.randint(1, total)))
     interrupt_after = rng.choice((None, rng.randint(1, total)))
-    return transport, cell_faults, fail_append, interrupt_after
+    torn = rng.choice((None, rng.random()))
+    return transport, cell_faults, fail_append, interrupt_after, torn
 
 
 def writer_faults(monkeypatch, fail_append, interrupt_after):
@@ -160,6 +165,19 @@ def writer_faults(monkeypatch, fail_append, interrupt_after):
             raise KeyboardInterrupt
 
     monkeypatch.setattr(ipuq.campaign, "append_records", faulty_append)
+
+
+def tear_last_line(path, keep):
+    """Cut the file's last record to a non-empty prefix without its newline,
+    keeping about a ``keep`` fraction of it; return that record, whole, or
+    None when the file holds no record to tear."""
+    data, lines = read_lines(path)
+    if len(lines) < 2:
+        return None
+    start = data.rindex(b"\n", 0, len(data) - 1) + 1
+    with open(path, "rb+") as fh:
+        fh.truncate(start + 1 + int(keep * (len(data) - start - 2)))
+    return lines[-1]
 
 
 def read_lines(path):
@@ -196,13 +214,13 @@ def uninterrupted(tmp_path_factory):
     return {cell_of(r): without_timing(r) for r in written}
 
 
-@pytest.mark.parametrize("concurrency", (1, 3))
+@pytest.mark.parametrize("concurrency", (1, 2, 3))
 @pytest.mark.parametrize("seed", range(SCHEDULES))
 def test_a_fault_schedule_resumes_to_the_uninterrupted_file(
     tmp_path, monkeypatch, caplog, uninterrupted, seed, concurrency
 ):
     config = campaign_config(tmp_path / "runs", concurrency)
-    transport, cell_faults, fail_append, interrupt_after = draw_schedule(seed, config)
+    transport, cell_faults, fail_append, interrupt_after, torn = draw_schedule(seed, config)
     agent = FaultyAgent(transport)
     client = ChatClient(agent, sleep=lambda s: None)
     path = records_path(config.output_dir)
@@ -213,13 +231,24 @@ def test_a_fault_schedule_resumes_to_the_uninterrupted_file(
             run_campaign(config, client=client)
         except (OSError, KeyboardInterrupt):
             pass
+    dropped = [r for r in caplog.records
+               if r.levelno == logging.ERROR and r.name == "ipuq.campaign"]
     faulted_bytes, faulted = read_lines(path)
+    torn_record = tear_last_line(path, torn) if torn is not None else None
+    if torn_record is not None:
+        faulted_bytes = faulted_bytes[:faulted_bytes.rindex(b"\n", 0, -1) + 1]
+        faulted = faulted[:-1]
     agent.on = False
-    for _ in range(3):
-        if run_campaign(config, client=client) == []:
-            break
-    else:
-        pytest.fail("resuming did not reach a fixed point")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, "ipuq.campaign"):
+        for _ in range(3):
+            if run_campaign(config, client=client) == []:
+                break
+        else:
+            pytest.fail("resuming did not reach a fixed point")
+    # the first resume truncates the torn line, with one warning
+    torn_warnings = [r for r in caplog.records if "torn trailing record" in r.getMessage()]
+    assert len(torn_warnings) == (torn_record is not None)
 
     data, (header, *records) = read_lines(path)
     # each cell once, the header once, and the faulted run's lines kept as written
@@ -227,14 +256,13 @@ def test_a_fault_schedule_resumes_to_the_uninterrupted_file(
     assert sorted(map(cell_of, records)) == sorted(uninterrupted)
     assert data.startswith(faulted_bytes)
 
-    # every served request and token is in the file or on a logged dropped cell
+    # every served request and token is in the file, on a logged dropped
+    # cell or on the torn record, whose cell the resume billed again
     logged = collections.Counter()
-    for r in caplog.records:
-        if r.levelno == logging.ERROR and r.name == "ipuq.campaign":
-            _qid, _method, _seed, attempts, input_tokens, output_tokens = r.args
-            logged.update(requests=attempts, input_tokens=input_tokens,
-                          output_tokens=output_tokens)
-    assert usage(records) + logged == agent.served
+    for r in dropped:
+        _qid, _method, _seed, attempts, input_tokens, output_tokens = r.args
+        logged.update(requests=attempts, input_tokens=input_tokens, output_tokens=output_tokens)
+    assert usage(records) + logged + usage([torn_record] if torn_record else []) == agent.served
 
     for record in records:
         cell = cell_of(record)

@@ -185,12 +185,6 @@ def test_round_trip_over_generated_candidate_lists(n, seed):
     assert extract_question(text) == QUESTION
 
 
-def test_prompt_kind_parse():
-    assert PromptKind.parse(" DeFinetti ") == PromptKind.DEFINETTI
-    with pytest.raises(UnknownKindError):
-        PromptKind.parse("telepathy")
-
-
 # ---------------------------------------------------------------------------
 # Reply parsing
 # ---------------------------------------------------------------------------

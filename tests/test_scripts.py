@@ -2,23 +2,26 @@
 
 import csv
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, check=True,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, check=check,
     )
 
 
@@ -45,7 +48,7 @@ def test_mock_campaign_script_runs_then_resumes(tmp_path):
 
 def test_bench_pairs_script_compares_two_checkouts(tmp_path):
     proc = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--workload", "inproc-set",
-                      "--pairs", "1", "--seconds", "0", "--tiny", cwd=tmp_path)
+                      "--pairs", "1", "--seconds", "0", "--tiny", cwd=tmp_path, check=False)
     lines = proc.stdout.splitlines()
     assert lines[:2] == ["pair 1/1 seed 1, a first",
                          "inproc-set, 1 pairs of 0 s runs: "
@@ -57,18 +60,24 @@ def test_bench_pairs_script_compares_two_checkouts(tmp_path):
     verdicts = [line.split() for line in lines[3::2]]
     assert all(v[0] == "verdict:" and v[1] in ("gain", "worse", "unresolved", "flat")
                for v in verdicts)
+    # timings of 0 s runs are noise, so a metric may read worse; the status says so
+    assert proc.returncode == (1 if ["verdict:", "worse"] in verdicts else 0)
     # the same checkout on both sides: tokens per cell are equal, so no side wins
     assert re.fullmatch(r"tokens_per_cell +([\d.]+) \[\1, \1\] -> \1 \[\1, \1\] \(0/1\)",
                         lines[4].strip())
     assert lines[5].strip() == "verdict: flat"
 
 
-def test_bench_pairs_verdicts():
+def load_bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    verdict = bench_pairs.verdict
+    return bench_pairs
+
+
+def test_bench_pairs_verdicts():
+    verdict = load_bench_pairs().verdict
     a = [100.0, 101, 102, 103, 104, 105, 106, 107, 108, 109]
     # higher is better: b wins every pair by more than a's spread
     assert verdict(a, [x + 10 for x in a], 10, 1, 0.24) == "gain"
@@ -81,3 +90,22 @@ def test_bench_pairs_verdicts():
     # ... unless every b run beats every a run
     assert verdict(a, [x + 9.5 for x in a], 8, 1, 0.02) == "flat"
     assert verdict(a, a, 0, 1, 0.05) == "flat"
+
+
+@pytest.mark.parametrize("b_tokens, status", [(100.0, 0), (200.0, 1)], ids=["flat", "worse"])
+def test_bench_pairs_fails_on_a_worse_metric(monkeypatch, capsys, b_tokens, status):
+    bench_pairs = load_bench_pairs()
+
+    def run_side(checkout, workload, seed, seconds, tiny):
+        metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        values = {m["name"]: 1.0 for m in metrics}
+        values["tokens_per_cell"] = b_tokens if checkout.name == "b" else 100.0
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {name: {"value": v} for name, v in values.items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    argv = ["a", "b", "--workload", "inproc-set", "--pairs", "2", "--seconds", "0"]
+    assert bench_pairs.main(argv) == status
+    verdicts = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                if line.strip().startswith("verdict:")]
+    assert verdicts == ["flat", "worse" if status else "flat", "flat", "flat", "flat", "flat"]
