@@ -12,14 +12,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import os
+import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
+    PSTAR_RULE,
     CandidateSet,
     ConfigError,
     CredalSet,
@@ -31,6 +32,7 @@ from .core import (
     QARecord,
     fold_equal,
     interval_from_credal,
+    is_pstar,
 )
 from .decision import DecisionOutcome, maximin, precise_argmax, utilitarian_aggregate
 from .elicit.client import ChatClient, ModelEndpoint, TransportError
@@ -346,10 +348,6 @@ def _is_bit(value: Any) -> bool:
     return type(value) is int and 0 <= value <= 1
 
 
-def _is_number(value: Any) -> bool:
-    return type(value) in (int, float)  # a bool is not a number here
-
-
 def _wrong_value(record: dict[str, Any]) -> str | None:
     """What is wrong with an answer, label, score or p* value that eval
     reads, if anything.  An absent member reads as no value, as eval reads it."""
@@ -365,14 +363,10 @@ def _wrong_value(record: dict[str, Any]) -> str | None:
         return f"labels.correct must be 0, 1 or null, got {correct!r}"
     for name in SCORE_FIELDS:
         score = record["scores"].get(name)
-        if score is not None and not _is_number(score):
+        if score is not None and type(score) not in (int, float):  # a bool is not a number
             return f"scores.{name} must be a number or null, got {score!r}"
-    pstar = record.get("pstar")
-    if pstar is not None and not (
-        type(pstar) is list and len(pstar) == len(record["truth_set"])
-        and all(_is_number(p) and 0.0 <= p < math.inf for p in pstar)
-    ):
-        return "pstar must be null or one finite non-negative number per truth_set answer"
+    if not is_pstar(record.get("pstar"), len(record["truth_set"])):
+        return PSTAR_RULE
     return None
 
 
@@ -683,11 +677,18 @@ def load_dataset(
     return records if wanted is None else [q for q in records if wanted(q.question_id)]
 
 
+#: A UTF-16 surrogate code point.  ``json.loads`` joins an escaped pair into
+#: one character, so any left in a decoded reply is a lone one, which UTF-8
+#: and so the records file cannot hold.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _attempt_dicts(
     results: Sequence[ElicitationResult],
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
     """A record's ``verdicts`` and ``transcripts``: one entry per member,
-    each listing that member's attempts."""
+    each listing that member's attempts.  A reply's lone surrogates become
+    U+FFFD; its ``response`` keeps the body verbatim, escapes and all."""
     verdicts, transcripts = [], []
     for member, res in enumerate(results):
         checked, replies = [], []
@@ -706,7 +707,7 @@ def _attempt_dicts(
                 "attempt": a.attempt,
                 "request": a.reply.raw_request,
                 "response": a.reply.raw_response,
-                "reply": a.reply.text,
+                "reply": _LONE_SURROGATE.sub("\ufffd", a.reply.text),
             })
         verdicts.append({"member": member, "attempts": checked})
         transcripts.append({"member": member, "attempts": replies})

@@ -120,6 +120,8 @@ def _write_rows(rows: list[dict], columns: Sequence[str], out: str | None) -> No
 
 
 def _cmd_elicit(args: argparse.Namespace) -> int:
+    if args.max_attempts < 1:
+        raise ConfigError(f"--max-attempts must be at least 1, got {args.max_attempts}")
     endpoint = _endpoint_from_args(args)
     kind = PromptKind(args.kind)
     candidates = None

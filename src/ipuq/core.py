@@ -76,6 +76,11 @@ class ConfigError(IpuqError, ValueError):
     """A config the program cannot use: malformed JSON form or contradictory settings."""
 
 
+class TextError(IpuqError, ValueError):
+    """A question or answer that is not a string, or holds a lone surrogate,
+    which UTF-8 cannot encode and so no record can hold."""
+
+
 _J = TypeVar("_J", bound="JsonForm")
 
 #: The values each scalar field type accepts; an integer may fill a float field.
@@ -203,6 +208,8 @@ class CandidateSet:
         cleaned: list[str] = []
         seen: set[str] = set()
         for raw in self.answers:
+            if not isinstance(raw, str):
+                raise TextError(f"candidate answers must be strings, got {raw!r}")
             text = _clean_answer(raw)
             if not text:
                 raise EmptyInputError("candidate answers must be non-empty strings")
@@ -336,6 +343,31 @@ class PossibilityAssignment:
         return (*self.scores, self.none_of_above)
 
 
+#: The rule :func:`is_pstar` checks, as both QA ingest and the records reader state it.
+PSTAR_RULE = "pstar must be null or one finite non-negative number per truth_set answer"
+
+
+def is_pstar(pstar: Any, truth_size: int) -> bool:
+    """Whether ``pstar`` is a p* over a truth set of ``truth_size`` answers:
+    None, or a list or tuple of one finite non-negative number per answer.
+    A bool is not a number here."""
+    return pstar is None or (
+        isinstance(pstar, (list, tuple)) and len(pstar) == truth_size
+        and all(type(p) in (int, float) and 0.0 <= p < math.inf for p in pstar)
+    )
+
+
+def _check_text(name: str, value: Any) -> None:
+    """Refuse a ``value`` that is not a string UTF-8 can encode."""
+    if not isinstance(value, str):
+        raise TextError(f"{name} must be a string, got {value!r:.60}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TextError(f"{name} holds a lone surrogate at index {exc.start}, "
+                        "which UTF-8 cannot encode") from None
+
+
 @dataclass
 class QARecord:
     """One question with its candidate answers, labels and attached results.
@@ -345,6 +377,12 @@ class QARecord:
     answer correctness is judged against.  ``prediction`` is whatever answer
     the system under study committed to, which may fall outside the candidate
     list.
+
+    Construction is the one definition of a valid question: the question,
+    every answer, the reference and the prediction are strings UTF-8 can
+    encode (the last two may be None), the reference lies in the truth set,
+    and ``pstar`` passes :func:`is_pstar`.  Anything else raises an
+    :class:`IpuqError`.
     """
 
     question: str
@@ -356,6 +394,12 @@ class QARecord:
     question_id: str | None = None
 
     def __post_init__(self) -> None:
+        _check_text("question", self.question)
+        for answer in (*self.candidates.answers, *self.truth_set):
+            _check_text("answer", answer)
+        for name in ("reference_answer", "prediction"):
+            if (value := getattr(self, name)) is not None:
+                _check_text(name, value)
         self.truth_set = tuple(_clean_answer(t) for t in self.truth_set)
         if self.reference_answer is not None:
             ref = _fold(self.reference_answer)
@@ -363,10 +407,10 @@ class QARecord:
                 raise CandidateSetMismatchError(
                     "reference answer must be a member of the truth set"
                 )
+        if not is_pstar(self.pstar, len(self.truth_set)):
+            raise OutOfRangeError(PSTAR_RULE)
         if self.pstar is not None:
             self.pstar = tuple(float(p) for p in self.pstar)
-            if len(self.pstar) != len(self.truth_set):
-                raise LengthMismatchError("pstar must align with the truth set")
 
     @property
     def ambiguous(self) -> bool:
@@ -440,6 +484,7 @@ __all__ = [
     "EmptyCredalError",
     "CandidateSetMismatchError",
     "ConfigError",
+    "TextError",
     "JsonForm",
     "CandidateSet",
     "PrecisePMF",
@@ -447,6 +492,8 @@ __all__ = [
     "CredalSet",
     "PossibilityAssignment",
     "QARecord",
+    "PSTAR_RULE",
+    "is_pstar",
     "build_pmf",
     "interval_from_credal",
     "fold_equal",

@@ -11,7 +11,8 @@ Input is line-delimited JSON.  Three row schemas are understood:
 ``ambigqa_like``
     ``{"question": str, "qa_pairs": [{"question": str, "answers": [str,..]},
     ...]}``: each pair is one disambiguated reading; the truth set is the
-    union of their answers, in order of first appearance.
+    union of their answers, in order of first appearance, where answers
+    equal up to case and surrounding space count once.
 
 ``mc_like``
     ``{"question": str, "options": [str, ...], "answer": str-or-index}``:
@@ -48,28 +49,24 @@ def _require(row: dict, key: str, line_no: int):
     return row[key]
 
 
-def _string_list(value, line_no: int, what: str) -> list[str]:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, str) and v.strip() for v in value
-    ):
+def _answer_list(value, line_no: int, what: str) -> tuple:
+    """A non-empty list, as a tuple; :class:`CandidateSet` checks its members."""
+    if not isinstance(value, list) or not value:
         raise SchemaViolationError(line_no, f"{what} must be a non-empty list of strings")
-    return [v.strip() for v in value]
+    return tuple(value)
 
 
 def _row_maqa(row: dict, line_no: int) -> QARecord:
     question = _require(row, "question", line_no)
-    answers = _string_list(_require(row, "answers", line_no), line_no, "answers")
-    reference = row.get("reference", answers[0])
-    pstar = row.get("pstar")
-    if pstar is not None and len(pstar) != len(answers):
-        raise SchemaViolationError(line_no, "pstar must align with answers")
+    answers = _answer_list(_require(row, "answers", line_no), line_no, "answers")
+    candidates = CandidateSet(answers=answers, open_ended=True)
     return QARecord(
         question=question,
-        candidates=CandidateSet(answers=tuple(answers), open_ended=True),
-        truth_set=tuple(answers),
-        reference_answer=reference,
+        candidates=candidates,
+        truth_set=answers,
+        reference_answer=row.get("reference", candidates.answers[0]),
         prediction=row.get("prediction"),
-        pstar=tuple(pstar) if pstar is not None else None,
+        pstar=row.get("pstar"),
     )
 
 
@@ -78,28 +75,26 @@ def _row_ambigqa(row: dict, line_no: int) -> QARecord:
     pairs = _require(row, "qa_pairs", line_no)
     if not isinstance(pairs, list) or not pairs:
         raise SchemaViolationError(line_no, "qa_pairs must be a non-empty list")
-    answers: list[str] = []
-    seen: set[str] = set()
+    answers: list = []
     for pair in pairs:
         if not isinstance(pair, dict):
             raise SchemaViolationError(line_no, "each qa_pair must be an object")
-        for ans in _string_list(_require(pair, "answers", line_no), line_no, "answers"):
-            key = ans.casefold()
-            if key not in seen:
-                seen.add(key)
-                answers.append(ans)
+        answers += _answer_list(_require(pair, "answers", line_no), line_no, "answers")
+    # the candidate set drops answers that repeat an earlier one up to case
+    candidates = CandidateSet(answers=tuple(answers), open_ended=True)
     return QARecord(
         question=question,
-        candidates=CandidateSet(answers=tuple(answers), open_ended=True),
-        truth_set=tuple(answers),
-        reference_answer=answers[0],
+        candidates=candidates,
+        truth_set=candidates.answers,
+        reference_answer=candidates.answers[0],
         prediction=row.get("prediction"),
     )
 
 
 def _row_mc(row: dict, line_no: int) -> QARecord:
     question = _require(row, "question", line_no)
-    options = _string_list(_require(row, "options", line_no), line_no, "options")
+    options = _answer_list(_require(row, "options", line_no), line_no, "options")
+    candidates = CandidateSet(answers=options, open_ended=False)
     answer = _require(row, "answer", line_no)
     if isinstance(answer, int):
         if not (0 <= answer < len(options)):
@@ -107,19 +102,15 @@ def _row_mc(row: dict, line_no: int) -> QARecord:
         answer = options[answer]
     if not isinstance(answer, str):
         raise SchemaViolationError(line_no, "answer must be an option string or index")
-    folded = [o.casefold() for o in options]
-    if answer.strip().casefold() not in folded:
+    if candidates.index_of(answer) is None:
         raise SchemaViolationError(line_no, "answer is not among the options")
-    pstar = row.get("pstar")
-    if pstar is not None and len(pstar) != 1:
-        raise SchemaViolationError(line_no, "mc pstar must have exactly one entry")
     return QARecord(
         question=question,
-        candidates=CandidateSet(answers=tuple(options), open_ended=False),
-        truth_set=(answer.strip(),),
+        candidates=candidates,
+        truth_set=(answer,),
         reference_answer=answer.strip(),
         prediction=row.get("prediction"),
-        pstar=tuple(pstar) if pstar is not None else None,
+        pstar=row.get("pstar"),
     )
 
 
@@ -135,7 +126,9 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
 
     Any malformed row, including one that is not UTF-8 or not JSON, raises
     :class:`SchemaViolationError` naming the file and the offending 1-based
-    line number; blank lines are allowed and skipped.
+    line number; blank lines are allowed and skipped.  What makes a question
+    valid (its text, answers, reference, prediction and p*) is
+    :class:`~ipuq.core.QARecord`'s rule, and each refusal of it names the line.
     A row without an ``id`` gets ``q`` plus its zero-padded line number.  An
     ``id`` must be a string, and a question id may appear only once per file.
     """

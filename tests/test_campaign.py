@@ -498,6 +498,17 @@ class TestPayloadRoundTrip:
         assert str(caught.value).startswith(
             f"record q/{method}/0: payload does not decode ({error}")
 
+    def test_candidates_that_are_not_strings_name_their_record(self):
+        record = {"key": {"question_id": "q", "method": "definetti", "seed": 0},
+                  "candidates": {"answers": ["a", 7]},
+                  "elicitation": {"payload": {"probs": [0.5, 0.5]}},
+                  "scores": {"mode": MODE_SET}}
+        with pytest.raises(RecordsSchemaError) as caught:
+            recompute_scores(record)
+        assert str(caught.value) == (
+            "record q/definetti/0: payload does not decode "
+            "(TextError('candidate answers must be strings, got 7'))")
+
 
 class TestScorePayload:
     def test_definetti_set_vs_answer(self):
@@ -1333,34 +1344,30 @@ class LoneSurrogateReply(SlowAgent):
 
 
 @pytest.mark.parametrize("concurrency", (1, 2))
-@pytest.mark.parametrize("fault", ("raises_once", "lone_surrogate"))
+@pytest.mark.parametrize("fault", ("raises_once", "raises_from_then_on"))
 def test_a_write_that_raises_anything_is_a_failed_write(
     tmp_path, monkeypatch, caplog, fault, concurrency
 ):
     cells, fail_at = 8, 3
     config = make_config(tmp_path, dataset=synth_source(count=cells), concurrency=concurrency,
                          output_dir=str(tmp_path / "stopped"))
-    qrecords = build_synth_records(config.dataset)
-    questions = [q.question_id for q in qrecords]
-    if fault == "raises_once":
-        writes = 0
+    questions = [q.question_id for q in build_synth_records(config.dataset)]
+    writes = 0
 
-        def append_raising_once(path, records):
-            nonlocal writes
-            writes += 1
-            if writes == fail_at:
-                raise RuntimeError("injected fault")
-            append_records(path, records)
+    def faulty_append(path, records):
+        # raising from the fail_at-th write on, a write would fail again if tried again
+        nonlocal writes
+        writes += 1
+        if writes == fail_at or (writes > fail_at and fault == "raises_from_then_on"):
+            raise RuntimeError("injected fault")
+        append_records(path, records)
 
-        monkeypatch.setattr(ipuq.campaign, "append_records", append_raising_once)
-        transport, error = Served(SlowAgent()), RuntimeError
-    else:
-        # a write that would fail again if tried again
-        transport = Served(LoneSurrogateReply(qrecords[fail_at - 1].question))
-        error = UnicodeEncodeError
+    monkeypatch.setattr(ipuq.campaign, "append_records", faulty_append)
+    transport = Served(SlowAgent())
     with caplog.at_level(logging.ERROR, logger="ipuq.campaign"):
-        with pytest.raises(error):
+        with pytest.raises(RuntimeError, match="injected fault"):
             run_campaign(config, client=ChatClient(transport))
+    monkeypatch.setattr(ipuq.campaign, "append_records", append_records)
 
     whole = make_config(tmp_path, dataset=synth_source(count=cells),
                         output_dir=str(tmp_path / "whole"))
@@ -1377,6 +1384,31 @@ def test_a_write_that_raises_anything_is_a_failed_write(
         transport.served.values(), collections.Counter()
     )
 
-    monkeypatch.setattr(ipuq.campaign, "append_records", append_records)
     run_campaign(config, client=agent_client()[0])
     assert _records_without_timing(config) == expected
+
+
+@pytest.mark.parametrize("concurrency", (1, 2))
+def test_a_reply_holding_a_lone_surrogate_is_recorded(tmp_path, concurrency):
+    cells, odd = 4, 2
+    config = make_config(tmp_path, dataset=synth_source(count=cells), concurrency=concurrency,
+                         output_dir=str(tmp_path / "odd"))
+    transport = Served(LoneSurrogateReply(build_synth_records(config.dataset)[odd].question))
+    assert len(run_campaign(config, client=ChatClient(transport))) == cells
+    stored = _records_without_timing(config)
+    # every billed request is on a record
+    assert sum(map(_served_by_record, stored), collections.Counter()) == sum(
+        transport.served.values(), collections.Counter()
+    )
+
+    whole = make_config(tmp_path, dataset=synth_source(count=cells),
+                        output_dir=str(tmp_path / "whole"))
+    run_campaign(whole, client=agent_client()[0])
+    expected = _records_without_timing(whole)
+    assert stored[:odd] + stored[odd + 1:] == expected[:odd] + expected[odd + 1:]
+    # the reply keeps U+FFFD in place of the surrogate, the response the escape
+    (member,) = stored[odd]["elicitation"]["transcripts"]
+    (clean,) = expected[odd]["elicitation"]["transcripts"]
+    assert [a["reply"] for a in member["attempts"]] == [
+        a["reply"] + "\ufffd" for a in clean["attempts"]]
+    assert all("\\ud800" in a["response"] for a in member["attempts"])

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import ipuq.campaign
+import ipuq.cli
 from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
@@ -21,9 +23,9 @@ from ipuq.campaign import (
     records_path,
 )
 from ipuq.cli import EXIT_DATASET, EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
-from ipuq.elicit.client import ModelEndpoint
+from ipuq.elicit.client import ChatClient, ModelEndpoint
 from ipuq.elicit.prompts import NOTA_LABEL
-from ipuq.mock import AgentConfig, MockScript, ScriptEntry
+from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
 from ipuq.scores import entropy
 from ipuq.synth import IclTask, TransformSpec, format_icl_prompt
 
@@ -250,6 +252,29 @@ class TestElicit:
         assert first.startswith("parse error: ") and third.startswith("parse error: ")
         assert second.startswith("SUM (overall)")
 
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_a_budget_below_one_is_refused_before_any_request(
+        self, capsys, monkeypatch, max_attempts
+    ):
+        sent = []
+
+        class Counting(MockTransport):
+            def send(self, *args):
+                sent.append(args)
+                return super().send(*args)
+
+        transport = Counting(MockScript(agent=AgentConfig()))
+        monkeypatch.setattr(ipuq.cli, "ChatClient", lambda: ChatClient(transport))
+        code = main([
+            "elicit", "--kind", "definetti", "--question", self.QUESTION,
+            "--candidate", "Unicorn", "--candidate", "Lion",
+            "--max-attempts", str(max_attempts), *self.endpoint_args("inproc://agent"),
+        ])
+        assert code == EXIT_DATASET
+        assert capsys.readouterr().err == (
+            f"error: --max-attempts must be at least 1, got {max_attempts}\n")
+        assert sent == []
+
     def test_candidate_kinds_require_candidates(self, capsys):
         code = main([
             "elicit", "--kind", "definetti", "--question", "q",
@@ -452,6 +477,42 @@ def test_a_qa_id_that_is_not_a_string_is_refused_before_any_record(tmp_path, cap
     config, config_path = write_campaign_config(tmp_path, "http://localhost:1", dataset=dataset)
     assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
     assert capsys.readouterr().err == f"error: {qa}: line 1: id must be a string\n"
+    assert not Path(records_path(config.output_dir)).exists()
+
+
+@pytest.mark.parametrize("row, reason", [
+    ({"pstar": [-0.5, 1.5]},
+     "pstar must be null or one finite non-negative number per truth_set answer"),
+    ({"pstar": [math.nan]},
+     "pstar must be null or one finite non-negative number per truth_set answer"),
+    ({"reference": 7}, "reference_answer must be a string, got 7"),
+    ({"prediction": 7}, "prediction must be a string, got 7"),
+    ({"question": 7}, "question must be a string, got 7"),
+    ({"question": "q\ud800?"},
+     "question holds a lone surrogate at index 1, which UTF-8 cannot encode"),
+], ids=["negative pstar", "nan pstar", "int reference", "int prediction", "int question",
+        "lone surrogate"])
+def test_an_invalid_question_is_refused_before_any_request(
+    tmp_path, capsys, monkeypatch, row, reason
+):
+    sent = []
+
+    class Counting(MockTransport):
+        def send(self, *args):
+            sent.append(args)
+            return super().send(*args)
+
+    transport = Counting(MockScript(agent=AgentConfig()))
+    monkeypatch.setattr(ipuq.campaign, "ChatClient", lambda: ChatClient(transport))
+    qa = tmp_path / "qa.jsonl"
+    rows = [{"question": "q1", "answers": ["a"]},
+            {"question": "q2", "answers": ["a", "b"], **row}]
+    qa.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    dataset = DatasetSource(kind=DATASET_QA_FILE, path=str(qa), format="maqa_like")
+    config, config_path = write_campaign_config(tmp_path, "inproc://agent", dataset=dataset)
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: {qa}: line 2: {reason}\n"
+    assert sent == []
     assert not Path(records_path(config.output_dir)).exists()
 
 

@@ -19,6 +19,7 @@ from ipuq.core import (
     ProbabilityIntervalSet,
     QARecord,
     SumViolationError,
+    TextError,
     ZeroMassError,
     build_pmf,
     fold_equal,
@@ -285,8 +286,47 @@ def test_qarecord_reference_must_be_in_truth_set():
         )
 
 
-def test_qarecord_pstar_aligned_with_truth_set():
-    with pytest.raises(LengthMismatchError):
-        QARecord(question="q", candidates=cs("a"), truth_set=("a",), pstar=(0.5, 0.5))
-    rec = QARecord(question="q", candidates=cs("a"), truth_set=("a",), pstar=(1.0,))
-    assert rec.pstar == (1.0,)
+@pytest.mark.parametrize("pstar", [
+    (0.5, 0.5), (), (-0.5,), (math.nan,), (math.inf,), (True,), ("1",), "1", {"a": 1.0},
+], ids=repr)
+def test_qarecord_pstar_aligned_with_truth_set(pstar):
+    with pytest.raises(OutOfRangeError, match="pstar must be null or one finite non-negative"):
+        QARecord(question="q", candidates=cs("a"), truth_set=("a",), pstar=pstar)
+
+
+@pytest.mark.parametrize("pstar, stored", [((1.0,), (1.0,)), ([1], (1.0,)), (None, None)])
+def test_qarecord_pstar_is_stored_as_floats(pstar, stored):
+    rec = QARecord(question="q", candidates=cs("a"), truth_set=("a",), pstar=pstar)
+    assert rec.pstar == stored and all(type(p) is float for p in rec.pstar or ())
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("question", 7, "question must be a string, got 7"),
+    ("question", None, "question must be a string, got None"),
+    ("reference_answer", 7, "reference_answer must be a string, got 7"),
+    ("prediction", ["a"], "prediction must be a string, got ['a']"),
+    ("truth_set", ("a", 7), "answer must be a string, got 7"),
+    ("question", "q\ud800?", "question holds a lone surrogate at index 1"),
+    ("reference_answer", "a\udfff", "reference_answer holds a lone surrogate at index 1"),
+    ("prediction", "\ud83d", "prediction holds a lone surrogate at index 0"),
+    ("truth_set", ("a\ud800",), "answer holds a lone surrogate at index 1"),
+    ("candidates", cs("a", "b\ud800"), "answer holds a lone surrogate at index 1"),
+], ids=repr)
+def test_qarecord_refuses_text_a_record_cannot_hold(field, value, reason):
+    fields = dict(question="q", candidates=cs("a"), truth_set=("a",),
+                  reference_answer="a", prediction="a")
+    with pytest.raises(TextError) as info:
+        QARecord(**{**fields, field: value})
+    assert str(info.value).startswith(reason)
+
+
+def test_qarecord_keeps_text_outside_the_basic_plane():
+    rec = QARecord(question="q \U0001f600", candidates=cs("\U0001f600"),
+                   truth_set=("\U0001f600",), reference_answer="\U0001f600")
+    assert rec.truth_set == ("\U0001f600",)
+
+
+@pytest.mark.parametrize("answer", [7, None, b"a", ("a",)], ids=repr)
+def test_candidate_answers_must_be_strings(answer):
+    with pytest.raises(TextError, match="candidate answers must be strings"):
+        cs("a", answer)

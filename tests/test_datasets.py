@@ -1,16 +1,30 @@
 """Dataset ingestion: three JSONL row schemas and their failure modes."""
 
 import json
+import math
+import random
 
 import pytest
 
+from ipuq.campaign import (
+    DATASET_QA_FILE,
+    METHODS,
+    CampaignConfig,
+    DatasetSource,
+    load_run_records,
+    records_path,
+    run_campaign,
+)
 from ipuq.datasets import (
     FORMAT_AMBIGQA,
     FORMAT_MAQA,
     FORMAT_MC,
+    FORMATS,
     SchemaViolationError,
     ingest_qa_dataset,
 )
+from ipuq.elicit.client import ChatClient, ModelEndpoint
+from ipuq.mock import AgentConfig, MockScript, MockTransport
 
 
 def write_jsonl(tmp_path, rows, name="data.jsonl"):
@@ -233,3 +247,128 @@ def test_an_undecodable_row_names_the_file_and_its_line(tmp_path, bad, reason):
         ingest_qa_dataset(str(path), FORMAT_MAQA)
     assert info.value.line_no == 2
     assert str(info.value) == f"{path}: line 2: {reason}"
+
+
+# -------------------------------------------------------------------------
+# Boundary agreement: a file that ingest accepts yields records eval accepts
+# -------------------------------------------------------------------------
+
+_WORDS = ["Paris", "paris", "Lyon", "  Nice ", "Rhône", "Köln", "東京", "\U0001f600 smile",
+          "Ares", "Mars"]
+
+
+def _well_formed(fmt, rng, i):
+    """A seeded row that every reader accepts."""
+    question = rng.choice(["Which one?", "Où est-il ?", "Quelle ville \U0001f600?"]) + f" #{i}"
+    answers = rng.sample(_WORDS, rng.randint(1, 4))
+    row = {"question": question}
+    if fmt == FORMAT_MAQA:
+        row["answers"] = answers
+        if rng.random() < 0.5:
+            row["reference"] = rng.choice(answers)
+        if rng.random() < 0.5:
+            weights = [rng.randint(0, 3) for _ in answers]
+            row["pstar"] = [w / max(sum(weights), 1) for w in weights]
+    elif fmt == FORMAT_AMBIGQA:
+        row["qa_pairs"] = [{"question": f"reading {j}", "answers": [answer]}
+                           for j, answer in enumerate(answers)]
+    else:
+        answers = list(dict.fromkeys(a.strip().casefold() for a in answers)) + ["none"]
+        row["options"] = answers
+        index = rng.randrange(len(answers))
+        row["answer"] = index if rng.random() < 0.5 else answers[index].upper()
+        if rng.random() < 0.5:
+            row["pstar"] = rng.choice([[1.0], [1]])
+    if rng.random() < 0.5:
+        row["prediction"] = rng.choice([*answers, "Venus"])
+    return row
+
+
+def _with_surrogate(text, rng):
+    at = rng.randint(0, len(text))
+    return text[:at] + rng.choice(["\ud800", "\udbff", "\udc00", "\udfff"]) + text[at:]
+
+
+def _answer_key(fmt):
+    return {FORMAT_MAQA: "answers", FORMAT_MC: "options"}.get(fmt)
+
+
+def _set_pstar_entry(row, value):
+    row["pstar"] = [0.5] * len(row.get("answers", [None]))
+    row["pstar"][-1] = value
+
+
+def _surrogate_answer(row, fmt, rng):
+    if fmt == FORMAT_AMBIGQA:
+        pair = rng.choice(row["qa_pairs"])
+        pair["answers"][0] = _with_surrogate(pair["answers"][0], rng)
+    else:
+        answers = row[_answer_key(fmt)]
+        k = rng.randrange(len(answers))
+        answers[k] = _with_surrogate(answers[k], rng)
+
+
+def _surrogate_reference(row, fmt, rng):
+    if fmt == FORMAT_MAQA:
+        row["reference"] = _with_surrogate(row.get("reference", row["answers"][0]), rng)
+    else:
+        row["answer"] = _with_surrogate(row["options"][0], rng)
+
+
+#: Each shape of a row that no reader may accept, by name, with the formats
+#: that have the field it breaks.
+_REFUSED = {
+    "negative pstar": ((FORMAT_MAQA, FORMAT_MC), lambda row, fmt, rng: _set_pstar_entry(
+        row, -rng.choice([0.5, 1e-9, 3.0]))),
+    "nan pstar": ((FORMAT_MAQA, FORMAT_MC), lambda row, fmt, rng: _set_pstar_entry(
+        row, rng.choice([math.nan, math.inf]))),
+    "string pstar": ((FORMAT_MAQA, FORMAT_MC), lambda row, fmt, rng: row.update(
+        pstar=rng.choice(["1", ["1.0"] * len(row.get("answers", [None]))]))),
+    "question not a string": (FORMATS, lambda row, fmt, rng: row.update(
+        question=rng.choice([7, None, ["q"], True]))),
+    "reference not a string": ((FORMAT_MAQA, FORMAT_MC), lambda row, fmt, rng: row.update(
+        {"reference" if fmt == FORMAT_MAQA else "answer": rng.choice([1.5, ["a"], {}])})),
+    "prediction not a string": (FORMATS, lambda row, fmt, rng: row.update(
+        prediction=rng.choice([7, 0.5, ["a"], True]))),
+    "surrogate in the question": (FORMATS, lambda row, fmt, rng: row.update(
+        question=_with_surrogate(row["question"], rng))),
+    "surrogate in an answer": (FORMATS, _surrogate_answer),
+    "surrogate in the reference": ((FORMAT_MAQA, FORMAT_MC), _surrogate_reference),
+    "surrogate in the prediction": (FORMATS, lambda row, fmt, rng: row.update(
+        prediction=_with_surrogate(rng.choice(["Venus", "a"]), rng))),
+}
+
+_CASES = [(fmt, shape, seed) for fmt in FORMATS
+          for shape in ("well-formed", *_REFUSED)
+          if shape == "well-formed" or fmt in _REFUSED[shape][0]
+          for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("fmt, shape, seed", _CASES, ids=lambda v: str(v))
+def test_what_ingest_accepts_eval_accepts(tmp_path, fmt, shape, seed):
+    rng = random.Random(f"{fmt}/{shape}/{seed}")
+    lead = rng.randint(0, 2)
+    rows = [_well_formed(fmt, rng, i) for i in range(lead + 1)]
+    if shape != "well-formed":
+        _REFUSED[shape][1](rows[-1], fmt, rng)
+    path = tmp_path / "qa.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+    if shape != "well-formed":
+        with pytest.raises(SchemaViolationError) as info:
+            ingest_qa_dataset(str(path), fmt)
+        assert info.value.line_no == lead + 1
+        assert str(info.value).startswith(f"{path}: line {lead + 1}: ")
+        return
+    config = CampaignConfig(
+        dataset=DatasetSource(kind=DATASET_QA_FILE, path=str(path), format=fmt),
+        methods=METHODS,
+        endpoints=(ModelEndpoint(base_url="inproc://agent", model_id="mock-agent"),),
+        output_dir=str(tmp_path / "runs"),
+        credal_members=2,
+    )
+    client = ChatClient(MockTransport(MockScript(agent=AgentConfig(noise_p=0.25))))
+    assert len(run_campaign(config, client=client)) == len(rows) * len(METHODS)
+    records = load_run_records(records_path(config.output_dir))
+    assert len(records) == len(rows) * len(METHODS)
+    assert [r["question"] for r in records[::len(METHODS)]] == [row["question"] for row in rows]
