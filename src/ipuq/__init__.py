@@ -18,7 +18,6 @@ from .core import (
     ProbabilityIntervalSet,
     QARecord,
     build_pmf,
-    fold_equal,
     interval_from_credal,
 )
 from .decision import (
@@ -71,7 +70,6 @@ __all__ = [
     "QARecord",
     "build_pmf",
     "interval_from_credal",
-    "fold_equal",
     "Violation",
     "VerdictReport",
     "verify_axioms",

@@ -30,7 +30,6 @@ from .core import (
     PrecisePMF,
     ProbabilityIntervalSet,
     QARecord,
-    fold_equal,
     interval_from_credal,
     is_pstar,
 )
@@ -355,6 +354,9 @@ def _wrong_value(record: dict[str, Any]) -> str | None:
                           ("truth_set", record["truth_set"])):
         if wrong := [answer for answer in answers if type(answer) is not str]:
             return f"{name} must hold only strings, got {wrong[0]!r}"
+    for name in ("prediction", "reference_answer"):
+        if type(value := record.get(name)) not in (str, type(None)):
+            return f"{name} must be a string or null, got {value!r}"
     labels = record["labels"]
     if "ambiguous" in labels and not _is_bit(labels["ambiguous"]):
         return f"labels.ambiguous must be 0 or 1, got {labels['ambiguous']!r}"
@@ -822,7 +824,7 @@ def _build_record(
 
     correct: int | None = None
     if prediction is not None and qrecord.reference_answer is not None:
-        correct = int(fold_equal(prediction, qrecord.reference_answer))
+        correct = int(qrecord.candidates.matches(prediction, qrecord.reference_answer))
 
     total_in = sum(r.input_tokens for r in results)
     total_out = sum(r.output_tokens for r in results)

@@ -176,14 +176,6 @@ def _read(hint: Any, value: Any, where: str) -> Any:
     return float(value)
 
 
-def _clean_answer(text: str) -> str:
-    return text.strip()
-
-
-def _fold(text: str) -> str:
-    return text.strip().casefold()
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """An ordered set of answer strings, optionally open-ended.
@@ -192,52 +184,52 @@ class CandidateSet:
     (e.g. model-generated enumerations); elicitation protocols use it to
     decide whether a "none of the listed answers" slot is meaningful.
 
-    Construction trims whitespace and drops duplicates, where two answers
-    are duplicates when they are equal after trimming and case-folding.
-    The first occurrence wins and order is otherwise preserved.  With
-    ``case_sensitive=True`` only trimming is applied before comparison --
-    needed when the candidates legitimately differ only in casing, as in
-    the synthetic noisy-casing tasks.
+    The set owns answer matching.  Two answers are the same when their keys
+    are equal, where the key trims surrounding whitespace and then
+    case-folds, unless ``case_sensitive`` is set -- needed when the
+    candidates legitimately differ only in casing, as in the synthetic
+    noisy-casing tasks.  That one rule drops duplicates at construction
+    (the first occurrence wins and order is otherwise preserved) and
+    answers :meth:`index_of` and :meth:`matches`.
     """
 
     answers: tuple[str, ...]
     open_ended: bool = False
     case_sensitive: bool = False
+    _index: dict[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cleaned: list[str] = []
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for raw in self.answers:
             if not isinstance(raw, str):
                 raise TextError(f"candidate answers must be strings, got {raw!r}")
-            text = _clean_answer(raw)
+            text = raw.strip()
             if not text:
                 raise EmptyInputError("candidate answers must be non-empty strings")
-            key = text if self.case_sensitive else text.casefold()
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(text)
+            key = self._key(text)
+            if key not in index:
+                index[key] = len(cleaned)
+                cleaned.append(text)
         if not cleaned:
             raise EmptyInputError("a candidate set needs at least one answer")
         object.__setattr__(self, "answers", tuple(cleaned))
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.answers)
 
+    def _key(self, answer: str) -> str:
+        answer = answer.strip()
+        return answer if self.case_sensitive else answer.casefold()
+
     def index_of(self, answer: str) -> int | None:
-        """Index of ``answer`` under the same comparison rule used for dedup."""
-        if self.case_sensitive:
-            key = _clean_answer(answer)
-            for i, a in enumerate(self.answers):
-                if a == key:
-                    return i
-            return None
-        key = _fold(answer)
-        for i, a in enumerate(self.answers):
-            if a.casefold() == key:
-                return i
-        return None
+        """Index of the candidate that ``answer`` matches, or None."""
+        return self._index.get(self._key(answer))
+
+    def matches(self, a: str, b: str) -> bool:
+        """Whether ``a`` and ``b`` are the same answer under this set's rule."""
+        return self._key(a) == self._key(b)
 
 
 @dataclass(frozen=True)
@@ -380,9 +372,12 @@ class QARecord:
 
     Construction is the one definition of a valid question: the question,
     every answer, the reference and the prediction are strings UTF-8 can
-    encode (the last two may be None), the reference lies in the truth set,
-    and ``pstar`` passes :func:`is_pstar`.  Anything else raises an
-    :class:`IpuqError`.
+    encode (the last two may be None), the reference lies in the truth set
+    up to case and surrounding space, and ``pstar`` passes :func:`is_pstar`.
+    Anything else raises an :class:`IpuqError`.  The reference is matched
+    up to case even when the candidates are case-sensitive: a synthetic
+    task at noise p = 1 keeps its clean reference, which no casing in its
+    truth set equals.
     """
 
     question: str
@@ -400,13 +395,11 @@ class QARecord:
         for name in ("reference_answer", "prediction"):
             if (value := getattr(self, name)) is not None:
                 _check_text(name, value)
-        self.truth_set = tuple(_clean_answer(t) for t in self.truth_set)
-        if self.reference_answer is not None:
-            ref = _fold(self.reference_answer)
-            if self.truth_set and ref not in {_fold(t) for t in self.truth_set}:
-                raise CandidateSetMismatchError(
-                    "reference answer must be a member of the truth set"
-                )
+        self.truth_set = tuple(t.strip() for t in self.truth_set)
+        ref = self.reference_answer
+        if (ref is not None and self.truth_set and ref.strip() not in self.truth_set
+                and CandidateSet(self.truth_set).index_of(ref) is None):
+            raise CandidateSetMismatchError("reference answer must be a member of the truth set")
         if not is_pstar(self.pstar, len(self.truth_set)):
             raise OutOfRangeError(PSTAR_RULE)
         if self.pstar is not None:
@@ -466,11 +459,6 @@ def interval_from_credal(credal: CredalSet) -> ProbabilityIntervalSet:
     return ProbabilityIntervalSet(candidates=credal.candidates, lowers=lowers, uppers=uppers)
 
 
-def fold_equal(a: str, b: str) -> bool:
-    """Equality after whitespace-trimming and case-folding."""
-    return _fold(a) == _fold(b)
-
-
 __all__ = [
     "PROB_TOL",
     "IpuqError",
@@ -496,5 +484,4 @@ __all__ = [
     "is_pstar",
     "build_pmf",
     "interval_from_credal",
-    "fold_equal",
 ]

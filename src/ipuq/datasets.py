@@ -17,6 +17,7 @@ Input is line-delimited JSON.  Three row schemas are understood:
 ``mc_like``
     ``{"question": str, "options": [str, ...], "answer": str-or-index}``:
     a closed multiple-choice item whose candidate set is the option list.
+    An index is a JSON integer; ``true`` and ``false`` are not indices.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _row_mc(row: dict, line_no: int) -> QARecord:
     options = _answer_list(_require(row, "options", line_no), line_no, "options")
     candidates = CandidateSet(answers=options, open_ended=False)
     answer = _require(row, "answer", line_no)
-    if isinstance(answer, int):
+    if type(answer) is int:  # a JSON true or false is not an index
         if not (0 <= answer < len(options)):
             raise SchemaViolationError(line_no, f"answer index {answer} out of range")
         answer = options[answer]

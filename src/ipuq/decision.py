@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     CandidateSet,
     CredalSet,
-    LengthMismatchError,
     PrecisePMF,
     ProbabilityIntervalSet,
-    fold_equal,
 )
-
-logger = logging.getLogger(__name__)
 
 #: Two candidate scores closer than this are treated as tied.
 TIE_TOL = 1e-9
@@ -77,30 +72,6 @@ def utilitarian_aggregate(credal: CredalSet) -> PrecisePMF:
     return credal.mean
 
 
-def alignment_rate(
-    model_choices: Sequence[str],
-    rule_choices: Sequence[DecisionOutcome],
-) -> float:
-    """Fraction of positions where the model's own answer matches the rule's.
-
-    Comparison folds case and surrounding whitespace.  A model answer that
-    matches no candidate simply counts as misaligned (and is logged), since
-    the rule by construction picked a listed candidate.
-    """
-    if len(model_choices) != len(rule_choices):
-        raise LengthMismatchError("model and rule choice lists must align")
-    if not model_choices:
-        raise LengthMismatchError("alignment over zero choices is undefined")
-    hits = 0
-    for picked, outcome in zip(model_choices, rule_choices):
-        if fold_equal(picked, outcome.chosen_answer):
-            hits += 1
-        else:
-            logger.debug("misaligned: model chose %r, %s chose %r",
-                         picked, outcome.rule, outcome.chosen_answer)
-    return hits / len(model_choices)
-
-
 __all__ = [
     "TIE_TOL",
     "RULE_PRECISE_ARGMAX",
@@ -111,5 +82,4 @@ __all__ = [
     "maximin",
     "maximax",
     "utilitarian_aggregate",
-    "alignment_rate",
 ]

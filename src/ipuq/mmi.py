@@ -31,13 +31,6 @@ from typing import Sequence
 from .core import PROB_TOL, CredalSet, IpuqError, PossibilityAssignment
 from .coherence import AllZeroError
 
-MODE_INTERVAL_WIDTH = "interval_width"
-MODE_UPPER_BOUND = "upper_bound"
-MODE_EXACT_CREDAL = "exact_credal"
-MODE_POSSIBILITY_RATIO = "possibility_ratio"
-MODE_POSSIBILITY_BINARY = "possibility_binary"
-
-
 class LowerSumExceedsOneError(IpuqError, ValueError):
     pass
 
@@ -48,15 +41,14 @@ class InvalidIntervalError(IpuqError, ValueError):
 
 @dataclass(frozen=True)
 class MmiScore:
-    """An MMI value plus how it was obtained.
+    """An MMI value plus the number of events evaluated to reach it.
 
-    ``event_count`` is the number of events actually evaluated; it is
-    ``m * (m - 1)`` for the exact credal mode (one event per ordered member
-    pair) and ``None`` for the other closed-form modes.
+    ``event_count`` is ``m * (m - 1)`` for an exact credal score (one event
+    per ordered member pair), 4 for one answer's interval (the two-outcome
+    event space) and ``None`` for the other closed forms.
     """
 
     value: float
-    mode: str
     event_count: int | None = None
 
     def __post_init__(self) -> None:
@@ -75,7 +67,7 @@ def interval_width_mmi(lower: float, upper: float) -> MmiScore:
     upper = float(upper)
     if not (0.0 <= lower <= upper <= 1.0):
         raise InvalidIntervalError(f"need 0 <= lower <= upper <= 1, got [{lower!r}, {upper!r}]")
-    return MmiScore(value=upper - lower, mode=MODE_INTERVAL_WIDTH, event_count=4)
+    return MmiScore(value=upper - lower, event_count=4)
 
 
 def mmi_upper_bound(lowers: Sequence[float]) -> MmiScore:
@@ -93,7 +85,7 @@ def mmi_upper_bound(lowers: Sequence[float]) -> MmiScore:
     total = sum(lowers)
     if total > 1.0 + PROB_TOL:
         raise LowerSumExceedsOneError(f"lower bounds sum to {total!r} > 1")
-    return MmiScore(value=min(1.0, max(0.0, 1.0 - total)), mode=MODE_UPPER_BOUND)
+    return MmiScore(value=min(1.0, max(0.0, 1.0 - total)))
 
 
 def exact_mmi_credal(credal: CredalSet) -> MmiScore:
@@ -119,7 +111,7 @@ def exact_mmi_credal(credal: CredalSet) -> MmiScore:
         gap = upper - lower
         if gap > best:
             best = gap
-    return MmiScore(value=best, mode=MODE_EXACT_CREDAL, event_count=pairs)
+    return MmiScore(value=best, event_count=pairs)
 
 
 def possibility_mmi(assignment: PossibilityAssignment) -> MmiScore:
@@ -134,12 +126,12 @@ def possibility_mmi(assignment: PossibilityAssignment) -> MmiScore:
     """
     combined = assignment.combined()
     if len(combined) == 1:
-        return MmiScore(value=0.0, mode=MODE_POSSIBILITY_RATIO)
+        return MmiScore(value=0.0)
     ranked = sorted(combined, reverse=True)
     top, second = ranked[0], ranked[1]
     if top <= 0.0:
         raise AllZeroError("all possibility scores are zero; MMI is undefined")
-    return MmiScore(value=second / top, mode=MODE_POSSIBILITY_RATIO)
+    return MmiScore(value=second / top)
 
 
 def possibility_binary_mmi(score_for: float, score_against: float) -> MmiScore:
@@ -157,15 +149,10 @@ def possibility_binary_mmi(score_for: float, score_against: float) -> MmiScore:
     top = max(score_for, score_against)
     if top <= 0.0:
         raise AllZeroError("both possibility scores are zero; MMI is undefined")
-    return MmiScore(value=min(score_for, score_against) / top, mode=MODE_POSSIBILITY_BINARY)
+    return MmiScore(value=min(score_for, score_against) / top)
 
 
 __all__ = [
-    "MODE_INTERVAL_WIDTH",
-    "MODE_UPPER_BOUND",
-    "MODE_EXACT_CREDAL",
-    "MODE_POSSIBILITY_RATIO",
-    "MODE_POSSIBILITY_BINARY",
     "LowerSumExceedsOneError",
     "InvalidIntervalError",
     "MmiScore",

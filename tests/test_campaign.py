@@ -50,6 +50,7 @@ from ipuq.core import (
     PossibilityAssignment,
     PrecisePMF,
     ProbabilityIntervalSet,
+    QARecord,
     interval_from_credal,
 )
 from ipuq.cli import EXIT_PARTIAL, main
@@ -865,6 +866,21 @@ class TestRunCampaign:
         expected = sum(u["input_tokens"] * price_in + u["output_tokens"] * price_out
                        for u in usage)
         assert total["currency"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("case_sensitive, correct", [(True, 0), (False, 1)])
+    def test_correct_compares_under_the_candidate_set_rule(
+        self, tmp_path, monkeypatch, case_sensitive, correct
+    ):
+        # an agent at noise 0.75 prices the all-lowercase candidate highest
+        question = QARecord(
+            question="Input: ABC", question_id="q0", truth_set=("ABC",), reference_answer="ABC",
+            candidates=CandidateSet(answers=("abc", "XYZ"), case_sensitive=case_sensitive),
+        )
+        monkeypatch.setattr(ipuq.campaign, "load_dataset",
+                            lambda source, wanted: [q for q in [question] if wanted("q0")])
+        (record,) = run_campaign(make_config(tmp_path), client=agent_client(noise_p=0.75)[0])
+        assert (record["prediction"], record["reference_answer"]) == ("abc", "ABC")
+        assert record["labels"]["correct"] == correct
 
     def test_one_credal_mean_per_credal_record(self, tmp_path, monkeypatch):
         # the record's decision and its scores share the utilitarian mean

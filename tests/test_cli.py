@@ -564,10 +564,13 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
                             "answer"),
     ({"candidates": {"answers": ["a", 7]}}, "candidates.answers must hold only strings, got 7"),
     ({"truth_set": [None]}, "truth_set must hold only strings, got None"),
+    ({"prediction": 7}, "prediction must be a string or null, got 7"),
+    ({"reference_answer": ["a"]}, "reference_answer must be a string or null, got ['a']"),
 ], ids=["ambiguous 2", "ambiguous true", "ambiguous null", "ambiguous 1.0", "correct 2",
         "correct '1'", "first_order 'abc'", "second_order false", "combined list",
         "pstar negative", "pstar too long", "pstar string", "pstar object",
-        "answer not a string", "truth_set entry not a string"])
+        "answer not a string", "truth_set entry not a string", "prediction int",
+        "reference_answer list"])
 @pytest.mark.parametrize("argv", [["auroc"], ["concordance", "--ref", "kl_pstar"]],
                          ids=["auroc", "concordance"])
 def test_eval_over_a_value_eval_cannot_read_is_a_dataset_error(

@@ -22,7 +22,6 @@ from ipuq.core import (
     TextError,
     ZeroMassError,
     build_pmf,
-    fold_equal,
     interval_from_credal,
 )
 
@@ -66,6 +65,40 @@ def test_case_sensitive_mode_keeps_casing_variants():
     assert c.answers == ("ab", "Ab", "AB")
     assert c.index_of("Ab") == 1
     assert c.index_of("aB") is None
+
+
+@pytest.mark.parametrize("a, b, folded, exact", [
+    ("Paris", "Paris", True, True),
+    (" Paris", "Paris ", True, True),
+    ("\tParis\n", "Paris", True, True),
+    ("Paris", "paris", True, False),
+    (" bqqmf ", "BQQMF", True, False),
+    ("Straße", "STRASSE", True, False),
+    ("Paris", "London", False, False),
+    ("BQQMX", "BQQMF", False, False),
+    ("New York", "NewYork", False, False),
+])
+@pytest.mark.parametrize("open_ended", [False, True])
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_matches_trims_and_folds_case_unless_case_sensitive(
+    a, b, folded, exact, open_ended, case_sensitive
+):
+    c = cs("x", open_ended=open_ended, case_sensitive=case_sensitive)
+    want = exact if case_sensitive else folded
+    assert c.matches(a, b) is want
+    assert c.matches(b, a) is want
+
+
+@pytest.mark.parametrize("case_sensitive, kept", [
+    (False, ("Ab", "b", "ß")),
+    (True, ("Ab", "ab", "AB", "b", "B", "ß", "SS")),
+])
+def test_dedup_and_index_of_follow_matches(case_sensitive, kept):
+    raw = ("Ab", " ab", "AB ", "b", "B", "ß", "SS")
+    c = cs(*raw, case_sensitive=case_sensitive)
+    assert c.answers == kept
+    for a in raw:
+        assert c.index_of(a) == next(i for i, k in enumerate(kept) if c.matches(a, k))
 
 
 @given(st.lists(st.text(min_size=1).filter(lambda s: s.strip()), min_size=1, max_size=8))
@@ -246,16 +279,8 @@ def test_build_pmf_renormalize_is_idempotent(weights):
 
 
 # ---------------------------------------------------------------------------
-# QARecord / fold_equal
+# QARecord
 # ---------------------------------------------------------------------------
-
-
-def test_fold_equal():
-    assert fold_equal(" Paris", "paris ")
-    assert not fold_equal("Paris", "London")
-    # the synthetic study's rule: a casing of the clean A-Z answer is correct
-    assert fold_equal(" bqqmf ", "BQQMF")
-    assert not fold_equal("BQQMX", "BQQMF")
 
 
 def test_qarecord_labels_and_membership():

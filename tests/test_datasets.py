@@ -150,6 +150,17 @@ class TestMcLike:
         with pytest.raises(SchemaViolationError):
             ingest_qa_dataset(path, FORMAT_MC)
 
+    @pytest.mark.parametrize("answer", [True, False])
+    def test_answer_true_or_false_is_not_an_index(self, tmp_path, answer):
+        path = write_jsonl(
+            tmp_path, [{"question": "q", "options": ["a", "b"], "answer": answer}]
+        )
+        with pytest.raises(SchemaViolationError) as info:
+            ingest_qa_dataset(path, FORMAT_MC)
+        assert info.value.line_no == 1
+        assert str(info.value) == (
+            f"{path}: line 1: answer must be an option string or index")
+
 
 def test_blank_lines_are_skipped_but_numbering_is_physical(tmp_path):
     path = write_jsonl(

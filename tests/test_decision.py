@@ -5,7 +5,6 @@ import pytest
 from ipuq.core import (
     CandidateSet,
     CredalSet,
-    LengthMismatchError,
     PrecisePMF,
     ProbabilityIntervalSet,
     build_pmf,
@@ -14,7 +13,6 @@ from ipuq.decision import (
     RULE_MAXIMAX,
     RULE_MAXIMIN,
     RULE_PRECISE_ARGMAX,
-    alignment_rate,
     maximax,
     maximin,
     precise_argmax,
@@ -93,19 +91,3 @@ def test_utilitarian_aggregate_can_beat_majority_vote():
     votes = [precise_argmax(m).chosen_index for m in credal.members]
     assert votes.count(1) > votes.count(0)
     assert precise_argmax(utilitarian_aggregate(credal)).chosen_index == 0
-
-
-def test_alignment_rate_folds_case():
-    ivs = interval_set([0.3, 0.4], [0.6, 0.5])
-    outcomes = [maximin(ivs), maximax(ivs)]  # B, A
-    assert alignment_rate(["b", "a"], outcomes) == 1.0
-    assert alignment_rate(["b", "B"], outcomes) == 0.5
-    assert alignment_rate(["unlisted", "nope"], outcomes) == 0.0
-
-
-def test_alignment_rate_validates_lengths():
-    ivs = interval_set([0.5], [0.5])
-    with pytest.raises(LengthMismatchError):
-        alignment_rate(["A"], [])
-    with pytest.raises(LengthMismatchError):
-        alignment_rate([], [])

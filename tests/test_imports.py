@@ -6,7 +6,9 @@ with the project, so this walks each module's syntax tree with the standard
 library alone.  A module-level import counts as used when its bound name
 appears anywhere in the module or in the module's ``__all__`` (which is how
 the package ``__init__`` files re-export).  Also static: no ``except ... as
-name:`` body in ``src/ipuq`` writes an attribute on ``name``.
+name:`` body in ``src/ipuq`` writes an attribute on ``name``, and only
+``CandidateSet`` case-folds, so the package has one rule for when two
+answers match.
 
 Dynamic: every name in a module's ``__all__`` is bound once it is imported.
 Importing the package loads no network module; the first mock server and
@@ -228,6 +230,52 @@ def test_exception_attribute_checker_flags_only_writes_on_the_caught_name():
     assert exception_attribute_writes(source) == [
         (4, "exc"), (6, "exc"), (7, "exc"), (9, "exc"),
     ]
+
+
+def casefolds_outside(source: str, owner: str) -> list[int]:
+    """Lines that name a ``casefold`` attribute (a call, or ``str.casefold``
+    passed on) anywhere but inside the body of class ``owner``."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "casefold" and not inside:
+                found.append(child.lineno)
+            visit(child, inside or (isinstance(child, ast.ClassDef) and child.name == owner))
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_only_the_candidate_set_folds_case():
+    """Whether two answers match is the candidate set's decision alone: a
+    second case-folding rule once labelled a lowered synthetic prediction
+    correct under a case-sensitive set."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    folds = [
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path in modules
+        for line in casefolds_outside(path.read_text(encoding="utf-8"), "CandidateSet")
+    ]
+    assert folds == []
+
+
+def test_casefold_checker_flags_only_folds_outside_the_owner():
+    source = (
+        "def f(a):\n"
+        "    return a.strip().casefold()\n"
+        "class CandidateSet:\n"
+        "    def _key(self, a):\n"
+        "        return a.casefold()\n"
+        "    class Inner:\n"
+        "        fold = str.casefold\n"
+        "class Other:\n"
+        "    keys = sorted(k, key=str.casefold)\n"
+        "name = 'casefold'\n"
+        "low = a.lower()\n"
+    )
+    assert casefolds_outside(source, "CandidateSet") == [2, 9]
 
 
 def test_every_exported_name_is_bound():

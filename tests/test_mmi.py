@@ -11,10 +11,6 @@ import ipuq
 from ipuq.coherence import AllZeroError
 from ipuq.core import CandidateSet, CredalSet, PossibilityAssignment, PrecisePMF, build_pmf
 from ipuq.mmi import (
-    MODE_EXACT_CREDAL,
-    MODE_INTERVAL_WIDTH,
-    MODE_POSSIBILITY_RATIO,
-    MODE_UPPER_BOUND,
     InvalidIntervalError,
     LowerSumExceedsOneError,
     exact_mmi_credal,
@@ -74,20 +70,18 @@ def random_member_probs(rng, n, m):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form modes with frozen figures
+# Closed forms with frozen figures
 # ---------------------------------------------------------------------------
 
 
 def test_interval_width_worked_figure_is_exact():
     score = interval_width_mmi(0.2, 0.5)
     assert score.value == 0.3  # 0.5 - 0.2 is exactly representable
-    assert score.mode == MODE_INTERVAL_WIDTH
 
 
 def test_upper_bound_worked_figure_is_exact():
     score = mmi_upper_bound([0.4])
     assert score.value == 0.6
-    assert score.mode == MODE_UPPER_BOUND
 
 
 def test_interval_width_validation():
@@ -123,7 +117,6 @@ def test_exact_mmi_frozen_two_member_example():
     score = exact_mmi_credal(credal)
     # widest gap sits on the singleton events: 0.5 - 0.2 vs 0.8 - 0.5
     assert score.value == 0.30000000000000004
-    assert score.mode == MODE_EXACT_CREDAL
     assert score.event_count == 2  # one event per ordered member pair
 
 
@@ -240,7 +233,6 @@ def _pa(scores, nota=0.0):
 def test_possibility_mmi_is_second_order_statistic():
     score = possibility_mmi(_pa([1.0, 0.4, 0.1], nota=0.0))
     assert score.value == 0.4
-    assert score.mode == MODE_POSSIBILITY_RATIO
 
 
 def test_possibility_mmi_nota_competes():

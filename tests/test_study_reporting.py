@@ -107,6 +107,16 @@ class TestSyntheticStudy:
         for cell in cells:
             assert cell.error_rate == 0.0
 
+    def test_a_lowered_prediction_is_an_error(self):
+        # the matched agent picks the clean casing below p = 0.5 and the
+        # all-lowercase one above; only the clean casing is the reference,
+        # and at p = 1 it lies outside the truth set
+        methods = ("definetti", "probint", "credal")
+        cells = run_synthetic_study(ROT1, noise_grid=(0.25, 0.75, 1.0), m_grid=(4,),
+                                    repeats=2, word_length=3, methods=methods)
+        assert {(c.method, c.p): c.error_rate for c in cells} == {
+            (method, p): float(p > 0.5) for method in methods for p in (0.25, 0.75, 1.0)}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_synthetic_study(ROT1, noise_grid=(), m_grid=(1,), repeats=1)
