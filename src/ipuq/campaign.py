@@ -645,6 +645,9 @@ def build_synth_records(
     records = []
     for question_id, task in synth_tasks(source, wanted).items():
         variants = ground_truth_variants(task.clean_query_output, source.noise_p)
+        truth = {v.text: v.prob for v in variants}
+        # at p = 1 the clean reference has probability 0, so no variant holds it
+        truth.setdefault(task.clean_query_output, 0.0)
         records.append(
             QARecord(
                 question=format_icl_prompt(task),
@@ -653,9 +656,9 @@ def build_synth_records(
                     open_ended=False,
                     case_sensitive=True,
                 ),
-                truth_set=tuple(v.text for v in variants),
+                truth_set=tuple(truth),
                 reference_answer=task.clean_query_output,
-                pstar=tuple(v.prob for v in variants),
+                pstar=tuple(truth.values()),
                 question_id=question_id,
             )
         )

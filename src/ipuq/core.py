@@ -372,12 +372,9 @@ class QARecord:
 
     Construction is the one definition of a valid question: the question,
     every answer, the reference and the prediction are strings UTF-8 can
-    encode (the last two may be None), the reference lies in the truth set
-    up to case and surrounding space, and ``pstar`` passes :func:`is_pstar`.
-    Anything else raises an :class:`IpuqError`.  The reference is matched
-    up to case even when the candidates are case-sensitive: a synthetic
-    task at noise p = 1 keeps its clean reference, which no casing in its
-    truth set equals.
+    encode (the last two may be None), the reference matches a truth-set
+    answer under the candidate set's rule, and ``pstar`` passes
+    :func:`is_pstar`.  Anything else raises an :class:`IpuqError`.
     """
 
     question: str
@@ -397,8 +394,8 @@ class QARecord:
                 _check_text(name, value)
         self.truth_set = tuple(t.strip() for t in self.truth_set)
         ref = self.reference_answer
-        if (ref is not None and self.truth_set and ref.strip() not in self.truth_set
-                and CandidateSet(self.truth_set).index_of(ref) is None):
+        if (ref is not None and self.truth_set
+                and not any(self.candidates.matches(ref, t) for t in self.truth_set)):
             raise CandidateSetMismatchError("reference answer must be a member of the truth set")
         if not is_pstar(self.pstar, len(self.truth_set)):
             raise OutOfRangeError(PSTAR_RULE)

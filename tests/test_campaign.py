@@ -614,6 +614,18 @@ class TestSynthRecords:
             assert record.reference_answer in record.truth_set
             assert record.ambiguous
 
+    @pytest.mark.parametrize("noise_p", [0.0, 1.0])
+    def test_the_clean_reference_is_in_the_truth_set_at_every_noise(self, noise_p):
+        # at p = 0 the clean casing is the one variant; at p = 1 the
+        # all-lowercase one is, and the clean casing joins the truth set at p* 0
+        (record,) = build_synth_records(synth_source(noise_p=noise_p, count=1))
+        clean = record.reference_answer
+        lowered = clean.lower()
+        only = clean if noise_p == 0.0 else lowered
+        assert record.candidates.answers == (only,)
+        assert dict(zip(record.truth_set, record.pstar)) == (
+            {clean: 1.0} if noise_p == 0.0 else {lowered: 1.0, clean: 0.0})
+
     def test_deterministic_in_base_seed(self):
         a = build_synth_records(synth_source(base_seed=5))
         b = build_synth_records(synth_source(base_seed=5))

@@ -311,6 +311,20 @@ def test_qarecord_reference_must_be_in_truth_set():
         )
 
 
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_qarecord_reference_matches_the_truth_set_under_the_candidate_rule(case_sensitive):
+    def record(reference):
+        return QARecord(question="q", candidates=cs("abc", case_sensitive=case_sensitive),
+                        truth_set=(" ABC ",), reference_answer=reference)
+
+    assert record("ABC\n").truth_set == ("ABC",)
+    if case_sensitive:
+        with pytest.raises(CandidateSetMismatchError):
+            record("abc")
+    else:
+        assert record("abc").reference_answer == "abc"
+
+
 @pytest.mark.parametrize("pstar", [
     (0.5, 0.5), (), (-0.5,), (math.nan,), (math.inf,), (True,), ("1",), "1", {"a": 1.0},
 ], ids=repr)

@@ -110,7 +110,7 @@ class TestSyntheticStudy:
     def test_a_lowered_prediction_is_an_error(self):
         # the matched agent picks the clean casing below p = 0.5 and the
         # all-lowercase one above; only the clean casing is the reference,
-        # and at p = 1 it lies outside the truth set
+        # and at p = 1 it is no candidate at all
         methods = ("definetti", "probint", "credal")
         cells = run_synthetic_study(ROT1, noise_grid=(0.25, 0.75, 1.0), m_grid=(4,),
                                     repeats=2, word_length=3, methods=methods)
