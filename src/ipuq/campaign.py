@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import os
-import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .core import (
     interval_from_credal,
     is_pstar,
 )
+from . import datasets
 from .decision import DecisionOutcome, maximin, precise_argmax, utilitarian_aggregate
 from .elicit.client import ChatClient, ModelEndpoint, TransportError
 from .elicit.loop import (
@@ -120,6 +120,9 @@ class DatasetSource(JsonForm):
         if self.kind == DATASET_QA_FILE:
             if not self.path or not self.format:
                 raise ConfigError("qa_file dataset needs 'path' and 'format'")
+            if self.format not in datasets.FORMATS:
+                raise ConfigError(
+                    f"unknown QA format {self.format!r}; choose from {datasets.FORMATS}")
         elif self.kind == DATASET_SYNTH:
             if self.transform is None:
                 raise ConfigError("synth dataset needs a 'transform'")
@@ -163,6 +166,11 @@ class CampaignConfig(JsonForm):
             raise ConfigError(f"exactly one endpoint is required, got {len(self.endpoints)}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # a repeated method or seed would run, bill and count its cells twice
+        for name, values in (("method", self.methods), ("seed", self.seeds)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{name} {value!r} is listed twice")
         if self.score_mode not in (MODE_AUTO, MODE_SET):
             raise ConfigError(f"score_mode must be {MODE_AUTO!r} or {MODE_SET!r}, "
                               f"got {self.score_mode!r}")
@@ -676,24 +684,16 @@ def load_dataset(
     """
     if source.kind == DATASET_SYNTH:
         return build_synth_records(source, wanted)
-    from .datasets import ingest_qa_dataset
-
-    records = ingest_qa_dataset(source.path, source.format)
+    records = datasets.ingest_qa_dataset(source.path, source.format)
     return records if wanted is None else [q for q in records if wanted(q.question_id)]
-
-
-#: A UTF-16 surrogate code point.  ``json.loads`` joins an escaped pair into
-#: one character, so any left in a decoded reply is a lone one, which UTF-8
-#: and so the records file cannot hold.
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _attempt_dicts(
     results: Sequence[ElicitationResult],
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
     """A record's ``verdicts`` and ``transcripts``: one entry per member,
-    each listing that member's attempts.  A reply's lone surrogates become
-    U+FFFD; its ``response`` keeps the body verbatim, escapes and all."""
+    each listing that member's attempts.  Transcripts keep both bodies
+    verbatim; the reply is ``parse_response_body(request, response).text``."""
     verdicts, transcripts = [], []
     for member, res in enumerate(results):
         checked, replies = [], []
@@ -708,12 +708,8 @@ def _attempt_dicts(
                     for v in a.verdict.violations
                 ]
             checked.append(entry)
-            replies.append({
-                "attempt": a.attempt,
-                "request": a.reply.raw_request,
-                "response": a.reply.raw_response,
-                "reply": _LONE_SURROGATE.sub("\ufffd", a.reply.text),
-            })
+            replies.append({"attempt": a.attempt, "request": a.reply.raw_request,
+                            "response": a.reply.raw_response})
         verdicts.append({"member": member, "attempts": checked})
         transcripts.append({"member": member, "attempts": replies})
     return verdicts, transcripts

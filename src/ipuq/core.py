@@ -207,7 +207,7 @@ class CandidateSet:
             text = raw.strip()
             if not text:
                 raise EmptyInputError("candidate answers must be non-empty strings")
-            key = self._key(text)
+            key = self._fold(text)
             if key not in index:
                 index[key] = len(cleaned)
                 cleaned.append(text)
@@ -219,9 +219,11 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.answers)
 
+    def _fold(self, trimmed: str) -> str:
+        return trimmed if self.case_sensitive else trimmed.casefold()
+
     def _key(self, answer: str) -> str:
-        answer = answer.strip()
-        return answer if self.case_sensitive else answer.casefold()
+        return self._fold(answer.strip())
 
     def index_of(self, answer: str) -> int | None:
         """Index of the candidate that ``answer`` matches, or None."""

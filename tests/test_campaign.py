@@ -1434,9 +1434,10 @@ def test_a_reply_holding_a_lone_surrogate_is_recorded(tmp_path, concurrency):
     run_campaign(whole, client=agent_client()[0])
     expected = _records_without_timing(whole)
     assert stored[:odd] + stored[odd + 1:] == expected[:odd] + expected[odd + 1:]
-    # the reply keeps U+FFFD in place of the surrogate, the response the escape
+    # the record holds no decoded reply; the response keeps the escape
     (member,) = stored[odd]["elicitation"]["transcripts"]
-    (clean,) = expected[odd]["elicitation"]["transcripts"]
-    assert [a["reply"] for a in member["attempts"]] == [
-        a["reply"] + "\ufffd" for a in clean["attempts"]]
+    assert member["attempts"]
+    assert all(a.keys() == {"attempt", "request", "response"} for a in member["attempts"])
     assert all("\\ud800" in a["response"] for a in member["attempts"])
+    assert all(parse_response_body(a["request"], a["response"]).text.endswith("\ud800")
+               for a in member["attempts"])

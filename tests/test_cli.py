@@ -810,6 +810,35 @@ def test_synth_config_outside_the_generator_bounds_is_a_dataset_error(tmp_path, 
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dataset", {"kind": DATASET_QA_FILE, "path": "qa.jsonl", "format": "maqa"},
+     "unknown QA format 'maqa'; choose from ('maqa_like', 'ambigqa_like', 'mc_like')"),
+    ("methods", ["vanilla", "vanilla"], "method 'vanilla' is listed twice"),
+    ("seeds", [0, 0], "seed 0 is listed twice"),
+], ids=["unknown QA format", "repeated method", "repeated seed"])
+def test_a_refused_campaign_config_is_a_dataset_error_before_any_request(
+    tmp_path, monkeypatch, capsys, field, value, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qa.jsonl").write_text('{"question": "q?", "answers": ["a"]}\n', encoding="utf-8")
+    _, config_path = write_campaign_config(tmp_path, "http://127.0.0.1:9/v1")
+    path = tmp_path / "config.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data[field] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_synth_run_repeating_a_method_is_a_dataset_error(capsys):
+    code = main(["synth", "run", "--p-grid", "0.25", "--m-grid", "1", "--repeats", "1",
+                 "--methods", "vanilla,vanilla"])
+    assert code == EXIT_DATASET
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: method 'vanilla' is listed twice\n")
+
+
 @pytest.mark.parametrize("data, message", [
     ({"entries": [{"question": "q", "kind": "vanilla"}]},
      "ScriptEntry.replies: missing required key"),

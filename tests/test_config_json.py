@@ -188,3 +188,20 @@ def test_synth_bounds_are_inclusive():
                          ("noise_p", 0.0), ("noise_p", 1.0)):
         assert getattr(DatasetSource.from_dict(
             dict(SYNTH_SOURCE.to_dict(), **{field: value})), field) == value
+
+
+def test_an_unknown_qa_format_is_refused():
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown QA format 'maqa'; choose from ('maqa_like', 'ambigqa_like', 'mc_like')")):
+        DatasetSource.from_dict(dict(QA_SOURCE.to_dict(), format="maqa"))
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("methods", ["vanilla", "credal", "vanilla"], "method 'vanilla' is listed twice"),
+    ("seeds", [0, 1, 0], "seed 0 is listed twice"),
+])
+def test_a_repeated_method_or_seed_is_refused(field, values, message):
+    data = _config_data()
+    data[field] = values
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        CampaignConfig.from_dict(data)

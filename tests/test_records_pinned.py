@@ -13,13 +13,15 @@ JSON (``campaign.canonical_json``) of the list of records read back with
 ``load_run_records``, each without its ``timing`` subrecord: the value of
 ``records_digest`` below.  The digests were computed by running this very
 module and printing ``records_digest`` for each campaign; they were last
-re-pinned when records dropped the loop's own score and a point mass's
-entropy became 0.0 instead of -0.0, a change checked field by field.
+re-pinned when transcript entries dropped ``reply``, the decoded copy of the
+text inside ``response``.  ``scripts/records_diff.py`` showed that field,
+``elicitation.transcripts[*].attempts[*].reply``, as the only difference.
 A change that alters any record byte outside ``timing`` fails here; if the
 change is meant, recompute the digests the same way and say why in
 CHANGES.md.
 """
 
+import collections
 import hashlib
 import json
 import re
@@ -37,25 +39,28 @@ from ipuq.campaign import (
     CampaignConfig,
     DatasetSource,
     canonical_json,
+    candidates_from_dict,
     load_run_records,
     records_path,
     recompute_scores,
     run_campaign,
 )
-from ipuq.elicit.client import ChatClient, ModelEndpoint
+from ipuq.elicit.client import ChatClient, ModelEndpoint, parse_response_body
+from ipuq.elicit.loop import ACCEPTANCE
+from ipuq.elicit.parsing import ParseError, parse_structured_report
 from ipuq.elicit.prompts import FEEDBACK_HEADER, PromptKind, detect_kind, extract_question
 from ipuq.mock import AgentConfig, MockScript, MockTransport
 from ipuq.synth import TransformSpec
 
 PINNED = {
     ("synth", MODE_AUTO):
-        "55eacb7e8edd1243897d85574dd89c365e64ad5bc1223dab5a4aa1df05fc5bfb",
+        "8d8f3678601400042937ce19ad47ff18ef351bde9c68c78baf6331ce2de7e66d",
     ("synth", MODE_SET):
-        "4ad958bb0277e3a6a8684be01dc32e03e87c7d450f779bc65f4350ad13593cc3",
+        "84c5b89cf630c56efd0e674c3bd256c9e79713670dd55d5314400a59a8ab759e",
     ("qa_file", MODE_AUTO):
-        "a13ae7de11587a467758befd2fc30a99f2b5a828808726fd9657638f52b70ef7",
+        "3585791f87c9a2b3a9a1af24fd0c4cc08fde5f1585b502f377d86a2be0b93381",
     ("qa_file", MODE_SET):
-        "79ee54f62bbe30862255df914cfc9b0dc3b5d697904665b35e66ace5d97ae1ec",
+        "97264406af3f43607272473e90d49cde13606876bfefaa32db228c46c8e001d7",
 }
 
 QA_ROWS = [
@@ -163,8 +168,7 @@ def records_digest(records):
     return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("source_name,mode", sorted(PINNED))
-def test_records_match_the_pinned_digest(tmp_path, source_name, mode):
+def run_pinned_campaign(tmp_path, source_name, mode):
     config = CampaignConfig(
         dataset=_source(source_name, tmp_path),
         methods=METHODS,
@@ -177,7 +181,12 @@ def test_records_match_the_pinned_digest(tmp_path, source_name, mode):
         salvage_renormalize=True,
     )
     run_campaign(config, client=ChatClient(FaultyAgent()))
-    records = load_run_records(records_path(config.output_dir))
+    return load_run_records(records_path(config.output_dir))
+
+
+@pytest.mark.parametrize("source_name,mode", sorted(PINNED))
+def test_records_match_the_pinned_digest(tmp_path, source_name, mode):
+    records = run_pinned_campaign(tmp_path, source_name, mode)
 
     # The injected faults reach every path the digest is meant to cover.
     elicitations = [r["elicitation"] for r in records]
@@ -191,3 +200,39 @@ def test_records_match_the_pinned_digest(tmp_path, source_name, mode):
         assert recompute_scores(rec) == stored
 
     assert records_digest(records) == PINNED[(source_name, mode)]
+
+
+@pytest.mark.parametrize("source_name,mode", sorted(PINNED))
+def test_each_verdict_recomputes_from_its_transcript(tmp_path, source_name, mode):
+    # the reply text is one call away from the stored bodies, and parsing and
+    # checking it again under the record's kind and candidates gives the
+    # recorded parse error or verdict
+    outcomes = collections.Counter()
+    for rec in run_pinned_campaign(tmp_path, source_name, mode):
+        kind = PromptKind(rec["elicitation"]["kind"])
+        candidates = candidates_from_dict(rec["candidates"])
+        verdicts, transcripts = rec["elicitation"]["verdicts"], rec["elicitation"]["transcripts"]
+        assert [m["member"] for m in verdicts] == [m["member"] for m in transcripts]
+        for checked, sent in zip(verdicts, transcripts):
+            assert [a["attempt"] for a in checked["attempts"]] == [
+                a["attempt"] for a in sent["attempts"]]
+            for entry, bodies in zip(checked["attempts"], sent["attempts"]):
+                text = parse_response_body(bodies["request"], bodies["response"]).text
+                try:
+                    parsed = parse_structured_report(kind, text, candidates)
+                except ParseError as exc:
+                    assert entry == {"attempt": entry["attempt"], "parse_error": str(exc)}
+                    outcomes["parse_error"] += 1
+                    continue
+                verdict, _ = ACCEPTANCE[kind].check(parsed, candidates)
+                assert entry == {
+                    "attempt": entry["attempt"],
+                    "passed": verdict.passed,
+                    "violations": [
+                        {"code": v.code, "index": v.index, "observed": v.observed,
+                         "bound": v.bound}
+                        for v in verdict.violations
+                    ],
+                }
+                outcomes[verdict.passed] += 1
+    assert outcomes["parse_error"] and outcomes[True] and outcomes[False]

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run end to end on tiny arguments."""
 
+import copy
 import csv
 import importlib.util
 import json
@@ -10,6 +11,19 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ipuq.campaign import (
+    DATASET_SYNTH,
+    CampaignConfig,
+    DatasetSource,
+    append_records,
+    load_run_records,
+    records_path,
+    run_campaign,
+)
+from ipuq.elicit.client import ChatClient, ModelEndpoint
+from ipuq.mock import AgentConfig, MockScript, MockTransport
+from ipuq.synth import TransformSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +58,40 @@ def test_mock_campaign_script_runs_then_resumes(tmp_path):
     assert "wrote 5 new records (5 total)" in first.stdout
     again = run_script("run_mock_campaign.py", *args, cwd=tmp_path)
     assert "wrote 0 new records (5 total)" in again.stdout
+
+
+def test_records_diff_counts_records_per_differing_field_path(tmp_path):
+    config = CampaignConfig(
+        dataset=DatasetSource(kind=DATASET_SYNTH, m=2, word_length=3, count=2,
+                              transform=TransformSpec(steps=(("rotation", 1),))),
+        methods=("definetti", "vanilla"),
+        endpoints=(ModelEndpoint(base_url="inproc://agent", model_id="mock-agent"),),
+        output_dir=str(tmp_path / "old"),
+    )
+    run_campaign(config, client=ChatClient(MockTransport(MockScript(agent=AgentConfig()))))
+    old = records_path(config.output_dir)
+    records = load_run_records(old)
+    assert len(records) == 4
+    changed = copy.deepcopy(records[:3])
+    for rec in changed:
+        rec["timing"] = {"elapsed_ms": -1.0}  # timing is left out
+    for rec in changed[:2]:
+        for member in rec["elicitation"]["transcripts"]:
+            for attempt in member["attempts"]:
+                del attempt["request"]
+    changed[1]["elicitation"]["usage"]["output_tokens"] += 1
+    new = records_path(str(tmp_path / "new"))
+    append_records(new, changed)
+
+    proc = run_script("records_diff.py", old, new, cwd=tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "     2 elicitation.transcripts[*].attempts[*].request",
+        "     1 elicitation.usage.output_tokens",
+        "2 of 3 matched records differ; only in OLD: 1, only in NEW: 0",
+    ]
+    same = run_script("records_diff.py", old, old, cwd=tmp_path)
+    assert same.stdout == "0 of 4 matched records differ; only in OLD: 0, only in NEW: 0\n"
 
 
 def test_bench_pairs_script_compares_two_checkouts(tmp_path):
