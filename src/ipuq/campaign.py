@@ -16,7 +16,7 @@ import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core import (
     PSTAR_RULE,
@@ -31,6 +31,7 @@ from .core import (
     QARecord,
     interval_from_credal,
     is_pstar,
+    refuse_repeats,
 )
 from . import datasets
 from .decision import DecisionOutcome, maximin, precise_argmax, utilitarian_aggregate
@@ -166,11 +167,8 @@ class CampaignConfig(JsonForm):
             raise ConfigError(f"exactly one endpoint is required, got {len(self.endpoints)}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        # a repeated method or seed would run, bill and count its cells twice
-        for name, values in (("method", self.methods), ("seed", self.seeds)):
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ConfigError(f"{name} {value!r} is listed twice")
+        refuse_repeats("method", self.methods)
+        refuse_repeats("seed", self.seeds)
         if self.score_mode not in (MODE_AUTO, MODE_SET):
             raise ConfigError(f"score_mode must be {MODE_AUTO!r} or {MODE_SET!r}, "
                               f"got {self.score_mode!r}")
@@ -196,14 +194,18 @@ def records_path(output_dir: str) -> str:
     return os.path.join(output_dir, "records.jsonl")
 
 
-def append_records(path: str, records: Iterable[dict]) -> None:
-    """Append records, writing the schema header first on a fresh file."""
+def _open_to_append(path: str) -> TextIO:
+    """``path`` opened for appending, its directory made first if missing."""
     try:
-        fh = open(path, "a", encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fh = open(path, "a", encoding="utf-8")
-    with fh:
+        return open(path, "a", encoding="utf-8")
+
+
+def append_records(path: str, records: Iterable[dict]) -> None:
+    """Append records, writing the schema header first on a fresh file."""
+    with _open_to_append(path) as fh:
         if fh.tell() == 0:
             fh.write(canonical_json({"schema": RECORD_SCHEMA}) + "\n")
         for rec in records:
@@ -701,8 +703,7 @@ def _attempt_dicts(
             entry: dict[str, Any] = {"attempt": a.attempt}
             if a.parse_error is not None:
                 entry["parse_error"] = a.parse_error
-            if a.verdict is not None:
-                entry["passed"] = a.verdict.passed
+            if a.verdict is not None:  # it passed when it has no violations
                 entry["violations"] = [
                     {"code": v.code, "index": v.index, "observed": v.observed, "bound": v.bound}
                     for v in a.verdict.violations
@@ -803,20 +804,12 @@ def _build_record(
     elapsed = time.time() - started
     endpoint = config.endpoints[0]
     prediction = qrecord.prediction
-    decision_dict: dict[str, Any] | None = None
     payload_dict: dict[str, Any] | None = None
     scores_dict: dict[str, Any] = dict.fromkeys(("mode", *SCORE_FIELDS))
     if payload is not None:
         payload_dict = RECORDS[method].encode(payload)
-        outcome_decision = decide(method, payload)
-        if outcome_decision is not None:
-            prediction = outcome_decision.chosen_answer
-            decision_dict = {
-                "rule": outcome_decision.rule,
-                "chosen_index": outcome_decision.chosen_index,
-                "chosen_answer": outcome_decision.chosen_answer,
-                "tie_broken": outcome_decision.tie_broken,
-            }
+        if (outcome := decide(method, payload)) is not None:
+            prediction = outcome.chosen_answer
         scores_dict = _score_block(
             method, payload, qrecord.candidates, config.score_mode, prediction
         )
@@ -839,18 +832,12 @@ def _build_record(
         "pstar": list(qrecord.pstar) if qrecord.pstar is not None else None,
         "labels": {"ambiguous": int(qrecord.ambiguous), "correct": correct},
         "prediction": prediction,
-        "prediction_in_set": (
-            qrecord.candidates.index_of(prediction) is not None
-            if prediction is not None
-            else None
-        ),
         "endpoint": {
             "key": endpoint.key,
             "model_id": endpoint.model_id,
             "base_url": endpoint.base_url,
         },
         "elicitation": {
-            "kind": method,
             "succeeded": error is None,
             "salvaged": any(r.salvaged for r in results),
             "error": error,
@@ -861,7 +848,6 @@ def _build_record(
             "transcripts": transcripts,
         },
         "scores": scores_dict,
-        "decision": decision_dict,
         "timing": {"started_unix": started, "elapsed_s": elapsed},
     }
 
@@ -915,7 +901,9 @@ def run_campaign(
     its key and billed usage; on any other stop they are written before the
     exception propagates.  Resuming reads only the keys of the records file
     (see :func:`existing_keys`), and only the questions that still have a
-    cell to run are built.
+    cell to run are built.  The records file is opened for appending before
+    the first cell starts, so a file that cannot be written fails the run
+    before any request.
     """
     client = client if client is not None else ChatClient()
     path = records_path(config.output_dir)
@@ -939,6 +927,8 @@ def run_campaign(
                 path, len(missing) * len(cells) - len(jobs), len(jobs))
     if not jobs:
         return []
+    # a file that cannot be written fails here, before any cell is billed
+    _open_to_append(path).close()
 
     base = config.endpoints[0]
     endpoints = {seed: _seed_endpoints(base, seed, config.credal_members)

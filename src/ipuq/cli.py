@@ -95,12 +95,13 @@ def _add_transform_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--direction", choices=("left", "right"), default="left")
 
 
-def _float_grid(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _int_grid(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _grid(flag: str, text: str, number: type) -> list:
+    """The comma-separated numbers of a grid flag."""
+    try:
+        return [number(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        numbers = "integers" if number is int else "numbers"
+        raise ConfigError(f"{flag} takes comma-separated {numbers}, got {text!r}") from None
 
 
 def _write_rows(rows: list[dict], columns: Sequence[str], out: str | None) -> None:
@@ -219,8 +220,8 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
         factory = simulated_agent_client_factory(width_c=args.agent_width_c)
     cells = run_synthetic_study(
         transform,
-        _float_grid(args.p_grid),
-        _int_grid(args.m_grid),
+        _grid("--p-grid", args.p_grid, float),
+        _grid("--m-grid", args.m_grid, int),
         args.repeats,
         endpoint,
         client_factory=factory,
@@ -369,7 +370,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (SchemaViolationError, ConfigError, RecordsSchemaError, FileNotFoundError) as exc:
+    except (SchemaViolationError, ConfigError, RecordsSchemaError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except IpuqError as exc:

@@ -76,6 +76,14 @@ class ConfigError(IpuqError, ValueError):
     """A config the program cannot use: malformed JSON form or contradictory settings."""
 
 
+def refuse_repeats(name: str, values: Sequence[Any]) -> None:
+    """Raise :class:`ConfigError` for a value listed twice, which would run,
+    bill and count its cells twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} {value!r} is listed twice")
+
+
 class TextError(IpuqError, ValueError):
     """A question or answer that is not a string, or holds a lone surrogate,
     which UTF-8 cannot encode and so no record can hold."""
@@ -471,6 +479,7 @@ __all__ = [
     "EmptyCredalError",
     "CandidateSetMismatchError",
     "ConfigError",
+    "refuse_repeats",
     "TextError",
     "JsonForm",
     "CandidateSet",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .campaign import DATASET_SYNTH, MODE_SET, CampaignConfig, DatasetSource, run_campaign
+from .core import ConfigError, refuse_repeats
 from .elicit.client import ChatClient, ModelEndpoint
 from .elicit.prompts import PromptKind
 from .mock import AgentConfig, MockScript, MockTransport
@@ -103,12 +104,20 @@ def run_synthetic_study(
     ``client_factory`` maps p to the client to use for that noise level; it
     defaults to the in-process simulated agent (no network).  A fixed client
     (e.g. a real endpoint that cannot be told p) can be supplied by wrapping
-    it: ``client_factory=lambda p: client``.
+    it: ``client_factory=lambda p: client``.  A grid that is empty or lists
+    a value twice, ``repeats < 1`` or a cell's invalid dataset source raises
+    :class:`ConfigError` before the first request.
     """
     if not noise_grid or not m_grid:
-        raise ValueError("noise_grid and m_grid must be non-empty")
+        raise ConfigError("the p and m grids must be non-empty")
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    refuse_repeats("p", noise_grid)
+    refuse_repeats("m", m_grid)
+    sources = {(p, m): DatasetSource(kind=DATASET_SYNTH, transform=transform, noise_p=p, m=m,
+                                     word_length=word_length, count=repeats,
+                                     base_seed=base_seed)
+               for p in noise_grid for m in m_grid}
     if endpoint is None:
         endpoint = ModelEndpoint(base_url="mock://simulated-agent", model_id="sim-agent")
     if client_factory is None:
@@ -118,11 +127,9 @@ def run_synthetic_study(
     for p in noise_grid:
         client = client_factory(p)
         for m in m_grid:
-            source = DatasetSource(kind=DATASET_SYNTH, transform=transform, noise_p=p, m=m,
-                                   word_length=word_length, count=repeats, base_seed=base_seed)
             with tempfile.TemporaryDirectory() as output_dir:
                 config = CampaignConfig(
-                    dataset=source, methods=tuple(methods), endpoints=(endpoint,),
+                    dataset=sources[p, m], methods=tuple(methods), endpoints=(endpoint,),
                     seeds=(endpoint.seed or 0,), retry_budget=max_attempts,
                     output_dir=output_dir, score_mode=MODE_SET,
                 )

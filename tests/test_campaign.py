@@ -894,8 +894,16 @@ class TestRunCampaign:
         assert (record["prediction"], record["reference_answer"]) == ("abc", "ABC")
         assert record["labels"]["correct"] == correct
 
+    def test_an_output_dir_that_is_a_file_fails_before_any_request(self, tmp_path):
+        config = make_config(tmp_path)
+        Path(config.output_dir).write_text("not a directory", encoding="utf-8")
+        client, transport = agent_client()
+        with pytest.raises(NotADirectoryError):
+            run_campaign(config, client=client)
+        assert transport.calls == 0
+
     def test_one_credal_mean_per_credal_record(self, tmp_path, monkeypatch):
-        # the record's decision and its scores share the utilitarian mean
+        # the cell's prediction and its scores share the utilitarian mean
         builds = []
         mean = CredalSet.__dict__["mean"]
         build = mean.func
@@ -904,7 +912,7 @@ class TestRunCampaign:
         written = run_campaign(config, client=agent_client(credal_spread=0.05)[0])
         credal = [r for r in written if r["key"]["method"] == "credal"]
         assert len(credal) == 4 and all(r["elicitation"]["succeeded"] for r in credal)
-        assert all(r["decision"] is not None for r in credal)
+        assert all(r["prediction"] is not None for r in credal)
         assert len(builds) == len(credal)
 
 
@@ -1043,6 +1051,30 @@ class OutageAfter:
         self.input_tokens += reply.input_tokens
         self.output_tokens += reply.output_tokens
         return reply
+
+
+def test_records_hold_no_view_of_another_stored_field(tmp_path):
+    # the method is key.method, the decision follows from the payload, the
+    # in-set flag from the prediction and a verdict passed when it has no
+    # violations, so none of them is written
+    records = []
+    for name, fault in (("clean", None), ("halved", _halve_prices), ("no_block", _no_block)):
+        # with no outage, every reply is broken by the fault, if any
+        transport = OutageAfter(math.inf, seed=0, bad_share=float(fault is not None),
+                                faults=(fault,))
+        config = make_config(tmp_path / name, methods=ALL_METHODS, seeds=(0, 1), retry_budget=2)
+        run_campaign(config, client=ChatClient(transport))
+        records += load_run_records(records_path(config.output_dir))
+    for method in ALL_METHODS:
+        assert {r["elicitation"]["succeeded"] for r in records
+                if r["key"]["method"] == method} == {True, False}
+    checked = [a for r in records for m in r["elicitation"]["verdicts"] for a in m["attempts"]]
+    assert {bool(a["violations"]) for a in checked if "violations" in a} == {True, False}
+    assert any("parse_error" in a for a in checked)
+    assert not any("passed" in a for a in checked)
+    for record in records:
+        assert "decision" not in record and "prediction_in_set" not in record
+        assert "kind" not in record["elicitation"]
 
 
 class TestTransportFailureKeepsBilledAttempts:

@@ -10,6 +10,7 @@ import pytest
 
 import ipuq.campaign
 import ipuq.cli
+import ipuq.study
 from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
@@ -831,12 +832,44 @@ def test_a_refused_campaign_config_is_a_dataset_error_before_any_request(
     assert not (tmp_path / "runs").exists()
 
 
-def test_synth_run_repeating_a_method_is_a_dataset_error(capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--methods", "vanilla,vanilla"], "method 'vanilla' is listed twice"),
+    (["--p-grid", "0.25,0.5,0.25"], "p 0.25 is listed twice"),
+    (["--m-grid", "1,1"], "m 1 is listed twice"),
+    (["--m-grid", ","], "the p and m grids must be non-empty"),
+    (["--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["--p-grid", "abc"], "--p-grid takes comma-separated numbers, got 'abc'"),
+    (["--m-grid", "1.5"], "--m-grid takes comma-separated integers, got '1.5'"),
+    (["--p-grid", "0.25,2"], "noise probability must lie in [0, 1], got 2.0"),
+    (["--m-grid=1,-1"], "synth dataset needs m >= 0 and count >= 1, got m=-1, count=1"),
+])
+def test_synth_run_refuses_a_grid_it_cannot_run_once(monkeypatch, capsys, flags, message):
+    monkeypatch.setattr(ipuq.study, "run_campaign",
+                        lambda *args, **kwargs: pytest.fail("a grid cell ran"))
     code = main(["synth", "run", "--p-grid", "0.25", "--m-grid", "1", "--repeats", "1",
-                 "--methods", "vanilla,vanilla"])
+                 *flags])
     assert code == EXIT_DATASET
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: method 'vanilla' is listed twice\n")
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_an_output_dir_that_is_a_file_is_a_dataset_error(tmp_path, capsys):
+    config, config_path = write_campaign_config(tmp_path, "http://localhost:1")
+    Path(config.output_dir).write_text("not a directory", encoding="utf-8")
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [Errno 20] Not a directory: "
+                            f"{records_path(config.output_dir)!r}\n")
+
+
+@pytest.mark.parametrize("named", ["records", "config"])
+def test_a_named_input_that_is_a_directory_is_a_dataset_error(tmp_path, capsys, named):
+    argv = {"records": ["eval", "auroc", "--records", str(tmp_path)],
+            "config": ["eval", "cost", "--records", eval_fixture_records(tmp_path),
+                       "--config", str(tmp_path)]}[named]
+    assert main(argv) == EXIT_DATASET
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 @pytest.mark.parametrize("data, message", [

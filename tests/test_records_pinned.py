@@ -11,22 +11,28 @@ verdicts, retries, salvage and failed cells as well as clean ones.
 ``PINNED`` holds, per (source, score mode), the SHA-256 of the canonical
 JSON (``campaign.canonical_json``) of the list of records read back with
 ``load_run_records``, each without its ``timing`` subrecord: the value of
-``records_digest`` below.  The digests were computed by running this very
-module and printing ``records_digest`` for each campaign; they were last
-re-pinned when transcript entries dropped ``reply``, the decoded copy of the
-text inside ``response``.  ``scripts/records_diff.py`` showed that field,
-``elicitation.transcripts[*].attempts[*].reply``, as the only difference.
-A change that alters any record byte outside ``timing`` fails here; if the
-change is meant, recompute the digests the same way and say why in
-CHANGES.md.
+``records_digest`` below.  ``PYTHONPATH=src python
+tests/test_records_pinned.py`` runs the four campaigns and prints their
+digests.  They were last re-pinned when records stopped writing four fields
+that restate another stored field: ``elicitation.kind``, ``decision``,
+``prediction_in_set`` and each checked attempt's ``passed``.
+``scripts/records_diff.py`` showed those four paths as the only difference,
+and ``WITH_VIEWS`` keeps the digests from before, which the records give
+again once :func:`with_views` restores the four fields.  A change that alters
+any record byte outside ``timing`` fails here; if the change is meant,
+recompute the digests the same way and say why in CHANGES.md.
 """
 
 import collections
+import copy
 import hashlib
 import json
+import math
 import re
+import tempfile
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -36,10 +42,14 @@ from ipuq.campaign import (
     METHODS,
     MODE_AUTO,
     MODE_SET,
+    SCORE_FIELDS,
     CampaignConfig,
     DatasetSource,
+    append_records,
     canonical_json,
     candidates_from_dict,
+    decide,
+    decode_record_payload,
     load_run_records,
     records_path,
     recompute_scores,
@@ -50,9 +60,23 @@ from ipuq.elicit.loop import ACCEPTANCE
 from ipuq.elicit.parsing import ParseError, parse_structured_report
 from ipuq.elicit.prompts import FEEDBACK_HEADER, PromptKind, detect_kind, extract_question
 from ipuq.mock import AgentConfig, MockScript, MockTransport
+from ipuq.reporting import cost_rows, metric_rows
 from ipuq.synth import TransformSpec
 
 PINNED = {
+    ("synth", MODE_AUTO):
+        "039e4be5d49f10db72e46b85f7274d7d2048eaf5e645761f79dc404843eb77da",
+    ("synth", MODE_SET):
+        "a027084a3949a0e79b49ebe7dc1f2b86ed7dcc8b6cb6536401ce81523618451b",
+    ("qa_file", MODE_AUTO):
+        "442eb86694c71a3a85d47b6e215f3b2becac49fb6fe8f6689a2d2f89f9d9497c",
+    ("qa_file", MODE_SET):
+        "e989f4d064dd76de8d8e86bc7195e6f977c3dea18d6685d156a0ab1ebb3235c2",
+}
+
+#: The same campaigns' digests while records still held the four views that
+#: :func:`with_views` restores.
+WITH_VIEWS = {
     ("synth", MODE_AUTO):
         "8d8f3678601400042937ce19ad47ff18ef351bde9c68c78baf6331ce2de7e66d",
     ("synth", MODE_SET):
@@ -168,8 +192,8 @@ def records_digest(records):
     return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
 
 
-def run_pinned_campaign(tmp_path, source_name, mode):
-    config = CampaignConfig(
+def pinned_config(tmp_path, source_name, mode):
+    return CampaignConfig(
         dataset=_source(source_name, tmp_path),
         methods=METHODS,
         endpoints=(ModelEndpoint(base_url="inproc://agent", model_id="mock-agent"),),
@@ -180,6 +204,10 @@ def run_pinned_campaign(tmp_path, source_name, mode):
         score_mode=mode,
         salvage_renormalize=True,
     )
+
+
+def run_pinned_campaign(tmp_path, source_name, mode):
+    config = pinned_config(tmp_path, source_name, mode)
     run_campaign(config, client=ChatClient(FaultyAgent()))
     return load_run_records(records_path(config.output_dir))
 
@@ -192,7 +220,7 @@ def test_records_match_the_pinned_digest(tmp_path, source_name, mode):
     elicitations = [r["elicitation"] for r in records]
     attempts = [a for e in elicitations for m in e["verdicts"] for a in m["attempts"]]
     assert any("parse_error" in a for a in attempts)
-    assert any(a.get("passed") is False for a in attempts)
+    assert any(a.get("violations") for a in attempts)
     assert any(e["salvaged"] for e in elicitations)
     assert any(not e["succeeded"] for e in elicitations)
     for rec in records:
@@ -209,7 +237,7 @@ def test_each_verdict_recomputes_from_its_transcript(tmp_path, source_name, mode
     # recorded parse error or verdict
     outcomes = collections.Counter()
     for rec in run_pinned_campaign(tmp_path, source_name, mode):
-        kind = PromptKind(rec["elicitation"]["kind"])
+        kind = PromptKind(rec["key"]["method"])
         candidates = candidates_from_dict(rec["candidates"])
         verdicts, transcripts = rec["elicitation"]["verdicts"], rec["elicitation"]["transcripts"]
         assert [m["member"] for m in verdicts] == [m["member"] for m in transcripts]
@@ -227,7 +255,6 @@ def test_each_verdict_recomputes_from_its_transcript(tmp_path, source_name, mode
                 verdict, _ = ACCEPTANCE[kind].check(parsed, candidates)
                 assert entry == {
                     "attempt": entry["attempt"],
-                    "passed": verdict.passed,
                     "violations": [
                         {"code": v.code, "index": v.index, "observed": v.observed,
                          "bound": v.bound}
@@ -236,3 +263,63 @@ def test_each_verdict_recomputes_from_its_transcript(tmp_path, source_name, mode
                 }
                 outcomes[verdict.passed] += 1
     assert outcomes["parse_error"] and outcomes[True] and outcomes[False]
+
+
+def with_views(record):
+    """``record`` as it was written while records also stored four views of
+    other fields: the method as ``elicitation.kind``, the ``decision`` block,
+    ``prediction_in_set`` and each checked attempt's ``passed``."""
+    old = copy.deepcopy(record)
+    method, prediction = record["key"]["method"], record["prediction"]
+    old["elicitation"]["kind"] = method
+    old["prediction_in_set"] = None if prediction is None else (
+        candidates_from_dict(record["candidates"]).index_of(prediction) is not None)
+    outcome = None
+    if record["elicitation"]["payload"] is not None:
+        outcome = decide(method, decode_record_payload(record)[1])
+    old["decision"] = None if outcome is None else {
+        "rule": outcome.rule, "chosen_index": outcome.chosen_index,
+        "chosen_answer": outcome.chosen_answer, "tie_broken": outcome.tie_broken}
+    for member in old["elicitation"]["verdicts"]:
+        for attempt in member["attempts"]:
+            if "violations" in attempt:
+                attempt["passed"] = not attempt["violations"]
+    return old
+
+
+def _eval_rows(records, config):
+    rows = [metric_rows(records, metric, dataset="pinned", score_field=field)
+            for metric in ("auroc", "concordance") for field in SCORE_FIELDS]
+    return rows + [cost_rows(records, config.endpoints)]
+
+
+@pytest.mark.parametrize("source_name,mode", sorted(PINNED))
+def test_a_file_holding_the_views_loads_evaluates_and_resumes(tmp_path, source_name, mode):
+    # a records file written before the views were dropped is still
+    # ipuq.runrecord.v1: nothing reads the views, so it is read as before
+    config = pinned_config(tmp_path, source_name, mode)
+    run_campaign(config, client=ChatClient(FaultyAgent()))
+    records = load_run_records(records_path(config.output_dir))
+    old = [with_views(record) for record in records]
+    assert records_digest(old) == WITH_VIEWS[(source_name, mode)]
+
+    old_config = replace(config, output_dir=str(tmp_path / "old"))
+    append_records(records_path(old_config.output_dir), old)
+    loaded = load_run_records(records_path(old_config.output_dir))
+    assert loaded == old
+    assert _eval_rows(loaded, old_config) == _eval_rows(records, config)
+    for record in loaded:
+        for field, value in recompute_scores(record).items():
+            stored = record["scores"][field]
+            assert value == stored or math.isclose(value, stored, rel_tol=0, abs_tol=1e-12)
+
+    agent = FaultyAgent()
+    assert run_campaign(old_config, client=ChatClient(agent)) == []
+    assert agent.inner.calls == 0
+
+
+if __name__ == "__main__":
+    for source_name, mode in sorted(PINNED):
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = records_digest(run_pinned_campaign(Path(tmp), source_name, mode))
+        print(f"({source_name!r}, {mode!r}): {digest!r},")
