@@ -20,7 +20,8 @@ After each metric it prints one verdict, in the first of these that holds:
   flat        otherwise.
 
 It exits with status 1 when any run is not correct or has failed operations,
-or when any metric's verdict is ``worse``.
+or when any metric's verdict is ``worse``.  A checkout without
+``perfbench/run.py`` prints ``error:`` and exits 2 before any run.
 """
 
 import argparse
@@ -77,6 +78,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = (args.a.resolve(), args.b.resolve())
+    for checkout in sides:
+        if not (checkout / "perfbench" / "run.py").is_file():
+            print(f"error: no perfbench/run.py in {checkout}", file=sys.stderr)
+            return 2
 
     runs: list[tuple[dict, dict]] = []
     ok = True

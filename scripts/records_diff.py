@@ -12,7 +12,9 @@ however many of its list entries differ there.  A key present in one file
 only is counted under ``only in OLD`` or ``only in NEW``.
 
 It prints one ``count path`` line per differing path, sorted by path, then
-a summary line, and exits 1 when any record differs or is unmatched.
+a summary line, and exits 1 when any record differs or is unmatched.  A file
+that is missing or does not decode as a records file prints ``error:`` and
+exits 2, so status 1 always means the records differ.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import json
 import sys
 from collections import Counter
 
-from ipuq.campaign import load_run_records
+from ipuq.campaign import RecordsSchemaError, load_run_records
 
 
 def diff_paths(old, new, path: str = "") -> set[str]:
@@ -57,7 +59,11 @@ def main(argv=None) -> int:
     ap.add_argument("old", help="the records file to compare from")
     ap.add_argument("new", help="the records file to compare to")
     args = ap.parse_args(argv)
-    old, new = _by_key(args.old), _by_key(args.new)
+    try:
+        old, new = _by_key(args.old), _by_key(args.new)
+    except (OSError, RecordsSchemaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     counts: Counter[str] = Counter()
     differ = 0
     for key in old.keys() & new.keys():

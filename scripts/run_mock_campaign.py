@@ -5,11 +5,15 @@ Starts the deterministic mock server on a free port, runs all five
 elicitation methods over a small synthetic dataset, then reads the
 records file back to print per-method score summaries and token usage.
 Run it twice with the same --output-dir to watch the resume logic skip
-everything already recorded.
+everything already recorded.  A flag the campaign config refuses (a seed
+listed twice or not an integer, a count below 1) prints ``error:`` and
+exits 2 before the server starts.
 """
 
 import argparse
+import dataclasses
 import statistics
+import sys
 from collections import defaultdict
 
 from ipuq.campaign import (
@@ -20,12 +24,20 @@ from ipuq.campaign import (
     records_path,
     run_campaign,
 )
+from ipuq.core import ConfigError
 from ipuq.elicit.client import ModelEndpoint
 from ipuq.mock import AgentConfig, MockScript, start_mock_server
 from ipuq.synth import TransformSpec
 
 
-def main() -> None:
+def _seeds(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--seeds takes comma-separated integers, got {text!r}") from None
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=6, help="synthetic questions")
     ap.add_argument("--noise-p", type=float, default=0.25)
@@ -35,8 +47,6 @@ def main() -> None:
     ap.add_argument("--output-dir", default="runs/mock-demo")
     args = ap.parse_args()
 
-    script = MockScript(agent=AgentConfig(noise_p=args.noise_p))
-    server, base_url = start_mock_server(script)
     try:
         config = CampaignConfig(
             dataset=DatasetSource(
@@ -47,14 +57,24 @@ def main() -> None:
                 count=args.count,
             ),
             methods=METHODS,
-            endpoints=(ModelEndpoint(base_url=base_url, model_id="mock-agent"),),
-            seeds=tuple(int(s) for s in args.seeds.split(",")),
+            # replaced by the server's URL once it has started
+            endpoints=(ModelEndpoint(base_url="http://127.0.0.1", model_id="mock-agent"),),
+            seeds=_seeds(args.seeds),
             credal_members=args.credal_members,
             output_dir=args.output_dir,
         )
-        written = run_campaign(config)
+        script = MockScript(agent=AgentConfig(noise_p=args.noise_p))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    server, base_url = start_mock_server(script)
+    try:
+        endpoint = dataclasses.replace(config.endpoints[0], base_url=base_url)
+        written = run_campaign(dataclasses.replace(config, endpoints=(endpoint,)))
     finally:
         server.shutdown()
+        server.server_close()
 
     path = records_path(args.output_dir)
     records = load_run_records(path)
@@ -81,7 +101,8 @@ def main() -> None:
     tokens_in = sum(rec["elicitation"]["usage"]["input_tokens"] for rec in records)
     tokens_out = sum(rec["elicitation"]["usage"]["output_tokens"] for rec in records)
     print(f"\ntokens: {tokens_in} in / {tokens_out} out")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

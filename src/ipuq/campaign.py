@@ -996,7 +996,6 @@ __all__ = [
     "SCORE_FIELDS",
     "DATASET_QA_FILE",
     "DATASET_SYNTH",
-    "ConfigError",
     "RecordsSchemaError",
     "RecordDecodeError",
     "DatasetSource",

@@ -15,8 +15,8 @@ from .campaign import (
     DATASET_SYNTH,
     MODE_SET,
     RECORDS,
+    SCORE_FIELDS,
     CampaignConfig,
-    ConfigError,
     DatasetSource,
     RecordsSchemaError,
     load_run_records,
@@ -25,7 +25,7 @@ from .campaign import (
     score_payload,
     synth_tasks,
 )
-from .core import CandidateSet, IpuqError
+from .core import CandidateSet, ConfigError, IpuqError
 from .datasets import SchemaViolationError
 from .elicit.client import ChatClient, ModelEndpoint
 from .elicit.loop import ACCEPTANCE, DEFAULT_MAX_ATTEMPTS, RetriesExhaustedError, elicit_with_retry
@@ -38,7 +38,6 @@ from .reporting import (
     METRIC_CSV_COLUMNS,
     REF_ENTROPY_PSTAR,
     REF_KINDS,
-    SCORE_FIELDS,
     cost_rows,
     metric_rows,
     write_csv,

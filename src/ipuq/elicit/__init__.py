@@ -1,33 +1,1 @@
 """Elicitation protocols: prompt rendering, transport, parsing, retry loops."""
-
-from .prompts import PromptKind, render_prompt, detect_kind
-from .client import ModelEndpoint, ChatClient, ChatReply, TransportError
-from .parsing import parse_structured_report, ParseError
-from .loop import (
-    AttemptRecord,
-    ElicitationResult,
-    RetriesExhaustedError,
-    MemberQuorumNotMetError,
-    elicit_with_retry,
-    elicit_credal_ensemble,
-    generate_candidates,
-)
-
-__all__ = [
-    "PromptKind",
-    "render_prompt",
-    "detect_kind",
-    "ModelEndpoint",
-    "ChatClient",
-    "ChatReply",
-    "TransportError",
-    "parse_structured_report",
-    "ParseError",
-    "AttemptRecord",
-    "ElicitationResult",
-    "RetriesExhaustedError",
-    "MemberQuorumNotMetError",
-    "elicit_with_retry",
-    "elicit_credal_ensemble",
-    "generate_candidates",
-]

@@ -26,10 +26,11 @@ import contextlib
 import json
 import logging
 import threading
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .core import ConfigError, IpuqError, JsonForm
+from .core import ConfigError, IpuqError, JsonForm, refuse_repeats
 from .elicit.client import ChatReply, ModelEndpoint, encode_request, parse_response_body
 from .elicit.prompts import (
     NOTA_LABEL,
@@ -95,6 +96,7 @@ class MockScript(JsonForm):
     def __post_init__(self) -> None:
         if not self.entries and self.agent is None:
             raise ConfigError("a mock script needs entries, an agent, or both")
+        refuse_repeats("script entry", [entry.key() for entry in self.entries])
 
 
 def _count_demonstrations(question: str) -> int:
@@ -174,24 +176,27 @@ class MockResponder:
     """Stateful reply source shared by the HTTP server and the transport."""
 
     def __init__(self, script: MockScript):
-        self.script = script
         self.agent = SimulatedAgent(script.agent) if script.agent else None
+        self._entries = {entry.key(): entry for entry in script.entries}
         self._cursors: dict[tuple[str, str, int | None], int] = {}
         self._lock = threading.Lock()
 
     def _scripted_reply(self, question: str, kind: str, seed: int | None) -> str | None:
-        for lookup_seed in (seed, None):
-            for entry in self.script.entries:
-                if entry.key() == (question, kind, lookup_seed):
-                    with self._lock:
-                        cursor = self._cursors.get(entry.key(), 0)
-                        if cursor >= len(entry.replies):
-                            raise ScriptExhaustedError(
-                                f"script for {(question[:40], kind, lookup_seed)} exhausted "
-                                f"after {len(entry.replies)} replies"
-                            )
-                        self._cursors[entry.key()] = cursor + 1
-                    return entry.replies[cursor]
+        # A seed no entry can hold (a JSON list, say) falls back to the seedless entry.
+        for lookup_seed in (seed, None) if isinstance(seed, Hashable) else (None,):
+            key = (question, kind, lookup_seed)
+            entry = self._entries.get(key)
+            if entry is None:
+                continue
+            with self._lock:
+                cursor = self._cursors.get(key, 0)
+                if cursor >= len(entry.replies):
+                    raise ScriptExhaustedError(
+                        f"script for {(question[:40], kind, lookup_seed)} exhausted "
+                        f"after {len(entry.replies)} replies"
+                    )
+                self._cursors[key] = cursor + 1
+            return entry.replies[cursor]
         return None
 
     def reply_text(self, user_text: str, seed: int | None) -> str:

@@ -256,7 +256,6 @@ __all__ = [
     "REF_ENTROPY_PSTAR",
     "REF_KL_PSTAR",
     "REF_KINDS",
-    "SCORE_FIELDS",
     "METRIC_CSV_COLUMNS",
     "COST_CSV_COLUMNS",
     "UnknownEndpointError",

@@ -29,7 +29,6 @@ from ipuq.campaign import (
     RECORD_SCHEMA,
     RECORDS,
     CampaignConfig,
-    ConfigError,
     DatasetSource,
     RecordDecodeError,
     RecordsSchemaError,
@@ -46,6 +45,7 @@ from ipuq.campaign import (
 )
 from ipuq.core import (
     CandidateSet,
+    ConfigError,
     CredalSet,
     PossibilityAssignment,
     PrecisePMF,

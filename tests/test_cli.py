@@ -884,6 +884,21 @@ def test_malformed_mock_script_is_a_dataset_error(tmp_path, capsys, data, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_mock_serve_refuses_a_script_listing_a_key_twice(tmp_path, capsys, monkeypatch):
+    entry = {"question": "q", "kind": "vanilla"}
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"entries": [dict(entry, replies=["a"]),
+                                              dict(entry, replies=["b", "c"])]}),
+                      encoding="utf-8")
+
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt  # a server that did start stops at once
+
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
+    assert main(["mock", "serve", "--script", str(script), "--port", "0"]) == EXIT_DATASET
+    assert capsys.readouterr() == ("", "error: script entry ('q', 'vanilla', None) is listed twice\n")
+
+
 def test_mock_serve_announces_the_bound_port_and_closes_on_ctrl_c(
     tmp_path, capsys, monkeypatch
 ):

@@ -10,9 +10,9 @@ from ipuq.campaign import (
     DATASET_QA_FILE,
     DATASET_SYNTH,
     CampaignConfig,
-    ConfigError,
     DatasetSource,
 )
+from ipuq.core import ConfigError
 from ipuq.elicit.client import ModelEndpoint
 from ipuq.mock import AgentConfig, MockScript, ScriptEntry
 from ipuq.synth import NoiseSpec, TransformSpec, generate_icl_task

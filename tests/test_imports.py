@@ -4,16 +4,18 @@ Static: no module under ``src/ipuq`` imports a name it never uses, and none
 imports an underscore name from another ``ipuq`` module.  No linter ships
 with the project, so this walks each module's syntax tree with the standard
 library alone.  A module-level import counts as used when its bound name
-appears anywhere in the module or in the module's ``__all__`` (which is how
-the package ``__init__`` files re-export).  Also static: no ``except ... as
-name:`` body in ``src/ipuq`` writes an attribute on ``name``, and only
-``CandidateSet`` case-folds, so the package has one rule for when two
-answers match.
+appears anywhere in the module.  Each public name has one home, the module
+that defines it: the package ``__init__`` files hold only a docstring, and
+no module's ``__all__`` lists a name the module imports.  Also static: no
+``except ... as name:`` body in ``src/ipuq`` writes an attribute on
+``name``, and only ``CandidateSet`` case-folds, so the package has one rule
+for when two answers match.
 
 Dynamic: every name in a module's ``__all__`` is bound once it is imported.
-Importing the package loads no network module; the first mock server and
-the first HTTP request load them.  Those two checks run in a fresh
-interpreter, since this test process has long since imported them.
+Importing ``ipuq.core`` or ``ipuq.metrics`` loads no ``ipuq`` module it does
+not import itself.  Importing the package loads no network module; the
+first mock server and the first HTTP request load them.  These checks run in
+a fresh interpreter, since this test process has long since imported them.
 """
 
 import ast
@@ -22,6 +24,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ipuq"
 
@@ -50,7 +54,7 @@ def _exported(tree: ast.Module) -> set[str]:
 def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of every module-level import the module never uses."""
     tree = ast.parse(source)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [
         (node.lineno, name)
         for node in tree.body
@@ -79,7 +83,62 @@ def test_checker_flags_only_unused_names():
         "__all__ = ['Any']\n"
         "print(os.sep, xml.dom)\n"
     )
-    assert unused_imports(source) == [(2, "sys"), (4, "Iterator")]
+    assert unused_imports(source) == [(2, "sys"), (4, "Any"), (4, "Iterator")]
+
+
+def docstring_only(source: str) -> bool:
+    """Whether ``source`` holds a docstring and nothing else."""
+    body = ast.parse(source).body
+    return (len(body) == 1 and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str))
+
+
+def test_package_init_files_hold_only_a_docstring():
+    """A name is imported from the module that defines it, never through a
+    package, so a new public name is written once."""
+    inits = sorted(SRC.rglob("__init__.py"))
+    assert inits
+    assert [str(p.relative_to(SRC.parent)) for p in inits
+            if not docstring_only(p.read_text(encoding="utf-8"))] == []
+
+
+def test_docstring_checker_accepts_only_a_lone_docstring():
+    assert docstring_only('"""Doc."""\n')
+    assert not docstring_only("")
+    assert not docstring_only("x = 1\n")
+    assert not docstring_only('"""Doc."""\nfrom .core import ConfigError\n')
+    assert not docstring_only('"""Doc."""\n__all__ = []\n')
+
+
+def exported_imports(source: str) -> list[str]:
+    """The names in the module's ``__all__`` that a module-level import binds."""
+    tree = ast.parse(source)
+    imported = {name for node in tree.body for name in _bound_names(node)}
+    return sorted(_exported(tree) & imported)
+
+
+def test_no_module_exports_a_name_it_imports():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    foreign = [
+        f"{path.relative_to(SRC.parent)}: {name}"
+        for path in modules
+        for name in exported_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert foreign == []
+
+
+def test_exported_import_checker_flags_only_imported_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .core import ConfigError, CandidateSet as Answers\n"
+        "def f():\n"
+        "    from .scores import entropy\n"
+        "SCORE_FIELDS = ()\n"
+        "__all__ = ['os', 'Answers', 'CandidateSet', 'entropy', 'SCORE_FIELDS', 'f']\n"
+    )
+    assert exported_imports(source) == ["Answers", "os"]
 
 
 def private_imports(source: str) -> list[tuple[int, str]]:
@@ -315,6 +374,15 @@ LOADED = f"print(sorted(m for m in {NETWORK_MODULES!r} if m in sys.modules))"
 def test_importing_the_package_loads_no_network_module():
     code = f"import sys, ipuq, ipuq.campaign, ipuq.mock, ipuq.reporting, ipuq.cli\n{LOADED}\n"
     assert run_fresh(code) == "[]\n"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("ipuq.core", ["ipuq", "ipuq.core"]),
+    ("ipuq.metrics", ["ipuq", "ipuq.core", "ipuq.metrics"]),
+])
+def test_a_module_loads_only_the_package_modules_it_imports(module, loaded):
+    code = f"import sys, {module}\nprint(sorted(m for m in sys.modules if m.startswith('ipuq')))\n"
+    assert run_fresh(code) == f"{loaded}\n"
 
 
 def test_first_mock_server_and_first_request_load_the_network_modules():

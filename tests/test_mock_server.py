@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import ipuq
-from ipuq.core import CandidateSet
+from ipuq.core import CandidateSet, ConfigError
 from ipuq.elicit.client import (
     TRANSPORT_RETRIES,
     ChatClient,
@@ -25,6 +25,7 @@ from ipuq.elicit.loop import elicit_with_retry
 from ipuq.elicit.prompts import SYSTEM_TEXT, PromptKind, render_prompt
 from ipuq.mock import (
     AgentConfig,
+    MockResponder,
     MockScript,
     MockTransport,
     NoScriptEntryError,
@@ -46,6 +47,26 @@ def test_script_needs_entries_or_agent():
         MockScript()
     MockScript(agent=AgentConfig())  # fine
     MockScript(entries=(ScriptEntry(question="q", kind="vanilla", replies=("r",)),))
+
+
+def test_a_key_listed_twice_is_refused():
+    """Each key has one cursor, so a second entry for it would never be served."""
+    first = ScriptEntry(question="q", kind="vanilla", replies=("a",))
+    again = ScriptEntry(question="q", kind="vanilla", replies=("b", "c"))
+    twice = r"^script entry \('q', 'vanilla', None\) is listed twice$"
+    with pytest.raises(ConfigError, match=twice):
+        MockScript(entries=(first, again))
+    # another kind or another seed makes another key
+    MockScript(entries=(first, ScriptEntry(question="q", kind="definetti", replies=("b",)),
+                        ScriptEntry(question="q", kind="vanilla", replies=("c",), seed=1)))
+
+
+def test_a_seed_no_entry_can_hold_falls_back_to_the_seedless_entry():
+    user = render_prompt(PromptKind.DEFINETTI, QUESTION, TWO)
+    script = MockScript(entries=(
+        ScriptEntry(question=QUESTION, kind="definetti", replies=("seedless",)),
+    ))
+    assert MockResponder(script).reply_text(user, [7]) == "seedless"
 
 
 def test_transport_serves_entries_in_order_and_counts_calls():

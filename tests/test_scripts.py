@@ -51,6 +51,35 @@ def test_synthetic_study_script(tmp_path):
     assert f"wrote 8 rows to {out}" in proc.stdout
 
 
+def refused(proc, message, tmp_path):
+    """``proc`` printed ``message`` as its one error line, exited 2 and
+    wrote nothing under ``tmp_path``."""
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--p-grid", "abc"), "--p-grid takes comma-separated numbers, got 'abc'"),
+    (("--p-grid", "0.25,0.25"), "p 0.25 is listed twice"),
+    (("--repeats", "0"), "repeats must be >= 1, got 0"),
+], ids=["grid not numbers", "grid value twice", "no repeats"])
+def test_synthetic_study_script_refuses_a_bad_flag(tmp_path, args, message):
+    proc = run_script("run_synthetic_study.py", *args, "--out", str(tmp_path / "study.csv"),
+                      cwd=tmp_path, check=False)
+    refused(proc, message, tmp_path)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--seeds", "0,0"), "seed 0 is listed twice"),
+    (("--seeds", "x"), "--seeds takes comma-separated integers, got 'x'"),
+    (("--count", "0"), "synth dataset needs m >= 0 and count >= 1, got m=4, count=0"),
+], ids=["seed twice", "seed not an integer", "no questions"])
+def test_mock_campaign_script_refuses_a_bad_flag(tmp_path, args, message):
+    proc = run_script("run_mock_campaign.py", *args, "--output-dir", str(tmp_path / "run"),
+                      cwd=tmp_path, check=False)
+    refused(proc, message, tmp_path)
+
+
 def test_mock_campaign_script_runs_then_resumes(tmp_path):
     args = ("--count", "1", "--seeds", "0", "--credal-members", "2",
             "--output-dir", str(tmp_path / "run"))
@@ -92,6 +121,27 @@ def test_records_diff_counts_records_per_differing_field_path(tmp_path):
     ]
     same = run_script("records_diff.py", old, old, cwd=tmp_path)
     assert same.stdout == "0 of 4 matched records differ; only in OLD: 0, only in NEW: 0\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("missing.jsonl", "[Errno 2] No such file or directory: 'missing.jsonl'"),
+    ("garbage.jsonl", "garbage.jsonl: line 1, byte offset 0: not JSON (Expecting value)"),
+    ("run", "[Errno 21] Is a directory: 'run'"),
+], ids=["missing", "not JSON", "directory"])
+@pytest.mark.parametrize("bad_side", ["old", "new"])
+def test_records_diff_refuses_a_file_it_cannot_read(tmp_path, bad, message, bad_side):
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    (tmp_path / "garbage.jsonl").write_text("garbage\n", encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    files = ("empty.jsonl", bad) if bad_side == "new" else (bad, "empty.jsonl")
+    proc = run_script("records_diff.py", *files, cwd=tmp_path, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_bench_pairs_refuses_a_checkout_without_the_benchmark(tmp_path):
+    proc = run_script("bench_pairs.py", str(ROOT), str(tmp_path), "--workload", "inproc-set",
+                      "--pairs", "1", "--seconds", "0", "--tiny", cwd=tmp_path, check=False)
+    refused(proc, f"no perfbench/run.py in {tmp_path.resolve()}", tmp_path)
 
 
 def test_bench_pairs_script_compares_two_checkouts(tmp_path):
@@ -141,8 +191,12 @@ def test_bench_pairs_verdicts():
 
 
 @pytest.mark.parametrize("b_tokens, status", [(100.0, 0), (200.0, 1)], ids=["flat", "worse"])
-def test_bench_pairs_fails_on_a_worse_metric(monkeypatch, capsys, b_tokens, status):
+def test_bench_pairs_fails_on_a_worse_metric(tmp_path, monkeypatch, capsys, b_tokens, status):
     bench_pairs = load_bench_pairs()
+    for side in "ab":
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+    monkeypatch.chdir(tmp_path)
 
     def run_side(checkout, workload, seed, seconds, tiny):
         metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
