@@ -221,9 +221,8 @@ _SPACE = b" \t\n\r\x0b\x0c"
 
 
 def _check_header(head: Any) -> None:
-    schema = head.get("schema") if isinstance(head, dict) else head
-    if schema != RECORD_SCHEMA:
-        raise RecordsSchemaError(f"unexpected records schema {schema!r}")
+    if not isinstance(head, dict) or head.get("schema") != RECORD_SCHEMA:
+        raise RecordsSchemaError(f"unexpected records header {head!r}")
 
 
 def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> Iterator[Any]:

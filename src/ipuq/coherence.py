@@ -83,29 +83,23 @@ def verify_axioms(prices: Sequence[float]) -> VerdictReport:
     return VerdictReport(tuple(violations))
 
 
-def verify_interval_coherence(
-    intervals: ProbabilityIntervalSet,
-    *,
-    enforce_upper: bool = False,
-) -> VerdictReport:
+def verify_interval_coherence(intervals: ProbabilityIntervalSet) -> VerdictReport:
     """Check that per-answer probability intervals admit any distribution at all.
 
-    The binding constraint is that the lower bounds must not sum above 1;
-    the upper-bound MMI score depends only on the lower bounds, so by default
-    that is the only sum verified.  With ``enforce_upper=True`` the dual
-    condition (upper bounds summing to at least 1) is checked as well, which
-    additionally rules out interval sets whose box contains no distribution
-    from above.  Per-answer ordering and range are enforced by the type
-    itself at construction.
+    The box of intervals holds a distribution exactly when the lower bounds
+    sum to at most 1 and the upper bounds to at least 1.  Otherwise a book
+    is a sure loss: buying every answer at its lower price costs more than
+    the sure payout of 1, or selling every answer at its upper price brings
+    in less.  Per-answer ordering and range are enforced by the type itself
+    at construction.
     """
     violations: list[Violation] = []
     lower_total = sum(intervals.lowers)
     if lower_total > 1.0 + PROB_TOL:
         violations.append(Violation(LOWER_SUM, GLOBAL_INDEX, observed=lower_total, bound=1.0))
-    if enforce_upper:
-        upper_total = sum(intervals.uppers)
-        if upper_total < 1.0 - PROB_TOL:
-            violations.append(Violation(UPPER_SUM, GLOBAL_INDEX, observed=upper_total, bound=1.0))
+    upper_total = sum(intervals.uppers)
+    if upper_total < 1.0 - PROB_TOL:
+        violations.append(Violation(UPPER_SUM, GLOBAL_INDEX, observed=upper_total, bound=1.0))
     return VerdictReport(tuple(violations))
 
 

@@ -91,6 +91,17 @@ def encode_request(endpoint: ModelEndpoint, system_text: str, user_text: str) ->
     return body, json.dumps(body, sort_keys=True, ensure_ascii=False)
 
 
+def _token_count(usage: object, key: str) -> int:
+    """``usage[key]``, 0 when absent; a count must be a non-negative JSON integer."""
+    if not isinstance(usage, dict):
+        raise TransportError(f"malformed chat response body: usage {usage!r} is not an object")
+    count = usage.get(key, 0)
+    if type(count) is not int or count < 0:
+        raise TransportError(
+            f"malformed chat response body: {key} {count!r} is not a non-negative integer")
+    return count
+
+
 def parse_response_body(raw_request: str, raw_response: str) -> ChatReply:
     """Decode a chat response body into a reply that keeps both bodies verbatim."""
     try:
@@ -103,8 +114,8 @@ def parse_response_body(raw_request: str, raw_response: str) -> ChatReply:
         logger.debug("response carried no usage block; recording zero tokens")
     return ChatReply(
         text=text,
-        input_tokens=int(usage.get("prompt_tokens", 0)),
-        output_tokens=int(usage.get("completion_tokens", 0)),
+        input_tokens=_token_count(usage, "prompt_tokens"),
+        output_tokens=_token_count(usage, "completion_tokens"),
         raw_request=raw_request,
         raw_response=raw_response,
     )

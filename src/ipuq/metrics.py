@@ -8,7 +8,6 @@ which keeps scores comparable across methods with different granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -23,51 +22,35 @@ class AllRefsTiedError(IpuqError, ValueError):
     pass
 
 
-class MissingRefError(IpuqError, ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    """One evaluated example: an uncertainty score plus what it should track.
-
-    ``label`` is the binary target for AUROC (1 = the class the score should
-    rank higher).  ``ref_value`` is a real-valued target for concordance.
-    """
-
-    score: float
-    label: int = 0
-    ref_value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-
-
-def auroc(examples: Sequence[ScoredExample]) -> float:
-    """Probability that a random positive outscores a random negative.
+def auroc(pairs: Sequence[tuple[float, int]]) -> float:
+    """Probability that a random positive outscores a random negative, over
+    ``(score, label)`` pairs; label 1 is the class the score should rank higher.
 
     Computed from average ranks (Mann-Whitney form), which credits tied
     score pairs exactly 0.5 and therefore agrees to the last bit with a
     direct enumeration of all positive-negative pairs.
     """
-    n_pos = sum(1 for e in examples if e.label == 1)
-    n_neg = len(examples) - n_pos
+    for _, label in pairs:
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+    n_pos = sum(1 for _, label in pairs if label == 1)
+    n_neg = len(pairs) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("AUROC needs at least one positive and one negative")
-    order = sorted(range(len(examples)), key=lambda i: examples[i].score)
-    ranks = [0.0] * len(examples)
+    scores = [score for score, _ in pairs]
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0.0] * len(scores)
     i = 0
     while i < len(order):
         j = i
-        while j + 1 < len(order) and examples[order[j + 1]].score == examples[order[i]].score:
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
             j += 1
         # 1-based ranks; every member of a tie block gets the block's mean rank.
         avg = (i + 1 + j + 1) / 2
         for k in range(i, j + 1):
             ranks[order[k]] = avg
         i = j + 1
-    pos_rank_sum = sum(r for r, e in zip(ranks, examples) if e.label == 1)
+    pos_rank_sum = sum(r for r, (_, label) in zip(ranks, pairs) if label == 1)
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
@@ -104,8 +87,9 @@ def _sort_counting_inversions(values: list[float]) -> tuple[list[float], int]:
     return merged, inversions
 
 
-def concordance_index(examples: Sequence[ScoredExample]) -> float:
-    """Fraction of reference-ordered pairs the scores order the same way.
+def concordance_index(pairs: Sequence[tuple[float, float]]) -> float:
+    """Fraction of reference-ordered pairs the scores order the same way;
+    each example is a ``(score, reference)`` tuple.
 
     Pairs whose reference values tie are not comparable and leave the
     denominator; pairs whose scores tie count half.  Pairs are counted, not
@@ -116,11 +100,8 @@ def concordance_index(examples: Sequence[ScoredExample]) -> float:
     correctly, and on finite inputs the result is bit-identical to summing
     the credit over every pair.
     """
-    for e in examples:
-        if e.ref_value is None:
-            raise MissingRefError("every example needs a ref_value for concordance")
-    n = len(examples)
-    by_ref = sorted((e.ref_value, e.score) for e in examples)
+    n = len(pairs)
+    by_ref = sorted((ref, score) for score, ref in pairs)
     comparable = n * (n - 1) // 2 - _tied_pairs(ref for ref, _ in by_ref)
     if comparable == 0:
         raise AllRefsTiedError("no pair of examples has distinct reference values")
@@ -133,8 +114,6 @@ def concordance_index(examples: Sequence[ScoredExample]) -> float:
 __all__ = [
     "DegenerateLabelsError",
     "AllRefsTiedError",
-    "MissingRefError",
-    "ScoredExample",
     "auroc",
     "concordance_index",
 ]

@@ -256,7 +256,8 @@ _SHUTDOWN_POLL_S = 0.01
 
 
 def _make_server(script: MockScript, host: str, port: int) -> ThreadingHTTPServer:
-    """Bind a threading HTTP server whose handler answers from one responder.
+    """Bind a threading HTTP server whose handler answers from one responder;
+    any exception the responder raises answers 500 with ``{"error": "<Type>: <message>"}``.
 
     ``http.server`` is imported here, so only a process that serves pays
     for it.
@@ -272,7 +273,8 @@ def _make_server(script: MockScript, host: str, port: int) -> ThreadingHTTPServe
             try:
                 payload = responder.respond(json.loads(raw))
                 status = 200
-            except (ScriptExhaustedError, NoScriptEntryError, ValueError, KeyError) as exc:
+            except Exception as exc:  # a bad request gets a 500, not a dropped connection
+                logger.debug("mock server: responder raised", exc_info=True)
                 payload = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
                 status = 500
             data = payload.encode("utf-8")

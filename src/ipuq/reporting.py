@@ -1,4 +1,4 @@
-"""Turn persisted run records into metric inputs and fixed-column CSV rows."""
+"""Turn persisted run records into fixed-column metric and cost CSV rows."""
 
 from __future__ import annotations
 
@@ -7,18 +7,13 @@ import logging
 import math
 import statistics
 from collections import defaultdict
+from functools import partial
 from typing import Any, Iterable, Sequence
 
 from .campaign import RECORDS, SCORE_FIELDS, decode_record_payload
 from .core import ConfigError, PrecisePMF, build_pmf
 from .elicit.client import ModelEndpoint
-from .metrics import (
-    AllRefsTiedError,
-    DegenerateLabelsError,
-    ScoredExample,
-    auroc,
-    concordance_index,
-)
+from .metrics import AllRefsTiedError, DegenerateLabelsError, auroc, concordance_index
 from .scores import ce_kl_decomposition, entropy
 
 logger = logging.getLogger(__name__)
@@ -87,36 +82,6 @@ def _pstar_reference(record: dict[str, Any], ref_kind: str) -> float | None:
     return ce_kl_decomposition(reference, predicted).kl_eu
 
 
-def examples_for_auroc(
-    records: Iterable[dict[str, Any]], *, score_field: str, label_kind: str
-) -> list[ScoredExample]:
-    _check_choice("score field", score_field, SCORE_FIELDS)
-    _check_choice("label kind", label_kind, LABEL_KINDS)
-    out = []
-    for rec in records:
-        score = rec["scores"].get(score_field)
-        label = _record_label(rec, label_kind)
-        if score is None or label is None:
-            continue
-        out.append(ScoredExample(score=float(score), label=int(label)))
-    return out
-
-
-def examples_for_concordance(
-    records: Iterable[dict[str, Any]], *, score_field: str, ref_kind: str
-) -> list[ScoredExample]:
-    _check_choice("score field", score_field, SCORE_FIELDS)
-    _check_choice("reference kind", ref_kind, REF_KINDS)
-    out = []
-    for rec in records:
-        score = rec["scores"].get(score_field)
-        ref = _pstar_reference(rec, ref_kind)
-        if score is None or ref is None:
-            continue
-        out.append(ScoredExample(score=float(score), label=0, ref_value=float(ref)))
-    return out
-
-
 def _group_records(
     records: Iterable[dict[str, Any]],
 ) -> dict[str, dict[int, list[dict[str, Any]]]]:
@@ -157,28 +122,29 @@ def metric_rows(
     _check_choice("score field", score_field, SCORE_FIELDS)
     _check_choice("label kind", label_kind, LABEL_KINDS)
     _check_choice("reference kind", ref_kind, REF_KINDS)
+    if metric == "auroc":
+        metric_of, target_of, cast = auroc, partial(_record_label, label_kind=label_kind), int
+    else:
+        metric_of, target_of, cast = (
+            concordance_index, partial(_pstar_reference, ref_kind=ref_kind), float)
     rows = []
     for method, by_seed in sorted(_group_records(records).items()):
         per_seed: list[float] = []
         used = 0
         for seed in sorted(by_seed):
-            recs = by_seed[seed]
+            # every target is computed, so a record that eval cannot read fails the call
+            pairs = []
+            for rec in by_seed[seed]:
+                target = target_of(rec)
+                score = rec["scores"].get(score_field)
+                if score is not None and target is not None:
+                    pairs.append((float(score), cast(target)))
             try:
-                if metric == "auroc":
-                    examples = examples_for_auroc(
-                        recs, score_field=score_field, label_kind=label_kind
-                    )
-                    value = auroc(examples)
-                else:
-                    examples = examples_for_concordance(
-                        recs, score_field=score_field, ref_kind=ref_kind
-                    )
-                    value = concordance_index(examples)
+                per_seed.append(metric_of(pairs))
             except (DegenerateLabelsError, AllRefsTiedError) as exc:
                 logger.warning("%s/%s seed %d skipped: %s", method, metric, seed, exc)
                 continue
-            per_seed.append(value)
-            used += len(examples)
+            used += len(pairs)
         if not per_seed:
             logger.warning("%s: no seed produced a %s value", method, metric)
             continue
@@ -259,8 +225,6 @@ __all__ = [
     "METRIC_CSV_COLUMNS",
     "COST_CSV_COLUMNS",
     "UnknownEndpointError",
-    "examples_for_auroc",
-    "examples_for_concordance",
     "metric_rows",
     "cost_rows",
     "write_csv",

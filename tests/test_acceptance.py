@@ -38,7 +38,7 @@ from ipuq.decision import maximax, maximin, precise_argmax
 from ipuq.elicit.client import ChatClient, ModelEndpoint
 from ipuq.elicit.loop import RetriesExhaustedError, elicit_with_retry
 from ipuq.elicit.prompts import PromptKind
-from ipuq.metrics import ScoredExample, auroc, concordance_index
+from ipuq.metrics import auroc, concordance_index
 from ipuq.mmi import (
     exact_mmi_credal,
     interval_width_mmi,
@@ -282,9 +282,9 @@ def test_c07_transforms_round_trip():
 # -------------------------------------------------------------------------
 
 
-def pairwise_auroc(examples):
-    pos = [e.score for e in examples if e.label == 1]
-    neg = [e.score for e in examples if e.label == 0]
+def pairwise_auroc(pairs):
+    pos = [score for score, label in pairs if label == 1]
+    neg = [score for score, label in pairs if label == 0]
     total = 0.0
     for p in pos:
         for q in neg:
@@ -292,17 +292,17 @@ def pairwise_auroc(examples):
     return total / (len(pos) * len(neg))
 
 
-def pairwise_concordance(examples):
+def pairwise_concordance(pairs):
     agree = 0.0
     used = 0
-    for i in range(len(examples)):
-        for j in range(i + 1, len(examples)):
-            a, b = examples[i], examples[j]
-            if a.ref_value == b.ref_value:
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            (a_score, a_ref), (b_score, b_ref) = pairs[i], pairs[j]
+            if a_ref == b_ref:
                 continue
             used += 1
-            hi, lo = (a, b) if a.ref_value > b.ref_value else (b, a)
-            agree += 1.0 if hi.score > lo.score else (0.5 if hi.score == lo.score else 0.0)
+            hi, lo = (a_score, b_score) if a_ref > b_ref else (b_score, a_score)
+            agree += 1.0 if hi > lo else (0.5 if hi == lo else 0.0)
     return agree / used
 
 
@@ -313,20 +313,19 @@ def test_c08_rank_metrics_match_pair_enumeration():
         while done < 1_000:
             n = rng.randint(2, 100)
             # coarse score grid makes ties frequent
+            # (score, label, reference), drawn in that order
             examples = [
-                ScoredExample(
-                    score=rng.randint(0, 12) / 12,
-                    label=rng.randint(0, 1),
-                    ref_value=rng.randint(0, 8) / 8,
-                )
+                (rng.randint(0, 12) / 12, rng.randint(0, 1), rng.randint(0, 8) / 8)
                 for _ in range(n)
             ]
-            labels = {e.label for e in examples}
-            refs = {e.ref_value for e in examples}
+            labelled = [(score, label) for score, label, _ in examples]
+            referenced = [(score, ref) for score, _, ref in examples]
+            labels = {label for _, label in labelled}
+            refs = {ref for _, ref in referenced}
             if labels != {0, 1} or len(refs) < 2:
                 continue
-            assert auroc(examples) == pairwise_auroc(examples)
-            assert concordance_index(examples) == pairwise_concordance(examples)
+            assert auroc(labelled) == pairwise_auroc(labelled)
+            assert concordance_index(referenced) == pairwise_concordance(referenced)
             done += 1
 
 

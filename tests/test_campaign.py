@@ -395,11 +395,14 @@ class TestRecordsReader:
         assert existing_keys(str(path)) == set()
 
     @pytest.mark.parametrize("read", (load_run_records, existing_keys))
-    @pytest.mark.parametrize("header", ('{"schema":"someone.elses.v9"}', '["a list"]'))
+    @pytest.mark.parametrize("header", ('{"schema":"someone.elses.v9"}', '["a list"]',
+                                        f'"{RECORD_SCHEMA}"'))
     def test_a_wrong_header_is_refused(self, tmp_path, chunk, read, header):
+        # the header is the object append_records writes, not its schema string alone
         path = tmp_path / "records.jsonl"
         path.write_text(f"\n{header}\n{_reader_lines(chunk)[0]}\n", encoding="utf-8")
-        with pytest.raises(RecordsSchemaError, match="someone.elses.v9|a list"):
+        with pytest.raises(RecordsSchemaError, match="someone.elses.v9|a list|"
+                                                     f"header '{RECORD_SCHEMA}'"):
             read(str(path))
 
     @pytest.mark.parametrize("read", (load_run_records, existing_keys))

@@ -425,11 +425,14 @@ class TestEvalCommands:
         assert by_method["definetti"]["currency"] == pytest.approx(36e-6)
         assert by_method["__total__"]["currency"] == pytest.approx(36e-6)
 
-    def test_bad_records_schema_is_a_dataset_error(self, tmp_path, capsys):
-        path = tmp_path / "records.jsonl"
-        path.write_text('{"schema":"other.v1"}\n', encoding="utf-8")
-        assert main(["eval", "auroc", "--records", str(path)]) == EXIT_DATASET
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("header", ['{"schema":"other.v1"}', f'"{RECORD_SCHEMA}"'],
+                             ids=["other schema", "bare schema string"])
+    def test_bad_records_schema_is_a_dataset_error(self, tmp_path, capsys, header):
+        path = eval_fixture_records(tmp_path)
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+        Path(path).write_text(header + "\n" + "".join(lines[1:]), encoding="utf-8")
+        assert main(["eval", "auroc", "--records", path]) == EXIT_DATASET
+        assert capsys.readouterr().err.startswith("error: unexpected records header")
 
     def test_records_that_are_not_utf8_are_a_dataset_error(self, tmp_path, capsys):
         path = eval_fixture_records(tmp_path)

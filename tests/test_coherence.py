@@ -104,11 +104,11 @@ def test_interval_coherence_rejects_lower_sum_above_one():
     assert report.violations[0].observed == pytest.approx(1.3)
 
 
-def test_interval_coherence_upper_check_is_opt_in():
-    ivs = _ivs([0.0, 0.0], [0.3, 0.4])  # uppers sum to 0.7 < 1
-    assert verify_interval_coherence(ivs).passed
-    report = verify_interval_coherence(ivs, enforce_upper=True)
+def test_interval_coherence_rejects_upper_sum_below_one():
+    report = verify_interval_coherence(_ivs([0.0, 0.0], [0.3, 0.4]))
     assert codes(report) == (UPPER_SUM,)
+    assert report.violations[0].observed == pytest.approx(0.7)
+    assert verify_interval_coherence(_ivs([0.0, 0.0], [0.3, 0.7])).passed  # sums to 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ipuq.core import (
     interval_from_credal,
 )
 from ipuq.campaign import MODE_SET, score_payload
-from ipuq.coherence import ALL_ZERO, SUM
+from ipuq.coherence import ALL_ZERO, SUM, UPPER_SUM
 from ipuq.elicit.client import ChatClient, ModelEndpoint, TransportError
 from ipuq.elicit.loop import (
     INVERTED,
@@ -325,6 +325,19 @@ class TestOtherKinds:
         assert result.payload.lowers == (0.2, 0.3)
         assert result.payload.uppers == (0.6, 0.5)
         assert set_scores("probint", result.payload) == (None, 1.0 - (0.2 + 0.3))
+
+    def test_uppers_summing_below_one_are_re_prompted(self):
+        # no distribution fits under uppers that sum to 0.7
+        client, transport = scripted_client(entry("probint", [
+            block(["1|lower=0.1|upper=0.3", "2|lower=0.2|upper=0.4"]),
+            block(["1|lower=0.1|upper=0.6", "2|lower=0.2|upper=0.5"]),
+        ]))
+        result = elicit_with_retry(client, ENDPOINT, PromptKind.PROBINT, QUESTION, TWO)
+        assert result.succeeded and result.attempts == 2 == transport.calls
+        (violation,) = result.attempt_log[0].verdict.violations
+        assert violation.code == UPPER_SUM
+        assert violation.observed == pytest.approx(0.7) and violation.bound == 1.0
+        assert result.payload.uppers == (0.6, 0.5)
 
     def test_inverted_interval_is_a_verdict_not_a_crash(self):
         client, _ = scripted_client(

@@ -20,6 +20,7 @@ from ipuq.elicit.client import (
     ModelEndpoint,
     TransportError,
     encode_request,
+    parse_response_body,
 )
 from ipuq.elicit.loop import elicit_with_retry
 from ipuq.elicit.prompts import SYSTEM_TEXT, PromptKind, render_prompt
@@ -294,6 +295,20 @@ class TestHttpFace:
         assert "500" in str(info.value)
         assert info.value.retryable
 
+    @pytest.mark.parametrize("seed", ["1", [1]], ids=["string", "list"])
+    def test_a_responder_error_is_a_500_and_the_server_keeps_serving(self, serve, seed):
+        # the credal agent reads the seed as an integer; anything else raises in it
+        user = render_prompt(PromptKind.CREDAL, QUESTION, TWO)
+        transport = HttpTransport(timeout_s=10.0)
+        with serve(MockScript(agent=AgentConfig())) as base_url:
+            with pytest.raises(TransportError) as info:
+                transport.send(ModelEndpoint(base_url=base_url, model_id="m", seed=seed),
+                               SYSTEM_TEXT, user)
+            reply = transport.send(ModelEndpoint(base_url=base_url, model_id="m", seed=1),
+                                   SYSTEM_TEXT, user)
+        assert str(info.value).startswith('endpoint returned HTTP 500: {"error": "TypeError: ')
+        assert reply.text.startswith("```")
+
 
 CHAT_BODY = json.dumps({
     "choices": [{"message": {"role": "assistant", "content": "café ok"}}],
@@ -377,6 +392,30 @@ class TestHttpTransport:
         reply = _send(url)
         assert reply.raw_response == expected
         assert reply.text == json.loads(expected)["choices"][0]["message"]["content"]
+
+    @pytest.mark.parametrize("usage", [
+        [1], "abc", {"prompt_tokens": "abc"}, {"prompt_tokens": 1.7}, {"prompt_tokens": 2.0},
+        {"completion_tokens": -3}, {"prompt_tokens": True}, {"completion_tokens": None},
+    ])
+    def test_a_usage_block_that_is_not_token_counts_is_malformed(self, fixed_reply, usage):
+        server, url = fixed_reply
+        body = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
+        server.reply = (200, "application/json", json.dumps(body).encode("utf-8"))
+        with pytest.raises(TransportError, match="^malformed chat response body: ") as info:
+            _send(url)
+        assert not info.value.retryable
+        assert len(server.seen) == 1
+
+    @pytest.mark.parametrize("usage, tokens", [
+        ("absent", (0, 0)), (None, (0, 0)), ({}, (0, 0)), ([], (0, 0)),
+        ({"prompt_tokens": 5}, (5, 0)), ({"completion_tokens": 0}, (0, 0)),
+    ])
+    def test_a_missing_usage_block_or_count_reads_as_zero(self, usage, tokens):
+        body = {"choices": [{"message": {"content": "ok"}}]}
+        if usage != "absent":
+            body["usage"] = usage
+        reply = parse_response_body("{}", json.dumps(body))
+        assert (reply.input_tokens, reply.output_tokens) == tokens
 
     def test_connection_refused_is_retryable(self):
         with socket.create_server(("127.0.0.1", 0)) as sock:

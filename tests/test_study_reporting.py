@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ipuq.campaign import RecordsSchemaError
 from ipuq.reporting import (
     COST_CSV_COLUMNS,
-    LABEL_AMBIGUOUS,
     LABEL_INCORRECT,
     METRIC_CSV_COLUMNS,
     REF_ENTROPY_PSTAR,
     REF_KL_PSTAR,
     UnknownEndpointError,
+    _pstar_reference,
+    _record_label,
     cost_rows,
-    examples_for_auroc,
-    examples_for_concordance,
     metric_rows,
     write_csv,
 )
@@ -206,16 +206,16 @@ def fake_record(method, seed, *, first=None, second=None, combined=None,
     }
 
 
-class TestReportingExamples:
-    def test_auroc_examples_skip_missing_scores_and_labels(self):
+class TestMetricTargets:
+    def test_auroc_skips_missing_scores_and_labels(self):
         records = [
             fake_record("definetti", 0, first=0.9, ambiguous=1),
             fake_record("definetti", 0, first=None, ambiguous=0),
+            fake_record("definetti", 0, first=0.5, ambiguous=None),
             fake_record("definetti", 0, first=0.1, ambiguous=0),
         ]
-        examples = examples_for_auroc(records, score_field="first_order",
-                                      label_kind=LABEL_AMBIGUOUS)
-        assert [(e.score, e.label) for e in examples] == [(0.9, 1), (0.1, 0)]
+        (row,) = metric_rows(records, "auroc", dataset="toy")
+        assert (row["value"], row["n"]) == (1.0, 2)
 
     def test_incorrect_label_inverts_correct(self):
         records = [
@@ -223,18 +223,17 @@ class TestReportingExamples:
             fake_record("definetti", 0, first=0.1, correct=1),
             fake_record("definetti", 0, first=0.5, correct=None),
         ]
-        examples = examples_for_auroc(records, score_field="first_order",
-                                      label_kind=LABEL_INCORRECT)
-        assert [(e.score, e.label) for e in examples] == [(0.9, 1), (0.1, 0)]
+        assert [_record_label(r, LABEL_INCORRECT) for r in records] == [1, 0, None]
+        (row,) = metric_rows(records, "auroc", dataset="toy", label_kind=LABEL_INCORRECT)
+        assert (row["value"], row["n"]) == (1.0, 2)
 
     def test_concordance_reference_entropy_of_pstar(self):
         records = [
             fake_record("definetti", 0, first=0.3, pstar=(0.5, 0.5)),
             fake_record("definetti", 0, first=0.1, pstar=(1.0, 0.0)),
         ]
-        examples = examples_for_concordance(records, score_field="first_order",
-                                            ref_kind=REF_ENTROPY_PSTAR)
-        assert [e.ref_value for e in examples] == [pytest.approx(math.log(2)), 0.0]
+        assert [_pstar_reference(r, REF_ENTROPY_PSTAR) for r in records] == [
+            pytest.approx(math.log(2)), 0.0]
 
     def test_concordance_kl_needs_a_predicted_pmf(self):
         with_pmf = fake_record(
@@ -243,21 +242,25 @@ class TestReportingExamples:
         )
         without = fake_record("vanilla", 0, first=0.3, pstar=(0.5, 0.5),
                               truth=("A", "B"))
-        examples = examples_for_concordance([with_pmf, without],
-                                            score_field="first_order",
-                                            ref_kind=REF_KL_PSTAR)
-        assert len(examples) == 1
-        assert examples[0].ref_value == pytest.approx(0.0, abs=1e-9)
+        assert _pstar_reference(with_pmf, REF_KL_PSTAR) == pytest.approx(0.0, abs=1e-9)
+        assert _pstar_reference(without, REF_KL_PSTAR) is None
 
     def test_kl_reference_grows_with_disagreement(self):
         agree = fake_record("definetti", 0, first=0.1, pstar=(0.9, 0.1),
                             truth=("A", "B"), probs=(0.9, 0.1))
         disagree = fake_record("definetti", 0, first=0.1, pstar=(0.9, 0.1),
                                truth=("A", "B"), probs=(0.1, 0.9))
-        examples = examples_for_concordance([agree, disagree],
-                                            score_field="first_order",
-                                            ref_kind=REF_KL_PSTAR)
-        assert examples[0].ref_value < examples[1].ref_value
+        assert (_pstar_reference(agree, REF_KL_PSTAR)
+                < _pstar_reference(disagree, REF_KL_PSTAR))
+
+    def test_a_reference_that_cannot_be_read_fails_the_call_without_a_score(self):
+        records = [
+            fake_record("definetti", 0, first=0.1, pstar=(0.9, 0.1), probs=(0.9, 0.1)),
+            fake_record("definetti", 0, first=0.9, pstar=(0.5, 0.5), probs=(0.1, 0.9)),
+            fake_record("definetti", 0, first=None, pstar=(0.5, 0.5), probs=("x", 0.5)),
+        ]
+        with pytest.raises(RecordsSchemaError, match="payload does not decode"):
+            metric_rows(records, "concordance", dataset="toy", ref_kind=REF_KL_PSTAR)
 
 
 class TestMetricRows:
@@ -325,20 +328,9 @@ class TestMetricRows:
             yield
 
         bad = {argument: "bogus"}
-        calls = [lambda: metric_rows(unread(), "auroc", dataset="toy", **bad),
-                 lambda: metric_rows(unread(), "concordance", dataset="toy", **bad)]
-        score_field = bad.get("score_field", "first_order")
-        if argument != "ref_kind":
-            calls.append(lambda: examples_for_auroc(
-                unread(), score_field=score_field,
-                label_kind=bad.get("label_kind", LABEL_AMBIGUOUS)))
-        if argument != "label_kind":
-            calls.append(lambda: examples_for_concordance(
-                unread(), score_field=score_field,
-                ref_kind=bad.get("ref_kind", REF_ENTROPY_PSTAR)))
-        for call in calls:
+        for metric in ("auroc", "concordance"):
             with pytest.raises(ValueError, match=message):
-                call()
+                metric_rows(unread(), metric, dataset="toy", **bad)
 
     def test_csv_round_trip(self, tmp_path):
         records = [
