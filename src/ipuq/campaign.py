@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -321,7 +322,7 @@ def _decode_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
 
 #: What eval reads of every record besides its key, and the type it reads.
 _EVAL_MEMBERS = [(path, path.split("."), kind) for path, kind in {
-    "scores": dict, "labels": dict, "candidates.answers": list, "truth_set": list,
+    "scores": dict, "candidates.answers": list, "truth_set": list,
     "endpoint.key": str, "elicitation.payload": (dict, type(None)),
     "elicitation.usage.input_tokens": int, "elicitation.usage.output_tokens": int,
 }.items()]
@@ -352,12 +353,8 @@ def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
     return record
 
 
-def _is_bit(value: Any) -> bool:
-    return type(value) is int and 0 <= value <= 1
-
-
 def _wrong_value(record: dict[str, Any]) -> str | None:
-    """What is wrong with an answer, label, score or p* value that eval
+    """What is wrong with an answer, case rule, score or p* value that eval
     reads, if anything.  An absent member reads as no value, as eval reads it."""
     for name, answers in (("candidates.answers", record["candidates"]["answers"]),
                           ("truth_set", record["truth_set"])):
@@ -366,16 +363,13 @@ def _wrong_value(record: dict[str, Any]) -> str | None:
     for name in ("prediction", "reference_answer"):
         if type(value := record.get(name)) not in (str, type(None)):
             return f"{name} must be a string or null, got {value!r}"
-    labels = record["labels"]
-    if "ambiguous" in labels and not _is_bit(labels["ambiguous"]):
-        return f"labels.ambiguous must be 0 or 1, got {labels['ambiguous']!r}"
-    correct = labels.get("correct")
-    if correct is not None and not _is_bit(correct):
-        return f"labels.correct must be 0, 1 or null, got {correct!r}"
+    if type(rule := record["candidates"].get("case_sensitive", False)) is not bool:
+        return f"candidates.case_sensitive must be true or false, got {rule!r}"
     for name in SCORE_FIELDS:
         score = record["scores"].get(name)
-        if score is not None and type(score) not in (int, float):  # a bool is not a number
-            return f"scores.{name} must be a number or null, got {score!r}"
+        # a bool is not a number, and json.loads reads NaN and Infinity
+        if score is not None and not (type(score) in (int, float) and abs(score) < math.inf):
+            return f"scores.{name} must be a finite number or null, got {score!r}"
     if not is_pstar(record.get("pstar"), len(record["truth_set"])):
         return PSTAR_RULE
     return None
@@ -519,13 +513,6 @@ def _possibility_second_order(assignment: PossibilityAssignment, index: int | No
     return possibility_binary_mmi(min(assignment.scores[index], 1.0), min(max(rest), 1.0)).value
 
 
-def _decode_credal(data: dict[str, Any], candidates: CandidateSet) -> CredalSet:
-    members = tuple(PrecisePMF(candidates=candidates, probs=tuple(row)) for row in data["members"])
-    return CredalSet(
-        candidates=candidates, members=members, member_tags=tuple(data.get("tags", ()))
-    )
-
-
 #: The record table: one entry per campaign method.  A method whose payload
 #: is one verified reply stores that reply's JSON form from the loop's table.
 RECORDS: dict[str, RecordSpec] = {
@@ -546,11 +533,9 @@ RECORDS: dict[str, RecordSpec] = {
     PromptKind.CREDAL.value: _with_belief(
         utilitarian_aggregate,
         _credal_second_order,
-        encode=lambda credal: {
-            "members": [list(m.probs) for m in credal.members],
-            "tags": list(credal.member_tags),
-        },
-        decode=_decode_credal,
+        encode=lambda credal: {"members": [list(m.probs) for m in credal.members]},
+        decode=lambda data, c: CredalSet(candidates=c, members=tuple(
+            PrecisePMF(candidates=c, probs=tuple(row)) for row in data["members"])),
         ensemble=True,
     ),
     PromptKind.POSSIBILITY.value: RecordSpec(
@@ -801,7 +786,6 @@ def _build_record(
     started: float,
 ) -> dict[str, Any]:
     elapsed = time.time() - started
-    endpoint = config.endpoints[0]
     prediction = qrecord.prediction
     payload_dict: dict[str, Any] | None = None
     scores_dict: dict[str, Any] = dict.fromkeys(("mode", *SCORE_FIELDS))
@@ -812,10 +796,6 @@ def _build_record(
         scores_dict = _score_block(
             method, payload, qrecord.candidates, config.score_mode, prediction
         )
-
-    correct: int | None = None
-    if prediction is not None and qrecord.reference_answer is not None:
-        correct = int(qrecord.candidates.matches(prediction, qrecord.reference_answer))
 
     total_in = sum(r.input_tokens for r in results)
     total_out = sum(r.output_tokens for r in results)
@@ -829,13 +809,8 @@ def _build_record(
         "truth_set": list(qrecord.truth_set),
         "reference_answer": qrecord.reference_answer,
         "pstar": list(qrecord.pstar) if qrecord.pstar is not None else None,
-        "labels": {"ambiguous": int(qrecord.ambiguous), "correct": correct},
         "prediction": prediction,
-        "endpoint": {
-            "key": endpoint.key,
-            "model_id": endpoint.model_id,
-            "base_url": endpoint.base_url,
-        },
+        "endpoint": {"key": config.endpoints[0].key},
         "elicitation": {
             "succeeded": error is None,
             "salvaged": any(r.salvaged for r in results),

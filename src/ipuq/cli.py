@@ -128,8 +128,7 @@ def _cmd_elicit(args: argparse.Namespace) -> int:
     if args.candidate:
         candidates = CandidateSet(answers=tuple(args.candidate))
     elif kind in KINDS_WITH_CANDIDATES:
-        print(f"error: kind {kind.value!r} needs at least one --candidate", file=sys.stderr)
-        return EXIT_FAILURE
+        raise ConfigError(f"kind {kind.value!r} needs at least one --candidate")
     client = ChatClient()
     try:
         result = elicit_with_retry(

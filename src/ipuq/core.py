@@ -295,7 +295,6 @@ class CredalSet:
 
     candidates: CandidateSet
     members: tuple[PrecisePMF, ...]
-    member_tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -303,8 +302,6 @@ class CredalSet:
         for m in self.members:
             if m.candidates != self.candidates:
                 raise CandidateSetMismatchError("member PMFs must share the candidate set")
-        if self.member_tags and len(self.member_tags) != len(self.members):
-            raise LengthMismatchError("one tag per member, or no tags at all")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -411,10 +408,6 @@ class QARecord:
             raise OutOfRangeError(PSTAR_RULE)
         if self.pstar is not None:
             self.pstar = tuple(float(p) for p in self.pstar)
-
-    @property
-    def ambiguous(self) -> bool:
-        return len(self.truth_set) > 1
 
 
 def build_pmf(

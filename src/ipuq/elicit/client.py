@@ -109,6 +109,8 @@ def parse_response_body(raw_request: str, raw_response: str) -> ChatReply:
         text = data["choices"][0]["message"]["content"]
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed chat response body: {exc}") from exc
+    if not isinstance(text, str):
+        raise TransportError(f"malformed chat response body: content {text!r:.60} is not a string")
     usage = data.get("usage") or {}
     if not usage:
         logger.debug("response carried no usage block; recording zero tokens")

@@ -302,7 +302,6 @@ def elicit_credal_ensemble(
     if not members:
         raise ValueError("need at least one ensemble member")
     pmfs: list[PrecisePMF] = []
-    tags: list[str] = []
     for ep in members:
         try:
             result = elicit_with_retry(
@@ -319,10 +318,9 @@ def elicit_credal_ensemble(
             logger.warning("credal member %s failed: %s", ep.key, exc)
             continue
         pmfs.append(result.payload)
-        tags.append(f"{ep.key}#seed={ep.seed}")
     if len(pmfs) < len(members):
         raise MemberQuorumNotMetError(len(pmfs), len(members))
-    return CredalSet(candidates=candidates, members=tuple(pmfs), member_tags=tuple(tags))
+    return CredalSet(candidates=candidates, members=tuple(pmfs))
 
 
 def generate_candidates(

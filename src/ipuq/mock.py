@@ -258,6 +258,7 @@ _SHUTDOWN_POLL_S = 0.01
 def _make_server(script: MockScript, host: str, port: int) -> ThreadingHTTPServer:
     """Bind a threading HTTP server whose handler answers from one responder;
     any exception the responder raises answers 500 with ``{"error": "<Type>: <message>"}``.
+    A host and port it cannot bind raise :class:`ConfigError` naming both.
 
     ``http.server`` is imported here, so only a process that serves pays
     for it.
@@ -287,7 +288,10 @@ def _make_server(script: MockScript, host: str, port: int) -> ThreadingHTTPServe
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             logger.debug("mock server: " + format, *args)
 
-    return ThreadingHTTPServer((host, port), MockHandler)
+    try:
+        return ThreadingHTTPServer((host, port), MockHandler)
+    except (OverflowError, OSError) as exc:  # a port outside 0-65535, a bad host, a bound port
+        raise ConfigError(f"cannot serve on {host}:{port}: {exc}") from None
 
 
 def start_mock_server(

@@ -10,7 +10,13 @@ from collections import defaultdict
 from functools import partial
 from typing import Any, Iterable, Sequence
 
-from .campaign import RECORDS, SCORE_FIELDS, decode_record_payload
+from .campaign import (
+    RECORDS,
+    SCORE_FIELDS,
+    RecordsSchemaError,
+    candidates_from_dict,
+    decode_record_payload,
+)
 from .core import ConfigError, PrecisePMF, build_pmf
 from .elicit.client import ModelEndpoint
 from .metrics import AllRefsTiedError, DegenerateLabelsError, auroc, concordance_index
@@ -35,12 +41,22 @@ def _check_choice(what: str, value: str, choices: Sequence[str]) -> None:
         raise ValueError(f"unknown {what} {value!r}; choose from {choices}")
 
 
-def _record_label(record: dict[str, Any], label_kind: str) -> int | None:
-    labels = record["labels"]
+def record_label(record: dict[str, Any], label_kind: str) -> int | None:
+    """A record's 0/1 label from what it stores: ``ambiguous`` is 1 when the truth
+    set holds more than one answer; ``incorrect`` is 1 when the prediction does not
+    match ``reference_answer`` under the candidate set's rule, None when either is null."""
     if label_kind == LABEL_AMBIGUOUS:
-        return labels.get("ambiguous")
-    correct = labels.get("correct")
-    return None if correct is None else 1 - int(correct)
+        return int(len(record["truth_set"]) > 1)
+    prediction, reference = record.get("prediction"), record.get("reference_answer")
+    if prediction is None or reference is None:
+        return None
+    try:
+        candidates = candidates_from_dict(record["candidates"])
+    except ValueError as exc:  # e.g. no answer, or a blank one
+        key = record["key"]
+        raise RecordsSchemaError(f"record {key['question_id']}/{key['method']}/{key['seed']}: "
+                                 f"candidates do not build ({exc})") from exc
+    return 1 - candidates.matches(prediction, reference)
 
 
 def _predicted_pmf(record: dict[str, Any]) -> PrecisePMF | None:
@@ -115,7 +131,7 @@ def metric_rows(
     Seeds whose slice is degenerate (one class only, or all references tied)
     are dropped from the aggregate; a method with no usable seed is skipped
     entirely, with a warning.  Any other error fails the call:
-    :func:`~ipuq.campaign.load_run_records` refuses a record whose labels,
+    :func:`~ipuq.campaign.load_run_records` refuses a record whose answers,
     scores or p* eval cannot read.
     """
     _check_choice("metric", metric, ("auroc", "concordance"))
@@ -123,7 +139,7 @@ def metric_rows(
     _check_choice("label kind", label_kind, LABEL_KINDS)
     _check_choice("reference kind", ref_kind, REF_KINDS)
     if metric == "auroc":
-        metric_of, target_of, cast = auroc, partial(_record_label, label_kind=label_kind), int
+        metric_of, target_of, cast = auroc, partial(record_label, label_kind=label_kind), int
     else:
         metric_of, target_of, cast = (
             concordance_index, partial(_pstar_reference, ref_kind=ref_kind), float)
@@ -225,6 +241,7 @@ __all__ = [
     "METRIC_CSV_COLUMNS",
     "COST_CSV_COLUMNS",
     "UnknownEndpointError",
+    "record_label",
     "metric_rows",
     "cost_rows",
     "write_csv",

@@ -20,6 +20,7 @@ from .core import ConfigError, refuse_repeats
 from .elicit.client import ChatClient, ModelEndpoint
 from .elicit.prompts import PromptKind
 from .mock import AgentConfig, MockScript, MockTransport
+from .reporting import LABEL_INCORRECT, record_label
 from .synth import TransformSpec
 
 DEFAULT_STUDY_METHODS = (PromptKind.DEFINETTI.value, PromptKind.PROBINT.value)
@@ -77,7 +78,7 @@ def _study_cell(method: str, p: float, m: int, records: Sequence[dict[str, Any]]
     mine = [r for r in records if r["key"]["method"] == method]
     first = _aggregate([r["scores"]["first_order"] for r in mine])
     second = _aggregate([r["scores"]["second_order"] for r in mine])
-    errors = [1.0 - r["labels"]["correct"] for r in mine if r["labels"]["correct"] is not None]
+    errors = [e for r in mine if (e := record_label(r, LABEL_INCORRECT)) is not None]
     error_rate = statistics.fmean(errors) if errors else None
     n = sum(1 for r in mine if r["elicitation"]["succeeded"])
     return StudyCell(method, float(p), int(m), n, *first, *second, error_rate)

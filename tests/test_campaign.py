@@ -64,7 +64,7 @@ from ipuq.elicit.client import (
 from ipuq.elicit.prompts import extract_question
 from ipuq.mmi import exact_mmi_credal, mmi_upper_bound
 from ipuq.mock import AgentConfig, MockScript, MockTransport, ScriptEntry
-from ipuq.reporting import cost_rows
+from ipuq.reporting import LABEL_INCORRECT, cost_rows, record_label
 from ipuq.scores import bernoulli_entropy, entropy
 from ipuq.synth import TransformSpec
 
@@ -315,10 +315,9 @@ def _reader_record(question_id, question="q?", pad=10, seed=0):
         "question": question,
         "candidates": {"answers": ["a"]},
         "truth_set": ["a"],
-        "labels": {"ambiguous": 0, "correct": None},
         "elicitation": {"transcripts": "x" * pad, "kind": "vanilla", "payload": None,
                         "usage": {"input_tokens": 1, "output_tokens": 1}},
-        "endpoint": {"key": "ep", "model_id": "m"},
+        "endpoint": {"key": "ep"},
         "scores": {"mode": None, "first_order": None},
     }
 
@@ -472,9 +471,9 @@ class TestPayloadRoundTrip:
                 PrecisePMF(candidates=TWO, probs=(0.2, 0.8)),
                 PrecisePMF(candidates=TWO, probs=(0.6, 0.4)),
             ),
-            member_tags=("m0", "m1"),
         )
         data = RECORDS["credal"].encode(credal)
+        assert data == {"members": [[0.2, 0.8], [0.6, 0.4]]}
         assert RECORDS["credal"].decode(data, TWO) == credal
 
     def test_possibility(self):
@@ -615,7 +614,7 @@ class TestSynthRecords:
             assert record.candidates.case_sensitive
             assert math.fsum(record.pstar) == pytest.approx(1.0, abs=1e-9)
             assert record.reference_answer in record.truth_set
-            assert record.ambiguous
+            assert len(record.truth_set) > 1
 
     @pytest.mark.parametrize("noise_p", [0.0, 1.0])
     def test_the_clean_reference_is_in_the_truth_set_at_every_noise(self, noise_p):
@@ -838,8 +837,10 @@ class TestRunCampaign:
                              methods=("credal",), seeds=(2,), credal_members=3)
         client, _ = agent_client(credal_spread=0.05)
         (record,) = run_campaign(config, client=client)
-        tags = record["elicitation"]["payload"]["tags"]
-        assert [t.rsplit("#seed=", 1)[1] for t in tags] == ["200", "201", "202"]
+        # each member's request bodies carry its seed
+        seeds = [{json.loads(a["request"])["seed"] for a in member["attempts"]}
+                 for member in record["elicitation"]["transcripts"]]
+        assert seeds == [{200}, {201}, {202}]
         members = record["elicitation"]["payload"]["members"]
         assert len({tuple(m) for m in members}) > 1  # seeds produced distinct beliefs
 
@@ -856,6 +857,20 @@ class TestRunCampaign:
             assert "transport" in record["elicitation"]["error"]
             assert record["scores"]["first_order"] is None
             assert record["prediction"] is None
+
+    def test_a_reply_whose_content_is_not_text_fails_its_cell_as_transport(
+        self, tmp_path, caplog
+    ):
+        class NullContent:
+            def send(self, endpoint, system_text, user_text):
+                body = '{"choices": [{"message": {"content": null}}], "usage": {}}'
+                return parse_response_body("{}", body)
+
+        config = make_config(tmp_path, methods=("definetti",))
+        written = run_campaign(config, client=ChatClient(NullContent()))
+        assert [r["elicitation"]["error"] for r in written] == [
+            "transport: malformed chat response body: content None is not a string"] * 2
+        assert not [r for r in caplog.records if r.exc_info]  # no traceback is logged
 
     def test_record_usage_feeds_cost_rows(self, tmp_path):
         price_in, price_out = 2e-6, 6e-6
@@ -895,7 +910,7 @@ class TestRunCampaign:
                             lambda source, wanted: [q for q in [question] if wanted("q0")])
         (record,) = run_campaign(make_config(tmp_path), client=agent_client(noise_p=0.75)[0])
         assert (record["prediction"], record["reference_answer"]) == ("abc", "ABC")
-        assert record["labels"]["correct"] == correct
+        assert record_label(record, LABEL_INCORRECT) == 1 - correct
 
     def test_an_output_dir_that_is_a_file_fails_before_any_request(self, tmp_path):
         config = make_config(tmp_path)

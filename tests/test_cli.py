@@ -281,8 +281,9 @@ class TestElicit:
             "elicit", "--kind", "definetti", "--question", "q",
             "--base-url", "http://localhost:1", "--model", "m",
         ])
-        assert code == EXIT_FAILURE
-        assert "--candidate" in capsys.readouterr().err
+        assert code == EXIT_DATASET
+        assert capsys.readouterr() == (
+            "", "error: kind 'definetti' needs at least one --candidate\n")
 
 
 def write_campaign_config(tmp_path, base_url, **overrides):
@@ -357,17 +358,19 @@ class TestCampaignCommands:
 
 
 def eval_fixture_records(tmp_path, base_url="url"):
+    """Four records whose first-order score is higher on the two ambiguous
+    questions (a truth set of two answers) than on the other two."""
     key = f"m@{base_url}"
     records = []
-    for i, (first, ambiguous) in enumerate([(0.9, 1), (0.2, 0), (0.8, 1), (0.1, 0)]):
+    for i, (first, truth) in enumerate([(0.9, ["A", "B"]), (0.2, ["A"]),
+                                        (0.8, ["A", "B"]), (0.1, ["A"])]):
         records.append({
             "key": {"question_id": f"q{i}", "method": "definetti", "seed": 0},
             "candidates": {"answers": ["A", "B"], "open_ended": False,
                            "case_sensitive": False},
-            "truth_set": ["A", "B"],
-            "pstar": [0.5 + first / 10, 0.5 - first / 10],
-            "labels": {"ambiguous": ambiguous, "correct": None},
-            "endpoint": {"key": key, "model_id": "m", "base_url": base_url},
+            "truth_set": truth,
+            "pstar": [0.5 + first / 10, 0.5 - first / 10][:len(truth)],
+            "endpoint": {"key": key},
             "elicitation": {"payload": None,
                             "usage": {"input_tokens": 7, "output_tokens": 2}},
             "scores": {"mode": "set", "first_order": first, "second_order": None,
@@ -399,8 +402,11 @@ class TestEvalCommands:
         with open(out, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["metric"] == "concordance"
-        # higher first_order went with higher pstar skew = lower entropy
-        assert float(rows[0]["value"]) == 0.0
+        # p* has entropy 0 on the two unambiguous questions, whose scores are
+        # lowest, so the four pairs across the two kinds agree; between the
+        # ambiguous two, higher first_order went with higher p* skew (lower
+        # entropy), and the unambiguous pair ties on entropy and is not counted
+        assert float(rows[0]["value"]) == 0.8
 
     def test_cost_uses_config_prices(self, tmp_path, capsys):
         base_url = "http://example.invalid/v1"
@@ -524,14 +530,14 @@ _KEY_ONLY = {"key": {"question_id": "q", "method": "definetti", "seed": 0}}
 
 
 # every member eval reads, a pstar and a payload, which concordance --ref kl_pstar decodes
-_EVAL_READY = {**_KEY_ONLY, "scores": {}, "labels": {}, "candidates": {"answers": ["a"]},
+_EVAL_READY = {**_KEY_ONLY, "scores": {}, "candidates": {"answers": ["a"]},
                "truth_set": ["a"], "pstar": [1.0], "endpoint": {"key": "m"},
                "elicitation": {"payload": {"probs": [1.0]},
                                "usage": {"input_tokens": 1, "output_tokens": 1}}}
 
 
 @pytest.mark.parametrize("record, reason", [
-    (_KEY_ONLY, "q/definetti/0 lacks what eval reads: scores, labels, candidates.answers, "
+    (_KEY_ONLY, "q/definetti/0 lacks what eval reads: scores, candidates.answers, "
                 "truth_set, endpoint.key, elicitation.payload, "
                 "elicitation.usage.input_tokens, elicitation.usage.output_tokens"),
     ({**_EVAL_READY, "candidates": {}}, "q/definetti/0 lacks what eval reads: candidates.answers"),
@@ -551,15 +557,22 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
 
 
 @pytest.mark.parametrize("change, reason", [
-    ({"labels": {"ambiguous": 2}}, "labels.ambiguous must be 0 or 1, got 2"),
-    ({"labels": {"ambiguous": True}}, "labels.ambiguous must be 0 or 1, got True"),
-    ({"labels": {"ambiguous": None}}, "labels.ambiguous must be 0 or 1, got None"),
-    ({"labels": {"ambiguous": 1.0}}, "labels.ambiguous must be 0 or 1, got 1.0"),
-    ({"labels": {"ambiguous": 0, "correct": 2}}, "labels.correct must be 0, 1 or null, got 2"),
-    ({"labels": {"correct": "1"}}, "labels.correct must be 0, 1 or null, got '1'"),
-    ({"scores": {"first_order": "abc"}}, "scores.first_order must be a number or null, got 'abc'"),
-    ({"scores": {"second_order": False}}, "scores.second_order must be a number or null, got False"),
-    ({"scores": {"combined": [0.5]}}, "scores.combined must be a number or null, got [0.5]"),
+    ({"scores": {"first_order": "abc"}},
+     "scores.first_order must be a finite number or null, got 'abc'"),
+    ({"scores": {"second_order": False}},
+     "scores.second_order must be a finite number or null, got False"),
+    ({"scores": {"combined": [0.5]}},
+     "scores.combined must be a finite number or null, got [0.5]"),
+    ({"scores": {"first_order": math.nan}},
+     "scores.first_order must be a finite number or null, got nan"),
+    ({"scores": {"second_order": math.inf}},
+     "scores.second_order must be a finite number or null, got inf"),
+    ({"scores": {"combined": -math.inf}},
+     "scores.combined must be a finite number or null, got -inf"),
+    ({"candidates": {"answers": ["a"], "case_sensitive": 1}},
+     "candidates.case_sensitive must be true or false, got 1"),
+    ({"candidates": {"answers": ["a"], "case_sensitive": None}},
+     "candidates.case_sensitive must be true or false, got None"),
     ({"pstar": [-0.5]}, "pstar must be null or one finite non-negative number per truth_set answer"),
     ({"pstar": [0.5, 0.5]}, "pstar must be null or one finite non-negative number per truth_set "
                             "answer"),
@@ -570,9 +583,9 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
     ({"truth_set": [None]}, "truth_set must hold only strings, got None"),
     ({"prediction": 7}, "prediction must be a string or null, got 7"),
     ({"reference_answer": ["a"]}, "reference_answer must be a string or null, got ['a']"),
-], ids=["ambiguous 2", "ambiguous true", "ambiguous null", "ambiguous 1.0", "correct 2",
-        "correct '1'", "first_order 'abc'", "second_order false", "combined list",
-        "pstar negative", "pstar too long", "pstar string", "pstar object",
+], ids=["first_order 'abc'", "second_order false", "combined list", "first_order NaN",
+        "second_order Infinity", "combined -Infinity", "case_sensitive 1",
+        "case_sensitive null", "pstar negative", "pstar too long", "pstar string", "pstar object",
         "answer not a string", "truth_set entry not a string", "prediction int",
         "reference_answer list"])
 @pytest.mark.parametrize("argv", [["auroc"], ["concordance", "--ref", "kl_pstar"]],
@@ -587,11 +600,12 @@ def test_eval_over_a_value_eval_cannot_read_is_a_dataset_error(
 
 
 def test_eval_reads_null_labels_scores_and_pstar(tmp_path):
+    # no prediction, so the incorrect label is null
     path = eval_fixture_records(tmp_path)
-    append_records(path, [{**_EVAL_READY, "pstar": None,
-                           "labels": {"ambiguous": 1, "correct": None},
+    append_records(path, [{**_EVAL_READY, "pstar": None, "reference_answer": "a",
                            "scores": dict.fromkeys(("first_order", "second_order", "combined"))}])
-    for argv in (["auroc"], ["concordance", "--ref", "kl_pstar"]):
+    for argv in (["auroc"], ["auroc", "--label", "incorrect"],
+                 ["concordance", "--ref", "kl_pstar"]):
         assert main(["eval", argv[0], "--records", path, *argv[1:],
                      "--out", str(tmp_path / "rows.csv")]) == EXIT_OK
 
@@ -664,14 +678,16 @@ def row_command_argv(tmp_path, command):
         for seed in (0, 1):
             for i in range(5):
                 p = 0.5 + i / 12
+                # auroc reads ambiguity from the truth set's size; concordance
+                # reads the entropy of a p* over two answers
+                ambiguous = command != "eval auroc" or (i + seed) % 2
+                truth = ["A", "B"] if ambiguous else ["A"]
                 records.append({
                     "key": {"question_id": f"q{i}", "method": method, "seed": seed},
                     "candidates": {"answers": ["A", "B"]},
-                    "truth_set": ["A", "B"],
-                    "pstar": [p, 1 - p],
-                    "labels": {"ambiguous": (i + seed) % 2, "correct": None},
-                    "endpoint": {"key": f"m@{base_url}", "model_id": "m",
-                                 "base_url": base_url},
+                    "truth_set": truth,
+                    "pstar": [p, 1 - p][:len(truth)],
+                    "endpoint": {"key": f"m@{base_url}"},
                     "elicitation": {"payload": None,
                                     "usage": {"input_tokens": 90 + 7 * i + seed,
                                               "output_tokens": 11 + len(method) * i}},
@@ -900,6 +916,22 @@ def test_mock_serve_refuses_a_script_listing_a_key_twice(tmp_path, capsys, monke
     monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
     assert main(["mock", "serve", "--script", str(script), "--port", "0"]) == EXIT_DATASET
     assert capsys.readouterr() == ("", "error: script entry ('q', 'vanilla', None) is listed twice\n")
+
+
+@pytest.mark.parametrize("where, reason", [
+    (["--port", "70000"], "127.0.0.1:70000: bind(): port must be 0-65535."),
+    (["--port", "-1"], "127.0.0.1:-1: bind(): port must be 0-65535."),
+    # a documentation address no interface holds: bind fails without a lookup
+    (["--host", "192.0.2.1", "--port", "0"], "192.0.2.1:0: "),
+], ids=["port above 65535", "negative port", "host not on this machine"])
+def test_mock_serve_on_an_address_it_cannot_bind_is_a_usage_error(
+    tmp_path, capsys, where, reason
+):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(MockScript(agent=AgentConfig()).to_dict()), encoding="utf-8")
+    assert main(["mock", "serve", "--script", str(script), *where]) == EXIT_DATASET
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot serve on {reason}")
 
 
 def test_mock_serve_announces_the_bound_port_and_closes_on_ctrl_c(

@@ -194,12 +194,6 @@ def test_credal_set_members_share_candidates():
         CredalSet(candidates=c1, members=(_member(c2, (0.5, 0.5)),))
 
 
-def test_credal_set_tag_count_must_match():
-    c = cs("a", "b")
-    with pytest.raises(LengthMismatchError):
-        CredalSet(candidates=c, members=(_member(c, (0.5, 0.5)),), member_tags=("t1", "t2"))
-
-
 def test_interval_from_credal_is_componentwise_envelope():
     c = cs("a", "b", "c")
     credal = CredalSet(
@@ -281,24 +275,6 @@ def test_build_pmf_renormalize_is_idempotent(weights):
 # ---------------------------------------------------------------------------
 # QARecord
 # ---------------------------------------------------------------------------
-
-
-def test_qarecord_labels_and_membership():
-    rec = QARecord(
-        question="capital of france?",
-        candidates=cs("Paris", "London"),
-        truth_set=("Paris",),
-        reference_answer="paris",
-        prediction="Madrid",
-    )
-    assert rec.ambiguous is False
-
-
-def test_qarecord_with_multiple_truths_is_ambiguous():
-    rec = QARecord(
-        question="q", candidates=cs("a", "b"), truth_set=("a", "b"), reference_answer="a"
-    )
-    assert rec.ambiguous is True
 
 
 def test_qarecord_reference_must_be_in_truth_set():

@@ -46,7 +46,6 @@ class TestMaqaLike:
         assert record.question == "Capital of France?"
         assert record.truth_set == ("Paris",)
         assert record.reference_answer == "Paris"
-        assert not record.ambiguous
         assert record.candidates.open_ended
 
     def test_multiple_answers_mark_ambiguity(self, tmp_path):
@@ -56,7 +55,6 @@ class TestMaqaLike:
               "answers": ["Amsterdam", "The Hague"]}],
         )
         (record,) = ingest_qa_dataset(path, FORMAT_MAQA)
-        assert record.ambiguous
         assert record.truth_set == ("Amsterdam", "The Hague")
 
     def test_optional_fields_flow_through(self, tmp_path):
@@ -109,7 +107,6 @@ class TestAmbigqaLike:
         # "bob" folds into the already-seen "Bob"
         assert record.truth_set == ("Alice", "Bob", "Carol")
         assert record.reference_answer == "Alice"
-        assert record.ambiguous
 
     def test_empty_pairs_rejected(self, tmp_path):
         path = write_jsonl(tmp_path, [{"question": "q", "qa_pairs": []}])

@@ -404,7 +404,6 @@ class TestCredalEnsemble:
         credal = elicit_credal_ensemble(client, members, QUESTION, TWO)
         assert isinstance(credal, CredalSet)
         assert [m.probs for m in credal.members] == [(0.2, 0.8), (0.5, 0.5), (0.4, 0.6)]
-        assert credal.member_tags == tuple(f"{ep.key}#seed={ep.seed}" for ep in members)
         envelope = interval_from_credal(credal)
         assert envelope.lowers == (0.2, 0.5)
         assert envelope.uppers == (0.5, 0.8)

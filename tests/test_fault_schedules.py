@@ -214,7 +214,7 @@ def uninterrupted(tmp_path_factory):
     return {cell_of(r): without_timing(r) for r in written}
 
 
-@pytest.mark.parametrize("concurrency", (1, 2, 3))
+@pytest.mark.parametrize("concurrency", (1, 2, 3, 4))
 @pytest.mark.parametrize("seed", range(SCHEDULES))
 def test_a_fault_schedule_resumes_to_the_uninterrupted_file(
     tmp_path, monkeypatch, caplog, uninterrupted, seed, concurrency

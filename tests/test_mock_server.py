@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -402,6 +403,18 @@ class TestHttpTransport:
         body = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
         server.reply = (200, "application/json", json.dumps(body).encode("utf-8"))
         with pytest.raises(TransportError, match="^malformed chat response body: ") as info:
+            _send(url)
+        assert not info.value.retryable
+        assert len(server.seen) == 1
+
+    @pytest.mark.parametrize("content", [None, 5, ["a"], {}])
+    def test_reply_content_that_is_not_a_string_is_malformed(self, fixed_reply, content):
+        server, url = fixed_reply
+        body = {"choices": [{"message": {"content": content}}], "usage": {}}
+        server.reply = (200, "application/json", json.dumps(body).encode("utf-8"))
+        with pytest.raises(TransportError, match=(
+                rf"^malformed chat response body: content {re.escape(repr(content))} "
+                "is not a string$")) as info:
             _send(url)
         assert not info.value.retryable
         assert len(server.seen) == 1

@@ -13,14 +13,21 @@ JSON (``campaign.canonical_json``) of the list of records read back with
 ``load_run_records``, each without its ``timing`` subrecord: the value of
 ``records_digest`` below.  ``PYTHONPATH=src python
 tests/test_records_pinned.py`` runs the four campaigns and prints their
-digests.  They were last re-pinned when records stopped writing four fields
-that restate another stored field: ``elicitation.kind``, ``decision``,
-``prediction_in_set`` and each checked attempt's ``passed``.
-``scripts/records_diff.py`` showed those four paths as the only difference,
-and ``WITH_VIEWS`` keeps the digests from before, which the records give
-again once :func:`with_views` restores the four fields.  A change that alters
-any record byte outside ``timing`` fails here; if the change is meant,
-recompute the digests the same way and say why in CHANGES.md.
+digests.  They were last re-pinned when records stopped writing three
+members that restate other stored fields: the ``labels`` block (eval works
+the labels out from the record), the endpoint's ``model_id`` and
+``base_url`` (``endpoint.key`` names both) and a credal payload's ``tags``
+(each member's request bodies hold its seed).  ``scripts/records_diff.py``
+showed ``labels``, ``endpoint.model_id``, ``endpoint.base_url`` and
+``elicitation.payload.tags`` as the only differences.  ``WITH_LABELS``
+keeps the digests from before, which the records give again once
+:func:`with_labels` restores the three members.  The re-pin before that
+dropped four views (``elicitation.kind``, ``decision``,
+``prediction_in_set`` and each checked attempt's ``passed``), and
+``WITH_VIEWS`` keeps the digests from before it, which :func:`with_views`
+gives back.  A change that alters any record byte outside ``timing`` fails
+here; if the change is meant, recompute the digests the same way and say
+why in CHANGES.md.
 """
 
 import collections
@@ -60,10 +67,30 @@ from ipuq.elicit.loop import ACCEPTANCE
 from ipuq.elicit.parsing import ParseError, parse_structured_report
 from ipuq.elicit.prompts import FEEDBACK_HEADER, PromptKind, detect_kind, extract_question
 from ipuq.mock import AgentConfig, MockScript, MockTransport
-from ipuq.reporting import cost_rows, metric_rows
+from ipuq.reporting import (
+    LABEL_AMBIGUOUS,
+    LABEL_INCORRECT,
+    LABEL_KINDS,
+    cost_rows,
+    metric_rows,
+    record_label,
+)
 from ipuq.synth import TransformSpec
 
 PINNED = {
+    ("synth", MODE_AUTO):
+        "12c715d26635a203fb7d9b5b549d3de1414d85fe7794565c9ba8cf0a9509e760",
+    ("synth", MODE_SET):
+        "8f71c5bd01bb00cd5589e1c45f930c484226084cda26109d059ee11868d7bf4c",
+    ("qa_file", MODE_AUTO):
+        "b0a61ec682855704e7e687723403f50962c51f540ebc0533714c93c0defbba5a",
+    ("qa_file", MODE_SET):
+        "7c9220035b6168bb0b00b23f61e959fd233c5ad50897e3a50c86ad12a3f4598c",
+}
+
+#: The same campaigns' digests while records still held the three members
+#: that :func:`with_labels` restores: ``PINNED`` before they were dropped.
+WITH_LABELS = {
     ("synth", MODE_AUTO):
         "039e4be5d49f10db72e46b85f7274d7d2048eaf5e645761f79dc404843eb77da",
     ("synth", MODE_SET):
@@ -74,8 +101,8 @@ PINNED = {
         "e989f4d064dd76de8d8e86bc7195e6f977c3dea18d6685d156a0ab1ebb3235c2",
 }
 
-#: The same campaigns' digests while records still held the four views that
-#: :func:`with_views` restores.
+#: The same campaigns' digests while records also held the four views that
+#: :func:`with_views` restores besides those three members.
 WITH_VIEWS = {
     ("synth", MODE_AUTO):
         "8d8f3678601400042937ce19ad47ff18ef351bde9c68c78baf6331ce2de7e66d",
@@ -265,11 +292,34 @@ def test_each_verdict_recomputes_from_its_transcript(tmp_path, source_name, mode
     assert outcomes["parse_error"] and outcomes[True] and outcomes[False]
 
 
-def with_views(record):
-    """``record`` as it was written while records also stored four views of
-    other fields: the method as ``elicitation.kind``, the ``decision`` block,
-    ``prediction_in_set`` and each checked attempt's ``passed``."""
+def with_labels(record, endpoint):
+    """``record`` as it was written while records also stored three members
+    that restate other fields: the ``labels`` block, by the rule that wrote
+    it, the parts of the endpoint ``endpoint.key`` names, and a credal
+    payload's member ``tags``."""
     old = copy.deepcopy(record)
+    prediction, reference = record["prediction"], record["reference_answer"]
+    old["labels"] = {
+        "ambiguous": int(len(record["truth_set"]) > 1),
+        "correct": None if prediction is None or reference is None else int(
+            candidates_from_dict(record["candidates"]).matches(prediction, reference)),
+    }
+    assert record["endpoint"] == {"key": endpoint.key}
+    old["endpoint"].update(model_id=endpoint.model_id, base_url=endpoint.base_url)
+    payload = old["elicitation"]["payload"]
+    if record["key"]["method"] == "credal" and payload is not None:
+        # member j of record seed s ran under seed 100 * s + j
+        payload["tags"] = [f"{endpoint.key}#seed={record['key']['seed'] * 100 + j}"
+                           for j in range(len(payload["members"]))]
+    return old
+
+
+def with_views(record, endpoint):
+    """``record`` as it was written while records also stored, besides what
+    :func:`with_labels` restores, four views of other fields: the method as
+    ``elicitation.kind``, the ``decision`` block, ``prediction_in_set`` and
+    each checked attempt's ``passed``."""
+    old = with_labels(record, endpoint)
     method, prediction = record["key"]["method"], record["prediction"]
     old["elicitation"]["kind"] = method
     old["prediction_in_set"] = None if prediction is None else (
@@ -287,21 +337,34 @@ def with_views(record):
     return old
 
 
+#: Per older form of the records, what restores it and its digests.
+OLDER = {"with labels": (with_labels, WITH_LABELS), "with views": (with_views, WITH_VIEWS)}
+
+
 def _eval_rows(records, config):
-    rows = [metric_rows(records, metric, dataset="pinned", score_field=field)
-            for metric in ("auroc", "concordance") for field in SCORE_FIELDS]
+    rows = [metric_rows(records, "auroc", dataset="pinned", score_field=field, label_kind=label)
+            for label in LABEL_KINDS for field in SCORE_FIELDS]
+    rows += [metric_rows(records, "concordance", dataset="pinned", score_field=field)
+             for field in SCORE_FIELDS]
     return rows + [cost_rows(records, config.endpoints)]
 
 
+@pytest.mark.parametrize("written", sorted(OLDER))
 @pytest.mark.parametrize("source_name,mode", sorted(PINNED))
-def test_a_file_holding_the_views_loads_evaluates_and_resumes(tmp_path, source_name, mode):
-    # a records file written before the views were dropped is still
-    # ipuq.runrecord.v1: nothing reads the views, so it is read as before
+def test_an_older_file_loads_evaluates_and_resumes(tmp_path, source_name, mode, written):
+    # a records file written before the labels or the views were dropped is
+    # still ipuq.runrecord.v1: nothing reads them, so it is read as before
     config = pinned_config(tmp_path, source_name, mode)
     run_campaign(config, client=ChatClient(FaultyAgent()))
     records = load_run_records(records_path(config.output_dir))
-    old = [with_views(record) for record in records]
-    assert records_digest(old) == WITH_VIEWS[(source_name, mode)]
+    restore, digests = OLDER[written]
+    old = [restore(record, config.endpoints[0]) for record in records]
+    assert records_digest(old) == digests[(source_name, mode)]
+    # the labels worked out on read are the labels the older code stored
+    for record in old:
+        correct = record["labels"]["correct"]
+        assert (record_label(record, LABEL_AMBIGUOUS), record_label(record, LABEL_INCORRECT)) == (
+            record["labels"]["ambiguous"], None if correct is None else 1 - correct)
 
     old_config = replace(config, output_dir=str(tmp_path / "old"))
     append_records(records_path(old_config.output_dir), old)

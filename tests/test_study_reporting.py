@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from ipuq.campaign import RecordsSchemaError
 from ipuq.reporting import (
     COST_CSV_COLUMNS,
+    LABEL_AMBIGUOUS,
     LABEL_INCORRECT,
     METRIC_CSV_COLUMNS,
     REF_ENTROPY_PSTAR,
     REF_KL_PSTAR,
     UnknownEndpointError,
     _pstar_reference,
-    _record_label,
     cost_rows,
     metric_rows,
+    record_label,
     write_csv,
 )
 from ipuq.elicit.client import ChatClient, ChatReply, ModelEndpoint
@@ -183,7 +184,7 @@ class TestSyntheticStudy:
 
 
 def fake_record(method, seed, *, first=None, second=None, combined=None,
-                ambiguous=0, correct=None, pstar=None, truth=None,
+                pstar=None, truth=None, prediction=None, reference=None,
                 candidates=("A", "B"), probs=None, question_id="q1",
                 tokens=(10, 3), endpoint_key="m@url"):
     payload = None
@@ -195,8 +196,9 @@ def fake_record(method, seed, *, first=None, second=None, combined=None,
                        "case_sensitive": False},
         "truth_set": list(truth) if truth else list(candidates[:1]),
         "pstar": list(pstar) if pstar else None,
-        "labels": {"ambiguous": ambiguous, "correct": correct},
-        "endpoint": {"key": endpoint_key, "model_id": "m", "base_url": "url"},
+        "prediction": prediction,
+        "reference_answer": reference,
+        "endpoint": {"key": endpoint_key},
         "elicitation": {
             "payload": payload,
             "usage": {"input_tokens": tokens[0], "output_tokens": tokens[1]},
@@ -207,25 +209,42 @@ def fake_record(method, seed, *, first=None, second=None, combined=None,
 
 
 class TestMetricTargets:
-    def test_auroc_skips_missing_scores_and_labels(self):
+    def test_auroc_skips_missing_scores(self):
         records = [
-            fake_record("definetti", 0, first=0.9, ambiguous=1),
-            fake_record("definetti", 0, first=None, ambiguous=0),
-            fake_record("definetti", 0, first=0.5, ambiguous=None),
-            fake_record("definetti", 0, first=0.1, ambiguous=0),
+            fake_record("definetti", 0, first=0.9, truth=("A", "B")),
+            fake_record("definetti", 0, first=None, truth=("A",)),
+            fake_record("definetti", 0, first=0.1, truth=("A",)),
         ]
+        assert [record_label(r, LABEL_AMBIGUOUS) for r in records] == [1, 0, 0]
         (row,) = metric_rows(records, "auroc", dataset="toy")
         assert (row["value"], row["n"]) == (1.0, 2)
 
-    def test_incorrect_label_inverts_correct(self):
+    def test_incorrect_label_compares_prediction_and_reference(self):
         records = [
-            fake_record("definetti", 0, first=0.9, correct=0),
-            fake_record("definetti", 0, first=0.1, correct=1),
-            fake_record("definetti", 0, first=0.5, correct=None),
+            fake_record("definetti", 0, first=0.9, prediction="B", reference="A"),
+            fake_record("definetti", 0, first=0.1, prediction=" a", reference="A"),
+            fake_record("definetti", 0, first=0.5, reference="A"),
+            fake_record("definetti", 0, first=0.5, prediction="A"),
         ]
-        assert [_record_label(r, LABEL_INCORRECT) for r in records] == [1, 0, None]
+        assert [record_label(r, LABEL_INCORRECT) for r in records] == [1, 0, None, None]
         (row,) = metric_rows(records, "auroc", dataset="toy", label_kind=LABEL_INCORRECT)
         assert (row["value"], row["n"]) == (1.0, 2)
+
+    def test_incorrect_label_follows_the_stored_matching_rule(self):
+        record = fake_record("definetti", 0, prediction="a", reference="A")
+        assert record_label(record, LABEL_INCORRECT) == 0
+        record["candidates"]["case_sensitive"] = True
+        assert record_label(record, LABEL_INCORRECT) == 1
+        del record["candidates"]["case_sensitive"]  # absent reads as false
+        assert record_label(record, LABEL_INCORRECT) == 0
+
+    @pytest.mark.parametrize("answers", [[], ["A", " "]])
+    def test_candidates_that_do_not_build_fail_the_incorrect_label(self, answers):
+        record = fake_record("definetti", 0, prediction="A", reference="A")
+        record["candidates"]["answers"] = answers
+        assert record_label(record, LABEL_AMBIGUOUS) == 0
+        with pytest.raises(RecordsSchemaError, match="record q1/definetti/0: candidates do not"):
+            record_label(record, LABEL_INCORRECT)
 
     def test_concordance_reference_entropy_of_pstar(self):
         records = [
@@ -268,8 +287,8 @@ class TestMetricRows:
         records = []
         # seed 0 separates perfectly; seed 1 is inverted
         for seed, (hi, lo) in ((0, (0.9, 0.1)), (1, (0.1, 0.9))):
-            records.append(fake_record("definetti", seed, first=hi, ambiguous=1))
-            records.append(fake_record("definetti", seed, first=lo, ambiguous=0))
+            records.append(fake_record("definetti", seed, first=hi, truth=("A", "B")))
+            records.append(fake_record("definetti", seed, first=lo, truth=("A",)))
         rows = metric_rows(records, "auroc", dataset="toy")
         (row,) = rows
         assert row["method"] == "definetti"
@@ -281,11 +300,11 @@ class TestMetricRows:
 
     def test_degenerate_seed_is_dropped(self):
         records = [
-            fake_record("definetti", 0, first=0.9, ambiguous=1),
-            fake_record("definetti", 0, first=0.1, ambiguous=0),
+            fake_record("definetti", 0, first=0.9, truth=("A", "B")),
+            fake_record("definetti", 0, first=0.1, truth=("A",)),
             # seed 1 has one class only
-            fake_record("definetti", 1, first=0.9, ambiguous=1),
-            fake_record("definetti", 1, first=0.8, ambiguous=1),
+            fake_record("definetti", 1, first=0.9, truth=("A", "B")),
+            fake_record("definetti", 1, first=0.8, truth=("A", "B")),
         ]
         (row,) = metric_rows(records, "auroc", dataset="toy")
         assert row["value"] == 1.0
@@ -293,19 +312,18 @@ class TestMetricRows:
 
     def test_method_with_no_usable_seed_is_skipped(self):
         records = [
-            fake_record("vanilla", 0, first=0.9, ambiguous=1),
-            fake_record("vanilla", 0, first=0.8, ambiguous=1),
+            fake_record("vanilla", 0, first=0.9, truth=("A", "B")),
+            fake_record("vanilla", 0, first=0.8, truth=("A", "B")),
         ]
         assert metric_rows(records, "auroc", dataset="toy") == []
 
-    @pytest.mark.parametrize("change", [{"ambiguous": 2}, {"first": "abc"}],
-                             ids=["ambiguous 2", "first_order 'abc'"])
+    @pytest.mark.parametrize("change", [{"first": "abc"}], ids=["first_order 'abc'"])
     def test_a_value_no_metric_can_read_fails_the_call(self, caplog, change):
         # only a degenerate slice is skipped; anything else is not one seed's fault
-        values = {"first": 0.5, "ambiguous": 0, **change}
+        values = {"first": 0.5, **change}
         records = [
-            fake_record("definetti", 0, first=0.9, ambiguous=1),
-            fake_record("definetti", 0, first=0.1, ambiguous=0),
+            fake_record("definetti", 0, first=0.9, truth=("A", "B")),
+            fake_record("definetti", 0, first=0.1, truth=("A",)),
             fake_record("definetti", 0, **values),
         ]
         with pytest.raises(ValueError):
@@ -334,8 +352,8 @@ class TestMetricRows:
 
     def test_csv_round_trip(self, tmp_path):
         records = [
-            fake_record("definetti", 0, first=0.9, ambiguous=1),
-            fake_record("definetti", 0, first=0.1, ambiguous=0),
+            fake_record("definetti", 0, first=0.9, truth=("A", "B")),
+            fake_record("definetti", 0, first=0.1, truth=("A",)),
         ]
         rows = metric_rows(records, "auroc", dataset="toy")
         path = tmp_path / "metrics.csv"
