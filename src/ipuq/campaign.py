@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -31,6 +30,8 @@ from .core import (
     ProbabilityIntervalSet,
     QARecord,
     interval_from_credal,
+    is_count,
+    is_finite_number,
     is_pstar,
     refuse_repeats,
 )
@@ -213,12 +214,11 @@ def append_records(path: str, records: Iterable[dict]) -> None:
             fh.write(canonical_json(rec) + "\n")
 
 
-#: Bytes read per step by the records file readers: forwards by
-#: :func:`_decoded_lines`, backwards by :func:`_drop_torn_tail`.  Memory stays
-#: bounded by one chunk plus the longest line.
+#: The read buffer of the records file readers.  With Python's default 8 KiB
+#: buffer, :func:`existing_keys` over a benchmark-sized file (a few MB) takes
+#: about half as long again as with this one.  Memory stays bounded by the
+#: buffer plus the longest line.
 _TAIL_CHUNK = 64 * 1024
-
-_SPACE = b" \t\n\r\x0b\x0c"
 
 
 def _check_header(head: Any) -> None:
@@ -226,54 +226,41 @@ def _check_header(head: Any) -> None:
         raise RecordsSchemaError(f"unexpected records header {head!r}")
 
 
-def _decoded_lines(path: str, decode: Callable[[bytearray, int, int], Any]) -> Iterator[Any]:
-    """Yield ``decode(buffer, start, end)`` for each record line of a records
-    file, the line being ``buffer[start:end]`` without its ``\\n``, after
-    checking the schema header; blank lines are skipped and an empty file
-    yields nothing.  The buffer is reused, so ``decode`` copies what it keeps.
+def _decoded_lines(path: str, decode: Callable[[bytes], Any]) -> Iterator[Any]:
+    """Yield ``decode(line)`` for each record line of a records file, the
+    line being its bytes with its ``\\n``, if any, after checking the schema
+    header; blank lines are skipped and an empty file yields nothing.
 
-    The file is read ``_TAIL_CHUNK`` bytes at a time.  A line that crosses a
-    chunk edge is carried into the next buffer; no record line is copied
-    before ``decode`` sees it.  ``decode`` decodes the line, or a tail of
-    it, as UTF-8 JSON; when that fails, :class:`RecordDecodeError` names
-    the line and the failing byte.  A line that ``decode`` refuses as a
-    record raises :class:`RecordsSchemaError` naming the line.
+    ``decode`` decodes the line, or a tail of it, as UTF-8 JSON; when that
+    fails, :class:`RecordDecodeError` names the line and the failing byte.
+    A line that ``decode`` refuses as a record raises
+    :class:`RecordsSchemaError` naming the line.
     """
     header = True
-    offset = 0  # of the buffer's first byte in the file
-    with open(path, "rb") as fh:
-        buf = bytearray()
-        # at the end of the file, a last line without a newline gets one
-        while chunk := fh.read(_TAIL_CHUNK) or (b"\n" if buf else b""):
-            scan = len(buf)  # the carried start of a line holds no newline
-            buf += chunk
-            start = 0
-            while (end := buf.find(b"\n", scan)) >= 0:
-                # only a line that starts with a space pays for a copy
-                if buf[start] not in _SPACE or buf[start:end].strip():
-                    try:
-                        if header:
-                            _check_header(json.loads(buf[start:end].decode("utf-8")))
-                            header = False
-                        else:
-                            yield decode(buf, start, end)
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise _decode_error(path, offset + start, end - start, exc) from exc
-                    except _NotARecord as exc:
-                        line = _line_number(path, offset + start)
-                        raise RecordsSchemaError(f"{path}: line {line}: {exc}") from None
-                start = scan = end + 1
-            del buf[:start]
-            offset += start
+    with open(path, "rb", buffering=_TAIL_CHUNK) as fh:
+        for number, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                if header:
+                    _check_header(json.loads(line.decode("utf-8")))
+                    header = False
+                else:
+                    yield decode(line)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise _decode_error(path, number, line, exc) from exc
+            except _NotARecord as exc:
+                raise RecordsSchemaError(f"{path}: line {number}: {exc}") from None
 
 
 def _decode_error(
-    path: str, line_start: int, line_length: int, exc: UnicodeDecodeError | json.JSONDecodeError
+    path: str, number: int, line: bytes, exc: UnicodeDecodeError | json.JSONDecodeError
 ) -> RecordDecodeError:
-    """The error for a line at file offset ``line_start`` whose decode failed.
+    """The error for line ``number``, whose decode failed.
 
     Every decode runs to the line's end, so the failing byte lies as many
-    bytes before the end as the decoded text holds from the failure on.
+    bytes before the end as the decoded text holds from the failure on; a
+    line that ends too soon fails at its end, before its newline.
     """
     if isinstance(exc, UnicodeDecodeError):
         rest = len(exc.object) - exc.start
@@ -281,18 +268,8 @@ def _decode_error(
     else:
         rest = len(exc.doc[exc.pos:].encode("utf-8"))
         reason = f"not JSON ({exc.msg})"
-    return RecordDecodeError(path, _line_number(path, line_start), line_length - rest, reason)
-
-
-def _line_number(path: str, line_start: int) -> int:
-    """The 1-based number of the line at file offset ``line_start``.  It is
-    counted only when a line fails, so the readers' loop never pays for it."""
-    line = 1
-    with open(path, "rb") as fh:
-        while line_start > 0 and (chunk := fh.read(min(line_start, _TAIL_CHUNK))):
-            line += chunk.count(b"\n")
-            line_start -= len(chunk)
-    return line
+    offset = min(len(line) - rest, len(line) - line.endswith(b"\n"))
+    return RecordDecodeError(path, number, offset, reason)
 
 
 class _NotARecord(Exception):
@@ -310,12 +287,8 @@ def _key_tuple(key: Any) -> tuple[str, str, int]:
         "not a record (key needs a string question_id, a string method and an integer seed)")
 
 
-def _decode_line(buf: bytearray, start: int, end: int) -> Any:
-    return json.loads(buf[start:end].decode("utf-8"))
-
-
-def _decode_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
-    record = _decode_line(buf, start, end)
+def _decode_record(line: bytes) -> dict[str, Any]:
+    record = json.loads(line.decode("utf-8"))
     _key_tuple(record.get("key") if type(record) is dict else None)
     return record
 
@@ -332,8 +305,8 @@ def _cell_name(record: dict[str, Any]) -> str:
     return "/".join(map(str, _key_tuple(record["key"])))
 
 
-def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
-    record = _decode_record(buf, start, end)
+def _decode_run_record(line: bytes) -> dict[str, Any]:
+    record = _decode_record(line)
     method = record["key"]["method"]
     if method not in RECORDS:
         raise _NotARecord(
@@ -354,8 +327,9 @@ def _decode_run_record(buf: bytearray, start: int, end: int) -> dict[str, Any]:
 
 
 def _wrong_value(record: dict[str, Any]) -> str | None:
-    """What is wrong with an answer, case rule, score or p* value that eval
-    reads, if anything.  An absent member reads as no value, as eval reads it."""
+    """What is wrong with an answer, case rule, token count, score or p* value
+    that eval reads, if anything.  An absent member reads as no value, as eval
+    reads it."""
     for name, answers in (("candidates.answers", record["candidates"]["answers"]),
                           ("truth_set", record["truth_set"])):
         if wrong := [answer for answer in answers if type(answer) is not str]:
@@ -365,10 +339,14 @@ def _wrong_value(record: dict[str, Any]) -> str | None:
             return f"{name} must be a string or null, got {value!r}"
     if type(rule := record["candidates"].get("case_sensitive", False)) is not bool:
         return f"candidates.case_sensitive must be true or false, got {rule!r}"
+    usage = record["elicitation"]["usage"]
+    for name in ("input_tokens", "output_tokens"):
+        if not is_count(count := usage[name]):
+            return (f"elicitation.usage.{name} must be a non-negative integer within a "
+                    f"float's range, got {count!r}")
     for name in SCORE_FIELDS:
         score = record["scores"].get(name)
-        # a bool is not a number, and json.loads reads NaN and Infinity
-        if score is not None and not (type(score) in (int, float) and abs(score) < math.inf):
+        if score is not None and not is_finite_number(score):
             return f"scores.{name} must be a finite number or null, got {score!r}"
     if not is_pstar(record.get("pstar"), len(record["truth_set"])):
         return PSTAR_RULE
@@ -384,23 +362,17 @@ def load_run_records(path: str) -> list[dict]:
 
 def _drop_torn_tail(path: str) -> None:
     """Truncate a final line without a newline, the remains of an interrupted
-    append, so that a resume re-runs that cell instead of failing to decode it."""
+    append, so that a resume re-runs that cell instead of failing to decode it.
+    An intact file costs one byte read; only a torn one is read through."""
     if not os.path.exists(path):
         return
-    size = os.path.getsize(path)
-    keep = 0
     with open(path, "rb+") as fh:
-        stop = size
-        while stop > 0:
-            start = max(stop - _TAIL_CHUNK, 0)
-            fh.seek(start)
-            newline = fh.read(stop - start).rfind(b"\n")
-            if newline >= 0:
-                keep = start + newline + 1
-                break
-            stop = start
-        if keep == size:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
             return
+        fh.seek(0)
+        keep = sum(len(line) for line in fh if line.endswith(b"\n"))
         fh.truncate(keep)
     logger.warning("dropped %d bytes of a torn trailing record in %s", size - keep, path)
 
@@ -409,12 +381,12 @@ _KEY_SPAN = b'"key":{'
 _DECODER = json.JSONDecoder()
 
 
-def _decode_key(buf: bytearray, start: int, end: int) -> tuple[str, str, int]:
-    at = buf.rfind(_KEY_SPAN, start, end)
+def _decode_key(line: bytes) -> tuple[str, str, int]:
+    at = line.rfind(_KEY_SPAN)
     if at < 0:
-        return _key_tuple(_decode_record(buf, start, end)["key"])
+        return _key_tuple(_decode_record(line)["key"])
     at += len(_KEY_SPAN) - 1
-    return _key_tuple(_DECODER.raw_decode(buf[at:end].decode("utf-8"))[0])
+    return _key_tuple(_DECODER.raw_decode(line[at:].decode("utf-8"))[0])
 
 
 def existing_keys(path: str) -> set[tuple[str, str, int]]:

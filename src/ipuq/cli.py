@@ -126,7 +126,10 @@ def _cmd_elicit(args: argparse.Namespace) -> int:
     kind = PromptKind(args.kind)
     candidates = None
     if args.candidate:
-        candidates = CandidateSet(answers=tuple(args.candidate))
+        try:
+            candidates = CandidateSet(answers=tuple(args.candidate))
+        except IpuqError as exc:  # a blank answer is a bad flag, not a failed elicitation
+            raise ConfigError(f"--candidate: {exc}") from exc
     elif kind in KINDS_WITH_CANDIDATES:
         raise ConfigError(f"kind {kind.value!r} needs at least one --candidate")
     client = ChatClient()

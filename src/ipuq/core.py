@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -74,6 +75,22 @@ class CandidateSetMismatchError(IpuqError, ValueError):
 
 class ConfigError(IpuqError, ValueError):
     """A config the program cannot use: malformed JSON form or contradictory settings."""
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value``, read from JSON, is a number a float holds: an int or
+    a float within +-``sys.float_info.max``.  A bool is not a number here, and
+    ``json.loads`` reads NaN, the infinities and integers of any length."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def is_count(value: Any) -> bool:
+    """Whether ``value``, read from JSON, is a token count: a non-negative int
+    that passes :func:`is_finite_number`, so that a float price can scale it."""
+    return type(value) is int and value >= 0 and is_finite_number(value)
 
 
 def refuse_repeats(name: str, values: Sequence[Any]) -> None:
@@ -179,7 +196,7 @@ def _read(hint: Any, value: Any, where: str) -> Any:
         raise _mismatch(where, hint.__name__, value)
     if hint is not float:
         return value
-    if not math.isfinite(value):  # json.load reads NaN and Infinity
+    if not is_finite_number(value):
         raise _mismatch(where, "a finite number", value)
     return float(value)
 
@@ -348,11 +365,11 @@ PSTAR_RULE = "pstar must be null or one finite non-negative number per truth_set
 
 def is_pstar(pstar: Any, truth_size: int) -> bool:
     """Whether ``pstar`` is a p* over a truth set of ``truth_size`` answers:
-    None, or a list or tuple of one finite non-negative number per answer.
-    A bool is not a number here."""
+    None, or a list or tuple of one finite non-negative number per answer,
+    each passing :func:`is_finite_number`."""
     return pstar is None or (
         isinstance(pstar, (list, tuple)) and len(pstar) == truth_size
-        and all(type(p) in (int, float) and 0.0 <= p < math.inf for p in pstar)
+        and all(is_finite_number(p) and p >= 0 for p in pstar)
     )
 
 
@@ -472,6 +489,8 @@ __all__ = [
     "EmptyCredalError",
     "CandidateSetMismatchError",
     "ConfigError",
+    "is_finite_number",
+    "is_count",
     "refuse_repeats",
     "TextError",
     "JsonForm",

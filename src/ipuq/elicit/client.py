@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from ..core import IpuqError
+from ..core import IpuqError, is_count
 
 logger = logging.getLogger(__name__)
 
@@ -92,13 +92,13 @@ def encode_request(endpoint: ModelEndpoint, system_text: str, user_text: str) ->
 
 
 def _token_count(usage: object, key: str) -> int:
-    """``usage[key]``, 0 when absent; a count must be a non-negative JSON integer."""
+    """``usage[key]``, 0 when absent; a count must pass :func:`~ipuq.core.is_count`."""
     if not isinstance(usage, dict):
         raise TransportError(f"malformed chat response body: usage {usage!r} is not an object")
     count = usage.get(key, 0)
-    if type(count) is not int or count < 0:
-        raise TransportError(
-            f"malformed chat response body: {key} {count!r} is not a non-negative integer")
+    if not is_count(count):
+        raise TransportError(f"malformed chat response body: {key} {count!r} is not a "
+                             "non-negative integer within a float's range")
     return count
 
 

@@ -11,6 +11,7 @@ import re
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -353,7 +354,7 @@ _LAYOUTS = {
 }
 
 
-@pytest.fixture(params=(1, 7, 64, ipuq.campaign._TAIL_CHUNK), ids="chunk{}".format)
+@pytest.fixture(params=(2, 7, 64, ipuq.campaign._TAIL_CHUNK), ids="chunk{}".format)
 def chunk(request, monkeypatch):
     monkeypatch.setattr(ipuq.campaign, "_TAIL_CHUNK", request.param)
     return request.param
@@ -373,18 +374,26 @@ class TestRecordsReader:
         assert existing_keys(str(path)) == {
             (r["key"]["question_id"], r["key"]["method"], r["key"]["seed"]) for r in records}
 
-    def test_buffer_holds_at_most_a_chunk_and_the_longest_line(self, tmp_path, chunk):
-        lines = _reader_lines(chunk) * 3
-        path = tmp_path / "records.jsonl"
-        path.write_text(_LAYOUTS["lf"]([_HEADER, *lines]), encoding="utf-8")
-        longest = max(len(line.encode("utf-8")) for line in lines) + 1
-
-        def decode(buf, start, end):
-            assert len(buf) < chunk + longest
-            return json.loads(buf[start:end].decode("utf-8"))
-
-        decoded = list(ipuq.campaign._decoded_lines(str(path), decode))
-        assert decoded == [json.loads(line) for line in lines]
+    def test_memory_holds_the_buffer_and_the_longest_line_not_the_file(self, tmp_path):
+        # lines longer than the read buffer: four times as many of them add
+        # only their keys to the peak, not their bytes
+        buffer = ipuq.campaign._TAIL_CHUNK
+        peaks = []
+        for count in (50, 200):
+            lines = [canonical_json(_reader_record(f"q{i}", pad=buffer + 5, seed=i))
+                     for i in range(count)]
+            longest = max(len(line.encode("utf-8")) for line in lines) + 1
+            path = tmp_path / f"{count}.jsonl"
+            path.write_text(_LAYOUTS["lf"]([_HEADER, *lines]), encoding="utf-8")
+            del lines
+            tracemalloc.start()
+            try:
+                assert len(existing_keys(str(path))) == count
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * (buffer + longest)
+        assert peaks[1] < 1.25 * peaks[0]
 
     @pytest.mark.parametrize("text", ["", "\n", " \r\n\n"], ids=["empty", "newline", "blank"])
     def test_a_file_without_lines_has_no_records(self, tmp_path, chunk, text):

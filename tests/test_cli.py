@@ -276,6 +276,16 @@ class TestElicit:
             f"error: --max-attempts must be at least 1, got {max_attempts}\n")
         assert sent == []
 
+    @pytest.mark.parametrize("candidate", ["", "  "], ids=["empty", "blank"])
+    def test_a_blank_candidate_is_a_dataset_error(self, capsys, candidate):
+        code = main([
+            "elicit", "--kind", "definetti", "--question", "q", "--candidate", "a",
+            "--candidate", candidate, "--base-url", "http://localhost:1", "--model", "m",
+        ])
+        assert code == EXIT_DATASET
+        assert capsys.readouterr() == (
+            "", "error: --candidate: candidate answers must be non-empty strings\n")
+
     def test_candidate_kinds_require_candidates(self, capsys):
         code = main([
             "elicit", "--kind", "definetti", "--question", "q",
@@ -495,13 +505,15 @@ def test_a_qa_id_that_is_not_a_string_is_refused_before_any_record(tmp_path, cap
      "pstar must be null or one finite non-negative number per truth_set answer"),
     ({"pstar": [math.nan]},
      "pstar must be null or one finite non-negative number per truth_set answer"),
+    ({"pstar": [1, 10**400]},
+     "pstar must be null or one finite non-negative number per truth_set answer"),
     ({"reference": 7}, "reference_answer must be a string, got 7"),
     ({"prediction": 7}, "prediction must be a string, got 7"),
     ({"question": 7}, "question must be a string, got 7"),
     ({"question": "q\ud800?"},
      "question holds a lone surrogate at index 1, which UTF-8 cannot encode"),
-], ids=["negative pstar", "nan pstar", "int reference", "int prediction", "int question",
-        "lone surrogate"])
+], ids=["negative pstar", "nan pstar", "pstar too large for a float", "int reference",
+        "int prediction", "int question", "lone surrogate"])
 def test_an_invalid_question_is_refused_before_any_request(
     tmp_path, capsys, monkeypatch, row, reason
 ):
@@ -569,6 +581,10 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
      "scores.second_order must be a finite number or null, got inf"),
     ({"scores": {"combined": -math.inf}},
      "scores.combined must be a finite number or null, got -inf"),
+    ({"scores": {"first_order": 10**400}},
+     f"scores.first_order must be a finite number or null, got {10**400}"),
+    ({"scores": {"combined": -10**400}},
+     f"scores.combined must be a finite number or null, got {-10**400}"),
     ({"candidates": {"answers": ["a"], "case_sensitive": 1}},
      "candidates.case_sensitive must be true or false, got 1"),
     ({"candidates": {"answers": ["a"], "case_sensitive": None}},
@@ -576,6 +592,8 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
     ({"pstar": [-0.5]}, "pstar must be null or one finite non-negative number per truth_set answer"),
     ({"pstar": [0.5, 0.5]}, "pstar must be null or one finite non-negative number per truth_set "
                             "answer"),
+    ({"pstar": [10**400]}, "pstar must be null or one finite non-negative number per truth_set "
+                           "answer"),
     ({"pstar": ["1"]}, "pstar must be null or one finite non-negative number per truth_set answer"),
     ({"pstar": {"a": 1.0}}, "pstar must be null or one finite non-negative number per truth_set "
                             "answer"),
@@ -584,8 +602,9 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
     ({"prediction": 7}, "prediction must be a string or null, got 7"),
     ({"reference_answer": ["a"]}, "reference_answer must be a string or null, got ['a']"),
 ], ids=["first_order 'abc'", "second_order false", "combined list", "first_order NaN",
-        "second_order Infinity", "combined -Infinity", "case_sensitive 1",
-        "case_sensitive null", "pstar negative", "pstar too long", "pstar string", "pstar object",
+        "second_order Infinity", "combined -Infinity", "first_order 401 digits",
+        "combined -401 digits", "case_sensitive 1", "case_sensitive null", "pstar negative",
+        "pstar too long", "pstar 401 digits", "pstar string", "pstar object",
         "answer not a string", "truth_set entry not a string", "prediction int",
         "reference_answer list"])
 @pytest.mark.parametrize("argv", [["auroc"], ["concordance", "--ref", "kl_pstar"]],
@@ -597,6 +616,22 @@ def test_eval_over_a_value_eval_cannot_read_is_a_dataset_error(
     append_records(path, [{**_EVAL_READY, **change}])
     assert main(["eval", argv[0], "--records", path, *argv[1:]]) == EXIT_DATASET
     assert capsys.readouterr().err == f"error: {path}: line 6: record q/definetti/0: {reason}\n"
+
+
+@pytest.mark.parametrize("count", [True, -5, 10**400], ids=["true", "negative", "401 digits"])
+def test_eval_cost_over_a_token_count_that_is_not_a_count_is_a_dataset_error(
+    tmp_path, capsys, count
+):
+    config_path = write_campaign_config(tmp_path, "http://localhost:1")[1]
+    path = eval_fixture_records(tmp_path)
+    usage = {"input_tokens": count, "output_tokens": 1}
+    append_records(path, [{**_EVAL_READY, "elicitation": {**_EVAL_READY["elicitation"],
+                                                          "usage": usage}}])
+    assert main(["eval", "cost", "--records", path, "--config", config_path]) == EXIT_DATASET
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 6: record q/definetti/0: "
+        "elicitation.usage.input_tokens must be a non-negative integer within a float's range, "
+        f"got {count!r}\n")
 
 
 def test_eval_reads_null_labels_scores_and_pstar(tmp_path):
@@ -815,6 +850,21 @@ def test_campaign_config_without_endpoints_is_a_dataset_error(tmp_path, capsys):
     assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
     err = capsys.readouterr().err
     assert err == "error: CampaignConfig.endpoints: missing required key\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_campaign_config_with_an_integer_too_large_for_a_float_is_a_dataset_error(
+    tmp_path, capsys
+):
+    _, config_path = write_campaign_config(tmp_path, "http://127.0.0.1:9/v1")
+    path = tmp_path / "config.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["dataset"]["noise_p"] = 10**400
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["campaign", "run", "--config", config_path]) == EXIT_DATASET
+    err = capsys.readouterr().err
+    assert err == ("error: DatasetSource.noise_p: expected a finite number, got int 1"
+                   + "0" * 59 + "\n")
     assert not (tmp_path / "runs").exists()
 
 

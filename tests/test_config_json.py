@@ -154,7 +154,9 @@ def test_missing_keys_take_the_field_defaults():
     ("endpoints", 0, "price_per_input_token"),
     ("dataset", "noise_p"),
 ])
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400,
+                                     "-1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "401 digits", "-401 digits"])
 def test_non_finite_floats_are_refused(path, literal):
     data = _config_data()
     *parents, last = path

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from ipuq.core import (
     ZeroMassError,
     build_pmf,
     interval_from_credal,
+    is_finite_number,
 )
 
 
@@ -345,3 +347,14 @@ def test_qarecord_keeps_text_outside_the_basic_plane():
 def test_candidate_answers_must_be_strings(answer):
     with pytest.raises(TextError, match="candidate answers must be strings"):
         cs("a", answer)
+
+
+@pytest.mark.parametrize("value, ok", [
+    (0, True), (-3, True), (0.5, True), (sys.float_info.max, True),
+    (-sys.float_info.max, True), (int(sys.float_info.max), True),
+    (10**400, False), (-10**400, False), (math.nan, False), (math.inf, False),
+    (-math.inf, False), (True, False), ("1", False), (None, False),
+], ids=["0", "-3", "0.5", "max", "-max", "int max", "401 digits", "-401 digits", "nan", "inf",
+        "-inf", "true", "string", "null"])
+def test_a_json_number_is_finite_when_a_float_holds_it(value, ok):
+    assert is_finite_number(value) is ok

@@ -397,6 +397,7 @@ class TestHttpTransport:
     @pytest.mark.parametrize("usage", [
         [1], "abc", {"prompt_tokens": "abc"}, {"prompt_tokens": 1.7}, {"prompt_tokens": 2.0},
         {"completion_tokens": -3}, {"prompt_tokens": True}, {"completion_tokens": None},
+        {"prompt_tokens": 10**400},
     ])
     def test_a_usage_block_that_is_not_token_counts_is_malformed(self, fixed_reply, usage):
         server, url = fixed_reply
