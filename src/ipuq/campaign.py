@@ -83,21 +83,8 @@ DATASET_SYNTH = "synth"
 
 
 class RecordsSchemaError(IpuqError, ValueError):
-    pass
-
-
-class RecordDecodeError(RecordsSchemaError):
-    """A records file line that is not UTF-8 or not JSON.
-
-    Names the file, the 1-based line and the byte offset within that line
-    where decoding failed.
-    """
-
-    def __init__(self, path: str, line: int, offset: int, reason: str):
-        super().__init__(f"{path}: line {line}, byte offset {offset}: {reason}")
-        self.path = path
-        self.line = line
-        self.offset = offset
+    """A records file, or a record in it, that the readers cannot use; the
+    message names the file and line, or the record."""
 
 
 # =========================================================================
@@ -167,6 +154,10 @@ class CampaignConfig(JsonForm):
             # records carry no endpoint in their cell key, so a second
             # endpoint would be silently ignored
             raise ConfigError(f"exactly one endpoint is required, got {len(self.endpoints)}")
+        if (seed := self.endpoints[0].seed) is not None:
+            # each cell's requests carry its record seed, so this one would be ignored
+            raise ConfigError(f"endpoint seed {seed!r} would be ignored: list the seeds to run "
+                              "under seeds")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         refuse_repeats("method", self.methods)
@@ -221,20 +212,16 @@ def append_records(path: str, records: Iterable[dict]) -> None:
 _TAIL_CHUNK = 64 * 1024
 
 
-def _check_header(head: Any) -> None:
-    if not isinstance(head, dict) or head.get("schema") != RECORD_SCHEMA:
-        raise RecordsSchemaError(f"unexpected records header {head!r}")
-
-
 def _decoded_lines(path: str, decode: Callable[[bytes], Any]) -> Iterator[Any]:
     """Yield ``decode(line)`` for each record line of a records file, the
     line being its bytes with its ``\\n``, if any, after checking the schema
     header; blank lines are skipped and an empty file yields nothing.
 
-    ``decode`` decodes the line, or a tail of it, as UTF-8 JSON; when that
-    fails, :class:`RecordDecodeError` names the line and the failing byte.
-    A line that ``decode`` refuses as a record raises
-    :class:`RecordsSchemaError` naming the line.
+    ``decode`` decodes the line, or a tail of it, as UTF-8 JSON.  Each
+    failure raises :class:`RecordsSchemaError` naming the file and the line:
+    a line that is not UTF-8 JSON also names the failing byte, and a header
+    that is not this schema's, or a line that ``decode`` refuses as a
+    record, says what is wrong.
     """
     header = True
     with open(path, "rb", buffering=_TAIL_CHUNK) as fh:
@@ -243,7 +230,9 @@ def _decoded_lines(path: str, decode: Callable[[bytes], Any]) -> Iterator[Any]:
                 continue
             try:
                 if header:
-                    _check_header(json.loads(line.decode("utf-8")))
+                    head = json.loads(line.decode("utf-8"))
+                    if not isinstance(head, dict) or head.get("schema") != RECORD_SCHEMA:
+                        raise _NotARecord(f"unexpected records header {head!r:.60}")
                     header = False
                 else:
                     yield decode(line)
@@ -255,7 +244,7 @@ def _decoded_lines(path: str, decode: Callable[[bytes], Any]) -> Iterator[Any]:
 
 def _decode_error(
     path: str, number: int, line: bytes, exc: UnicodeDecodeError | json.JSONDecodeError
-) -> RecordDecodeError:
+) -> RecordsSchemaError:
     """The error for line ``number``, whose decode failed.
 
     Every decode runs to the line's end, so the failing byte lies as many
@@ -269,11 +258,11 @@ def _decode_error(
         rest = len(exc.doc[exc.pos:].encode("utf-8"))
         reason = f"not JSON ({exc.msg})"
     offset = min(len(line) - rest, len(line) - line.endswith(b"\n"))
-    return RecordDecodeError(path, number, offset, reason)
+    return RecordsSchemaError(f"{path}: line {number}, byte offset {offset}: {reason}")
 
 
 class _NotARecord(Exception):
-    """A record line without what its reader needs; the message says what."""
+    """A header or record line its reader refuses; the message says why."""
 
 
 def _key_tuple(key: Any) -> tuple[str, str, int]:
@@ -333,21 +322,21 @@ def _wrong_value(record: dict[str, Any]) -> str | None:
     for name, answers in (("candidates.answers", record["candidates"]["answers"]),
                           ("truth_set", record["truth_set"])):
         if wrong := [answer for answer in answers if type(answer) is not str]:
-            return f"{name} must hold only strings, got {wrong[0]!r}"
+            return f"{name} must hold only strings, got {wrong[0]!r:.60}"
     for name in ("prediction", "reference_answer"):
         if type(value := record.get(name)) not in (str, type(None)):
-            return f"{name} must be a string or null, got {value!r}"
+            return f"{name} must be a string or null, got {value!r:.60}"
     if type(rule := record["candidates"].get("case_sensitive", False)) is not bool:
-        return f"candidates.case_sensitive must be true or false, got {rule!r}"
+        return f"candidates.case_sensitive must be true or false, got {rule!r:.60}"
     usage = record["elicitation"]["usage"]
     for name in ("input_tokens", "output_tokens"):
         if not is_count(count := usage[name]):
             return (f"elicitation.usage.{name} must be a non-negative integer within a "
-                    f"float's range, got {count!r}")
+                    f"float's range, got {count!r:.60}")
     for name in SCORE_FIELDS:
         score = record["scores"].get(name)
         if score is not None and not is_finite_number(score):
-            return f"scores.{name} must be a finite number or null, got {score!r}"
+            return f"scores.{name} must be a finite number or null, got {score!r:.60}"
     if not is_pstar(record.get("pstar"), len(record["truth_set"])):
         return PSTAR_RULE
     return None
@@ -943,7 +932,6 @@ __all__ = [
     "DATASET_QA_FILE",
     "DATASET_SYNTH",
     "RecordsSchemaError",
-    "RecordDecodeError",
     "DatasetSource",
     "CampaignConfig",
     "canonical_json",

@@ -37,39 +37,11 @@ class IpuqError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptyInputError(IpuqError, ValueError):
-    pass
-
-
-class LengthMismatchError(IpuqError, ValueError):
-    pass
-
-
-class NegativeWeightError(IpuqError, ValueError):
-    pass
-
-
-class ZeroMassError(IpuqError, ValueError):
-    pass
-
-
-class SumViolationError(IpuqError, ValueError):
-    pass
-
-
-class OutOfRangeError(IpuqError, ValueError):
-    pass
+class InvalidValueError(IpuqError, ValueError):
+    """A value that breaks a rule of the type or function it was given to."""
 
 
 class InvertedIntervalError(IpuqError, ValueError):
-    pass
-
-
-class EmptyCredalError(IpuqError, ValueError):
-    pass
-
-
-class CandidateSetMismatchError(IpuqError, ValueError):
     pass
 
 
@@ -99,11 +71,6 @@ def refuse_repeats(name: str, values: Sequence[Any]) -> None:
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"{name} {value!r} is listed twice")
-
-
-class TextError(IpuqError, ValueError):
-    """A question or answer that is not a string, or holds a lone surrogate,
-    which UTF-8 cannot encode and so no record can hold."""
 
 
 _J = TypeVar("_J", bound="JsonForm")
@@ -206,8 +173,9 @@ class CandidateSet:
     """An ordered set of answer strings, optionally open-ended.
 
     ``open_ended`` marks candidate lists that do not claim to be exhaustive
-    (e.g. model-generated enumerations); elicitation protocols use it to
-    decide whether a "none of the listed answers" slot is meaningful.
+    (e.g. model-generated enumerations).  It is kept in each record's
+    candidate set, but no elicitation protocol reads it: the possibility
+    protocol asks for a "none of the listed answers" slot either way.
 
     The set owns answer matching.  Two answers are the same when their keys
     are equal, where the key trims surrounding whitespace and then
@@ -228,16 +196,16 @@ class CandidateSet:
         index: dict[str, int] = {}
         for raw in self.answers:
             if not isinstance(raw, str):
-                raise TextError(f"candidate answers must be strings, got {raw!r}")
+                raise InvalidValueError(f"candidate answers must be strings, got {raw!r}")
             text = raw.strip()
             if not text:
-                raise EmptyInputError("candidate answers must be non-empty strings")
+                raise InvalidValueError("candidate answers must be non-empty strings")
             key = self._fold(text)
             if key not in index:
                 index[key] = len(cleaned)
                 cleaned.append(text)
         if not cleaned:
-            raise EmptyInputError("a candidate set needs at least one answer")
+            raise InvalidValueError("a candidate set needs at least one answer")
         object.__setattr__(self, "answers", tuple(cleaned))
         object.__setattr__(self, "_index", index)
 
@@ -269,15 +237,15 @@ class PrecisePMF:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.probs) != len(self.candidates):
-            raise LengthMismatchError(
+            raise InvalidValueError(
                 f"{len(self.probs)} probabilities for {len(self.candidates)} candidates"
             )
         for i, p in enumerate(self.probs):
             if not 0.0 <= p <= 1.0:
-                raise OutOfRangeError(f"prob at index {i} outside [0, 1]: {p!r}")
+                raise InvalidValueError(f"prob at index {i} outside [0, 1]: {p!r}")
         total = sum(self.probs)
         if abs(total - 1.0) > PROB_TOL:
-            raise SumViolationError(f"probabilities sum to {total!r}, expected 1")
+            raise InvalidValueError(f"probabilities sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -293,10 +261,10 @@ class ProbabilityIntervalSet:
         object.__setattr__(self, "uppers", tuple(float(x) for x in self.uppers))
         n = len(self.candidates)
         if len(self.lowers) != n or len(self.uppers) != n:
-            raise LengthMismatchError("interval bounds must align with candidates")
+            raise InvalidValueError("interval bounds must align with candidates")
         for i, (lo, hi) in enumerate(zip(self.lowers, self.uppers)):
             if not (lo >= 0.0 and hi <= 1.0):
-                raise OutOfRangeError(f"interval at index {i} outside [0, 1]: [{lo!r}, {hi!r}]")
+                raise InvalidValueError(f"interval at index {i} outside [0, 1]: [{lo!r}, {hi!r}]")
             if lo > hi:
                 raise InvertedIntervalError(f"lower {lo!r} above upper {hi!r} at index {i}")
 
@@ -315,10 +283,10 @@ class CredalSet:
 
     def __post_init__(self) -> None:
         if not self.members:
-            raise EmptyCredalError("a credal set needs at least one member PMF")
+            raise InvalidValueError("a credal set needs at least one member PMF")
         for m in self.members:
             if m.candidates != self.candidates:
-                raise CandidateSetMismatchError("member PMFs must share the candidate set")
+                raise InvalidValueError("member PMFs must share the candidate set")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -349,10 +317,10 @@ class PossibilityAssignment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
         if len(self.scores) != len(self.candidates):
-            raise LengthMismatchError("one possibility score per candidate")
+            raise InvalidValueError("one possibility score per candidate")
         for i, s in enumerate((*self.scores, self.none_of_above)):
             if not 0.0 <= s <= 1.0:
-                raise OutOfRangeError(f"possibility score outside [0, 1] at slot {i}: {s!r}")
+                raise InvalidValueError(f"possibility score outside [0, 1] at slot {i}: {s!r}")
 
     def combined(self) -> tuple[float, ...]:
         """Candidate scores with the none-of-the-above slot appended."""
@@ -376,12 +344,12 @@ def is_pstar(pstar: Any, truth_size: int) -> bool:
 def _check_text(name: str, value: Any) -> None:
     """Refuse a ``value`` that is not a string UTF-8 can encode."""
     if not isinstance(value, str):
-        raise TextError(f"{name} must be a string, got {value!r:.60}")
+        raise InvalidValueError(f"{name} must be a string, got {value!r:.60}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise TextError(f"{name} holds a lone surrogate at index {exc.start}, "
-                        "which UTF-8 cannot encode") from None
+        raise InvalidValueError(f"{name} holds a lone surrogate at index {exc.start}, "
+                                "which UTF-8 cannot encode") from None
 
 
 @dataclass
@@ -420,9 +388,9 @@ class QARecord:
         ref = self.reference_answer
         if (ref is not None and self.truth_set
                 and not any(self.candidates.matches(ref, t) for t in self.truth_set)):
-            raise CandidateSetMismatchError("reference answer must be a member of the truth set")
+            raise InvalidValueError("reference answer must be a member of the truth set")
         if not is_pstar(self.pstar, len(self.truth_set)):
-            raise OutOfRangeError(PSTAR_RULE)
+            raise InvalidValueError(PSTAR_RULE)
         if self.pstar is not None:
             self.pstar = tuple(float(p) for p in self.pstar)
 
@@ -444,19 +412,19 @@ def build_pmf(
     """
     weights = [float(w) for w in weights]
     if len(weights) != len(candidates):
-        raise LengthMismatchError(
+        raise InvalidValueError(
             f"{len(weights)} weights for {len(candidates)} candidates"
         )
     for i, w in enumerate(weights):
         if w < 0.0:
-            raise NegativeWeightError(f"negative weight at index {i}: {w!r}")
+            raise InvalidValueError(f"negative weight at index {i}: {w!r}")
         if not math.isfinite(w):
-            raise OutOfRangeError(f"weight at index {i} is not finite: {w!r}")
+            raise InvalidValueError(f"weight at index {i} is not finite: {w!r}")
     total = sum(weights)
     if total <= 0.0:
-        raise ZeroMassError("weights sum to zero; no distribution can be formed")
+        raise InvalidValueError("weights sum to zero; no distribution can be formed")
     if not renormalize and abs(total - 1.0) > PROB_TOL:
-        raise SumViolationError(
+        raise InvalidValueError(
             f"weights sum to {total!r}, expected 1 within {PROB_TOL}"
         )
     probs = tuple(min(w / total, 1.0) for w in weights)
@@ -479,20 +447,12 @@ def interval_from_credal(credal: CredalSet) -> ProbabilityIntervalSet:
 __all__ = [
     "PROB_TOL",
     "IpuqError",
-    "EmptyInputError",
-    "LengthMismatchError",
-    "NegativeWeightError",
-    "ZeroMassError",
-    "SumViolationError",
-    "OutOfRangeError",
+    "InvalidValueError",
     "InvertedIntervalError",
-    "EmptyCredalError",
-    "CandidateSetMismatchError",
     "ConfigError",
     "is_finite_number",
     "is_count",
     "refuse_repeats",
-    "TextError",
     "JsonForm",
     "CandidateSet",
     "PrecisePMF",

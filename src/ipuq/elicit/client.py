@@ -94,10 +94,10 @@ def encode_request(endpoint: ModelEndpoint, system_text: str, user_text: str) ->
 def _token_count(usage: object, key: str) -> int:
     """``usage[key]``, 0 when absent; a count must pass :func:`~ipuq.core.is_count`."""
     if not isinstance(usage, dict):
-        raise TransportError(f"malformed chat response body: usage {usage!r} is not an object")
+        raise TransportError(f"malformed chat response body: usage {usage!r:.60} is not an object")
     count = usage.get(key, 0)
     if not is_count(count):
-        raise TransportError(f"malformed chat response body: {key} {count!r} is not a "
+        raise TransportError(f"malformed chat response body: {key} {count!r:.60} is not a "
                              "non-negative integer within a float's range")
     return count
 

@@ -25,23 +25,7 @@ from .prompts import CONF_LABEL, NOTA_LABEL, WIRE, PromptKind, WireFormat
 
 
 class ParseError(IpuqError, ValueError):
-    """Base for reply-parsing failures; the message is shown to the model."""
-
-
-class NoStructuredBlockError(ParseError):
-    pass
-
-
-class CandidateCountMismatchError(ParseError):
-    pass
-
-
-class NumberParseError(ParseError):
-    pass
-
-
-class ValueOutOfRangeError(ParseError):
-    pass
+    """A reply that does not parse; the message is shown to the model."""
 
 
 # The body runs up to the first ``` after the opening line.  Spelled as runs
@@ -54,7 +38,7 @@ _NUMBERED_LINE_RE = re.compile(r"^\s*\d+[.)]\s+(.*\S)\s*$")
 def _last_fenced_block(text: str) -> str:
     blocks = _FENCE_RE.findall(text)
     if not blocks:
-        raise NoStructuredBlockError("reply contains no fenced block of rows")
+        raise ParseError("reply contains no fenced block of rows")
     return blocks[-1]
 
 
@@ -68,11 +52,11 @@ def _parse_decimal(raw: str, *, where: str) -> float:
             raise ValueError
         value = float(cleaned)
     except ValueError:
-        raise NumberParseError(f"{where}: {raw!r} is not a decimal number") from None
+        raise ParseError(f"{where}: {raw!r} is not a decimal number") from None
     if math.isnan(value) or math.isinf(value):
-        raise NumberParseError(f"{where}: {raw!r} is not a finite number")
+        raise ParseError(f"{where}: {raw!r} is not a finite number")
     if not (0.0 <= value <= 1.0):
-        raise ValueOutOfRangeError(f"{where}: {value!r} lies outside [0, 1]")
+        raise ParseError(f"{where}: {value!r} lies outside [0, 1]")
     return value
 
 
@@ -82,7 +66,7 @@ def _parse_row(line: str) -> tuple[str, dict[str, str]]:
     fields: dict[str, str] = {}
     for seg in segments[1:]:
         if "=" not in seg:
-            raise NumberParseError(f"row {label!r}: segment {seg!r} is not field=value")
+            raise ParseError(f"row {label!r}: segment {seg!r} is not field=value")
         name, _, value = seg.partition("=")
         fields[name.strip()] = value
     return label, fields
@@ -100,21 +84,21 @@ def _rows_by_index(
         label, fields = _parse_row(line)
         if label in (NOTA_LABEL, CONF_LABEL):
             if label in special:
-                raise CandidateCountMismatchError(f"duplicate {label} row")
+                raise ParseError(f"duplicate {label} row")
             special[label] = fields
             continue
         try:
             idx = int(label)
         except ValueError:
-            raise NumberParseError(f"row label {label!r} is not an answer index") from None
+            raise ParseError(f"row label {label!r} is not an answer index") from None
         if idx in indexed:
-            raise CandidateCountMismatchError(f"duplicate row for answer {idx}")
+            raise ParseError(f"duplicate row for answer {idx}")
         indexed[idx] = fields
     expected = set(range(1, n + 1))
     if set(indexed) != expected:
         missing = sorted(expected - set(indexed))
         extra = sorted(set(indexed) - expected)
-        raise CandidateCountMismatchError(
+        raise ParseError(
             f"need one row per answer 1..{n}; missing {missing}, unexpected {extra}"
         )
     return indexed, special
@@ -122,7 +106,7 @@ def _rows_by_index(
 
 def _field(fields: dict[str, str], name: str, *, where: str) -> str:
     if name not in fields:
-        raise NumberParseError(f"{where}: missing field {name!r}")
+        raise ParseError(f"{where}: missing field {name!r}")
     return fields[name]
 
 
@@ -133,9 +117,9 @@ def _parse_rows(kind: PromptKind, block: str, n: int):
     indexed, special = _rows_by_index(block, n)
     if wire.extra is None:
         if special:
-            raise CandidateCountMismatchError(f"unexpected rows: {sorted(special)}")
+            raise ParseError(f"unexpected rows: {sorted(special)}")
     elif set(special) != {wire.extra[0]}:
-        raise CandidateCountMismatchError(f"expected exactly one {wire.extra[0]} row")
+        raise ParseError(f"expected exactly one {wire.extra[0]} row")
 
     values: list = [[] for _ in wire.fields]
     for i in range(1, n + 1):
@@ -223,14 +207,14 @@ def parse_structured_report(
             if match:
                 answers.append(match.group(1))
         if not answers:
-            raise NoStructuredBlockError("reply contains no numbered answer lines")
+            raise ParseError("reply contains no numbered answer lines")
         return answers
 
     block = _last_fenced_block(text)
     n = 0
     if wire.fields:
         if candidates is None:
-            raise CandidateCountMismatchError(f"kind {kind.value} needs the candidate list")
+            raise ParseError(f"kind {kind.value} needs the candidate list")
         n = len(candidates)
     values = _read_requested_form(kind, block, n)
     return values if values is not None else _parse_rows(kind, block, n)
@@ -238,9 +222,5 @@ def parse_structured_report(
 
 __all__ = [
     "ParseError",
-    "NoStructuredBlockError",
-    "CandidateCountMismatchError",
-    "NumberParseError",
-    "ValueOutOfRangeError",
     "parse_structured_report",
 ]

@@ -27,15 +27,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from ..core import CandidateSet, IpuqError
-
-
-class MissingCandidatesError(IpuqError, ValueError):
-    pass
-
-
-class UnknownKindError(IpuqError, ValueError):
-    pass
+from ..core import CandidateSet, InvalidValueError
 
 
 class PromptKind(str, enum.Enum):
@@ -211,7 +203,7 @@ def render_prompt(
     n_candidates = 0
     if wire.fields:
         if candidates is None:
-            raise MissingCandidatesError(f"kind {kind.value} requires a candidate list")
+            raise InvalidValueError(f"kind {kind.value} requires a candidate list")
         n_candidates = len(candidates)
         parts.append(_answers_section(candidates.answers))
     if wire.has_block:
@@ -229,7 +221,7 @@ def detect_kind(user_text: str) -> PromptKind:
     for prefix, kind in _PREFIXES:
         if user_text.startswith(prefix):
             return kind
-    raise UnknownKindError("text does not start with any known template")
+    raise InvalidValueError("text does not start with any known template")
 
 
 _STOP_HEADERS = (ANSWERS_HEADER, FORMAT_HEADER, FEEDBACK_HEADER)
@@ -267,8 +259,6 @@ def extract_candidates(user_text: str) -> list[str] | None:
 
 
 __all__ = [
-    "MissingCandidatesError",
-    "UnknownKindError",
     "PromptKind",
     "WireFormat",
     "WIRE",

@@ -28,16 +28,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .core import PROB_TOL, CredalSet, IpuqError, PossibilityAssignment
+from .core import PROB_TOL, CredalSet, InvalidValueError, PossibilityAssignment
 from .coherence import AllZeroError
-
-class LowerSumExceedsOneError(IpuqError, ValueError):
-    pass
-
-
-class InvalidIntervalError(IpuqError, ValueError):
-    pass
-
 
 @dataclass(frozen=True)
 class MmiScore:
@@ -66,7 +58,7 @@ def interval_width_mmi(lower: float, upper: float) -> MmiScore:
     lower = float(lower)
     upper = float(upper)
     if not (0.0 <= lower <= upper <= 1.0):
-        raise InvalidIntervalError(f"need 0 <= lower <= upper <= 1, got [{lower!r}, {upper!r}]")
+        raise InvalidValueError(f"need 0 <= lower <= upper <= 1, got [{lower!r}, {upper!r}]")
     return MmiScore(value=upper - lower, event_count=4)
 
 
@@ -81,10 +73,10 @@ def mmi_upper_bound(lowers: Sequence[float]) -> MmiScore:
     lowers = [float(x) for x in lowers]
     for i, lo in enumerate(lowers):
         if lo < 0.0:
-            raise InvalidIntervalError(f"negative lower bound at index {i}: {lo!r}")
+            raise InvalidValueError(f"negative lower bound at index {i}: {lo!r}")
     total = sum(lowers)
     if total > 1.0 + PROB_TOL:
-        raise LowerSumExceedsOneError(f"lower bounds sum to {total!r} > 1")
+        raise InvalidValueError(f"lower bounds sum to {total!r} > 1")
     return MmiScore(value=min(1.0, max(0.0, 1.0 - total)))
 
 
@@ -145,7 +137,7 @@ def possibility_binary_mmi(score_for: float, score_against: float) -> MmiScore:
     score_against = float(score_against)
     for s in (score_for, score_against):
         if not (0.0 <= s <= 1.0):
-            raise InvalidIntervalError(f"possibility scores must lie in [0, 1], got {s!r}")
+            raise InvalidValueError(f"possibility scores must lie in [0, 1], got {s!r}")
     top = max(score_for, score_against)
     if top <= 0.0:
         raise AllZeroError("both possibility scores are zero; MMI is undefined")
@@ -153,8 +145,6 @@ def possibility_binary_mmi(score_for: float, score_against: float) -> MmiScore:
 
 
 __all__ = [
-    "LowerSumExceedsOneError",
-    "InvalidIntervalError",
     "MmiScore",
     "interval_width_mmi",
     "mmi_upper_bound",

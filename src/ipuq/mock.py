@@ -30,7 +30,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .core import ConfigError, IpuqError, JsonForm, refuse_repeats
+from .core import ConfigError, JsonForm, refuse_repeats
 from .elicit.client import ChatReply, ModelEndpoint, encode_request, parse_response_body
 from .elicit.prompts import (
     NOTA_LABEL,
@@ -44,14 +44,6 @@ if TYPE_CHECKING:
     from http.server import ThreadingHTTPServer
 
 logger = logging.getLogger(__name__)
-
-
-class ScriptExhaustedError(IpuqError, RuntimeError):
-    pass
-
-
-class NoScriptEntryError(IpuqError, KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ class SimulatedAgent:
             conf = 1.0 if not candidates else max(self._candidate_weights(candidates))
             return _block([f"CONF|conf={conf!r}"])
         if candidates is None:
-            raise NoScriptEntryError(f"agent cannot answer kind {kind.value} without candidates")
+            raise ConfigError(f"agent cannot answer kind {kind.value} without candidates")
         weights = self._candidate_weights(candidates)
         if kind == PromptKind.DEFINETTI:
             return _block([f"{i + 1}|price={w!r}" for i, w in enumerate(weights)])
@@ -169,7 +161,7 @@ class SimulatedAgent:
             rows = [f"{i + 1}|pos={w / peak!r}" for i, w in enumerate(weights)]
             rows.append(f"{NOTA_LABEL}|pos={self.config.nota!r}")
             return _block(rows)
-        raise NoScriptEntryError(f"agent does not implement kind {kind.value}")
+        raise ConfigError(f"agent does not implement kind {kind.value}")
 
 
 class MockResponder:
@@ -191,7 +183,7 @@ class MockResponder:
             with self._lock:
                 cursor = self._cursors.get(key, 0)
                 if cursor >= len(entry.replies):
-                    raise ScriptExhaustedError(
+                    raise ConfigError(
                         f"script for {(question[:40], kind, lookup_seed)} exhausted "
                         f"after {len(entry.replies)} replies"
                     )
@@ -206,7 +198,7 @@ class MockResponder:
         if scripted is not None:
             return scripted
         if self.agent is None:
-            raise NoScriptEntryError(
+            raise ConfigError(
                 f"no script entry for kind {kind.value!r}, question {question[:60]!r}"
             )
         return self.agent.reply(kind, question, extract_candidates(user_text), seed)
@@ -325,8 +317,6 @@ def serve_forever(script: MockScript, host: str, port: int) -> None:
 
 
 __all__ = [
-    "ScriptExhaustedError",
-    "NoScriptEntryError",
     "ScriptEntry",
     "AgentConfig",
     "MockScript",

@@ -178,10 +178,6 @@ def metric_rows(
     return rows
 
 
-class UnknownEndpointError(ConfigError):
-    """A record names an endpoint whose prices the config does not give."""
-
-
 def _add_usage(
     sums: dict[tuple[str, str], list], key: tuple[str, str], tin: int, tout: int, currency: float
 ) -> None:
@@ -199,7 +195,7 @@ def cost_rows(
 
     Each record's usage is priced at its endpoint's per-token prices; a
     record whose endpoint is not among ``endpoints`` raises
-    :class:`UnknownEndpointError` rather than being priced at zero.  Every
+    :class:`ConfigError` rather than being priced at zero.  Every
     sum starts at 0.0 and adds left to right: a line's over its records in
     record order, an endpoint's total over its lines in first-appearance order.
     """
@@ -208,7 +204,7 @@ def cost_rows(
     for rec in records:
         endpoint_key = rec["endpoint"]["key"]
         if endpoint_key not in prices:
-            raise UnknownEndpointError(
+            raise ConfigError(
                 f"records name endpoint {endpoint_key!r}, which the config does not list; "
                 f"it lists {sorted(prices)}")
         p_in, p_out = prices[endpoint_key]
@@ -240,7 +236,6 @@ __all__ = [
     "REF_KINDS",
     "METRIC_CSV_COLUMNS",
     "COST_CSV_COLUMNS",
-    "UnknownEndpointError",
     "record_label",
     "metric_rows",
     "cost_rows",

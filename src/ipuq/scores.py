@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import IpuqError, PrecisePMF, CandidateSetMismatchError
+from .core import InvalidValueError, PrecisePMF
 
 logger = logging.getLogger(__name__)
 
@@ -20,10 +20,6 @@ KL_SMOOTHING_EPS = 1e-9
 
 #: Identity tolerance: cross-entropy must equal entropy + KL this tightly.
 DECOMPOSITION_TOL = 1e-9
-
-
-class NegativeScoreError(IpuqError, ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def ce_kl_decomposition(reference: PrecisePMF, predicted: PrecisePMF) -> Decompo
     divergences from float rounding are clamped to 0.
     """
     if reference.candidates != predicted.candidates:
-        raise CandidateSetMismatchError("decomposition needs PMFs on one candidate set")
+        raise InvalidValueError("decomposition needs PMFs on one candidate set")
     ref = reference.probs
     pred = list(predicted.probs)
     mismatch = any(r > 0.0 and q == 0.0 for r, q in zip(ref, pred))
@@ -105,7 +101,7 @@ def combined_score(first_order: float, second_order: float) -> float:
     first_order = float(first_order)
     second_order = float(second_order)
     if first_order < 0.0 or second_order < 0.0:
-        raise NegativeScoreError(
+        raise InvalidValueError(
             f"scores must be non-negative, got {first_order!r} and {second_order!r}"
         )
     return first_order * second_order
@@ -114,7 +110,6 @@ def combined_score(first_order: float, second_order: float) -> float:
 __all__ = [
     "KL_SMOOTHING_EPS",
     "DECOMPOSITION_TOL",
-    "NegativeScoreError",
     "Decomposition",
     "entropy",
     "bernoulli_entropy",

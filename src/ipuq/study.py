@@ -130,7 +130,8 @@ def run_synthetic_study(
         for m in m_grid:
             with tempfile.TemporaryDirectory() as output_dir:
                 config = CampaignConfig(
-                    dataset=sources[p, m], methods=tuple(methods), endpoints=(endpoint,),
+                    dataset=sources[p, m], methods=tuple(methods),
+                    endpoints=(dataclasses.replace(endpoint, seed=None),),
                     seeds=(endpoint.seed or 0,), retry_budget=max_attempts,
                     output_dir=output_dir, score_mode=MODE_SET,
                 )

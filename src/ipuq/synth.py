@@ -19,7 +19,7 @@ import random
 import string
 from dataclasses import dataclass
 
-from .core import ConfigError, IpuqError, JsonForm
+from .core import ConfigError, InvalidValueError, JsonForm
 
 TRANSFORM_ROTATION = "rotation"
 TRANSFORM_CYCLIC_SHIFT = "cyclic_shift"
@@ -33,22 +33,6 @@ _ALPHABET = string.ascii_uppercase
 MAX_WORD_LENGTH = 20
 
 
-class NonAlphabetInputError(IpuqError, ValueError):
-    pass
-
-
-class EmptyStringError(IpuqError, ValueError):
-    pass
-
-
-class VocabularyExhaustedError(IpuqError, ValueError):
-    pass
-
-
-class EnumerationTooLargeError(IpuqError, ValueError):
-    pass
-
-
 def apply_rotation(text: str, steps: int) -> str:
     """Rotate each letter ``steps`` places forward in the A-Z alphabet.
 
@@ -56,7 +40,7 @@ def apply_rotation(text: str, steps: int) -> str:
     rotate backwards.  Input must be uppercase A-Z only.
     """
     if any(c not in _ALPHABET for c in text):
-        raise NonAlphabetInputError(f"rotation is defined on uppercase A-Z only: {text!r}")
+        raise InvalidValueError(f"rotation is defined on uppercase A-Z only: {text!r}")
     k = steps % 26
     return "".join(_ALPHABET[(_ALPHABET.index(c) + k) % 26] for c in text)
 
@@ -69,7 +53,7 @@ def apply_cyclic_shift(text: str, steps: int, *, direction: str = SHIFT_LEFT) ->
     string length, so shifting by the length is the identity.
     """
     if not text:
-        raise EmptyStringError("cannot cyclically shift an empty string")
+        raise InvalidValueError("cannot cyclically shift an empty string")
     if direction not in (SHIFT_LEFT, SHIFT_RIGHT):
         raise ValueError(f"unknown shift direction {direction!r}")
     k = steps % len(text)
@@ -166,7 +150,7 @@ def generate_icl_task(
     if word_length < 1:
         raise ValueError("word_length must be positive")
     if 26**word_length < m + 1:
-        raise VocabularyExhaustedError(
+        raise InvalidValueError(
             f"cannot draw {m + 1} distinct strings of length {word_length}"
         )
     rng = random.Random(rng_seed)
@@ -227,12 +211,12 @@ def ground_truth_variants(clean: str, p: float) -> tuple[CaseVariant, ...]:
     lowercases the positions in the binary expansion of ``i``.
     """
     if any(c not in _ALPHABET for c in clean):
-        raise NonAlphabetInputError(f"expected an uppercase A-Z string: {clean!r}")
+        raise InvalidValueError(f"expected an uppercase A-Z string: {clean!r}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"noise probability must lie in [0, 1], got {p!r}")
     length = len(clean)
     if length > MAX_WORD_LENGTH:
-        raise EnumerationTooLargeError(
+        raise InvalidValueError(
             f"2^{length} casings exceed the enumeration cap of 2^{MAX_WORD_LENGTH}"
         )
     variants: list[CaseVariant] = []
@@ -254,10 +238,6 @@ __all__ = [
     "SHIFT_LEFT",
     "SHIFT_RIGHT",
     "MAX_WORD_LENGTH",
-    "NonAlphabetInputError",
-    "EmptyStringError",
-    "VocabularyExhaustedError",
-    "EnumerationTooLargeError",
     "TransformSpec",
     "NoiseSpec",
     "IclTask",

@@ -112,6 +112,34 @@ class TestSynthRun:
         (row,) = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert row["n"] == 0 and row["first_order_mean"] is None
 
+    def test_seed_flag_sets_the_record_and_request_seed(self, capsys, serve, monkeypatch):
+        (record,) = build_synth_records(DatasetSource(
+            kind=DATASET_SYNTH, transform=TransformSpec(steps=(("rotation", 1),)),
+            noise_p=0.25, m=2, word_length=3, count=1, base_seed=0,
+        ))
+        # the script answers seed 3 only
+        n = len(record.candidates)
+        good = block([f"{i}|price={1 / n!r}" for i in range(1, n + 1)])
+        script = MockScript(entries=(
+            ScriptEntry(question=record.question, kind="definetti", replies=(good,), seed=3),))
+        seeds, run = [], ipuq.study.run_campaign
+
+        def recording(config, **kwargs):
+            records = run(config, **kwargs)
+            seeds.extend(r["key"]["seed"] for r in records)
+            return records
+
+        monkeypatch.setattr(ipuq.study, "run_campaign", recording)
+        with serve(script) as base_url:
+            code = main([
+                "synth", "run", "--p-grid", "0.25", "--m-grid", "2", "--repeats", "1",
+                "--word-length", "3", "--methods", "definetti", "--max-attempts", "1",
+                "--base-url", base_url, "--model", "mock-agent", "--seed", "3",
+            ])
+        assert code == EXIT_OK
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert row["n"] == 1 and seeds == [3]
+
     def test_base_url_needs_a_model(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["synth", "run", "--base-url", "http://localhost:1/v1/chat/completions"])
@@ -441,14 +469,17 @@ class TestEvalCommands:
         assert by_method["definetti"]["currency"] == pytest.approx(36e-6)
         assert by_method["__total__"]["currency"] == pytest.approx(36e-6)
 
-    @pytest.mark.parametrize("header", ['{"schema":"other.v1"}', f'"{RECORD_SCHEMA}"'],
-                             ids=["other schema", "bare schema string"])
+    @pytest.mark.parametrize("header", ['{"schema":"other.v1"}', f'"{RECORD_SCHEMA}"', None],
+                             ids=["other schema", "bare schema string", "headerless"])
     def test_bad_records_schema_is_a_dataset_error(self, tmp_path, capsys, header):
         path = eval_fixture_records(tmp_path)
-        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
-        Path(path).write_text(header + "\n" + "".join(lines[1:]), encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        Path(path).write_text((f"{header}\n" if header else "") + "".join(lines),
+                              encoding="utf-8")
         assert main(["eval", "auroc", "--records", path]) == EXIT_DATASET
-        assert capsys.readouterr().err.startswith("error: unexpected records header")
+        head = repr(json.loads(header or lines[0]))[:60]
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: unexpected records header {head}\n")
 
     def test_records_that_are_not_utf8_are_a_dataset_error(self, tmp_path, capsys):
         path = eval_fixture_records(tmp_path)
@@ -582,9 +613,9 @@ def test_eval_over_a_record_without_what_eval_reads_is_a_dataset_error(
     ({"scores": {"combined": -math.inf}},
      "scores.combined must be a finite number or null, got -inf"),
     ({"scores": {"first_order": 10**400}},
-     f"scores.first_order must be a finite number or null, got {10**400}"),
+     f"scores.first_order must be a finite number or null, got {str(10**400)[:60]}"),
     ({"scores": {"combined": -10**400}},
-     f"scores.combined must be a finite number or null, got {-10**400}"),
+     f"scores.combined must be a finite number or null, got {str(-10**400)[:60]}"),
     ({"candidates": {"answers": ["a"], "case_sensitive": 1}},
      "candidates.case_sensitive must be true or false, got 1"),
     ({"candidates": {"answers": ["a"], "case_sensitive": None}},
@@ -631,7 +662,7 @@ def test_eval_cost_over_a_token_count_that_is_not_a_count_is_a_dataset_error(
     assert capsys.readouterr().err == (
         f"error: {path}: line 6: record q/definetti/0: "
         "elicitation.usage.input_tokens must be a non-negative integer within a float's range, "
-        f"got {count!r}\n")
+        f"got {str(count)[:60]}\n")
 
 
 def test_eval_reads_null_labels_scores_and_pstar(tmp_path):
@@ -885,7 +916,9 @@ def test_synth_config_outside_the_generator_bounds_is_a_dataset_error(tmp_path, 
      "unknown QA format 'maqa'; choose from ('maqa_like', 'ambigqa_like', 'mc_like')"),
     ("methods", ["vanilla", "vanilla"], "method 'vanilla' is listed twice"),
     ("seeds", [0, 0], "seed 0 is listed twice"),
-], ids=["unknown QA format", "repeated method", "repeated seed"])
+    ("endpoints", [{"base_url": "http://127.0.0.1:9/v1", "model_id": "mock-agent", "seed": 7}],
+     "endpoint seed 7 would be ignored: list the seeds to run under seeds"),
+], ids=["unknown QA format", "repeated method", "repeated seed", "endpoint seed"])
 def test_a_refused_campaign_config_is_a_dataset_error_before_any_request(
     tmp_path, monkeypatch, capsys, field, value, message
 ):

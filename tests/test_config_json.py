@@ -21,7 +21,8 @@ TRANSFORM = TransformSpec(steps=(("rotation", 3), ("cyclic_shift", 2)), shift_di
 NOISE = NoiseSpec(p=0.4, rng_seed=7)
 AGENT = AgentConfig(noise_p=0.3, width_c=2.0, nota=0.1, credal_spread=0.02)
 
-# Every field of every object below holds a value other than its default.
+# Every field of every object below holds a value other than its default, but
+# the endpoint's seed: a campaign refuses one, since each record seed sets it.
 SYNTH_SOURCE = DatasetSource(
     kind=DATASET_SYNTH, path="unused.jsonl", format="mc_like", transform=TRANSFORM,
     noise_p=0.4, m=6, word_length=5, count=3, base_seed=9,
@@ -35,7 +36,7 @@ CONFIG = CampaignConfig(
     methods=("probint", "credal"),
     endpoints=(ModelEndpoint(
         base_url="http://127.0.0.1:8139/v1/chat/completions", model_id="mock-agent",
-        auth_token_env="IPUQ_TOKEN", temperature=0.7, seed=11,
+        auth_token_env="IPUQ_TOKEN", temperature=0.7,
         price_per_input_token=1e-6, price_per_output_token=2e-6,
     ),),
     seeds=(3, 5),

@@ -9,7 +9,9 @@ that defines it: the package ``__init__`` files hold only a docstring, and
 no module's ``__all__`` lists a name the module imports.  Also static: no
 ``except ... as name:`` body in ``src/ipuq`` writes an attribute on
 ``name``, and only ``CandidateSet`` case-folds, so the package has one rule
-for when two answers match.
+for when two answers match.  Every exception class the package defines,
+the two catch-all bases aside, is named by an ``except`` clause or an
+``isinstance`` call in the package, ``scripts/`` or ``perfbench/``.
 
 Dynamic: every name in a module's ``__all__`` is bound once it is imported.
 Importing ``ipuq.core`` or ``ipuq.metrics`` loads no ``ipuq`` module it does
@@ -28,6 +30,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ipuq"
+SCRIPTS = SRC.parent.parent / "scripts"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 NETWORK_MODULES = (
     "http.client", "http.server", "urllib.request", "ssl", "email", "socket", "socketserver",
@@ -337,13 +341,72 @@ def test_casefold_checker_flags_only_folds_outside_the_owner():
     assert casefolds_outside(source, "CandidateSet") == [2, 9]
 
 
+def told_apart(source: str) -> set[str]:
+    """The names that an ``except`` clause or the second argument of an
+    ``isinstance`` call in ``source`` tests against, alone or in a tuple; a
+    dotted name counts by its last part."""
+    tested = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            tested.append(node.type)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            tested.append(node.args[1])
+    names = set()
+    for node in tested:
+        for part in node.elts if isinstance(node, ast.Tuple) else (node,):
+            if isinstance(part, ast.Name):
+                names.add(part.id)
+            elif isinstance(part, ast.Attribute):
+                names.add(part.attr)
+    return names
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        yield importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+
+
+def test_every_exception_class_is_told_apart_by_a_caller():
+    """An error type earns its place only where some caller catches it or
+    tests for it; any other failure raises the nearest class that one does.
+    The two catch-all bases are exempt."""
+    sources = [*SRC.rglob("*.py"), *SCRIPTS.glob("*.py"), *PERFBENCH.glob("*.py")]
+    tested = set().union(*(told_apart(p.read_text(encoding="utf-8")) for p in sources))
+    defined = sorted(
+        f"{module.__name__}.{name}"
+        for module in _modules()
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+        and name not in tested and name not in ("IpuqError", "InvalidValueError")
+    )
+    assert defined == []
+
+
+def test_told_apart_checker_reads_except_clauses_and_isinstance():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except (KeyError, errors.ParseError) as exc:\n"
+        "    if isinstance(exc, TransportError) or isinstance(exc, (A, b.B)):\n"
+        "        pass\n"
+        "except OSError:\n"
+        "    pass\n"
+        "except:\n"
+        "    raise NotTested()\n"
+        "issubclass(C, D)\n"
+        "isinstance(e)\n"
+    )
+    assert told_apart(source) == {"KeyError", "ParseError", "TransportError", "A", "B", "OSError"}
+
+
 def test_every_exported_name_is_bound():
     """Each name in a module's ``__all__`` exists once the module is imported,
     so deleting a definition cannot leave a dangling export."""
     dangling = []
-    for path in sorted(SRC.rglob("*.py")):
-        parts = path.relative_to(SRC.parent).with_suffix("").parts
-        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    for module in _modules():
         dangling += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
                      if not hasattr(module, name)]
     assert dangling == []

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -9,10 +10,15 @@ from hypothesis import strategies as st
 
 import ipuq
 from ipuq.coherence import AllZeroError
-from ipuq.core import CandidateSet, CredalSet, PossibilityAssignment, PrecisePMF, build_pmf
+from ipuq.core import (
+    CandidateSet,
+    CredalSet,
+    InvalidValueError,
+    PossibilityAssignment,
+    PrecisePMF,
+    build_pmf,
+)
 from ipuq.mmi import (
-    InvalidIntervalError,
-    LowerSumExceedsOneError,
     exact_mmi_credal,
     interval_width_mmi,
     mmi_upper_bound,
@@ -85,16 +91,16 @@ def test_upper_bound_worked_figure_is_exact():
 
 
 def test_interval_width_validation():
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(InvalidValueError, match=re.escape("got [0.7, 0.3]")):
         interval_width_mmi(0.7, 0.3)
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(InvalidValueError, match=re.escape("got [-0.1, 0.5]")):
         interval_width_mmi(-0.1, 0.5)
 
 
 def test_upper_bound_validation():
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(InvalidValueError, match="negative lower bound at index 1: -0.1"):
         mmi_upper_bound([0.2, -0.1])
-    with pytest.raises(LowerSumExceedsOneError):
+    with pytest.raises(InvalidValueError, match="lower bounds sum to 1.4 > 1"):
         mmi_upper_bound([0.7, 0.7])
 
 
@@ -279,7 +285,7 @@ def test_possibility_binary_mmi():
     assert possibility_binary_mmi(0.5, 0.5).value == 1.0
     with pytest.raises(AllZeroError):
         possibility_binary_mmi(0.0, 0.0)
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(InvalidValueError, match=re.escape("scores must lie in [0, 1], got 1.5")):
         possibility_binary_mmi(1.5, 0.5)
 
 

@@ -30,9 +30,7 @@ from ipuq.mock import (
     MockResponder,
     MockScript,
     MockTransport,
-    NoScriptEntryError,
     ScriptEntry,
-    ScriptExhaustedError,
     SimulatedAgent,
 )
 
@@ -104,7 +102,7 @@ def test_transport_exhaustion_raises():
     )
     transport = MockTransport(script)
     client = ChatClient(transport)
-    with pytest.raises(ScriptExhaustedError):
+    with pytest.raises(ConfigError, match=r"exhausted after 1 replies$"):
         elicit_with_retry(
             client,
             ModelEndpoint(base_url="inproc://x", model_id="m"),
@@ -121,8 +119,9 @@ def test_no_entry_and_no_agent_raises():
     )
     transport = MockTransport(script)
     user = render_prompt(PromptKind.DEFINETTI, QUESTION, TWO)
-    with pytest.raises(NoScriptEntryError):
+    with pytest.raises(ConfigError) as info:
         transport.send(ModelEndpoint(base_url="inproc://x", model_id="m"), SYSTEM_TEXT, user)
+    assert str(info.value).startswith("no script entry for kind 'definetti', question 'Which")
 
 
 def test_seed_specific_entry_beats_seedless_fallback():
@@ -293,7 +292,8 @@ class TestHttpFace:
             transport.send(endpoint, SYSTEM_TEXT, user)  # consumes the only reply
             with pytest.raises(TransportError) as info:
                 transport.send(endpoint, SYSTEM_TEXT, user)
-        assert "500" in str(info.value)
+        assert str(info.value).startswith(
+            'endpoint returned HTTP 500: {"error": "ConfigError: script for ')
         assert info.value.retryable
 
     @pytest.mark.parametrize("seed", ["1", [1]], ids=["string", "list"])
@@ -407,6 +407,21 @@ class TestHttpTransport:
             _send(url)
         assert not info.value.retryable
         assert len(server.seen) == 1
+
+    @pytest.mark.parametrize("usage, reason", [
+        ({"prompt_tokens": 10**400}, f"prompt_tokens {str(10**400)[:60]} is not a non-negative "
+                                     "integer within a float's range"),
+        ([10**400], f"usage {repr([10**400])[:60]} is not an object"),
+    ], ids=["401-digit count", "list of a 401-digit count"])
+    def test_a_refused_usage_value_is_shown_in_at_most_60_characters(
+        self, fixed_reply, usage, reason
+    ):
+        server, url = fixed_reply
+        body = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
+        server.reply = (200, "application/json", json.dumps(body).encode("utf-8"))
+        with pytest.raises(TransportError) as info:
+            _send(url)
+        assert str(info.value) == f"malformed chat response body: {reason}"
 
     @pytest.mark.parametrize("content", [None, 5, ["a"], {}])
     def test_reply_content_that_is_not_a_string_is_malformed(self, fixed_reply, content):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ipuq.campaign import RecordsSchemaError
+from ipuq.core import ConfigError
 from ipuq.reporting import (
     COST_CSV_COLUMNS,
     LABEL_AMBIGUOUS,
@@ -16,7 +17,6 @@ from ipuq.reporting import (
     METRIC_CSV_COLUMNS,
     REF_ENTROPY_PSTAR,
     REF_KL_PSTAR,
-    UnknownEndpointError,
     _pstar_reference,
     cost_rows,
     metric_rows,
@@ -397,7 +397,7 @@ class TestCostRows:
 
     def test_empty_and_unknown_endpoint(self):
         assert cost_rows([], self.endpoints()) == []
-        with pytest.raises(UnknownEndpointError, match="'ghost@url'.*lists \\['m@url'\\]"):
+        with pytest.raises(ConfigError, match="'ghost@url'.*lists \\['m@url'\\]"):
             cost_rows([fake_record("vanilla", 0, endpoint_key="ghost@url")], self.endpoints())
 
     def test_lines_sum_to_endpoint_total(self):

@@ -1,19 +1,17 @@
 import math
 import random
+import re
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipuq.core import InvalidValueError
 from ipuq.synth import (
-    EmptyStringError,
-    EnumerationTooLargeError,
     IclTask,
     NoiseSpec,
-    NonAlphabetInputError,
     TransformSpec,
-    VocabularyExhaustedError,
     apply_cyclic_shift,
     apply_rotation,
     apply_transform,
@@ -58,9 +56,9 @@ def test_rotation_wraps_alphabet():
 
 
 def test_rotation_rejects_non_alphabet():
-    with pytest.raises(NonAlphabetInputError):
+    with pytest.raises(InvalidValueError, match="defined on uppercase A-Z only: 'apple'"):
         apply_rotation("apple", 1)
-    with pytest.raises(NonAlphabetInputError):
+    with pytest.raises(InvalidValueError, match="defined on uppercase A-Z only: 'AB C'"):
         apply_rotation("AB C", 1)
 
 
@@ -82,7 +80,7 @@ def test_cyclic_shift_left_and_right():
 
 
 def test_cyclic_shift_rejects_empty_and_bad_direction():
-    with pytest.raises(EmptyStringError):
+    with pytest.raises(InvalidValueError, match="cannot cyclically shift an empty string"):
         apply_cyclic_shift("", 1)
     with pytest.raises(ValueError):
         apply_cyclic_shift("ABC", 1, direction="up")
@@ -172,11 +170,11 @@ def test_variants_degenerate_noise_levels():
 
 
 def test_variants_validation():
-    with pytest.raises(NonAlphabetInputError):
+    with pytest.raises(InvalidValueError, match="expected an uppercase A-Z string: 'Up!'"):
         ground_truth_variants("Up!", 0.5)
     with pytest.raises(ValueError):
         ground_truth_variants("UP", 1.5)
-    with pytest.raises(EnumerationTooLargeError):
+    with pytest.raises(InvalidValueError, match=re.escape("2^21 casings exceed the enumeration cap")):
         ground_truth_variants("A" * 21, 0.5)
 
 
@@ -251,7 +249,7 @@ def test_generate_icl_task_zero_examples():
 
 
 def test_generate_icl_task_vocabulary_exhaustion():
-    with pytest.raises(VocabularyExhaustedError):
+    with pytest.raises(InvalidValueError, match="cannot draw 27 distinct strings of length 1"):
         generate_icl_task(
             _spec(), NoiseSpec(p=0.0, rng_seed=0), m=26, word_length=1, rng_seed=0
         )
