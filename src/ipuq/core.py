@@ -196,7 +196,7 @@ class CandidateSet:
         index: dict[str, int] = {}
         for raw in self.answers:
             if not isinstance(raw, str):
-                raise InvalidValueError(f"candidate answers must be strings, got {raw!r}")
+                raise InvalidValueError(f"candidate answers must be strings, got {raw!r:.60}")
             text = raw.strip()
             if not text:
                 raise InvalidValueError("candidate answers must be non-empty strings")

@@ -34,32 +34,25 @@ FORMATS = (FORMAT_MAQA, FORMAT_AMBIGQA, FORMAT_MC)
 
 
 class SchemaViolationError(IpuqError, ValueError):
-    """A row that does not fit the declared format; carries the line number
-    and, when raised by :func:`ingest_qa_dataset`, names the file."""
-
-    def __init__(self, line_no: int, message: str, path: str | None = None):
-        where = f"{path}: line {line_no}" if path else f"line {line_no}"
-        super().__init__(f"{where}: {message}")
-        self.line_no = line_no
-        self.reason = message
+    """A row that does not fit the declared format, named by file and line."""
 
 
-def _require(row: dict, key: str, line_no: int):
+def _require(row: dict, key: str):
     if key not in row:
-        raise SchemaViolationError(line_no, f"missing required field {key!r}")
+        raise SchemaViolationError(f"missing required field {key!r}")
     return row[key]
 
 
-def _answer_list(value, line_no: int, what: str) -> tuple:
+def _answer_list(value, what: str) -> tuple:
     """A non-empty list, as a tuple; :class:`CandidateSet` checks its members."""
     if not isinstance(value, list) or not value:
-        raise SchemaViolationError(line_no, f"{what} must be a non-empty list of strings")
+        raise SchemaViolationError(f"{what} must be a non-empty list of strings")
     return tuple(value)
 
 
-def _row_maqa(row: dict, line_no: int) -> QARecord:
-    question = _require(row, "question", line_no)
-    answers = _answer_list(_require(row, "answers", line_no), line_no, "answers")
+def _row_maqa(row: dict) -> QARecord:
+    question = _require(row, "question")
+    answers = _answer_list(_require(row, "answers"), "answers")
     candidates = CandidateSet(answers=answers, open_ended=True)
     return QARecord(
         question=question,
@@ -71,16 +64,16 @@ def _row_maqa(row: dict, line_no: int) -> QARecord:
     )
 
 
-def _row_ambigqa(row: dict, line_no: int) -> QARecord:
-    question = _require(row, "question", line_no)
-    pairs = _require(row, "qa_pairs", line_no)
+def _row_ambigqa(row: dict) -> QARecord:
+    question = _require(row, "question")
+    pairs = _require(row, "qa_pairs")
     if not isinstance(pairs, list) or not pairs:
-        raise SchemaViolationError(line_no, "qa_pairs must be a non-empty list")
+        raise SchemaViolationError("qa_pairs must be a non-empty list")
     answers: list = []
     for pair in pairs:
         if not isinstance(pair, dict):
-            raise SchemaViolationError(line_no, "each qa_pair must be an object")
-        answers += _answer_list(_require(pair, "answers", line_no), line_no, "answers")
+            raise SchemaViolationError("each qa_pair must be an object")
+        answers += _answer_list(_require(pair, "answers"), "answers")
     # the candidate set drops answers that repeat an earlier one up to case
     candidates = CandidateSet(answers=tuple(answers), open_ended=True)
     return QARecord(
@@ -92,19 +85,19 @@ def _row_ambigqa(row: dict, line_no: int) -> QARecord:
     )
 
 
-def _row_mc(row: dict, line_no: int) -> QARecord:
-    question = _require(row, "question", line_no)
-    options = _answer_list(_require(row, "options", line_no), line_no, "options")
+def _row_mc(row: dict) -> QARecord:
+    question = _require(row, "question")
+    options = _answer_list(_require(row, "options"), "options")
     candidates = CandidateSet(answers=options, open_ended=False)
-    answer = _require(row, "answer", line_no)
+    answer = _require(row, "answer")
     if type(answer) is int:  # a JSON true or false is not an index
         if not (0 <= answer < len(options)):
-            raise SchemaViolationError(line_no, f"answer index {answer} out of range")
+            raise SchemaViolationError(f"answer index {answer} out of range")
         answer = options[answer]
     if not isinstance(answer, str):
-        raise SchemaViolationError(line_no, "answer must be an option string or index")
+        raise SchemaViolationError("answer must be an option string or index")
     if candidates.index_of(answer) is None:
-        raise SchemaViolationError(line_no, "answer is not among the options")
+        raise SchemaViolationError("answer is not among the options")
     return QARecord(
         question=question,
         candidates=candidates,
@@ -120,6 +113,27 @@ _PARSERS = {
     FORMAT_AMBIGQA: _row_ambigqa,
     FORMAT_MC: _row_mc,
 }
+
+
+def _read_row(parser, line: bytes, line_no: int, first_line: dict[str, int]) -> QARecord:
+    try:
+        row = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaViolationError(f"not UTF-8 ({exc.reason} at byte offset {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaViolationError(f"invalid JSON: {exc}") from exc
+    if not isinstance(row, dict):
+        raise SchemaViolationError("row must be a JSON object")
+    record = parser(row)
+    record.question_id = row.get("id")
+    if record.question_id is None:
+        record.question_id = f"q{line_no:05d}"
+    elif type(record.question_id) is not str:
+        raise SchemaViolationError("id must be a string")
+    if record.question_id in first_line:
+        raise SchemaViolationError(f"duplicate question id {record.question_id!r} "
+                                   f"(first on line {first_line[record.question_id]})")
+    return record
 
 
 def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
@@ -143,32 +157,9 @@ def ingest_qa_dataset(path: str, format: str) -> list[QARecord]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise SchemaViolationError(
-                    line_no, f"not UTF-8 ({exc.reason} at byte offset {exc.start})", path
-                ) from exc
-            except json.JSONDecodeError as exc:
-                raise SchemaViolationError(line_no, f"invalid JSON: {exc}", path) from exc
-            if not isinstance(row, dict):
-                raise SchemaViolationError(line_no, "row must be a JSON object", path)
-            try:
-                record = parser(row, line_no)
+                record = _read_row(parser, line, line_no, first_line)
             except IpuqError as exc:
-                reason = exc.reason if isinstance(exc, SchemaViolationError) else str(exc)
-                raise SchemaViolationError(line_no, reason, path) from exc
-            record.question_id = row.get("id")
-            if record.question_id is None:
-                record.question_id = f"q{line_no:05d}"
-            elif type(record.question_id) is not str:
-                raise SchemaViolationError(line_no, "id must be a string", path)
-            if record.question_id in first_line:
-                raise SchemaViolationError(
-                    line_no,
-                    f"duplicate question id {record.question_id!r} "
-                    f"(first on line {first_line[record.question_id]})",
-                    path,
-                )
+                raise SchemaViolationError(f"{path}: line {line_no}: {exc}") from exc
             first_line[record.question_id] = line_no
             records.append(record)
     return records

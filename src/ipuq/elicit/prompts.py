@@ -139,6 +139,15 @@ class WireFormat:
     def has_block(self) -> bool:
         return bool(self.fields or self.extra)
 
+    def block(self, columns: list[list[str]], extra: str = "") -> str:
+        """The fenced reply block: row ``i`` holds each column's ``i``-th value
+        under its field, then the labelled row, if the kind has one, holds ``extra``."""
+        rows = [str(i) + "".join(f"|{name}={v}" for name, v in zip(self.fields, values))
+                for i, values in enumerate(zip(*columns), 1)]
+        if self.extra:
+            rows.append(f"{self.extra[0]}|{self.extra[1]}={extra}")
+        return "```\n" + "\n".join(rows) + "\n```"
+
 
 #: The wire table: one entry per protocol.
 WIRE: dict[PromptKind, WireFormat] = {
@@ -162,11 +171,6 @@ KINDS_WITH_CANDIDATES = tuple(kind for kind, wire in WIRE.items() if wire.fields
 @functools.lru_cache(maxsize=256)
 def _format_suffix(kind: PromptKind, n_candidates: int) -> str:
     wire = WIRE[kind]
-    values = "".join(f"|{name}=<decimal>" for name in wire.fields)
-    rows = [f"{i}{values}" for i in range(1, n_candidates + 1)]
-    if wire.extra:
-        label, name, _ = wire.extra
-        rows.append(f"{label}|{name}=<decimal>")
     lines = (
         "the following lines in order, with each <decimal>"
         if wire.fields
@@ -176,8 +180,8 @@ def _format_suffix(kind: PromptKind, n_candidates: int) -> str:
         "After any reasoning, end your reply with a fenced code block (```) "
         f"containing exactly {lines} replaced by a plain decimal number between 0 and 1:"
     )
-    body = "\n".join(rows)
-    return f"{FORMAT_HEADER}\n{intro}\n```\n{body}\n```"
+    block = wire.block([["<decimal>"] * n_candidates for _ in wire.fields], "<decimal>")
+    return f"{FORMAT_HEADER}\n{intro}\n{block}"
 
 
 @functools.lru_cache(maxsize=256)

@@ -5,13 +5,14 @@ Two reply sources, checked in order:
 * a **script**: ordered canned replies keyed by (question, kind, seed);
   the n-th request for a key gets the n-th reply, and running off the end
   of the list is an error (a script is a complete plan, not a suggestion);
-* a programmable **agent** that computes replies from the prompt itself:
-  it reads the candidate list, weighs each candidate by its casing under a
-  configured noise level, and widens its intervals as the demonstration
-  count shrinks.  This gives the simulated endpoint separately tunable
-  first-order spread (via ``noise_p``) and second-order imprecision (via
-  ``width_c`` over the example count), all analytically, which is what the
-  disentanglement studies check against.
+* a programmable **agent** that computes replies from the prompt itself.
+  It derives one belief (candidate weights from their casing under a
+  configured noise level, an interval width that shrinks as demonstrations
+  grow, a seed-dependent credal mix, a NOTA level), and a per-kind table
+  maps it to the values the kind's ``WIRE`` entry writes as rows.  So the
+  simulated endpoint has separately tunable first-order spread
+  (``noise_p``) and second-order imprecision (``width_c`` over the example
+  count), both analytic, which is what the disentanglement studies check.
 
 The same responder serves in-process (as a transport, no sockets) and over
 HTTP (``ipuq mock serve``), byte-identical either way.  Replies, token
@@ -23,6 +24,7 @@ server is started, so in-process use never loads the network stack.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import threading
@@ -33,12 +35,13 @@ from typing import TYPE_CHECKING, Any
 from .core import ConfigError, JsonForm, refuse_repeats
 from .elicit.client import ChatReply, ModelEndpoint, encode_request, parse_response_body
 from .elicit.prompts import (
-    NOTA_LABEL,
+    WIRE,
     PromptKind,
     detect_kind,
     extract_candidates,
     extract_question,
 )
+from .synth import count_demonstrations
 
 if TYPE_CHECKING:
     from http.server import ThreadingHTTPServer
@@ -91,22 +94,49 @@ class MockScript(JsonForm):
         refuse_repeats("script entry", [entry.key() for entry in self.entries])
 
 
-def _count_demonstrations(question: str) -> int:
-    # ICL questions are "Input: X → Output: Y" lines with a final "?" query.
-    total = question.count("→ Output:")
-    return max(total - 1, 0)
+@dataclass(frozen=True)
+class _Belief:
+    """What the agent believes about one prompt: the parts that
+    :class:`AgentConfig` describes.  Each is worked out when a reply first
+    reads it, so only a credal reply reads the seed."""
+
+    config: AgentConfig
+    question: str
+    candidates: list[str]
+    seed: int | None
+
+    @functools.cached_property
+    def weights(self) -> list[float]:
+        p = self.config.noise_p
+        lowered = [[c.islower() for c in text if c.isalpha()] for text in self.candidates]
+        weights = [p ** sum(low) * (1.0 - p) ** (len(low) - sum(low)) for low in lowered]
+        mass = sum(weights)
+        if mass <= 0.0:
+            weights, mass = [1.0] * len(weights), len(weights)
+        return [w / mass for w in weights]
+
+    @functools.cached_property
+    def width(self) -> float:
+        m = count_demonstrations(self.question)
+        return 1.0 if m == 0 else min(1.0, self.config.width_c / m)
+
+    @functools.cached_property
+    def mix(self) -> float:
+        return min(((self.seed or 0) % 5) * self.config.credal_spread, 1.0)
 
 
-def _letters(text: str) -> int:
-    return sum(1 for c in text if c.isalpha())
-
-
-def _lower_letters(text: str) -> int:
-    return sum(1 for c in text if c.isalpha() and c.islower())
-
-
-def _block(rows: list[str]) -> str:
-    return "```\n" + "\n".join(rows) + "\n```"
+#: Per kind, the belief's value columns (one per ``WIRE[kind].fields``
+#: entry) and its labelled row's value: the reply the agent writes.
+_REPLY_VALUES = {
+    PromptKind.DEFINETTI: lambda b: ([b.weights], None),
+    PromptKind.PROBINT: lambda b: (
+        [[w * (1.0 - b.width) for w in b.weights],
+         [w * (1.0 - b.width) + b.width for w in b.weights]], None),
+    PromptKind.CREDAL: lambda b: (
+        [[(1.0 - b.mix) * w + b.mix / len(b.weights) for w in b.weights]], None),
+    PromptKind.POSSIBILITY: lambda b: ([[w / max(b.weights) for w in b.weights]], b.config.nota),
+    PromptKind.VANILLA: lambda b: ([], max(b.weights, default=1.0)),
+}
 
 
 class SimulatedAgent:
@@ -115,53 +145,17 @@ class SimulatedAgent:
     def __init__(self, config: AgentConfig):
         self.config = config
 
-    def _candidate_weights(self, candidates: list[str]) -> list[float]:
-        p = self.config.noise_p
-        weights = []
-        for text in candidates:
-            total = _letters(text)
-            low = _lower_letters(text)
-            weights.append(p**low * (1.0 - p) ** (total - low))
-        mass = sum(weights)
-        if mass <= 0.0:
-            return [1.0 / len(candidates)] * len(candidates)
-        return [w / mass for w in weights]
-
-    def reply(
-        self,
-        kind: PromptKind,
-        question: str,
-        candidates: list[str] | None,
-        seed: int | None,
-    ) -> str:
-        if kind == PromptKind.VANILLA:
-            conf = 1.0 if not candidates else max(self._candidate_weights(candidates))
-            return _block([f"CONF|conf={conf!r}"])
-        if candidates is None:
+    def reply(self, kind: PromptKind, question: str, candidates: list[str] | None,
+              seed: int | None) -> str:
+        wire = WIRE[kind]
+        # every kind but vanilla's lone labelled row reads the candidate list
+        if not candidates and (wire.fields or not wire.extra):
             raise ConfigError(f"agent cannot answer kind {kind.value} without candidates")
-        weights = self._candidate_weights(candidates)
-        if kind == PromptKind.DEFINETTI:
-            return _block([f"{i + 1}|price={w!r}" for i, w in enumerate(weights)])
-        if kind == PromptKind.CREDAL:
-            lam = ((seed or 0) % 5) * self.config.credal_spread
-            lam = min(lam, 1.0)
-            n = len(weights)
-            mixed = [(1.0 - lam) * w + lam / n for w in weights]
-            return _block([f"{i + 1}|prob={w!r}" for i, w in enumerate(mixed)])
-        if kind == PromptKind.PROBINT:
-            m = _count_demonstrations(question)
-            width = 1.0 if m == 0 else min(1.0, self.config.width_c / m)
-            rows = []
-            for i, w in enumerate(weights):
-                lo = w * (1.0 - width)
-                rows.append(f"{i + 1}|lower={lo!r}|upper={lo + width!r}")
-            return _block(rows)
-        if kind == PromptKind.POSSIBILITY:
-            peak = max(weights)
-            rows = [f"{i + 1}|pos={w / peak!r}" for i, w in enumerate(weights)]
-            rows.append(f"{NOTA_LABEL}|pos={self.config.nota!r}")
-            return _block(rows)
-        raise ConfigError(f"agent does not implement kind {kind.value}")
+        if kind not in _REPLY_VALUES:
+            raise ConfigError(f"agent does not implement kind {kind.value}")
+        belief = _Belief(self.config, question, candidates or [], seed)
+        columns, extra = _REPLY_VALUES[kind](belief)
+        return wire.block([[repr(v) for v in column] for column in columns], repr(extra))
 
 
 class MockResponder:

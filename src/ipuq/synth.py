@@ -191,6 +191,12 @@ def format_icl_prompt(task: IclTask) -> str:
     return "\n".join(lines)
 
 
+def count_demonstrations(prompt: str) -> int:
+    """The demonstration count ``m`` of a :func:`format_icl_prompt` text (its
+    output lines less the query); 0 for text with no such lines."""
+    return max(prompt.count("→ Output:") - 1, 0)
+
+
 @dataclass(frozen=True)
 class CaseVariant:
     """One casing of the clean output with its probability under the noise."""
@@ -247,5 +253,6 @@ __all__ = [
     "apply_transform",
     "generate_icl_task",
     "format_icl_prompt",
+    "count_demonstrations",
     "ground_truth_variants",
 ]

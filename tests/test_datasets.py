@@ -86,9 +86,15 @@ class TestMaqaLike:
         )
         with pytest.raises(SchemaViolationError) as info:
             ingest_qa_dataset(path, FORMAT_MAQA)
-        assert info.value.line_no == 2
         assert "line 2" in str(info.value)
         assert "answers" in str(info.value)
+
+    def test_an_answer_that_is_not_a_string_is_shown_in_at_most_60_characters(self, tmp_path):
+        path = write_jsonl(tmp_path, ['{"question": "q", "answers": ["a", ' + "7" * 401 + "]}"])
+        with pytest.raises(SchemaViolationError) as info:
+            ingest_qa_dataset(path, FORMAT_MAQA)
+        assert str(info.value) == (
+            f"{path}: line 1: candidate answers must be strings, got {'7' * 60}")
 
 
 class TestAmbigqaLike:
@@ -154,7 +160,6 @@ class TestMcLike:
         )
         with pytest.raises(SchemaViolationError) as info:
             ingest_qa_dataset(path, FORMAT_MC)
-        assert info.value.line_no == 1
         assert str(info.value) == (
             f"{path}: line 1: answer must be an option string or index")
 
@@ -171,7 +176,7 @@ def test_blank_lines_are_skipped_but_numbering_is_physical(tmp_path):
     )
     with pytest.raises(SchemaViolationError) as info:
         ingest_qa_dataset(path, FORMAT_MAQA)
-    assert info.value.line_no == 4
+    assert str(info.value).startswith(f"{path}: line 4: invalid JSON: ")
 
 
 def test_default_question_ids_use_line_numbers(tmp_path):
@@ -197,8 +202,7 @@ def test_duplicate_question_id_is_rejected_at_its_second_row(tmp_path):
     )
     with pytest.raises(SchemaViolationError, match="duplicate question id 'a'") as info:
         ingest_qa_dataset(path, FORMAT_MAQA)
-    assert info.value.line_no == 2
-    assert "first on line 1" in str(info.value)
+    assert str(info.value) == f"{path}: line 2: duplicate question id 'a' (first on line 1)"
 
 
 @pytest.mark.parametrize("explicit_first", [True, False])
@@ -213,9 +217,9 @@ def test_explicit_id_colliding_with_a_default_id_is_rejected(tmp_path, explicit_
             {"id": "q00001", "question": "q2", "answers": ["y"]},
         ]
     path = write_jsonl(tmp_path, rows)
-    with pytest.raises(SchemaViolationError, match="duplicate question id") as info:
+    with pytest.raises(SchemaViolationError) as info:
         ingest_qa_dataset(path, FORMAT_MAQA)
-    assert info.value.line_no == 2
+    assert str(info.value).startswith(f"{path}: line 2: duplicate question id ")
 
 
 @pytest.mark.parametrize("row, fmt", [
@@ -253,7 +257,6 @@ def test_an_undecodable_row_names_the_file_and_its_line(tmp_path, bad, reason):
                      b'{"question": "q2", "answers": ' + bad + b'}\n')
     with pytest.raises(SchemaViolationError) as info:
         ingest_qa_dataset(str(path), FORMAT_MAQA)
-    assert info.value.line_no == 2
     assert str(info.value) == f"{path}: line 2: {reason}"
 
 
@@ -365,7 +368,6 @@ def test_what_ingest_accepts_eval_accepts(tmp_path, fmt, shape, seed):
     if shape != "well-formed":
         with pytest.raises(SchemaViolationError) as info:
             ingest_qa_dataset(str(path), fmt)
-        assert info.value.line_no == lead + 1
         assert str(info.value).startswith(f"{path}: line {lead + 1}: ")
         return
     config = CampaignConfig(

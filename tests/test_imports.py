@@ -11,7 +11,9 @@ no module's ``__all__`` lists a name the module imports.  Also static: no
 ``name``, and only ``CandidateSet`` case-folds, so the package has one rule
 for when two answers match.  Every exception class the package defines,
 the two catch-all bases aside, is named by an ``except`` clause or an
-``isinstance`` call in the package, ``scripts/`` or ``perfbench/``.
+``isinstance`` call in the package, ``scripts/`` or ``perfbench/``.  Only
+``elicit/prompts.py``, where ``WIRE`` defines the reply rows, spells a
+piece of one (``|price=``, ``NOTA|`` and the like) in a string literal.
 
 Dynamic: every name in a module's ``__all__`` is bound once it is imported.
 Importing ``ipuq.core`` or ``ipuq.metrics`` loads no ``ipuq`` module it does
@@ -339,6 +341,54 @@ def test_casefold_checker_flags_only_folds_outside_the_owner():
         "low = a.lower()\n"
     )
     assert casefolds_outside(source, "CandidateSet") == [2, 9]
+
+
+#: Pieces of the reply rows that ``WIRE`` defines: a field after its ``|``, a label before it.
+ROW_FRAGMENTS = ("|price=", "|prob=", "|lower=", "|upper=", "|pos=", "|conf=", "NOTA|", "CONF|")
+
+
+def row_fragments(source: str) -> list[tuple[int, str]]:
+    """(line, fragment) of every reply-row fragment that a string literal in
+    ``source`` holds, the literal parts of f-strings included."""
+    return sorted(
+        (node.lineno, fragment)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for fragment in ROW_FRAGMENTS
+        if fragment in node.value
+    )
+
+
+def test_only_the_wire_table_spells_a_reply_row():
+    """Prompts and the mock agent both write reply blocks through
+    ``WireFormat.block``, so a row's layout is written once, in ``WIRE``."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    spelled = [
+        f"{path.relative_to(SRC.parent)}:{line}: {fragment}"
+        for path in modules if path != SRC / "elicit" / "prompts.py"
+        for line, fragment in row_fragments(path.read_text(encoding="utf-8"))
+    ]
+    assert spelled == []
+
+
+def test_row_fragment_checker_flags_rows_written_by_hand():
+    # how the mock agent wrote its rows before it wrote them through WIRE
+    source = (
+        'return _block([f"CONF|conf={conf!r}"])\n'
+        'rows = [f"{i + 1}|price={w!r}" for i, w in enumerate(weights)]\n'
+        'rows = [f"{i + 1}|prob={w!r}" for i, w in enumerate(mixed)]\n'
+        'rows.append(f"{i + 1}|lower={lo!r}|upper={lo + width!r}")\n'
+        'rows.append(f"{NOTA_LABEL}|pos={self.config.nota!r}")\n'
+        'rows.append(f"NOTA|pos={nota}")\n'
+        'label, text = "NOTA", "a|b=1"  # a label alone and other rows pass\n'
+        'def f():\n'
+        '    """Rows read ``1|price=0.5``."""\n'
+    )
+    assert row_fragments(source) == [
+        (1, "CONF|"), (1, "|conf="), (2, "|price="), (3, "|prob="), (4, "|lower="),
+        (4, "|upper="), (5, "|pos="), (6, "NOTA|"), (6, "|pos="), (9, "|price="),
+    ]
 
 
 def told_apart(source: str) -> set[str]:

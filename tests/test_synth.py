@@ -15,6 +15,7 @@ from ipuq.synth import (
     apply_cyclic_shift,
     apply_rotation,
     apply_transform,
+    count_demonstrations,
     format_icl_prompt,
     generate_icl_task,
     ground_truth_variants,
@@ -274,3 +275,14 @@ def test_format_icl_prompt_shape():
     assert lines[-1] == f"Input: {task.query_input} → Output: ?"
     # demonstration count is recoverable from the text itself
     assert text.count("→ Output:") - 1 == task.m
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_count_demonstrations_reads_m_back_from_the_prompt(m):
+    task = generate_icl_task(_spec(), NoiseSpec(p=0.5, rng_seed=m), m=m, word_length=3,
+                             rng_seed=m)
+    assert count_demonstrations(format_icl_prompt(task)) == m
+
+
+def test_a_plain_question_has_no_demonstrations():
+    assert count_demonstrations("Which mountain is the tallest on Earth?\nInput: none") == 0
